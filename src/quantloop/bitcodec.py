@@ -8,9 +8,10 @@ remaining space of the current byte and the high-order bits spill into the
 next byte.
 
 The payload is exactly ``ceil(n*b/8)`` bytes and is always followed by a
-single zero guard byte.  The guard lets a decoder form an unconditional
-two-byte window ``payload[j] | payload[j+1] << 8`` even when extracting the
-final code, without branching on the stream end.
+single zero guard byte.  The guard is part of the format and readers insist
+on it: it keeps a decoder that reads a fixed two-byte window per code in
+bounds at the end of the stream.  :func:`unpack_slice` itself reads only the
+payload bytes that hold the requested codes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 MAX_BIT_WIDTH = 8
+
+# uint8 is wide enough: a code of at most MAX_BIT_WIDTH bits sums to <= 255.
+_PLACE_VALUES = (1 << np.arange(MAX_BIT_WIDTH)).astype(np.uint8)
 
 
 class CodeRangeError(ValueError):
@@ -111,24 +115,24 @@ def _payload_view(buf: PackedBuffer) -> np.ndarray:
 def unpack_slice(buf: PackedBuffer, start: int, count: int) -> np.ndarray:
     """Decode codes ``start .. start+count`` without touching the rest.
 
-    Extraction forms a two-byte window around each code, shifts by the
-    intra-byte bit offset, and masks to the code width.  The guard byte
-    guarantees the window read at the end of the stream stays in bounds.
+    The payload bytes spanning the slice are exploded into their
+    little-endian bit stream, the bits of the code straddling the first byte
+    are skipped, and each run of ``bit_width`` bits is folded back into a
+    ``uint8`` by a product with the place values ``1, 2, 4, ...``.  That is
+    three numpy calls whatever the count, and about ``bit_width + 1`` bytes
+    of scratch per code.
     """
     data = _payload_view(buf)
     if start < 0 or count < 0 or start + count > buf.count:
         raise IndexError(
             f"slice [{start}, {start + count}) out of range for {buf.count} codes"
         )
-    if count == 0:
-        return np.empty(0, dtype=np.uint8)
     b = buf.bit_width
-    bit_off = (np.arange(start, start + count, dtype=np.int64)) * b
-    byte_ix = bit_off >> 3
-    shift = (bit_off & 7).astype(np.uint16)
-    window = data[byte_ix].astype(np.uint16) | (data[byte_ix + 1].astype(np.uint16) << 8)
-    mask = np.uint16((1 << b) - 1)
-    return ((window >> shift) & mask).astype(np.uint8)
+    first_bit = start * b
+    end_bit = first_bit + count * b
+    bits = np.unpackbits(data[first_bit >> 3 : (end_bit + 7) >> 3], bitorder="little")
+    skip = first_bit & 7
+    return bits[skip : skip + count * b].reshape(count, b) @ _PLACE_VALUES[:b]
 
 
 def unpack_bits(buf: PackedBuffer) -> np.ndarray:

@@ -9,10 +9,11 @@ accumulates the products strictly left-to-right in float32, so its result
 is a deterministic, order-fixed baseline the other kernels are judged
 against.  ``gemv_opt`` delegates the heavy lifting to numpy's BLAS-backed
 matmul (blocked, vectorized, and deterministic per row).  ``gemv_sketch``
-consumes a :class:`~quantloop.quantizer.QuantizedMatrix` directly: one row
-of codes is unpacked at a time into a reused scratch buffer, mapped through
-the centroid table, and dotted with x using the same left-to-right order as
-the reference kernel, keeping peak extra memory at O(cols).
+consumes a :class:`~quantloop.quantizer.QuantizedMatrix` directly: a tile
+of whole rows of codes is unpacked at a time, mapped through the centroid
+table, multiplied by x and accumulated along each row with the same
+left-to-right order as the reference kernel, keeping peak extra memory at
+O(tile) (:data:`SKETCH_TILE_CODES`).
 
 For a quantized matrix with reconstruction error ``epsilon`` the deviation
 of ``y_hat = W_hat @ x`` from ``y = W @ x`` obeys, per element and in the
@@ -32,7 +33,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -44,14 +44,21 @@ __all__ = [
     "GemvParams",
     "GemvShapeError",
     "Layout",
+    "SKETCH_TILE_CODES",
     "Trans",
-    "epsilon_report",
     "error_bound",
     "gemv_naive",
     "gemv_opt",
     "gemv_sketch",
     "runtime_bound_check",
 ]
+
+
+#: Codes the sketch kernel decodes per step, rounded down to whole rows but
+#: never below one row.  A tile costs about 16 B of transient memory per code
+#: (the uint8 code, its intp cast inside ``take``, the float32 product), so
+#: this constant caps the kernel's extra memory as well as its call count.
+SKETCH_TILE_CODES = 1024
 
 
 class Layout(enum.Enum):
@@ -209,12 +216,15 @@ def gemv_sketch(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, p: GemvParams)
     """GEMV over a quantized matrix without materializing it.
 
     Row-major, non-transposed products (the shape the program synthesizer
-    emits) decode one row of codes at a time, map codes through the centroid
-    table into a reused scratch row, and dot that row against x with the
-    reference kernel's left-to-right order.  Other layouts reconstruct the
-    dense matrix once and delegate to :func:`gemv_naive`.  Either way the
-    result is bit-identical to running the reference kernel on the
-    dequantized matrix.
+    emits) walk the matrix in tiles of whole rows, about
+    :data:`SKETCH_TILE_CODES` codes each.  A tile is decoded with one
+    :func:`~quantloop.bitcodec.unpack_slice` call, mapped through the
+    centroid table, multiplied by x, and reduced by a running sum along each
+    row, which keeps the reference kernel's left-to-right float32 order; the
+    tile's outputs are then stored in one vectorized update.  Extra memory
+    is O(tile).  Other layouts reconstruct the dense matrix once and
+    delegate to :func:`gemv_naive`.  Either way the result is bit-identical
+    to running the reference kernel on the dequantized matrix.
     """
     if p.layout is Layout.ROW_MAJOR and p.trans is Trans.NO_TRANS:
         if p.m != q.rows or p.n != q.cols:
@@ -229,14 +239,20 @@ def gemv_sketch(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, p: GemvParams)
         y = _require_f32_vector("y", y, p.y_len, p.incy)
         x_eff = x[:: p.incx][: p.x_len]
         centroids = q.codebook.centroids
-        scratch = np.empty(q.cols, dtype=np.float32)
         alpha = np.float32(p.alpha)
         beta = np.float32(p.beta)
-        for i in range(q.rows):
-            codes = unpack_slice(q.indices, i * q.cols, q.cols)
-            np.take(centroids, codes, out=scratch)
-            s = _dot_f32(scratch, x_eff)
-            y[i * p.incy] = alpha * s + beta * y[i * p.incy]
+        cols = q.cols
+        tile_rows = max(1, SKETCH_TILE_CODES // cols)
+        for r0 in range(0, q.rows, tile_rows):
+            t = min(tile_rows, q.rows - r0)
+            codes = unpack_slice(q.indices, r0 * cols, t * cols)
+            prods = np.take(centroids, codes).reshape(t, cols)
+            np.multiply(prods, x_eff, out=prods)
+            # Never sum/dot/@ here: those reassociate.  cumsum accumulates
+            # each row strictly left to right, like _dot_f32.
+            np.cumsum(prods, axis=1, out=prods)
+            y_tile = y[r0 * p.incy : (r0 + t) * p.incy : p.incy]
+            y_tile[...] = alpha * prods[:, -1] + beta * y_tile
         return y
     return gemv_naive(dequantize(q).reshape(-1), x, y, p)
 
@@ -299,8 +315,3 @@ def runtime_bound_check(
         threshold=None if threshold is None else float(threshold),
         threshold_exceeded=threshold is not None and base.inf_bound > threshold,
     )
-
-
-def epsilon_report(matrices: Sequence[QuantizedMatrix]) -> list[float]:
-    """Per-matrix reconstruction errors, in the order given."""
-    return [float(q.epsilon) for q in matrices]

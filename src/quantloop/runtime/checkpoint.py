@@ -20,6 +20,7 @@ weights are gone after quantization.
 
 from __future__ import annotations
 
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import BinaryIO, Union
 
 import numpy as np
 
-from ..bitcodec import PackedBuffer, payload_size
+from ..bitcodec import MAX_BIT_WIDTH, PackedBuffer, payload_size
 from ..quantizer import Codebook, QuantConfig, QuantizedMatrix, quantize_matrix
 from .config import ModelConfig, TOY_CONFIG, tensor_shapes
 from .rng import tensor_fill
@@ -56,6 +57,10 @@ class TruncatedCheckpointError(CheckpointError):
 
 class ExtentMismatchError(CheckpointError):
     """A tensor record's shape disagrees with the config-derived shape."""
+
+
+class InvalidRecordError(CheckpointError):
+    """A quantization record's bit width or epsilon is out of range."""
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
@@ -151,6 +156,17 @@ def _read_record(f: BinaryIO, name: str, shape: tuple) -> QuantizedMatrix:
     if (rows, cols) != shape:
         raise ExtentMismatchError(
             f"{name}: stored extents ({rows}, {cols}) != expected {shape}"
+        )
+    # bit_width sizes the centroid read below, so it is checked first.  A NaN
+    # epsilon would silently disable the runtime threshold check (NaN > T is
+    # false), so it is refused here, where the file is read.
+    if not 1 <= bit_width <= MAX_BIT_WIDTH:
+        raise InvalidRecordError(
+            f"{name}: bit width {bit_width} outside 1..{MAX_BIT_WIDTH}"
+        )
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise InvalidRecordError(
+            f"{name}: epsilon {epsilon} is not a finite non-negative number"
         )
     n_centroids = 1 << bit_width
     centroids = np.frombuffer(

@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quantloop.bitcodec import pack_bits
 from quantloop.kernels import (
+    SKETCH_TILE_CODES,
     BoundReport,
     GemvParams,
     GemvShapeError,
@@ -13,7 +19,13 @@ from quantloop.kernels import (
     gemv_sketch,
     runtime_bound_check,
 )
-from quantloop.quantizer import QuantConfig, dequantize, quantize_matrix
+from quantloop.quantizer import (
+    Codebook,
+    QuantConfig,
+    QuantizedMatrix,
+    dequantize,
+    quantize_matrix,
+)
 
 from conftest import assert_elementwise_close, gemv_scale
 from oracles import gemv_reference
@@ -139,6 +151,85 @@ def test_sketch_bit_identical_on_native_layout():
         y_naive = y0.copy()
         gemv_naive(dequantize(q).reshape(-1), x, y_naive, p)
         np.testing.assert_array_equal(y_sketch, y_naive)
+
+
+def random_quantized(rng, rows, cols, bit_width) -> QuantizedMatrix:
+    """A quantized matrix with random codes, built without running the quantizer."""
+    centroids = np.sort(rng.normal(size=1 << bit_width)).astype(np.float32)
+    codes = rng.integers(0, 1 << bit_width, size=rows * cols)
+    return QuantizedMatrix(
+        rows=rows,
+        cols=cols,
+        codebook=Codebook(centroids=centroids, bit_width=bit_width),
+        indices=pack_bits(codes, bit_width),
+        epsilon=0.0,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bit_width=st.integers(1, 8),
+    rows=st.integers(1, 24),
+    # Up to a little over two tiles per row, so both many-rows-per-tile and
+    # a row wider than a tile are drawn.
+    cols=st.integers(1, 2 * SKETCH_TILE_CODES + 5),
+    incx=st.integers(1, 3),
+    incy=st.integers(1, 3),
+    alpha=st.floats(-4, 4, width=32),
+    beta=st.floats(-4, 4, width=32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sketch_tiles_bit_identical_property(
+    bit_width, rows, cols, incx, incy, alpha, beta, seed
+):
+    rng = np.random.default_rng(seed)
+    q = random_quantized(rng, rows, cols, bit_width)
+    x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
+    y0 = rng.normal(size=(rows - 1) * incy + 1).astype(np.float32)
+    p = params("RM", "NT", rows, cols, alpha, beta, incx=incx, incy=incy)
+    y_sketch = gemv_sketch(q, x, y0.copy(), p)
+    y_naive = gemv_naive(dequantize(q).reshape(-1), x, y0.copy(), p)
+    np.testing.assert_array_equal(y_sketch, y_naive)
+
+
+def test_sketch_tile_boundaries_bit_identical():
+    # Row counts around whole-tile multiples, and m=1, at every bit width.
+    rng = np.random.default_rng(4)
+    cols = 64
+    tile_rows = SKETCH_TILE_CODES // cols
+    for bit_width in range(1, 9):
+        for rows in (1, tile_rows - 1, tile_rows, tile_rows + 1, 3 * tile_rows + 2):
+            q = random_quantized(rng, rows, cols, bit_width)
+            x = rng.normal(size=cols).astype(np.float32)
+            y0 = rng.normal(size=rows).astype(np.float32)
+            p = params("RM", "NT", rows, cols, 0.75, -1.5)
+            y_sketch = gemv_sketch(q, x, y0.copy(), p)
+            y_naive = gemv_naive(dequantize(q).reshape(-1), x, y0.copy(), p)
+            np.testing.assert_array_equal(y_sketch, y_naive)
+
+
+def _sketch_peak_bytes(rows: int, cols: int) -> int:
+    rng = np.random.default_rng(5)
+    q = random_quantized(rng, rows, cols, 3)
+    x = rng.normal(size=cols).astype(np.float32)
+    y = np.zeros(rows, dtype=np.float32)
+    p = params(m=rows, n=cols)
+    gemv_sketch(q, x, y, p)  # warm up lazy numpy state outside the measurement
+    tracemalloc.start()
+    try:
+        gemv_sketch(q, x, y, p)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sketch_extra_memory_is_per_tile():
+    # The kernel's transient memory must not grow with the matrix: a kernel
+    # that caches or materializes decoded weights fails this.
+    small = _sketch_peak_bytes(64, 256)
+    large = _sketch_peak_bytes(4096, 256)
+    assert large <= 1.25 * small, (small, large)
+    assert large < 64 * 1024, large
 
 
 def test_sketch_other_layouts_match_reference():

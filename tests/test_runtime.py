@@ -1,8 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from quantloop.cli import main
 from quantloop.loopir import Loop, print_program, validate
 from quantloop.quantizer import QuantizedMatrix, dequantize
 from quantloop.runtime import (
@@ -10,6 +12,7 @@ from quantloop.runtime import (
     Engine,
     ExtentMismatchError,
     InvalidHeaderError,
+    InvalidRecordError,
     ModelConfig,
     TruncatedCheckpointError,
     gemv_flops_per_token,
@@ -204,6 +207,50 @@ def test_quantize_checkpoint_report_and_roundtrip(tmp_path, toy_float_path):
                 - originals[name].astype(np.float64)
             ))
             assert err <= q.epsilon + 1e-12
+
+
+def _record_offset(name: str) -> int:
+    """Byte offset of tensor `name` in a toy 3-bit .ditq."""
+    offset = 36  # header
+    for tname, shape in tensor_shapes(TOY_CONFIG):
+        if tname == name:
+            return offset
+        offset += 4 * shape[0] if len(shape) == 1 else quantized_record_size(*shape, 3)
+    raise KeyError(name)
+
+
+def _patched_copy(tmp_path, src: str, offset: int, patch: bytes) -> str:
+    raw = bytearray(open(src, "rb").read())
+    raw[offset : offset + len(patch)] = patch
+    path = str(tmp_path / "patched.ditq")
+    open(path, "wb").write(bytes(raw))
+    return path
+
+
+def _inspect_exit_code(path: str, capsys) -> int:
+    code = main(["inspect", path])
+    capsys.readouterr()
+    return code
+
+
+def test_bad_bit_width_rejected_before_allocating(tmp_path, toy_quant_path, capsys):
+    # 1 << 200 would size the centroid read; it must be refused first.
+    for bad in (0, 9, 200):
+        path = _patched_copy(
+            tmp_path, toy_quant_path, _record_offset("tok_emb"), bytes([bad])
+        )
+        with pytest.raises(InvalidRecordError, match="bit width"):
+            read_quantized_checkpoint(path)
+        assert _inspect_exit_code(path, capsys) == 2
+
+
+def test_bad_epsilon_rejected(tmp_path, toy_quant_path, capsys):
+    eps_offset = _record_offset("l0_wq") + 9  # after u8 bit_width, u32 rows, u32 cols
+    for bad in (float("nan"), -1.0, float("inf")):
+        path = _patched_copy(tmp_path, toy_quant_path, eps_offset, struct.pack("<f", bad))
+        with pytest.raises(InvalidRecordError, match="epsilon"):
+            read_quantized_checkpoint(path)
+        assert _inspect_exit_code(path, capsys) == 2
 
 
 def test_serialized_record_size_formula(toy_quant_path):
