@@ -63,7 +63,7 @@ def cmd_quantize(args) -> int:
         report = quantize_checkpoint(
             args.input,
             args.output,
-            QuantConfig(bit_width=args.bits, allow_parallel=not args.no_parallel),
+            QuantConfig(bit_width=args.bits),
         )
     except (OSError, CheckpointError, ValueError) as exc:
         return _fail(str(exc))
@@ -306,7 +306,8 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="per-call output-error budget; quantized calls whose bound "
-        "exceeds it fall back to the retained float weights",
+        "exceeds it fall back to the retained float weights (needs a float "
+        "checkpoint in quantized mode)",
     )
 
 
@@ -322,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--bits", type=int, default=3)
-    p.add_argument("--no-parallel", action="store_true")
     p.set_defaults(fn=cmd_quantize)
 
     p = sub.add_parser("optimize", help="run the GEMV pass over a loop program")

@@ -151,7 +151,7 @@ def default_registry() -> dict:
     return {
         "gemv": gemv_handler,
         "rmsnorm": rmsnorm_handler,
-        "softmax": lambda v: softmax_inplace(v),
+        "softmax": softmax_inplace,
         "silu": silu_handler,
         "rope": rope_handler,
         "attention": attention_handler,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -307,11 +307,10 @@ def runtime_bound_check(
     carries the bounds.
     """
     base = error_bound(q.epsilon, x, q.rows)
-    return BoundReport(
-        epsilon=base.epsilon,
-        x_l1_norm=base.x_l1_norm,
-        inf_bound=base.inf_bound,
-        l2_bound=base.l2_bound,
-        threshold=None if threshold is None else float(threshold),
-        threshold_exceeded=threshold is not None and base.inf_bound > threshold,
+    if threshold is None:
+        return base
+    return replace(
+        base,
+        threshold=float(threshold),
+        threshold_exceeded=base.inf_bound > threshold,
     )

@@ -6,18 +6,23 @@ names to ints.  Buffers are updated in place and the same mapping is
 returned.  Every array subscript is bounds-checked; an out-of-range access
 raises :class:`TrapError` naming the buffer and the offending index.
 
-For speed the program is compiled once into nested Python closures
-(:class:`Prepared`); repeated runs over fresh environments reuse the
-compiled form.  Scalar arithmetic runs in Python floats (double precision)
-and every store rounds to float32, so loop-nest results match a float32
-kernel up to summation rounding while staying exactly reproducible.
+For speed the program is compiled into nested Python closures bound to one
+environment (:class:`Prepared`).  Binding validates each buffer the function
+references once; the closures hold the bound arrays, so a repeated run only
+reads the params from the environment.  A run sees in-place writes made to
+a bound array since the last run, but not a name rebound to a new object:
+that needs a fresh :class:`Prepared`.  Scalar arithmetic runs in Python
+floats (double precision) and every store rounds to float32, so loop-nest
+results match a float32 kernel up to summation rounding while staying
+exactly reproducible.
 
 Intrinsic calls dispatch through a registry mapping the intrinsic name to a
 Python handler; the default registry lives in :mod:`quantloop.intrinsics`.
-Buffer arguments reach handlers as their bound environment values, so a
-``gemv`` over a quantized buffer receives the :class:`QuantizedMatrix`
-itself and can pick the sketch kernel.  Loads from a quantized buffer in an
-ordinary loop nest see its dense reconstruction, materialized per run.
+Buffer arguments are resolved when the program is bound, so each call
+passes the bound environment values and a ``gemv`` over a quantized buffer
+receives the :class:`QuantizedMatrix` itself and can pick the sketch kernel.
+Loads from a quantized buffer in an ordinary loop nest see its dense
+reconstruction, built once at bind and read-only.
 """
 
 from __future__ import annotations
@@ -60,11 +65,16 @@ class TrapError(RuntimeError):
 
 
 class Prepared:
-    """A program compiled to closures, reusable across environments."""
+    """A program compiled to closures over one bound environment.
+
+    Building it validates every buffer the function references against its
+    declaration, once; :meth:`run` then only reads the params from `env`.
+    """
 
     def __init__(
         self,
         program: LoopProgram,
+        env: dict,
         function: str | None = None,
         intrinsics: Mapping[str, Callable] | None = None,
     ) -> None:
@@ -74,19 +84,57 @@ class Prepared:
             intrinsics = default_registry()
         self.program = program
         self.function = program.function(function)
+        self.env = env
         self._intrinsics = dict(intrinsics)
-        self._params = set(program.params)
-        self._dense_slots: dict[str, int] = {}
-        self._raw_slots: dict[str, int] = {}
+        self._params = tuple(program.params)
+        self._buffer_names = {d.name for d in program.buffers}
+        self._bound: dict[str, object] = {}
+        self._flat: dict[str, np.ndarray] = {}
         self._body = [self._compile_stmt(s) for s in self.function.body]
 
+    # -- binding -----------------------------------------------------------
+
+    def _bind(self, name: str):
+        """The value bound to buffer `name`, checked against its declaration."""
+        if name in self._bound:
+            return self._bound[name]
+        if name not in self.env:
+            raise ValueError(f"buffer {name!r} is not bound in the environment")
+        extents = tuple(self.program.buffer(name).extents)
+        value = self.env[name]
+        if isinstance(value, QuantizedMatrix):
+            shape = (value.rows, value.cols)
+        else:
+            value = np.asarray(value)
+            if value.dtype != np.float32:
+                raise ValueError(f"buffer {name!r} must be float32, got {value.dtype}")
+            if not value.flags.c_contiguous:
+                raise ValueError(f"buffer {name!r} must be C-contiguous")
+            shape = tuple(value.shape)
+        if shape != extents:
+            raise ValueError(
+                f"buffer {name!r} declared {extents} but bound value has shape {shape}"
+            )
+        self._bound[name] = value
+        return value
+
+    def _flat_view(self, name: str) -> np.ndarray:
+        """Flat float32 storage of buffer `name` for loads and stores.
+
+        A quantized matrix is reconstructed here, once, into a read-only
+        array: the matrix is immutable, so the reconstruction never changes.
+        """
+        if name not in self._flat:
+            value = self._bind(name)
+            if isinstance(value, QuantizedMatrix):
+                flat = dequantize(value).reshape(-1)
+                flat.flags.writeable = False
+            else:
+                flat = value.reshape(-1)
+            self._flat[name] = flat
+        return self._flat[name]
+
     # -- compilation -------------------------------------------------------
-
-    def _dense_slot(self, name: str) -> int:
-        return self._dense_slots.setdefault(name, len(self._dense_slots))
-
-    def _raw_slot(self, name: str) -> int:
-        return self._raw_slots.setdefault(name, len(self._raw_slots))
 
     def _compile_affine(self, expr) -> Callable[[dict], int]:
         if isinstance(expr, NonAffineExpr):
@@ -157,23 +205,21 @@ class Prepared:
         if isinstance(s, Loop):
             return self._compile_loop(s)
         if isinstance(s, Load):
-            decl = self.program.buffer(s.buffer)
-            slot = self._dense_slot(s.buffer)
-            addr = self._compile_address(decl, s.index)
+            item = self._flat_view(s.buffer).item
+            addr = self._compile_address(self.program.buffer(s.buffer), s.index)
             dest = s.dest
 
-            def run_load(frame, dense, raw):
-                frame[dest] = dense[slot].item(addr(frame))
+            def run_load(frame):
+                frame[dest] = item(addr(frame))
 
             return run_load
         if isinstance(s, Store):
-            decl = self.program.buffer(s.buffer)
-            slot = self._dense_slot(s.buffer)
-            addr = self._compile_address(decl, s.index)
+            flat = self._flat_view(s.buffer)
+            addr = self._compile_address(self.program.buffer(s.buffer), s.index)
             val = self._compile_operand(s.value)
 
-            def run_store(frame, dense, raw):
-                dense[slot][addr(frame)] = val(frame)
+            def run_store(frame):
+                flat[addr(frame)] = val(frame)
 
             return run_store
         if isinstance(s, BinOp):
@@ -182,19 +228,19 @@ class Prepared:
             dest = s.dest
             if s.op == "mul":
 
-                def run_mul(frame, dense, raw):
+                def run_mul(frame):
                     frame[dest] = a(frame) * b(frame)
 
                 return run_mul
             if s.op == "add":
 
-                def run_add(frame, dense, raw):
+                def run_add(frame):
                     frame[dest] = a(frame) + b(frame)
 
                 return run_add
             c = self._compile_operand(s.c)
 
-            def run_fma(frame, dense, raw):
+            def run_fma(frame):
                 frame[dest] = a(frame) * b(frame) + c(frame)
 
             return run_fma
@@ -202,7 +248,7 @@ class Prepared:
             name = s.name
             value = float(s.value)
 
-            def run_init(frame, dense, raw):
+            def run_init(frame):
                 frame[name] = value
 
             return run_init
@@ -211,7 +257,7 @@ class Prepared:
             a = self._compile_operand(s.a)
             b = self._compile_operand(s.b)
 
-            def run_update(frame, dense, raw):
+            def run_update(frame):
                 frame[name] = frame[name] + a(frame) * b(frame)
 
             return run_update
@@ -233,31 +279,31 @@ class Prepared:
         if len(body) == 3 and const_range is not None:
             rng, (b0, b1, b2) = const_range, body
 
-            def run_loop3(frame, dense, raw):
+            def run_loop3(frame):
                 for v in rng:
                     frame[iv] = v
-                    b0(frame, dense, raw)
-                    b1(frame, dense, raw)
-                    b2(frame, dense, raw)
+                    b0(frame)
+                    b1(frame)
+                    b2(frame)
 
             return run_loop3
 
         if const_range is not None:
             rng = const_range
 
-            def run_loop_const(frame, dense, raw):
+            def run_loop_const(frame):
                 for v in rng:
                     frame[iv] = v
                     for fn in body:
-                        fn(frame, dense, raw)
+                        fn(frame)
 
             return run_loop_const
 
-        def run_loop(frame, dense, raw):
+        def run_loop(frame):
             for v in range(lo_f(frame), hi_f(frame)):
                 frame[iv] = v
                 for fn in body:
-                    fn(frame, dense, raw)
+                    fn(frame)
 
         return run_loop
 
@@ -266,98 +312,43 @@ class Prepared:
             handler = self._intrinsics[s.name]
         except KeyError:
             raise ValueError(f"no handler registered for intrinsic {s.name!r}") from None
-        buffer_names = {d.name for d in self.program.buffers}
-        plan: list[tuple[str, object]] = []
+        args = list(s.args)
+        from_frame = []
         for pos, arg in enumerate(s.args):
-            if isinstance(arg, str):
-                if s.name == "gemv" and pos < 2:
-                    plan.append(("lit", arg))  # storage-mode token
-                elif arg in buffer_names:
-                    plan.append(("raw", self._raw_slot(arg)))
-                elif arg in self._params:
-                    plan.append(("frame", arg))
-                else:
-                    plan.append(("lit", arg))
-            else:
-                plan.append(("lit", arg))
-        plan_t = tuple(plan)
+            if not isinstance(arg, str) or (s.name == "gemv" and pos < 2):
+                continue  # a literal; gemv's first two are storage-mode tokens
+            if arg in self._buffer_names:
+                args[pos] = self._bind(arg)
+            elif arg in self._params:
+                from_frame.append((pos, arg))
 
-        def run_call(frame, dense, raw):
-            args = []
-            for kind, payload in plan_t:
-                if kind == "raw":
-                    args.append(raw[payload])
-                elif kind == "frame":
-                    args.append(frame[payload])
-                else:
-                    args.append(payload)
-            handler(*args)
+        if not from_frame:
 
-        return run_call
+            def run_call(frame):
+                handler(*args)
+
+            return run_call
+
+        def run_call_params(frame):
+            call_args = args.copy()
+            for pos, name in from_frame:
+                call_args[pos] = frame[name]
+            handler(*call_args)
+
+        return run_call_params
 
     # -- execution ----------------------------------------------------------
 
-    def _dense_view(self, name: str, value) -> np.ndarray:
-        decl = self.program.buffer(name)
-        if isinstance(value, QuantizedMatrix):
-            if tuple(decl.extents) != (value.rows, value.cols):
-                raise ValueError(
-                    f"buffer {name!r} declared {decl.extents} but quantized "
-                    f"matrix is {value.rows}x{value.cols}"
-                )
-            return dequantize(value).reshape(-1)
-        arr = np.asarray(value)
-        if arr.dtype != np.float32:
-            raise ValueError(f"buffer {name!r} must be float32, got {arr.dtype}")
-        if tuple(arr.shape) != tuple(decl.extents):
-            raise ValueError(
-                f"buffer {name!r} declared {tuple(decl.extents)} but bound "
-                f"array has shape {tuple(arr.shape)}"
-            )
-        if not arr.flags.c_contiguous:
-            raise ValueError(f"buffer {name!r} must be C-contiguous")
-        return arr.reshape(-1)
-
-    def _raw_value(self, name: str, value):
-        decl = self.program.buffer(name)
-        if isinstance(value, QuantizedMatrix):
-            if tuple(decl.extents) != (value.rows, value.cols):
-                raise ValueError(
-                    f"buffer {name!r} declared {decl.extents} but quantized "
-                    f"matrix is {value.rows}x{value.cols}"
-                )
-            return value
-        arr = np.asarray(value)
-        if arr.dtype != np.float32:
-            raise ValueError(f"buffer {name!r} must be float32, got {arr.dtype}")
-        if tuple(arr.shape) != tuple(decl.extents):
-            raise ValueError(
-                f"buffer {name!r} declared {tuple(decl.extents)} but bound "
-                f"array has shape {tuple(arr.shape)}"
-            )
-        return arr
-
-    def run(self, env: dict) -> dict:
-        """Execute over `env`, mutating bound buffers in place."""
+    def run(self) -> dict:
+        """Execute over the bound environment, mutating its buffers in place."""
+        env = self.env
         frame: dict = {}
         for param in self._params:
             if param not in env:
                 raise ValueError(f"param {param!r} is not bound in the environment")
             frame[param] = int(env[param])
-
-        dense = [None] * len(self._dense_slots)
-        for name, slot in self._dense_slots.items():
-            if name not in env:
-                raise ValueError(f"buffer {name!r} is not bound in the environment")
-            dense[slot] = self._dense_view(name, env[name])
-        raw = [None] * len(self._raw_slots)
-        for name, slot in self._raw_slots.items():
-            if name not in env:
-                raise ValueError(f"buffer {name!r} is not bound in the environment")
-            raw[slot] = self._raw_value(name, env[name])
-
         for fn in self._body:
-            fn(frame, dense, raw)
+            fn(frame)
         return env
 
 
@@ -368,4 +359,4 @@ def interpret(
     intrinsics: Mapping[str, Callable] | None = None,
 ) -> dict:
     """Execute `program` over `env`; see the module docstring for semantics."""
-    return Prepared(program, function=function, intrinsics=intrinsics).run(env)
+    return Prepared(program, env, function=function, intrinsics=intrinsics).run()

@@ -45,13 +45,10 @@ class QuantConfig:
     Attributes:
         bit_width: codebook size is ``2**bit_width`` centroids.
         max_iterations: cap on refinement sweeps.
-        allow_parallel: distinct tensors of a model may be quantized
-            concurrently (each tensor is still processed serially).
     """
 
     bit_width: int = 3
     max_iterations: int = 100
-    allow_parallel: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.bit_width <= MAX_BIT_WIDTH:

@@ -234,9 +234,8 @@ def quantize_checkpoint(
 ) -> dict:
     """Quantize every 2-D tensor of a float checkpoint; returns a report.
 
-    Tensors are independent, so they are farmed out to a thread pool when
-    `config.allow_parallel` is set (the heavy work is in numpy, which
-    releases the GIL).
+    Tensors are independent, so they are farmed out to a thread pool (the
+    heavy work is in numpy, which releases the GIL).
     """
     model_config, tensors = read_float_checkpoint(in_path)
     names_2d = [name for name, shape in tensor_shapes(model_config) if len(shape) == 2]
@@ -244,11 +243,8 @@ def quantize_checkpoint(
     def job(name: str) -> QuantizedMatrix:
         return quantize_matrix(tensors[name], config)
 
-    if config.allow_parallel and len(names_2d) > 1:
-        with ThreadPoolExecutor() as pool:
-            quantized = dict(zip(names_2d, pool.map(job, names_2d)))
-    else:
-        quantized = {name: job(name) for name in names_2d}
+    with ThreadPoolExecutor() as pool:
+        quantized = dict(zip(names_2d, pool.map(job, names_2d)))
 
     out_tensors: dict = dict(tensors)
     out_tensors.update(quantized)

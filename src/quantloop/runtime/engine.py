@@ -1,8 +1,9 @@
 """Single-token decode engine over the loop-IR interpreter.
 
 The engine owns the persistent environment (weights, activations, KV
-caches), prepares the forward program once, and steps it per token.  Three
-run modes control what the GEMV nests execute as:
+caches), prepares the forward program over it once, and steps it per token
+by setting the ``token`` and ``pos`` params.  Three run modes control what
+the GEMV nests execute as:
 
 - ``naive``      — the loop nests run in the interpreter, untouched.
 - ``optimized``  — the GEMV pass rewrites the nests into ``gemv`` intrinsic
@@ -14,14 +15,20 @@ run modes control what the GEMV nests execute as:
                    dual-path verification).
 
 A quantized checkpoint is quantized already, so ``optimized`` and
-``quantized`` coincide on it and no shadow exists; ``naive`` on it
-dequantizes at the loads (the slow ablation arm).
+``quantized`` coincide on it and no shadow exists; ``naive`` on it loads
+from a dequantized copy of each matrix, made when the program is prepared
+(the slow ablation arm).  Bound fallback and the dual check need the shadow,
+so the engine refuses a threshold or the dual check without one.
+
+Every ``gemv`` call goes through one policy, :meth:`Engine._gemv_policy`,
+which returns a :class:`GemvObservation`; the :class:`EngineStats` counters
+and the optional ``gemv_observer`` both read that record.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +36,7 @@ import numpy as np
 from ..kernels import runtime_bound_check
 from ..quantizer import QuantConfig, QuantizedMatrix, quantize_matrix
 from ..loopir.interp import Prepared
-from ..intrinsics import default_registry, gemv_handler
+from ..intrinsics import default_registry
 from ..gemvpass import run_gemv_pass
 from .checkpoint import (
     FLOAT_MAGIC,
@@ -38,7 +45,7 @@ from .checkpoint import (
     read_float_checkpoint,
     read_quantized_checkpoint,
 )
-from .config import ModelConfig, tensor_shapes
+from .config import tensor_shapes
 from .rng import SplitMix64
 from .synthesize import synthesize_forward_program
 
@@ -47,9 +54,9 @@ MODES = ("naive", "optimized", "quantized")
 
 @dataclass
 class GemvObservation:
-    """One gemv intrinsic execution, as seen by the observer hook."""
+    """What one gemv intrinsic execution did; stats and observer read it."""
 
-    seq: int
+    seq: int  # 1-based index among the engine's gemv calls
     m: int
     n: int
     alpha: float
@@ -72,16 +79,21 @@ class EngineStats:
     max_dual_diff: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "forwards": self.forwards,
-            "gemv_calls": self.gemv_calls,
-            "quantized_gemv_calls": self.quantized_gemv_calls,
-            "fallback_calls": self.fallback_calls,
-            "bound_checks": self.bound_checks,
-            "bound_violations": self.bound_violations,
-            "max_bound": self.max_bound,
-            "max_dual_diff": self.max_dual_diff,
-        }
+        return asdict(self)
+
+    def record(self, obs: GemvObservation) -> None:
+        """Count one gemv call from its observation."""
+        self.gemv_calls += 1
+        if obs.epsilon is None:
+            return
+        self.quantized_gemv_calls += 1
+        if obs.bound is not None:
+            self.bound_checks += 1
+            self.max_bound = max(self.max_bound, obs.bound)
+        self.fallback_calls += obs.fallback
+        if obs.diff_inf is not None:
+            self.max_dual_diff = max(self.max_dual_diff, obs.diff_inf)
+            self.bound_violations += obs.diff_inf > obs.bound
 
 
 @dataclass
@@ -120,7 +132,6 @@ class Engine:
         self.stats = EngineStats()
         self.gemv_observer: Optional[Callable[[GemvObservation], None]] = None
         self._rng = SplitMix64(seed)
-        self._seq = 0
 
         magic = sniff_magic(checkpoint_path)
         if magic == FLOAT_MAGIC:
@@ -154,10 +165,11 @@ class Engine:
                 f"{FLOAT_MAGIC.decode()!r} nor {QUANT_MAGIC.decode()!r}"
             )
 
-        if dual_check and not self._float_shadow:
+        if (dual_check or bound_threshold is not None) and not self._float_shadow:
             raise ValueError(
-                "dual-path checking needs float weights alongside the "
-                "quantized ones; run a float checkpoint in 'quantized' mode"
+                "dual-path checking and bound-threshold fallback need float "
+                "weights alongside the quantized ones; run a float checkpoint "
+                "in 'quantized' mode"
             )
 
         program = synthesize_forward_program(self.config)
@@ -168,83 +180,60 @@ class Engine:
         self.program = program
 
         registry = default_registry()
-        registry["gemv"] = self._make_gemv(registry["gemv"])
+        self._gemv_kernel = registry["gemv"]
+        registry["gemv"] = self._gemv
         self._env = dict(weights)
         for decl in program.buffers:
             if decl.name not in self._env:
                 self._env[decl.name] = np.zeros(decl.extents, dtype=np.float32)
-        self._prepared = Prepared(program, function="step", intrinsics=registry)
+        self._prepared = Prepared(
+            program, self._env, function="step", intrinsics=registry
+        )
 
-    # -- gemv instrumentation ------------------------------------------------
+    # -- gemv policy ---------------------------------------------------------
 
-    def _make_gemv(self, base: Callable) -> Callable:
-        def gemv(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy):
-            self.stats.gemv_calls += 1
-            if not isinstance(a, QuantizedMatrix):
-                base(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
-                self._observe(m, n, alpha, beta, None, None, None, False)
-                return
+    def _gemv_policy(
+        self, layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy
+    ) -> GemvObservation:
+        """Run one gemv call as the engine's settings say, and describe it.
 
-            self.stats.quantized_gemv_calls += 1
-            check_needed = (
+        A quantized matrix is bound-checked when a threshold, the dual check
+        or an observer needs the bound.  Over the threshold the call runs on
+        the matrix's float shadow instead; under the dual check it runs on
+        both, and the gap between the two results is measured.
+        """
+        kernel = self._gemv_kernel
+        epsilon = bound = diff_inf = shadow = y_float = None
+        fallback = False
+        if isinstance(a, QuantizedMatrix):
+            epsilon = a.epsilon
+            shadow = self._float_shadow.get(id(a))
+            if (
                 self.bound_threshold is not None
                 or self.dual_check
                 or self.gemv_observer is not None
-            )
-            bound = None
-            exceeded = False
-            if check_needed:
+            ):
                 report = runtime_bound_check(a, x, self.bound_threshold)
                 bound = abs(alpha) * report.inf_bound
-                exceeded = report.threshold_exceeded
-                self.stats.bound_checks += 1
-                self.stats.max_bound = max(self.stats.max_bound, bound)
+                fallback = report.threshold_exceeded
+        if fallback:
+            a = shadow
+        elif self.dual_check:
+            y_float = y.copy()
+        kernel(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
+        if y_float is not None:
+            kernel(layout, trans, m, n, alpha, shadow, lda, x, incx, beta, y_float, incy)
+            diff = np.abs(y.astype(np.float64) - y_float)
+            diff_inf = float(diff.max(initial=0.0))
+        seq = self.stats.gemv_calls + 1
+        return GemvObservation(seq, m, n, alpha, beta, epsilon, bound, diff_inf, fallback)
 
-            shadow = self._float_shadow.get(id(a))
-            diff_inf = None
-            fallback = False
-            if exceeded and shadow is not None:
-                # Over-threshold call: use the retained float weights instead.
-                fallback = True
-                self.stats.fallback_calls += 1
-                base(layout, trans, m, n, alpha, shadow, lda, x, incx, beta, y, incy)
-            elif self.dual_check and shadow is not None:
-                y_before = y.copy()
-                base(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
-                base(
-                    layout, trans, m, n, alpha, shadow, lda, x, incx, beta,
-                    y_before, incy,
-                )
-                diff = np.abs(
-                    y.astype(np.float64) - y_before.astype(np.float64)
-                )
-                diff_inf = float(diff.max()) if diff.size else 0.0
-                self.stats.max_dual_diff = max(self.stats.max_dual_diff, diff_inf)
-                if diff_inf > bound:
-                    self.stats.bound_violations += 1
-            else:
-                base(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
-
-            self._observe(m, n, alpha, beta, a.epsilon, bound, diff_inf, fallback)
-
-        return gemv
-
-    def _observe(self, m, n, alpha, beta, epsilon, bound, diff_inf, fallback) -> None:
+    def _gemv(self, *args) -> None:
+        """The ``gemv`` intrinsic: the policy's record feeds stats and observer."""
+        obs = self._gemv_policy(*args)
+        self.stats.record(obs)
         if self.gemv_observer is not None:
-            self._seq += 1
-            self.gemv_observer(
-                GemvObservation(
-                    seq=self._seq,
-                    m=m,
-                    n=n,
-                    alpha=alpha,
-                    beta=beta,
-                    epsilon=epsilon,
-                    bound=bound,
-                    diff_inf=diff_inf,
-                    fallback=fallback,
-                )
-            )
+            self.gemv_observer(obs)
 
     # -- stepping ------------------------------------------------------------
 
@@ -256,7 +245,7 @@ class Engine:
             raise ValueError(f"pos {pos} outside max_seq_len {self.config.max_seq_len}")
         self._env["token"] = int(token)
         self._env["pos"] = int(pos)
-        self._prepared.run(self._env)
+        self._prepared.run()
         self.stats.forwards += 1
         return self._env["logits"]
 

@@ -131,6 +131,15 @@ def test_run_overlong_prompt_is_usage_error(toy_quant_path, capsys):
     assert code == 2
 
 
+def test_run_threshold_without_shadow_is_usage_error(toy_quant_path, capsys):
+    code, stdout, stderr = run_cli(
+        capsys, "run", toy_quant_path, "--bound-threshold", "0.1"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "float weights" in stderr
+
+
 def test_verify_passes_on_float_checkpoint(toy_float_path, capsys):
     code, stdout, _ = run_cli(
         capsys, "verify", toy_float_path, "--steps", "4", "--prompt", "1 2"

@@ -16,6 +16,7 @@ from quantloop.loopir import (
     LoopProgram,
     NonAffineExpr,
     ParseError,
+    Prepared,
     Store,
     TrapError,
     interpret,
@@ -264,19 +265,97 @@ func f {
 
 
 def test_env_binding_validation():
+    # Every bad binding is refused when the program is prepared, before a run.
     p = parse_program(MATVEC)
     env = matvec_env()
     env["A"] = env["A"].astype(np.float64)
-    with pytest.raises(ValueError):
-        interpret(p, env)
+    with pytest.raises(ValueError, match="'A'"):
+        Prepared(p, env)
     env = matvec_env()
     env["x"] = np.zeros(3, dtype=np.float32)
-    with pytest.raises(ValueError):
-        interpret(p, env)
+    with pytest.raises(ValueError, match="'x'"):
+        Prepared(p, env)
     env = matvec_env()
     del env["y"]
-    with pytest.raises(ValueError):
-        interpret(p, env)
+    with pytest.raises(ValueError, match="'y'"):
+        Prepared(p, env)
+
+
+def test_missing_param_raises_at_run():
+    src = """\
+buffer v[8]
+param n
+
+func f {
+  for i in 0..n {
+    acc s = 1.0
+    store v[i] = s
+  }
+}
+"""
+    env = {"v": np.zeros(8, dtype=np.float32)}
+    prepared = Prepared(parse_program(src), env)
+    with pytest.raises(ValueError, match="param 'n'"):
+        prepared.run()
+    env["n"] = 3
+    prepared.run()
+    np.testing.assert_array_equal(env["v"], [1, 1, 1, 0, 0, 0, 0, 0])
+
+
+def test_run_sees_in_place_writes_to_bound_buffers():
+    env = matvec_env()
+    prepared = Prepared(parse_program(MATVEC), env)
+    prepared.run()
+    np.testing.assert_array_equal(env["y"], [3.0, 7.0])
+    env["x"][:] = [2.0, 0.0]
+    env["A"][1, 0] = 10.0
+    prepared.run()
+    np.testing.assert_array_equal(env["y"], [2.0, 20.0])
+
+
+def test_call_arguments_resolved_at_bind():
+    src = """\
+buffer v[4]
+param p
+
+func f {
+  call probe(v, p)
+  call probe(v)
+}
+"""
+    calls = []
+    env = {"v": np.zeros(4, dtype=np.float32), "p": 1}
+    prepared = Prepared(
+        parse_program(src), env, intrinsics={"probe": lambda *a: calls.append(a)}
+    )
+    prepared.run()
+    env["p"] = 2
+    prepared.run()
+    assert [len(c) for c in calls] == [2, 1, 2, 1]
+    assert [c[1] for c in calls if len(c) == 2] == [1, 2]
+    assert all(c[0] is env["v"] for c in calls)
+
+
+def test_quantized_loads_reconstruct_once(monkeypatch):
+    from quantloop.loopir import interp
+    from quantloop.quantizer import QuantConfig, quantize_matrix
+
+    reconstructions = []
+
+    def counting(q):
+        reconstructions.append(q)
+        return dequantize(q)
+
+    dequantize = interp.dequantize
+    monkeypatch.setattr(interp, "dequantize", counting)
+    a = np.array([[1, 2], [3, 4]], dtype=np.float32)
+    env = matvec_env()
+    env["A"] = quantize_matrix(a, QuantConfig(bit_width=2))
+    prepared = Prepared(parse_program(MATVEC), env)
+    prepared.run()
+    prepared.run()
+    assert len(reconstructions) == 1
+    np.testing.assert_array_equal(env["y"], [3.0, 7.0])
 
 
 # -- validation --------------------------------------------------------------

@@ -399,6 +399,52 @@ def test_tiny_threshold_forces_fallback(toy_float_path):
     )
 
 
+def test_threshold_without_shadow_is_refused(toy_float_path, toy_quant_path):
+    with pytest.raises(ValueError, match="float weights"):
+        Engine(toy_quant_path, bound_threshold=0.1)
+    for mode in ("naive", "optimized"):
+        with pytest.raises(ValueError, match="float weights"):
+            Engine(toy_float_path, mode=mode, bound_threshold=0.1)
+
+
+def test_observations_add_up_to_stats(toy_float_path):
+    # A threshold at the median bound of one step makes some calls fall back
+    # and leaves the rest on the dual path.
+    probe = Engine(toy_float_path, mode="quantized", dual_check=True)
+    bounds = []
+    probe.gemv_observer = lambda o: bounds.append(o.bound)
+    probe.forward(1, 0)
+    eng = Engine(
+        toy_float_path,
+        mode="quantized",
+        dual_check=True,
+        bound_threshold=float(np.median(bounds)),
+    )
+    eng.forward(1, 0)  # counted before the observer is attached
+    before = eng.stats.to_json()
+    observations = []
+    eng.gemv_observer = observations.append
+    eng.generate([2, 3], steps=3)
+    after = eng.stats.to_json()
+
+    def delta(key):
+        return after[key] - before[key]
+
+    assert [o.seq for o in observations] == list(
+        range(before["gemv_calls"] + 1, after["gemv_calls"] + 1)
+    )
+    assert delta("bound_checks") == sum(o.bound is not None for o in observations)
+    fallbacks = sum(o.fallback for o in observations)
+    assert 0 < fallbacks < len(observations)
+    assert delta("fallback_calls") == fallbacks
+    dual = [o for o in observations if o.diff_inf is not None]
+    assert len(dual) == len(observations) - fallbacks
+    assert delta("bound_violations") == sum(o.diff_inf > o.bound for o in dual)
+    assert after["max_dual_diff"] == max(
+        [before["max_dual_diff"]] + [o.diff_inf for o in dual]
+    )
+
+
 def test_loose_threshold_never_falls_back(toy_float_path):
     eng = Engine(toy_float_path, mode="quantized", bound_threshold=1e9)
     eng.generate([1], steps=2)
