@@ -88,18 +88,17 @@ def cmd_optimize(args) -> int:
         return _USAGE_ERROR
 
     result = run_gemv_pass(program)
-    try:
-        with open(args.output, "w") as f:
-            f.write(print_program(result.program))
-    except OSError as exc:
-        return _fail(str(exc))
-
     report = result.report()
     report["input"] = args.input
     report["output"] = args.output
-    if args.report:
-        with open(args.report, "w") as f:
-            json.dump(report, f, indent=2)
+    try:
+        with open(args.output, "w") as f:
+            f.write(print_program(result.program))
+        if args.report:
+            with open(args.report, "w") as f:
+                json.dump(report, f, indent=2)
+    except OSError as exc:
+        return _fail(str(exc))
     _emit(report)
     return 0
 
@@ -151,12 +150,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if sniff_magic(args.checkpoint) != FLOAT_MAGIC:
-        return _fail(
-            "verify needs a float checkpoint: it quantizes in memory and "
-            "compares both weight paths on identical inputs"
-        )
     try:
+        if sniff_magic(args.checkpoint) != FLOAT_MAGIC:
+            return _fail(
+                "verify needs a float checkpoint: it quantizes in memory and "
+                "compares both weight paths on identical inputs"
+            )
         report = verify_bounds(
             args.checkpoint,
             bit_width=args.bits,

@@ -6,20 +6,9 @@ from .matchers import (
     MatchFailure,
     SkipReason,
     match_array_access,
-    match_gemv_reduction,
     match_nest,
-    match_store_of_vector,
-    one_of,
 )
-from .rewrite import (
-    NestRecord,
-    PassResult,
-    check_legality,
-    dead_loop_cleanup,
-    find_candidates,
-    rewrite_candidate,
-    run_gemv_pass,
-)
+from .rewrite import NestRecord, PassResult, check_legality, run_gemv_pass
 
 __all__ = [
     "AccessPattern",
@@ -29,13 +18,7 @@ __all__ = [
     "PassResult",
     "SkipReason",
     "check_legality",
-    "dead_loop_cleanup",
-    "find_candidates",
     "match_array_access",
-    "match_gemv_reduction",
     "match_nest",
-    "match_store_of_vector",
-    "one_of",
-    "rewrite_candidate",
     "run_gemv_pass",
 ]

@@ -1,4 +1,4 @@
-"""Structural matchers for the GEMV loop idiom.
+"""Structural matcher for the GEMV loop idiom.
 
 The canonical idiom is a depth-2 counted nest::
 
@@ -12,12 +12,13 @@ The canonical idiom is a depth-2 counted nest::
       store y[i] = s           # or alpha*s, or beta*y[i] + alpha*s
     }
 
-Matching is built from small composable predicates over operands and their
-defining statements; alternatives are expressed with :func:`one_of` rather
-than hand-rolled conditional ladders, so each recognized shape (the four
-2-D access forms, the three stored-result forms, scaled-or-bare factors)
-reads as a disjunction of cases.  Matchers track which statements each
-match consumed; a nest only becomes a candidate when *every* statement in
+:func:`match_nest` reads the nest directly.  Each reduction factor, the
+stored accumulator and the previous output value may carry a constant
+factor (``c * v`` in either order, see :func:`_scaled`); the stored value is
+the scaled accumulator or the sum of both scaled terms in either order; the
+matrix load is one of the four 2-D access forms of
+:func:`match_array_access`.  The matcher lists every statement it read the
+idiom from, and a nest only becomes a candidate when *every* statement in
 it is accounted for, which is what makes the pass conservative about extra
 side effects.
 
@@ -31,7 +32,7 @@ vector accesses, which are recognized but deliberately not rewritten.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from ..loopir.nodes import (
@@ -39,12 +40,10 @@ from ..loopir.nodes import (
     AccumUpdate,
     AffineExpr,
     BinOp,
-    BufferDecl,
     Load,
     Loop,
     NonAffineExpr,
     Operand,
-    Stmt,
     Store,
 )
 
@@ -54,10 +53,7 @@ __all__ = [
     "MatchFailure",
     "SkipReason",
     "match_array_access",
-    "match_gemv_reduction",
     "match_nest",
-    "match_store_of_vector",
-    "one_of",
 ]
 
 
@@ -85,23 +81,10 @@ class MatchFailure(Exception):
 
 @dataclass(frozen=True)
 class AccessPattern:
-    """A recognized 2-D access: row iv, column iv, storage order, leading dim."""
+    """A recognized 2-D access: storage order and leading dimension."""
 
     layout: str  # "RM" | "CM"
     lda: Union[int, str]
-
-
-def one_of(*matchers: Callable) -> Callable:
-    """First matcher that returns a non-None result wins."""
-
-    def try_each(*args):
-        for m in matchers:
-            result = m(*args)
-            if result is not None:
-                return result
-        return None
-
-    return try_each
 
 
 def _unit_term(expr) -> Optional[str]:
@@ -113,53 +96,6 @@ def _unit_term(expr) -> Optional[str]:
         if coeff == 1:
             return iv
     return None
-
-
-def _two_index(index, iv_row, iv_col, extents) -> Optional[AccessPattern]:
-    if len(index) != 2 or len(extents) != 2:
-        return None
-    if _unit_term(index[0]) == iv_row and _unit_term(index[1]) == iv_col:
-        return AccessPattern(layout="RM", lda=extents[1])
-    return None
-
-
-def _two_index_swapped(index, iv_row, iv_col, extents) -> Optional[AccessPattern]:
-    if len(index) != 2 or len(extents) != 2:
-        return None
-    if _unit_term(index[0]) == iv_col and _unit_term(index[1]) == iv_row:
-        return AccessPattern(layout="CM", lda=extents[1])
-    return None
-
-
-def _flat_affine(index, iv_row, iv_col, extents) -> Optional[AccessPattern]:
-    if len(index) != 1:
-        return None
-    e = index[0]
-    if not isinstance(e, AffineExpr) or e.offset != 0:
-        return None
-    coeffs = dict(e.terms)
-    if set(coeffs) != {iv_row, iv_col}:
-        return None
-    if coeffs[iv_col] == 1:
-        return AccessPattern(layout="RM", lda=coeffs[iv_row])
-    return None
-
-
-def _flat_affine_swapped(index, iv_row, iv_col, extents) -> Optional[AccessPattern]:
-    if len(index) != 1:
-        return None
-    e = index[0]
-    if not isinstance(e, AffineExpr) or e.offset != 0:
-        return None
-    coeffs = dict(e.terms)
-    if set(coeffs) != {iv_row, iv_col}:
-        return None
-    if coeffs[iv_row] == 1:
-        return AccessPattern(layout="CM", lda=coeffs[iv_col])
-    return None
-
-
-_ACCESS_FORMS = one_of(_two_index, _two_index_swapped, _flat_affine, _flat_affine_swapped)
 
 
 def match_array_access(index, iv_row: str, iv_col: str, extents: tuple) -> AccessPattern:
@@ -183,9 +119,19 @@ def match_array_access(index, iv_row: str, iv_col: str, extents: tuple) -> Acces
             raise MatchFailure(
                 SkipReason.NON_AFFINE, f"non-affine subscript {e.text!r}"
             )
-    found = _ACCESS_FORMS(index, iv_row, iv_col, extents)
-    if found is not None:
-        return found
+    if len(index) == 2 and len(extents) == 2:
+        pair = (_unit_term(index[0]), _unit_term(index[1]))
+        if pair == (iv_row, iv_col):
+            return AccessPattern(layout="RM", lda=extents[1])
+        if pair == (iv_col, iv_row):
+            return AccessPattern(layout="CM", lda=extents[1])
+    elif len(index) == 1 and index[0].offset == 0:
+        coeffs = dict(index[0].terms)
+        if set(coeffs) == {iv_row, iv_col}:
+            if coeffs[iv_col] == 1:
+                return AccessPattern(layout="RM", lda=coeffs[iv_row])
+            if coeffs[iv_row] == 1:
+                return AccessPattern(layout="CM", lda=coeffs[iv_col])
 
     ivs = set()
     for e in index:
@@ -204,112 +150,31 @@ def match_array_access(index, iv_row: str, iv_col: str, extents: tuple) -> Acces
 
 
 # ---------------------------------------------------------------------------
-# Operand/value matchers
+# Reduction and store
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    """Definition map for the scalars of one nest."""
+def _scaled(op: Operand, defs: dict, base: Callable[[Operand], bool]):
+    """``c * t`` or ``t * c`` with a float literal ``c``, or bare ``t`` (c = 1).
 
-    defs: dict
-
-
-@dataclass(frozen=True)
-class _State:
-    bindings: tuple = ()
-    consumed: frozenset = frozenset()
-
-    def bind(self, **kv) -> "_State":
-        return replace(self, bindings=self.bindings + tuple(kv.items()))
-
-    def consume(self, *stmts) -> "_State":
-        return replace(self, consumed=self.consumed | {id(s) for s in stmts})
-
-    def get(self, key, default=None):
-        # Most recent binding wins; sequential matches rebind the same keys.
-        for k, v in reversed(self.bindings):
-            if k == key:
-                return v
-        return default
+    `base(t)` says whether ``t`` is the wanted term.  Returns ``(c, t, used)``
+    with `used` the product's statement (empty when bare), or None.
+    """
+    d = defs.get(op)
+    if isinstance(d, BinOp) and d.op == "mul":
+        for c, t in ((d.a, d.b), (d.b, d.a)):
+            if isinstance(c, float) and base(t):
+                return c, t, [d]
+    return (1.0, op, []) if base(op) else None
 
 
-def _m_name(expected: str) -> Callable:
-    def m(op: Operand, ctx: _Ctx, st: _State) -> Optional[_State]:
-        return st if op == expected else None
-
-    return m
-
-
-def _m_const(key: str) -> Callable:
-    def m(op: Operand, ctx: _Ctx, st: _State) -> Optional[_State]:
-        return st.bind(**{key: float(op)}) if isinstance(op, float) else None
-
-    return m
-
-
-def _m_mul(left: Callable, right: Callable) -> Callable:
-    """Commutative product of two matched operands."""
-
-    def m(op: Operand, ctx: _Ctx, st: _State) -> Optional[_State]:
-        if not isinstance(op, str):
-            return None
-        d = ctx.defs.get(op)
-        if not isinstance(d, BinOp) or d.op != "mul":
-            return None
-        for a, b in ((d.a, d.b), (d.b, d.a)):
-            st_a = left(a, ctx, st.consume(d))
-            if st_a is None:
-                continue
-            st_b = right(b, ctx, st_a)
-            if st_b is not None:
-                return st_b
-        return None
-
-    return m
-
-
-def _with_binding(inner: Callable, key: str, value) -> Callable:
-    def m(op: Operand, ctx: _Ctx, st: _State) -> Optional[_State]:
-        r = inner(op, ctx, st)
-        return None if r is None else r.bind(**{key: value})
-
-    return m
-
-
-def _m_scaled(inner: Callable, key: str) -> Callable:
-    """``const * inner`` (either order) or bare ``inner`` with factor 1."""
-    return one_of(_m_mul(_m_const(key), inner), _with_binding(inner, key, 1.0))
-
-
-def _m_load(pred: Callable, key: str) -> Callable:
-    """Operand defined by a Load accepted by `pred(load, st)`."""
-
-    def m(op: Operand, ctx: _Ctx, st: _State) -> Optional[_State]:
-        if not isinstance(op, str):
-            return None
-        d = ctx.defs.get(op)
-        if not isinstance(d, Load):
-            return None
-        st2 = pred(d, st.consume(d))
-        return None if st2 is None else st2.bind(**{key: d})
-
-    return m
-
-
-# ---------------------------------------------------------------------------
-# Reduction and store matchers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Reduction:
-    acc: str
-    matrix_load: Load
-    vector_load: Load
-    access: AccessPattern
-    alpha: float
-    consumed: frozenset
+def _load_ivs(load: Load) -> set:
+    ivs = set()
+    for e in load.index:
+        if isinstance(e, NonAffineExpr):
+            raise MatchFailure(SkipReason.NON_AFFINE, f"non-affine subscript {e.text!r}")
+        ivs.update(e.ivs())
+    return ivs
 
 
 def _vector_stride_check(load: Load, iv_col: str) -> None:
@@ -335,18 +200,13 @@ def _vector_stride_check(load: Load, iv_col: str) -> None:
         )
 
 
-def match_gemv_reduction(
-    outer: Loop, inner: Loop, ctx: _Ctx, extents_of: Callable[[str], tuple]
-) -> _Reduction:
-    """Match the inner reduction loop of the idiom.
+def _match_reduction(outer: Loop, inner: Loop, defs: dict, extents_of: Callable):
+    """The inner reduction: ``(acc, matrix_load, vector_load, access, alpha, used)``.
 
     Accepts an accumulator initialized to 0.0 in the outer body and updated
     once per inner iteration by an (optionally constant-scaled) product of a
     2-D load over (outer iv, inner iv) and a unit-stride 1-D load over the
     inner iv.
-
-    Raises:
-        MatchFailure: with the reason code for the first violated condition.
     """
     updates = [s for s in inner.body if isinstance(s, AccumUpdate)]
     if not updates:
@@ -367,36 +227,23 @@ def match_gemv_reduction(
             f"accumulator {acc!r} is not initialized to 0.0 in the enclosing loop",
         )
 
-    is_load = lambda d: isinstance(d, Load)
-    factor = _m_scaled(_m_load(lambda load, st: st, key="load"), key="scale")
-    state = _State().consume(update, inits[0])
-
+    used = [update, inits[0]]
     loads: list[Load] = []
     alpha = 1.0
     for op in (update.a, update.b):
-        st = factor(op, ctx, state)
-        if st is None:
+        hit = _scaled(op, defs, lambda t: isinstance(defs.get(t), Load))
+        if hit is None:
             raise MatchFailure(
                 SkipReason.NON_AFFINE,
                 f"reduction factor {op!r} is not a (scaled) load",
             )
-        loads.append(st.get("load"))
-        alpha *= st.get("scale")
-        state = st
+        scale, name, mul = hit
+        loads.append(defs[name])
+        alpha *= scale
+        used += [defs[name]] + mul
 
-    def load_ivs(load: Load) -> set:
-        ivs = set()
-        for e in load.index:
-            if isinstance(e, NonAffineExpr):
-                raise MatchFailure(
-                    SkipReason.NON_AFFINE, f"non-affine subscript {e.text!r}"
-                )
-            ivs.update(e.ivs())
-        return ivs
-
-    classified = sorted(loads, key=lambda l: len(load_ivs(l)))
-    vec_load, mat_load = classified[0], classified[1]
-    if load_ivs(mat_load) != {outer.iv, inner.iv} or load_ivs(vec_load) != {inner.iv}:
+    vec_load, mat_load = sorted(loads, key=lambda l: len(_load_ivs(l)))
+    if _load_ivs(mat_load) != {outer.iv, inner.iv} or _load_ivs(vec_load) != {inner.iv}:
         raise MatchFailure(
             SkipReason.NON_AFFINE,
             "reduction factors are not a 2-D load over both loop variables "
@@ -406,29 +253,14 @@ def match_gemv_reduction(
     access = match_array_access(
         mat_load.index, outer.iv, inner.iv, extents_of(mat_load.buffer)
     )
-    return _Reduction(
-        acc=acc,
-        matrix_load=mat_load,
-        vector_load=vec_load,
-        access=access,
-        alpha=alpha,
-        consumed=state.consumed,
-    )
+    return acc, mat_load, vec_load, access, alpha, used
 
 
-@dataclass(frozen=True)
-class _StoreForm:
-    store: Store
-    output: str
-    alpha: float
-    beta: float
-    consumed: frozenset
+def _match_store(outer: Loop, acc: str, defs: dict):
+    """The stored result: ``(store, alpha, beta, used)``.
 
-
-def match_store_of_vector(outer: Loop, reduction: _Reduction, ctx: _Ctx) -> _StoreForm:
-    """Match the stored result: ``y[i] = [alpha *] s`` or ``beta*y[i] + alpha*s``.
-
-    Missing scale factors default to alpha = 1 and beta = 0.
+    Accepts ``y[i] = [alpha *] s`` or ``beta*y[i] + alpha*s``; missing scale
+    factors default to alpha = 1 and beta = 0.
     """
     stores = [s for s in outer.body if isinstance(s, Store)]
     if not stores:
@@ -448,8 +280,7 @@ def match_store_of_vector(outer: Loop, reduction: _Reduction, ctx: _Ctx) -> _Sto
     if isinstance(e, NonAffineExpr):
         raise MatchFailure(SkipReason.NON_AFFINE, f"non-affine subscript {e.text!r}")
     if _unit_term(e) != outer.iv:
-        coeffs = dict(e.terms)
-        if set(coeffs) == {outer.iv}:
+        if set(dict(e.terms)) == {outer.iv}:
             raise MatchFailure(
                 SkipReason.STRIDED,
                 f"output access {store.buffer}[...] is strided or offset; "
@@ -460,52 +291,34 @@ def match_store_of_vector(outer: Loop, reduction: _Reduction, ctx: _Ctx) -> _Sto
             f"output subscript does not range over the output loop variable {outer.iv!r}",
         )
 
-    def same_slot_load(load: Load, st: _State) -> Optional[_State]:
-        if load.buffer != store.buffer:
-            return None
-        if len(load.index) != 1 or _unit_term(load.index[0]) != outer.iv:
-            return None
-        return st
+    def is_acc(t) -> bool:
+        return t == acc
 
-    m_sum = _m_scaled(_m_name(reduction.acc), key="alpha")
-    m_prev = _m_scaled(_m_load(same_slot_load, key="yload"), key="beta")
-    m_value = one_of(
-        _with_binding(m_sum, "beta", 0.0),
-        _m_add_commutative(m_prev, m_sum),
-    )
-    st = m_value(store.value, ctx, _State().consume(store))
-    if st is None:
-        raise MatchFailure(
-            SkipReason.NON_AFFINE,
-            f"stored value {store.value!r} is not a scaled accumulator or "
-            f"an accumulate-into-output form",
+    def is_previous_output(t) -> bool:
+        d = defs.get(t)
+        return (
+            isinstance(d, Load)
+            and d.buffer == store.buffer
+            and len(d.index) == 1
+            and _unit_term(d.index[0]) == outer.iv
         )
-    return _StoreForm(
-        store=store,
-        output=store.buffer,
-        alpha=st.get("alpha"),
-        beta=st.get("beta"),
-        consumed=st.consumed,
+
+    hit = _scaled(store.value, defs, is_acc)
+    if hit is not None:
+        return store, hit[0], 0.0, [store] + hit[2]
+    d = defs.get(store.value)
+    if isinstance(d, BinOp) and d.op == "add":
+        for prev_op, sum_op in ((d.a, d.b), (d.b, d.a)):
+            prev = _scaled(prev_op, defs, is_previous_output)
+            total = None if prev is None else _scaled(sum_op, defs, is_acc)
+            if total is not None:
+                used = [store, d, defs[prev[1]]] + prev[2] + total[2]
+                return store, total[0], prev[0], used
+    raise MatchFailure(
+        SkipReason.NON_AFFINE,
+        f"stored value {store.value!r} is not a scaled accumulator or "
+        f"an accumulate-into-output form",
     )
-
-
-def _m_add_commutative(left: Callable, right: Callable) -> Callable:
-    def m(op: Operand, ctx: _Ctx, st: _State) -> Optional[_State]:
-        if not isinstance(op, str):
-            return None
-        d = ctx.defs.get(op)
-        if not isinstance(d, BinOp) or d.op != "add":
-            return None
-        for a, b in ((d.a, d.b), (d.b, d.a)):
-            st_a = left(a, ctx, st.consume(d))
-            if st_a is None:
-                continue
-            st_b = right(b, ctx, st_a)
-            if st_b is not None:
-                return st_b
-        return None
-
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +331,15 @@ class GemvCandidate:
     """A structurally matched GEMV nest, ready for legality checks."""
 
     function: str
-    nest: Loop  # the outer loop statement, replaced by the rewrite
     matrix: str
     vector: str
     output: str
-    iv_out: str
-    iv_red: str
     m: int
     n: int
     lda: Union[int, str]
     layout: str
     alpha: float
     beta: float
-    store: Store
 
     def params_dict(self) -> dict:
         return {
@@ -577,8 +386,7 @@ def match_nest(function_name: str, nest: Loop, extents_of: Callable[[str], tuple
             SkipReason.EXTRA_SIDE_EFFECT, "multiple inner loops in one nest"
         )
     inner = inner_loops[0]
-    deeper = [s for s in inner.body if isinstance(s, Loop)]
-    if deeper:
+    if any(isinstance(s, Loop) for s in inner.body):
         raise MatchFailure(
             SkipReason.EXTRA_SIDE_EFFECT,
             "nesting deeper than two loops is not a GEMV idiom",
@@ -587,21 +395,19 @@ def match_nest(function_name: str, nest: Loop, extents_of: Callable[[str], tuple
     m = _const_trip_count(nest)
     n = _const_trip_count(inner)
 
+    stmts = [s for s in nest.body if s is not inner] + list(inner.body)
     defs: dict = {}
-    for s in list(nest.body) + list(inner.body):
+    for s in stmts:
         if isinstance(s, (Load, BinOp)):
             defs.setdefault(s.dest, s)
-    ctx = _Ctx(defs=defs)
 
-    reduction = match_gemv_reduction(nest, inner, ctx, extents_of)
-    stored = match_store_of_vector(nest, reduction, ctx)
+    acc, mat_load, vec_load, access, red_alpha, red_used = _match_reduction(
+        nest, inner, defs, extents_of
+    )
+    store, store_alpha, beta, store_used = _match_store(nest, acc, defs)
 
-    consumed = reduction.consumed | stored.consumed
-    leftovers = [
-        s
-        for s in list(nest.body) + list(inner.body)
-        if id(s) not in consumed and s is not inner
-    ]
+    used = {id(s) for s in red_used + store_used}
+    leftovers = [s for s in stmts if id(s) not in used]
     if leftovers:
         kinds = ", ".join(type(s).__name__ for s in leftovers[:4])
         raise MatchFailure(
@@ -612,17 +418,13 @@ def match_nest(function_name: str, nest: Loop, extents_of: Callable[[str], tuple
 
     return GemvCandidate(
         function=function_name,
-        nest=nest,
-        matrix=reduction.matrix_load.buffer,
-        vector=reduction.vector_load.buffer,
-        output=stored.output,
-        iv_out=nest.iv,
-        iv_red=inner.iv,
+        matrix=mat_load.buffer,
+        vector=vec_load.buffer,
+        output=store.buffer,
         m=m,
         n=n,
-        lda=reduction.access.lda,
-        layout=reduction.access.layout,
-        alpha=reduction.alpha * stored.alpha,
-        beta=stored.beta,
-        store=stored.store,
+        lda=access.lda,
+        layout=access.layout,
+        alpha=red_alpha * store_alpha,
+        beta=beta,
     )

@@ -1,28 +1,30 @@
-"""Driver for the GEMV idiom pass: find, check, rewrite, clean up.
+"""Driver for the GEMV idiom pass: one scan that replaces each legal nest.
 
-The pass scans every top-level loop of every function, classifies each nest
-as matched or skipped (with one of five reason codes), replaces matched
-nests with a ``gemv`` intrinsic call, and then deletes the scalar plumbing
-and empty loops the rewrite leaves behind.  Rejected nests are left
-byte-identical to their input form.
+The pass visits every top-level loop of every function once.  A nest is
+replaced in place by its ``gemv`` intrinsic call when it matches the idiom
+(:func:`match_nest`, which accounts for every statement in the nest), passes
+:func:`check_legality`, and defines no scalar that is read outside it.  Any
+other nest keeps its position and its object, so it prints byte-identically,
+and gets a record with one of five reason codes.  Nothing outside the
+replaced nests is touched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from ..loopir.nodes import (
     AccumInit,
     AccumUpdate,
     BinOp,
-    Function,
     IntrinsicCall,
     Load,
     Loop,
     LoopProgram,
-    Stmt,
     Store,
+    walk,
 )
 from .matchers import GemvCandidate, MatchFailure, SkipReason, match_nest
 
@@ -30,9 +32,6 @@ __all__ = [
     "NestRecord",
     "PassResult",
     "check_legality",
-    "dead_loop_cleanup",
-    "find_candidates",
-    "rewrite_candidate",
     "run_gemv_pass",
 ]
 
@@ -88,71 +87,22 @@ class PassResult:
         }
 
 
-def _extents_lookup(program: LoopProgram):
-    table = {b.name: b.extents for b in program.buffers}
-
-    def extents_of(name: str) -> tuple:
-        return table.get(name, ())
-
-    return extents_of
-
-
-def find_candidates(program: LoopProgram):
-    """Scan all top-level loops; return (candidates, records).
-
-    Every scanned nest lands in exactly one record: matched candidates get a
-    ``matched`` record, everything else a ``skipped`` record with a reason.
-    Legality has not been applied yet; `run_gemv_pass` demotes candidates
-    that fail it.
-    """
-    extents_of = _extents_lookup(program)
-    candidates: list = []
-    records: list = []
-    for fn in program.functions:
-        for pos, stmt in enumerate(fn.body):
-            if not isinstance(stmt, Loop):
-                continue
-            try:
-                cand = match_nest(fn.name, stmt, extents_of)
-            except MatchFailure as fail:
-                records.append(
-                    NestRecord(
-                        function=fn.name,
-                        position=pos,
-                        iv=stmt.iv,
-                        status="skipped",
-                        reason=fail.reason.value,
-                        detail=fail.detail,
-                    )
-                )
-                continue
-            candidates.append(cand)
-            records.append(
-                NestRecord(
-                    function=fn.name,
-                    position=pos,
-                    iv=stmt.iv,
-                    status="matched",
-                    params=cand.params_dict(),
-                )
-            )
-    return candidates, records
-
-
-def check_legality(candidate: GemvCandidate, program: LoopProgram):
+def check_legality(candidate: GemvCandidate, program: LoopProgram) -> None:
     """Validate a structural match against the whole program.
 
-    Returns ``(True, None, "")`` or ``(False, reason, detail)`` with a skip
-    reason code.  Checks: the three operands are distinct buffers (aliasing
-    would let the store interfere with the loads), the loop extents fit the
-    declared buffer shapes, and an integer leading dimension covers the
-    reduction width.
+    Checks: the three operands are distinct buffers (aliasing would let the
+    store interfere with the loads), the loop extents fit the declared
+    buffer shapes, and an integer leading dimension covers the reduction
+    width.
+
+    Raises:
+        MatchFailure: ``extra-side-effect`` for aliased operands,
+            ``layout-unknown`` for the rest.
     """
     names = (candidate.matrix, candidate.vector, candidate.output)
     if len(set(names)) != len(names):
-        return (
-            False,
-            SkipReason.EXTRA_SIDE_EFFECT.value,
+        raise MatchFailure(
+            SkipReason.EXTRA_SIDE_EFFECT,
             f"operands alias: matrix={candidate.matrix!r} "
             f"vector={candidate.vector!r} output={candidate.output!r}",
         )
@@ -160,42 +110,71 @@ def check_legality(candidate: GemvCandidate, program: LoopProgram):
     decls = {b.name: b for b in program.buffers}
     for name in names:
         if name not in decls:
-            return (
-                False,
-                SkipReason.LAYOUT_UNKNOWN.value,
-                f"buffer {name!r} is not declared",
+            raise MatchFailure(
+                SkipReason.LAYOUT_UNKNOWN, f"buffer {name!r} is not declared"
             )
 
     if isinstance(candidate.lda, int):
         min_ld = candidate.n if candidate.layout == "RM" else candidate.m
         if candidate.lda < min_ld:
-            return (
-                False,
-                SkipReason.LAYOUT_UNKNOWN.value,
+            raise MatchFailure(
+                SkipReason.LAYOUT_UNKNOWN,
                 f"leading dimension {candidate.lda} < {min_ld}",
             )
         rows = candidate.m if candidate.layout == "RM" else candidate.n
         if candidate.lda * rows > decls[candidate.matrix].size:
-            return (
-                False,
-                SkipReason.LAYOUT_UNKNOWN.value,
+            raise MatchFailure(
+                SkipReason.LAYOUT_UNKNOWN,
                 f"access footprint {candidate.lda * rows} exceeds buffer "
                 f"{candidate.matrix!r} size {decls[candidate.matrix].size}",
             )
 
     if decls[candidate.vector].size < candidate.n:
-        return (
-            False,
-            SkipReason.LAYOUT_UNKNOWN.value,
+        raise MatchFailure(
+            SkipReason.LAYOUT_UNKNOWN,
             f"vector {candidate.vector!r} shorter than the reduction width",
         )
     if decls[candidate.output].size < candidate.m:
-        return (
-            False,
-            SkipReason.LAYOUT_UNKNOWN.value,
+        raise MatchFailure(
+            SkipReason.LAYOUT_UNKNOWN,
             f"output {candidate.output!r} shorter than the output height",
         )
-    return True, None, ""
+
+
+def _scalar_reads(stmts) -> Counter:
+    """How many statements under `stmts` read each scalar name."""
+    reads: Counter = Counter()
+    for s in walk(stmts):
+        if isinstance(s, Store):
+            reads[s.value] += 1
+        elif isinstance(s, BinOp):
+            reads.update((s.a, s.b, s.c))
+        elif isinstance(s, AccumUpdate):
+            reads.update((s.name, s.a, s.b))
+    return reads
+
+
+def _check_scalars_stay_inside(nest: Loop, reads: Counter) -> None:
+    """Refuse a nest whose scalars are read outside it (`reads`: whole body).
+
+    The ``gemv`` call defines none of the nest's scalars, so replacing the
+    nest would leave such a read without its value.
+    """
+    inside = _scalar_reads(nest)
+    for s in walk(nest):
+        if isinstance(s, Loop):
+            name = s.iv
+        elif isinstance(s, (Load, BinOp)):
+            name = s.dest
+        elif isinstance(s, AccumInit):
+            name = s.name
+        else:
+            continue
+        if reads[name] > inside[name]:
+            raise MatchFailure(
+                SkipReason.EXTRA_SIDE_EFFECT,
+                f"scalar {name!r} defined in the nest is read outside it",
+            )
 
 
 def _gemv_call(c: GemvCandidate) -> IntrinsicCall:
@@ -218,140 +197,54 @@ def _gemv_call(c: GemvCandidate) -> IntrinsicCall:
     )
 
 
-def _drop_stmt(stmt: Stmt, target: Stmt) -> Optional[Stmt]:
-    """Rebuild `stmt` without `target` (matched by identity)."""
-    if stmt is target:
-        return None
-    if isinstance(stmt, Loop):
-        new_body = tuple(
-            s2 for s2 in (_drop_stmt(s, target) for s in stmt.body) if s2 is not None
-        )
-        if new_body != stmt.body:
-            return replace(stmt, body=new_body)
-    return stmt
-
-
-def rewrite_candidate(program: LoopProgram, candidate: GemvCandidate) -> LoopProgram:
-    """Replace one matched nest with a ``gemv`` intrinsic call.
-
-    The matched store is removed and the call inserted where the nest stood;
-    the drained loop skeleton is left for `dead_loop_cleanup`.
-    """
-    new_functions = []
-    for fn in program.functions:
-        if fn.name != candidate.function:
-            new_functions.append(fn)
-            continue
-        body: list = []
-        for stmt in fn.body:
-            if stmt is candidate.nest:
-                stripped = _drop_stmt(stmt, candidate.store)
-                if stripped is not None:
-                    body.append(stripped)
-                body.append(_gemv_call(candidate))
-            else:
-                body.append(stmt)
-        new_functions.append(replace(fn, body=tuple(body)))
-    return replace(program, functions=tuple(new_functions))
-
-
-# ---------------------------------------------------------------------------
-# Dead code cleanup
-# ---------------------------------------------------------------------------
-
-
-def dead_loop_cleanup(program: LoopProgram) -> LoopProgram:
-    """Remove pure scalar definitions with no uses and loops left empty.
-
-    Runs to a fixpoint: deleting an unused load can empty a loop, and
-    deleting the loop can orphan further definitions.  Stores and intrinsic
-    calls are never removed.  An accumulator counts as dead when nothing
-    reads it except its own updates.
-    """
-    new_functions = []
-    for fn in program.functions:
-        body = list(fn.body)
-        while True:
-            reads: dict = {}
-            _count_reads(body, reads)
-            body, changed = _sweep(body, reads)
-            if not changed:
-                break
-        new_functions.append(replace(fn, body=tuple(body)))
-    return replace(program, functions=tuple(new_functions))
-
-
-def _count_reads(stmts, reads: dict) -> None:
-    """Uses of each scalar name, not counting an accumulator's own updates."""
-    for s in stmts:
-        if isinstance(s, Store):
-            if isinstance(s.value, str):
-                reads[s.value] = reads.get(s.value, 0) + 1
-        elif isinstance(s, BinOp):
-            for op in (s.a, s.b, s.c):
-                if isinstance(op, str):
-                    reads[op] = reads.get(op, 0) + 1
-        elif isinstance(s, AccumUpdate):
-            for op in (s.a, s.b):
-                if isinstance(op, str) and op != s.name:
-                    reads[op] = reads.get(op, 0) + 1
-        elif isinstance(s, IntrinsicCall):
-            for arg in s.args:
-                if isinstance(arg, str):
-                    reads[arg] = reads.get(arg, 0) + 1
-        elif isinstance(s, Loop):
-            _count_reads(s.body, reads)
-
-
-def _sweep(stmts, reads: dict):
-    out: list = []
-    changed = False
-    for s in stmts:
-        if isinstance(s, Loop):
-            new_body, inner_changed = _sweep(s.body, reads)
-            changed = changed or inner_changed
-            if not new_body:
-                changed = True
-                continue
-            out.append(replace(s, body=tuple(new_body)) if inner_changed else s)
-            continue
-        if isinstance(s, (Load, BinOp)) and reads.get(s.dest, 0) == 0:
-            changed = True
-            continue
-        if isinstance(s, (AccumInit, AccumUpdate)) and reads.get(s.name, 0) == 0:
-            changed = True
-            continue
-        out.append(s)
-    return out, changed
-
-
 def run_gemv_pass(program: LoopProgram) -> PassResult:
-    """Match, check, rewrite, and clean up; returns the new program + report.
+    """Replace every legal GEMV nest with its call; returns the new program + report.
 
-    Nests that fail either matching or legality are recorded once with their
-    reason and left untouched (their printed form is byte-identical).
+    Each top-level loop gets exactly one record.  A nest that fails
+    matching, legality or the scalar-escape check is recorded with its
+    reason and left as it was.
     """
-    candidates, records = find_candidates(program)
-
-    legal: list = []
-    final_records: list = []
-    by_nest = {id(c.nest): c for c in candidates}
-    for rec in records:
-        if rec.status != "matched":
-            final_records.append(rec)
-            continue
-        cand = by_nest[id(program.function(rec.function).body[rec.position])]
-        ok, reason, detail = check_legality(cand, program)
-        if ok:
-            legal.append(cand)
-            final_records.append(rec)
-        else:
-            final_records.append(
-                replace(rec, status="skipped", reason=reason, detail=detail, params=None)
+    extents = {b.name: b.extents for b in program.buffers}
+    extents_of = lambda name: extents.get(name, ())
+    records: list = []
+    candidates: list = []
+    functions: list = []
+    for fn in program.functions:
+        reads = _scalar_reads(fn.body)
+        body = list(fn.body)
+        for pos, stmt in enumerate(fn.body):
+            if not isinstance(stmt, Loop):
+                continue
+            try:
+                cand = match_nest(fn.name, stmt, extents_of)
+                check_legality(cand, program)
+                _check_scalars_stay_inside(stmt, reads)
+            except MatchFailure as fail:
+                records.append(
+                    NestRecord(
+                        function=fn.name,
+                        position=pos,
+                        iv=stmt.iv,
+                        status="skipped",
+                        reason=fail.reason.value,
+                        detail=fail.detail,
+                    )
+                )
+                continue
+            candidates.append(cand)
+            records.append(
+                NestRecord(
+                    function=fn.name,
+                    position=pos,
+                    iv=stmt.iv,
+                    status="matched",
+                    params=cand.params_dict(),
+                )
             )
-
-    new_program = program
-    for cand in legal:
-        new_program = rewrite_candidate(new_program, cand)
-    new_program = dead_loop_cleanup(new_program)
-    return PassResult(program=new_program, records=final_records, candidates=legal)
+            body[pos] = _gemv_call(cand)
+        functions.append(replace(fn, body=tuple(body)))
+    return PassResult(
+        program=replace(program, functions=tuple(functions)),
+        records=records,
+        candidates=candidates,
+    )

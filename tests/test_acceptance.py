@@ -212,6 +212,10 @@ func f {
 }
 """
 
+_NEGATIVE_UNUSED_LOAD = _NEGATIVE_EXTRA_STORE.replace(
+    "store z[i] = s", "load u = z[i]"
+)
+
 _NEGATIVE_DEPTH_ONE = """\
 buffer x[4]
 buffer y[4]
@@ -289,6 +293,7 @@ def test_criterion_5_pass_completeness_and_soundness(capsys, tmp_path):
         # Negative corpus: skipped, correct reason, nest left untouched.
         cases = [
             (parse_program(_NEGATIVE_EXTRA_STORE), "extra-side-effect"),
+            (parse_program(_NEGATIVE_UNUSED_LOAD), "extra-side-effect"),
             (_negative_non_affine(), "non-affine"),
             (parse_program(_NEGATIVE_DEPTH_ONE), "not-deep-enough"),
             (parse_program(_NEGATIVE_ALIASED), "extra-side-effect"),

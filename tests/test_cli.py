@@ -44,12 +44,27 @@ def test_quantize_writes_file_and_report(tmp_path, toy_float_path, capsys):
     assert sniff_magic(out) == QUANT_MAGIC
 
 
-def test_quantize_missing_input_is_usage_error(tmp_path, capsys):
-    code, _, stderr = run_cli(
-        capsys, "quantize", str(tmp_path / "nope.ditf"), str(tmp_path / "o.ditq")
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quantize", "{missing}", "{tmp}/o.ditq"),
+        ("optimize", "{missing}", "{tmp}/o.dir"),
+        ("optimize", "{program}", "{tmp}/o.dir", "--report", "{tmp}/no_dir/r.json"),
+        ("run", "{missing}"),
+        ("verify", "{missing}"),
+        ("bench", "{missing}", "--steps", "1"),
+        ("inspect", "{missing}"),
+    ],
+    ids=["quantize", "optimize", "optimize-report", "run", "verify", "bench", "inspect"],
+)
+def test_missing_path_is_usage_error(argv, tmp_path, capsys):
+    program = tmp_path / "matvec.dir"
+    program.write_text(MATVEC)
+    paths = {"missing": tmp_path / "nope.ditf", "tmp": tmp_path, "program": program}
+    code, _, stderr = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
-    assert "error:" in stderr
+    assert stderr.startswith("error:")
+    assert "Traceback" not in stderr
 
 
 def test_optimize_rewrites_program(tmp_path, capsys):

@@ -5,10 +5,7 @@ from quantloop.gemvpass import (
     MatchFailure,
     SkipReason,
     check_legality,
-    dead_loop_cleanup,
-    find_candidates,
     match_array_access,
-    match_nest,
     run_gemv_pass,
 )
 from quantloop.loopir import (
@@ -21,6 +18,7 @@ from quantloop.loopir import (
     LoopProgram,
     NonAffineExpr,
     Store,
+    TrapError,
     interpret,
     parse_program,
     print_program,
@@ -136,7 +134,7 @@ def test_access_nonzero_offset_is_layout_unknown():
 
 def test_match_plain_store():
     prog = parse_program(canonical())
-    cands, records = find_candidates(prog)
+    cands = run_gemv_pass(prog).candidates
     assert len(cands) == 1
     c = cands[0]
     assert (c.matrix, c.vector, c.output) == ("A", "x", "y")
@@ -148,7 +146,7 @@ def test_match_scaled_store():
     prog = parse_program(
         canonical(extra_outer="let w = 2.5 * s", store_line="store y[i] = w")
     )
-    cands, _ = find_candidates(prog)
+    cands = run_gemv_pass(prog).candidates
     assert len(cands) == 1
     assert (cands[0].alpha, cands[0].beta) == (2.5, 0.0)
 
@@ -159,7 +157,7 @@ def test_match_accumulate_into_output():
         store_line="store y[i] = tot",
     )
     prog = parse_program(src)
-    cands, _ = find_candidates(prog)
+    cands = run_gemv_pass(prog).candidates
     assert len(cands) == 1
     assert (cands[0].alpha, cands[0].beta) == (3.0, 0.5)
 
@@ -172,7 +170,7 @@ def test_match_scaled_reduction_factor():
         "let w = 2.0 * a\n      update s += w * t",
     )
     prog = parse_program(src)
-    cands, _ = find_candidates(prog)
+    cands = run_gemv_pass(prog).candidates
     assert len(cands) == 1
     assert cands[0].alpha == 2.0
 
@@ -180,7 +178,7 @@ def test_match_scaled_reduction_factor():
 def test_match_col_major_two_index():
     src = canonical(a_decl="buffer A[3, 4]", a_index="A[k, i]")
     prog = parse_program(src)
-    cands, _ = find_candidates(prog)
+    cands = run_gemv_pass(prog).candidates
     assert len(cands) == 1
     assert (cands[0].layout, cands[0].lda) == ("CM", 4)
 
@@ -205,11 +203,10 @@ func f {
 }
 """
     prog = parse_program(src)
-    cands, _ = find_candidates(prog)
+    cands = run_gemv_pass(prog).candidates
     assert len(cands) == 1
     assert cands[0].lda == "ld"
-    ok, reason, detail = check_legality(cands[0], prog)
-    assert ok, detail
+    check_legality(cands[0], prog)  # raises MatchFailure when illegal
 
 
 # -- negative corpus: one reason code per defect -------------------------------
@@ -244,6 +241,7 @@ def test_skip_unused_extra_load():
     prog = parse_program(canonical(extra_inner="load u = z[i]"))
     reason, detail = single_skip_reason(prog)
     assert reason == "extra-side-effect"
+    assert print_program(run_gemv_pass(prog).program) == print_program(prog)
 
 
 def test_skip_non_affine_index():
@@ -453,40 +451,51 @@ def test_toy_program_matches_all_gemv_nests():
     assert "update" not in text
 
 
-def test_dead_loop_cleanup_keeps_live_code():
+def _fresh_env(rng, prog):
+    return {
+        b.name: rng.normal(size=b.extents).astype(np.float32) for b in prog.buffers
+    }
+
+
+def test_scalar_read_after_nest_is_skipped():
+    # The gemv call defines no scalars, so a later read of `s` would break.
+    src = canonical().replace(
+        "    store y[i] = s\n  }\n", "    store y[i] = s\n  }\n  store z[0] = s\n"
+    )
+    prog = parse_program(src)
+    reason, detail = single_skip_reason(prog)
+    assert reason == "extra-side-effect"
+    assert "'s'" in detail and "outside" in detail
+    result = run_gemv_pass(prog)
+    assert print_program(result.program) == print_program(prog)
+
+    env = _fresh_env(np.random.default_rng(3), prog)
+    before = interpret(prog, {k: v.copy() for k, v in env.items()})
+    after = interpret(result.program, {k: v.copy() for k, v in env.items()})
+    for name in env:
+        np.testing.assert_array_equal(after[name], before[name])
+
+
+def test_skipped_nest_keeps_its_trap():
+    # A dead out-of-range load still traps: the pass deletes nothing.
     src = """\
-buffer x[4]
+buffer z[4]
 buffer y[4]
 
 func f {
-  for i in 0..4 {
-    load a = x[i]
-    load unused = y[i]
-    store y[i] = a
+  for d in 0..4 {
+    load dead = z[d + 4]
+    store y[d] = 1.0
   }
 }
 """
-    cleaned = dead_loop_cleanup(parse_program(src))
-    text = print_program(cleaned)
-    assert "unused" not in text
-    assert "store y[i] = a" in text
-
-
-def test_dead_loop_cleanup_removes_emptied_nests():
-    src = """\
-buffer x[4]
-
-func f {
-  for i in 0..4 {
-    for k in 0..4 {
-      load a = x[k]
-      let b = a * a
-    }
-  }
-}
-"""
-    cleaned = dead_loop_cleanup(parse_program(src))
-    assert cleaned.functions[0].body == ()
+    prog = parse_program(src)
+    result = run_gemv_pass(prog)
+    assert [r.reason for r in result.records] == ["not-deep-enough"]
+    env = _fresh_env(np.random.default_rng(4), prog)
+    for program in (prog, result.program):
+        with pytest.raises(TrapError):
+            interpret(program, {k: v.copy() for k, v in env.items()})
 
 
 # -- numeric soundness --------------------------------------------------------
