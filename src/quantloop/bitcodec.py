@@ -8,10 +8,12 @@ remaining space of the current byte and the high-order bits spill into the
 next byte.
 
 The payload is exactly ``ceil(n*b/8)`` bytes and is always followed by a
-single zero guard byte.  The guard is part of the format and readers insist
-on it: it keeps a decoder that reads a fixed two-byte window per code in
-bounds at the end of the stream.  :func:`unpack_slice` itself reads only the
-payload bytes that hold the requested codes.
+single zero guard byte.  The guard is a format invariant: writers always
+emit it, the ``.ditq`` record size counts it, and readers check that a
+buffer is long enough to hold it (:class:`MalformedBuffer` otherwise), so a
+stream cut at the end of its payload is refused.  No decoder reads it:
+:func:`unpack_slice` reads only the payload bytes that hold the requested
+codes.
 """
 
 from __future__ import annotations

@@ -4,16 +4,20 @@ Three kernels share one calling convention modeled on BLAS GEMV:
 
     y[i] = beta * y[i] + alpha * sum_k A(i, k) * x[k]
 
-``gemv_naive`` is the semantic reference: it walks each output lane and
-accumulates the products strictly left-to-right in float32, so its result
-is a deterministic, order-fixed baseline the other kernels are judged
-against.  ``gemv_opt`` delegates the heavy lifting to numpy's BLAS-backed
-matmul (blocked, vectorized, and deterministic per row).  ``gemv_sketch``
-consumes a :class:`~quantloop.quantizer.QuantizedMatrix` directly: a tile
-of whole rows of codes is unpacked at a time, mapped through the centroid
-table, multiplied by x and accumulated along each row with the same
-left-to-right order as the reference kernel, keeping peak extra memory at
-O(tile) (:data:`SKETCH_TILE_CODES`).
+and one core.  :func:`_operands` checks the flat storage and the two
+vectors against the :class:`GemvParams` once and exposes the logical
+``y_len x x_len`` matrix as a single read-only strided view that follows
+the storage's own element stride.  ``gemv_opt`` multiplies that view by x
+through numpy's BLAS-backed matmul (blocked, vectorized, deterministic per
+row).  ``gemv_naive`` is the semantic reference: :func:`_row_tiles` walks
+tiles of whole rows, multiplies each by x and accumulates every row
+strictly left to right in float32, so its result is a deterministic,
+order-fixed baseline the other kernels are judged against.  ``gemv_sketch``
+consumes a :class:`~quantloop.quantizer.QuantizedMatrix` directly and runs
+the same tile loop on rows decoded from the packed codes through the
+centroid table, so it matches the reference on the dequantized matrix bit
+for bit.  Both tiled kernels keep extra memory at O(tile)
+(:data:`SKETCH_TILE_CODES`).
 
 For a quantized matrix with reconstruction error ``epsilon`` the deviation
 of ``y_hat = W_hat @ x`` from ``y = W @ x`` obeys, per element and in the
@@ -54,10 +58,11 @@ __all__ = [
 ]
 
 
-#: Codes the sketch kernel decodes per step, rounded down to whole rows but
-#: never below one row.  A tile costs about 16 B of transient memory per code
-#: (the uint8 code, its intp cast inside ``take``, the float32 product), so
-#: this constant caps the kernel's extra memory as well as its call count.
+#: Matrix elements per step of the row-tile loop shared by the reference and
+#: sketch kernels, rounded down to whole rows but never below one row.  A
+#: sketch tile costs about 16 B of transient memory per code (the uint8 code,
+#: its intp cast inside ``take``, the float32 product), so this constant caps
+#: the kernels' extra memory as well as their per-tile call count.
 SKETCH_TILE_CODES = 1024
 
 
@@ -116,99 +121,94 @@ class GemvParams:
         return self.m if self.trans is Trans.NO_TRANS else self.n
 
 
-def _require_f32_vector(name: str, v: np.ndarray, logical_len: int, inc: int) -> np.ndarray:
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise GemvShapeError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.dtype != np.float32:
-        raise GemvShapeError(f"{name} must be float32, got {v.dtype}")
-    if v.size < (logical_len - 1) * inc + 1:
-        raise GemvShapeError(
-            f"{name} holds {v.size} elements, need {(logical_len - 1) * inc + 1}"
-        )
-    return v
+def _operands(a: np.ndarray | None, x: np.ndarray, y: np.ndarray, p: GemvParams):
+    """Check the operands against `p` and return ``(A, x_eff, y_eff)``.
+
+    Each operand must be 1-D float32 and long enough for its extents and
+    stride.  ``A`` is the logical ``y_len x x_len`` matrix of the product, a
+    read-only strided view of the flat storage `a` that steps by the
+    storage's own element stride (so a sliced or reversed array is addressed
+    correctly); ``x_eff`` and ``y_eff`` are strided views of the vectors, and
+    writes to ``y_eff`` land in `y`.  With ``a=None`` (a packed matrix, which
+    the sketch checks itself) ``A`` is None.
+    """
+    rows, cols = (p.m, p.n) if p.layout is Layout.ROW_MAJOR else (p.n, p.m)
+    views = []
+    for name, v, need, inc in (
+        ("matrix storage", a, (rows - 1) * p.lda + cols, 1),
+        ("x", x, (p.x_len - 1) * p.incx + 1, p.incx),
+        ("y", y, (p.y_len - 1) * p.incy + 1, p.incy),
+    ):
+        if v is not None:
+            v = np.asarray(v)
+            if v.ndim != 1 or v.dtype != np.float32:
+                raise GemvShapeError(f"{name} must be flat float32, got {v.dtype} {v.shape}")
+            if v.size < need:
+                raise GemvShapeError(f"{name} holds {v.size} elements, need {need}")
+            v = v[:need:inc]
+        views.append(v)
+    a, x_eff, y_eff = views
+    if a is None:
+        return None, x_eff, y_eff
+    # Storage row r, column c is a[r*lda + c].  Row-major storage holds A,
+    # column-major storage holds A^T, and the product needs A (NT) or A^T
+    # (T), so the storage view is transposed for RM/T and CM/NT.
+    s = a.strides[0]
+    view = np.lib.stride_tricks.as_strided(
+        a, shape=(rows, cols), strides=(p.lda * s, s), writeable=False
+    )
+    if (p.layout is Layout.ROW_MAJOR) == (p.trans is Trans.TRANS):
+        view = view.T
+    return view, x_eff, y_eff
 
 
-def _require_flat_matrix(a: np.ndarray, p: GemvParams) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise GemvShapeError(f"matrix storage must be flat 1-D, got shape {a.shape}")
-    if a.dtype != np.float32:
-        raise GemvShapeError(f"matrix storage must be float32, got {a.dtype}")
-    rows = p.m if p.layout is Layout.ROW_MAJOR else p.n
-    cols = p.n if p.layout is Layout.ROW_MAJOR else p.m
-    need = (rows - 1) * p.lda + cols
-    if a.size < need:
-        raise GemvShapeError(f"matrix storage holds {a.size} elements, need {need}")
-    return a
+def _row_tiles(rows, x_eff: np.ndarray, y_eff: np.ndarray, p: GemvParams) -> None:
+    """``y_eff = alpha * (A @ x_eff) + beta * y_eff``, a tile of whole rows at a time.
 
-
-def _dot_f32(u: np.ndarray, v: np.ndarray) -> np.float32:
-    """Left-to-right float32 accumulation of elementwise products."""
-    if u.size == 0:
-        return np.float32(0.0)
-    prods = np.multiply(u, v, dtype=np.float32)
-    return np.cumsum(prods, dtype=np.float32)[-1]
-
-
-def _lane(a: np.ndarray, p: GemvParams, out_ix: int) -> np.ndarray:
-    """The strided slice of `a` dotted against x for output `out_ix`."""
-    if p.layout is Layout.ROW_MAJOR:
-        if p.trans is Trans.NO_TRANS:  # A(i, k) = a[i*lda + k], reduce over k
-            return a[out_ix * p.lda : out_ix * p.lda + p.n]
-        # y_k = sum_i A(i, k) x_i: stride lda down column k
-        return a[out_ix : out_ix + p.m * p.lda : p.lda]
-    if p.trans is Trans.NO_TRANS:  # A(i, k) = a[k*lda + i], reduce over k
-        return a[out_ix : out_ix + p.n * p.lda : p.lda]
-    return a[out_ix * p.lda : out_ix * p.lda + p.m]
+    ``rows(r0, r1)`` returns rows ``r0:r1`` of the logical matrix A as a new
+    float32 array, which becomes the tile's scratch: the products overwrite
+    it and a running sum along each row overwrites those, so every output is
+    accumulated strictly left to right in float32.  Each step holds about
+    :data:`SKETCH_TILE_CODES` elements and never less than one row.
+    """
+    alpha = np.float32(p.alpha)
+    beta = np.float32(p.beta)
+    n_rows = y_eff.size
+    step = max(1, SKETCH_TILE_CODES // x_eff.size)
+    for r0 in range(0, n_rows, step):
+        r1 = min(r0 + step, n_rows)
+        prods = rows(r0, r1)
+        np.multiply(prods, x_eff, out=prods)
+        # Never sum/dot/@ here: those reassociate.  cumsum accumulates each
+        # row in order, and its last column is the row's sum.
+        np.cumsum(prods, axis=1, out=prods)
+        y_tile = y_eff[r0:r1]
+        y_tile[...] = alpha * prods[:, -1] + beta * y_tile
 
 
 def gemv_naive(a: np.ndarray, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
     """Reference GEMV with a fixed left-to-right float32 summation order.
 
-    Updates ``y`` in place (``y[i] = alpha * sum + beta * y[i]``, evaluated
-    in that operand order) and returns it.  Non-finite inputs propagate per
-    IEEE-754; in particular ``beta == 0`` still multiplies the old y.
+    Copies a tile of rows of the logical matrix at a time and reduces it in
+    :func:`_row_tiles`, so extra memory is O(tile).  Updates ``y`` in place
+    (``y[i] = alpha * sum + beta * y[i]``, evaluated in that operand order)
+    and returns it.  Non-finite inputs propagate per IEEE-754; in particular
+    ``beta == 0`` still multiplies the old y.
     """
-    a = _require_flat_matrix(a, p)
-    x = _require_f32_vector("x", x, p.x_len, p.incx)
-    y = _require_f32_vector("y", y, p.y_len, p.incy)
-    x_eff = x[:: p.incx][: p.x_len]
-    alpha = np.float32(p.alpha)
-    beta = np.float32(p.beta)
-    for i in range(p.y_len):
-        s = _dot_f32(_lane(a, p, i), x_eff)
-        y[i * p.incy] = alpha * s + beta * y[i * p.incy]
+    view, x_eff, y_eff = _operands(a, x, y, p)
+    _row_tiles(lambda r0, r1: view[r0:r1].copy(), x_eff, y_eff, p)
     return y
 
 
 def gemv_opt(a: np.ndarray, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
     """Optimized GEMV; agrees with :func:`gemv_naive` up to sum reassociation.
 
-    The logical matrix is exposed to numpy as a strided view and the product
-    runs through the BLAS matmul path, which blocks and vectorizes the
-    traversal while keeping a fixed reduction order per output row.
+    The product is the checked strided view times x through numpy's
+    BLAS-backed matmul, which blocks and vectorizes the traversal while
+    keeping a fixed reduction order per output row.
     """
-    a = _require_flat_matrix(a, p)
-    x = _require_f32_vector("x", x, p.x_len, p.incx)
-    y = _require_f32_vector("y", y, p.y_len, p.incy)
-
-    itemsize = a.itemsize
-    if p.layout is Layout.ROW_MAJOR:
-        view = np.lib.stride_tricks.as_strided(
-            a, shape=(p.m, p.n), strides=(p.lda * itemsize, itemsize), writeable=False
-        )
-    else:
-        view = np.lib.stride_tricks.as_strided(
-            a, shape=(p.m, p.n), strides=(itemsize, p.lda * itemsize), writeable=False
-        )
-    if p.trans is Trans.TRANS:
-        view = view.T
-
-    x_eff = np.ascontiguousarray(x[:: p.incx][: p.x_len])
-    sums = view @ x_eff
-    y_eff = y[:: p.incy][: p.y_len]
-    y_eff[...] = np.float32(p.alpha) * sums + np.float32(p.beta) * y_eff
+    view, x_eff, y_eff = _operands(a, x, y, p)
+    y_eff[...] = np.float32(p.alpha) * (view @ x_eff) + np.float32(p.beta) * y_eff
     return y
 
 
@@ -216,45 +216,31 @@ def gemv_sketch(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, p: GemvParams)
     """GEMV over a quantized matrix without materializing it.
 
     Row-major, non-transposed products (the shape the program synthesizer
-    emits) walk the matrix in tiles of whole rows, about
-    :data:`SKETCH_TILE_CODES` codes each.  A tile is decoded with one
-    :func:`~quantloop.bitcodec.unpack_slice` call, mapped through the
-    centroid table, multiplied by x, and reduced by a running sum along each
-    row, which keeps the reference kernel's left-to-right float32 order; the
-    tile's outputs are then stored in one vectorized update.  Extra memory
-    is O(tile).  Other layouts reconstruct the dense matrix once and
-    delegate to :func:`gemv_naive`.  Either way the result is bit-identical
-    to running the reference kernel on the dequantized matrix.
+    emits) run the reference kernel's tile loop, :func:`_row_tiles`, with
+    each tile's rows decoded by one :func:`~quantloop.bitcodec.unpack_slice`
+    call and mapped through the centroid table, so extra memory is O(tile)
+    and the result is bit-identical to :func:`gemv_naive` on the dequantized
+    matrix by construction.  Other layouts reconstruct the dense matrix once
+    and delegate to :func:`gemv_naive`, with the same result.
     """
-    if p.layout is Layout.ROW_MAJOR and p.trans is Trans.NO_TRANS:
-        if p.m != q.rows or p.n != q.cols:
-            raise GemvShapeError(
-                f"params describe {p.m}x{p.n} but matrix is {q.rows}x{q.cols}"
-            )
-        if p.lda != q.cols:
-            raise GemvShapeError(
-                f"packed rows are dense; lda must equal cols ({q.cols}), got {p.lda}"
-            )
-        x = _require_f32_vector("x", x, p.x_len, p.incx)
-        y = _require_f32_vector("y", y, p.y_len, p.incy)
-        x_eff = x[:: p.incx][: p.x_len]
-        centroids = q.codebook.centroids
-        alpha = np.float32(p.alpha)
-        beta = np.float32(p.beta)
-        cols = q.cols
-        tile_rows = max(1, SKETCH_TILE_CODES // cols)
-        for r0 in range(0, q.rows, tile_rows):
-            t = min(tile_rows, q.rows - r0)
-            codes = unpack_slice(q.indices, r0 * cols, t * cols)
-            prods = np.take(centroids, codes).reshape(t, cols)
-            np.multiply(prods, x_eff, out=prods)
-            # Never sum/dot/@ here: those reassociate.  cumsum accumulates
-            # each row strictly left to right, like _dot_f32.
-            np.cumsum(prods, axis=1, out=prods)
-            y_tile = y[r0 * p.incy : (r0 + t) * p.incy : p.incy]
-            y_tile[...] = alpha * prods[:, -1] + beta * y_tile
-        return y
-    return gemv_naive(dequantize(q).reshape(-1), x, y, p)
+    if p.layout is not Layout.ROW_MAJOR or p.trans is not Trans.NO_TRANS:
+        return gemv_naive(dequantize(q).reshape(-1), x, y, p)
+    if p.m != q.rows or p.n != q.cols:
+        raise GemvShapeError(f"params describe {p.m}x{p.n} but matrix is {q.rows}x{q.cols}")
+    if p.lda != q.cols:
+        raise GemvShapeError(
+            f"packed rows are dense; lda must equal cols ({q.cols}), got {p.lda}"
+        )
+    _, x_eff, y_eff = _operands(None, x, y, p)
+    centroids = q.codebook.centroids
+    cols = q.cols
+
+    def decoded(r0: int, r1: int) -> np.ndarray:
+        codes = unpack_slice(q.indices, r0 * cols, (r1 - r0) * cols)
+        return np.take(centroids, codes).reshape(r1 - r0, cols)
+
+    _row_tiles(decoded, x_eff, y_eff, p)
+    return y
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,6 @@ class _Parser:
         terms: list[tuple[str, int | str]] = []
         offset = 0
         while True:
-            terms_before = len(terms)
             tok = cur.next()
             if tok[0] == "int":
                 value = int(tok[1])
@@ -392,7 +391,6 @@ class _Parser:
                     terms.append((first[1], 1))
             else:
                 raise ParseError(f"bad index term {tok[1]!r}", cur.line, tok[2])
-            del terms_before
             nxt = cur.peek()
             if nxt is not None and nxt[1] == "+":
                 cur.next()

@@ -44,17 +44,13 @@ class QuantConfig:
 
     Attributes:
         bit_width: codebook size is ``2**bit_width`` centroids.
-        max_iterations: cap on refinement sweeps.
     """
 
     bit_width: int = 3
-    max_iterations: int = 100
 
     def __post_init__(self) -> None:
         if not 1 <= self.bit_width <= MAX_BIT_WIDTH:
             raise ValueError(f"bit_width must be in 1..{MAX_BIT_WIDTH}, got {self.bit_width}")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,7 @@ def quantize_matrix(weights, config: QuantConfig = QuantConfig()) -> QuantizedMa
 
     n_clusters = 1 << config.bit_width
     assign0, cents0 = init_equal_population(flat, n_clusters)
-    result = refine(flat, assign0, cents0, max_iterations=config.max_iterations)
+    result = refine(flat, assign0, cents0)
 
     # Freeze the codebook at float32 and make the ascending order explicit.
     cents32 = result.centroids.astype(np.float32)

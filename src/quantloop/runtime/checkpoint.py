@@ -21,6 +21,7 @@ weights are gone after quantization.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,7 +64,15 @@ class InvalidRecordError(CheckpointError):
     """A quantization record's bit width or epsilon is out of range."""
 
 
-def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+def _read_exact(f: BinaryIO, size: int, n: int, what: str) -> bytes:
+    # Sizes come from the file's own header, so a hostile one can ask for
+    # gigabytes or for more than a read can express; they are checked against
+    # the file's `size` first, before anything is allocated.
+    left = size - f.tell()
+    if n > left:
+        raise TruncatedCheckpointError(
+            f"expected {n} bytes for {what}, the file has {left} left"
+        )
     data = f.read(n)
     if len(data) != n:
         raise TruncatedCheckpointError(
@@ -119,11 +128,12 @@ def write_float_checkpoint(path: str, config: ModelConfig, tensors: dict) -> Non
 def read_float_checkpoint(path: str):
     """Returns (config, {name: float32 ndarray})."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         config = _read_header(f, FLOAT_MAGIC, path)
         tensors = {}
         for name, shape in tensor_shapes(config):
             count = int(np.prod(shape))
-            raw = _read_exact(f, 4 * count, f"tensor {name!r}")
+            raw = _read_exact(f, size, 4 * count, f"tensor {name!r}")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         return config, tensors
 
@@ -146,12 +156,8 @@ def serialize_record(q: QuantizedMatrix) -> bytes:
     )
 
 
-def _write_record(f: BinaryIO, q: QuantizedMatrix) -> None:
-    f.write(serialize_record(q))
-
-
-def _read_record(f: BinaryIO, name: str, shape: tuple) -> QuantizedMatrix:
-    raw = _read_exact(f, _RECORD.size, f"record header of {name!r}")
+def _read_record(f: BinaryIO, size: int, name: str, shape: tuple) -> QuantizedMatrix:
+    raw = _read_exact(f, size, _RECORD.size, f"record header of {name!r}")
     bit_width, rows, cols, epsilon = _RECORD.unpack(raw)
     if (rows, cols) != shape:
         raise ExtentMismatchError(
@@ -170,10 +176,10 @@ def _read_record(f: BinaryIO, name: str, shape: tuple) -> QuantizedMatrix:
         )
     n_centroids = 1 << bit_width
     centroids = np.frombuffer(
-        _read_exact(f, 4 * n_centroids, f"centroids of {name!r}"), dtype="<f4"
+        _read_exact(f, size, 4 * n_centroids, f"centroids of {name!r}"), dtype="<f4"
     ).copy()
     data = _read_exact(
-        f, payload_size(rows * cols, bit_width) + 1, f"codes of {name!r}"
+        f, size, payload_size(rows * cols, bit_width) + 1, f"codes of {name!r}"
     )
     return QuantizedMatrix(
         rows=rows,
@@ -207,20 +213,21 @@ def write_quantized_checkpoint(path: str, config: ModelConfig, tensors: dict) ->
                     raise ExtentMismatchError(
                         f"{name}: extents ({t.rows}, {t.cols}) != expected {shape}"
                     )
-                _write_record(f, t)
+                f.write(serialize_record(t))
 
 
 def read_quantized_checkpoint(path: str):
     """Returns (config, {name: QuantizedMatrix | float32 ndarray})."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         config = _read_header(f, QUANT_MAGIC, path)
         tensors = {}
         for name, shape in tensor_shapes(config):
             if len(shape) == 1:
-                raw = _read_exact(f, 4 * shape[0], f"tensor {name!r}")
+                raw = _read_exact(f, size, 4 * shape[0], f"tensor {name!r}")
                 tensors[name] = np.frombuffer(raw, dtype="<f4").copy()
             else:
-                tensors[name] = _read_record(f, name, shape)
+                tensors[name] = _read_record(f, size, name, shape)
         return config, tensors
 
 
@@ -249,8 +256,6 @@ def quantize_checkpoint(
     out_tensors: dict = dict(tensors)
     out_tensors.update(quantized)
     write_quantized_checkpoint(out_path, model_config, out_tensors)
-
-    import os
 
     in_size = os.path.getsize(in_path)
     out_size = os.path.getsize(out_path)

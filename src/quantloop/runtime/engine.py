@@ -136,12 +136,12 @@ class Engine:
         magic = sniff_magic(checkpoint_path)
         if magic == FLOAT_MAGIC:
             self.config, tensors = read_float_checkpoint(checkpoint_path)
-            self.quantized_weights = mode == "quantized"
+            quantize = mode == "quantized"
             self._float_shadow: dict = {}
             weights: dict = {}
             for name, shape in tensor_shapes(self.config):
                 arr = np.ascontiguousarray(tensors[name], dtype=np.float32)
-                if len(shape) == 2 and self.quantized_weights:
+                if len(shape) == 2 and quantize:
                     q = quantize_matrix(arr, QuantConfig(bit_width=bit_width))
                     weights[name] = q
                     self._float_shadow[id(q)] = arr
@@ -149,7 +149,6 @@ class Engine:
                     weights[name] = arr
         elif magic == QUANT_MAGIC:
             self.config, tensors = read_quantized_checkpoint(checkpoint_path)
-            self.quantized_weights = True
             self._float_shadow = {}
             weights = {
                 name: (

@@ -1,6 +1,8 @@
 import json
 import shutil
+import struct
 import subprocess
+import tracemalloc
 
 import pytest
 
@@ -65,6 +67,30 @@ def test_missing_path_is_usage_error(argv, tmp_path, capsys):
     assert code == 2
     assert stderr.startswith("error:")
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("magic", [FLOAT_MAGIC, QUANT_MAGIC], ids=["ditf", "ditq"])
+@pytest.mark.parametrize(
+    "vocab, dim", [(1 << 20, 4096), ((1 << 31) - 1, (1 << 31) - 1)], ids=["16GiB", "2pow31"]
+)
+def test_hostile_header_sizes_are_refused(tmp_path, capsys, magic, vocab, dim):
+    # A 136-byte file whose header implies a tok_emb of vocab x dim.  The
+    # .ditq record agrees with the header, so only its code read is too big.
+    header = struct.pack("<4sI7i", magic, 1, dim, 1, 1, 1, 1, vocab, 1)
+    if magic == QUANT_MAGIC:
+        header += struct.pack("<BIIf", 3, vocab, dim, 0.0) + bytes(4 * 8)
+    path = tmp_path / "hostile.bin"
+    path.write_bytes(header.ljust(136, b"\0"))
+    for command in ("inspect", "run"):
+        tracemalloc.start()
+        try:
+            code, _, stderr = run_cli(capsys, command, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, command
+        assert stderr.startswith("error:"), stderr
+        assert peak < 1 << 20, (command, peak)
 
 
 def test_optimize_rewrites_program(tmp_path, capsys):

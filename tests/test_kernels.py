@@ -130,6 +130,45 @@ def test_strided_vectors():
     assert_elementwise_close(y_opt[::3], y_ref[::3], scale, 1e-5, "strided")
 
 
+@pytest.mark.parametrize("layout", ["RM", "CM"])
+@pytest.mark.parametrize("trans", ["NT", "T"])
+@pytest.mark.parametrize("storage", ["stride2", "reversed"])
+def test_strided_storage(layout, trans, storage):
+    # The flat storage and both vectors are views with a non-unit (or
+    # negative) element stride; each kernel must address them through that
+    # stride, and leave the parts of y between its strided elements alone.
+    rng = np.random.default_rng(17)
+    m, n, incx, incy = 5, 7, 2, 3
+    lda = (n if layout == "RM" else m) + 1
+    rows = m if layout == "RM" else n
+    x_len, y_len = (n, m) if trans == "NT" else (m, n)
+
+    def view(size):
+        if storage == "stride2":
+            return rng.normal(size=2 * size).astype(np.float32)[::2]
+        return rng.normal(size=size).astype(np.float32)[::-1]
+
+    a = view(rows * lda)
+    x = view((x_len - 1) * incx + 1)
+    y0 = view((y_len - 1) * incy + 1)
+    alpha, beta = 1.25, -0.5
+    p = params(layout, trans, m, n, alpha, beta, lda, incx, incy)
+    ref = gemv_reference(a, x, y0, layout, trans, m, n, alpha, beta, lda, incx, incy)
+    scale = gemv_scale(a, x, y0, layout, trans, m, n, alpha, beta, lda, incx, incy)
+    for kernel in (gemv_naive, gemv_opt):
+        y = view(y0.size)
+        y[...] = y0
+        kernel(a, x, y, p)
+        if kernel is gemv_naive:
+            np.testing.assert_array_equal(y, ref)
+        else:
+            assert_elementwise_close(
+                y[::incy], ref[::incy], scale, 1e-5, f"{layout}/{trans} {storage}"
+            )
+            gaps = np.s_[::incy]
+            np.testing.assert_array_equal(np.delete(y, gaps), np.delete(y0, gaps))
+
+
 # -- quantized (sketch) kernel ----------------------------------------------
 
 
@@ -208,28 +247,30 @@ def test_sketch_tile_boundaries_bit_identical():
             np.testing.assert_array_equal(y_sketch, y_naive)
 
 
-def _sketch_peak_bytes(rows: int, cols: int) -> int:
+def _peak_bytes(kernel, rows: int, cols: int) -> int:
     rng = np.random.default_rng(5)
     q = random_quantized(rng, rows, cols, 3)
+    a = q if kernel is gemv_sketch else dequantize(q).reshape(-1)
     x = rng.normal(size=cols).astype(np.float32)
     y = np.zeros(rows, dtype=np.float32)
     p = params(m=rows, n=cols)
-    gemv_sketch(q, x, y, p)  # warm up lazy numpy state outside the measurement
+    kernel(a, x, y, p)  # warm up lazy numpy state outside the measurement
     tracemalloc.start()
     try:
-        gemv_sketch(q, x, y, p)
+        kernel(a, x, y, p)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_sketch_extra_memory_is_per_tile():
-    # The kernel's transient memory must not grow with the matrix: a kernel
-    # that caches or materializes decoded weights fails this.
-    small = _sketch_peak_bytes(64, 256)
-    large = _sketch_peak_bytes(4096, 256)
-    assert large <= 1.25 * small, (small, large)
-    assert large < 64 * 1024, large
+    # The tiled kernels' transient memory must not grow with the matrix: a
+    # kernel that caches, materializes or copies the whole matrix fails this.
+    for kernel in (gemv_sketch, gemv_naive):
+        small = _peak_bytes(kernel, 64, 256)
+        large = _peak_bytes(kernel, 4096, 256)
+        assert large <= 1.25 * small, (kernel.__name__, small, large)
+        assert large < 64 * 1024, (kernel.__name__, large)
 
 
 def test_sketch_other_layouts_match_reference():

@@ -183,8 +183,6 @@ def test_config_validation():
         QuantConfig(bit_width=0)
     with pytest.raises(ValueError):
         QuantConfig(bit_width=9)
-    with pytest.raises(ValueError):
-        QuantConfig(max_iterations=-1)
 
 
 def test_bits_required_values():
