@@ -7,9 +7,11 @@ see numpy arrays (or a :class:`QuantizedMatrix` for quantized operands).
 
 Signatures (buffers first, then scalars):
 
-* ``gemv(layout, trans, m, n, alpha, A, lda, x, incx, beta, y, incy)`` —
-  BLAS-shaped; dispatches to the sketch kernel when A is quantized, to the
-  optimized dense kernel otherwise.
+* ``gemv(call)`` — one :class:`GemvCall`, which the interpreter binds from
+  the program's BLAS-shaped arguments ``(layout, trans, m, n, alpha, A, lda,
+  x, incx, beta, y, incy)`` with :func:`bind_gemv` when the program is
+  prepared.  A quantized A runs the sketch kernel; a dense A runs the
+  product over the view checked at bind.
 * ``rmsnorm(dst, src, weight)`` — ``dst = src * weight / rms(src)`` with
   ``rms(src) = sqrt(mean(src^2) + 1e-5)``.
 * ``softmax(v)`` — in place, max-subtracted.
@@ -32,16 +34,21 @@ Signatures (buffers first, then scalars):
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bitcodec import unpack_slice
-from .kernels import GemvParams, Layout, Trans, gemv_opt, gemv_sketch
+# gemv_opt is imported for perfbench/tracing.py, which patches it here by
+# name; the bound dense product below is gemv_opt minus the operand check.
+from .kernels import GemvParams, Layout, Trans, _operands, gemv_opt, gemv_sketch  # noqa: F401
 from .quantizer import QuantizedMatrix
 
 __all__ = [
+    "GemvCall",
     "RMSNORM_EPS",
     "ROPE_THETA",
+    "bind_gemv",
     "default_registry",
     "gemv_handler",
 ]
@@ -50,7 +57,37 @@ RMSNORM_EPS = 1e-5
 ROPE_THETA = 10000.0
 
 
-def gemv_handler(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy) -> None:
+@dataclass(frozen=True, slots=True)
+class GemvCall:
+    """One gemv call with its operands checked against its params.
+
+    For a dense matrix, ``view``, ``x_eff`` and ``y_eff`` are the strided
+    views the kernels' operand check returns, so running the call is only
+    the product and the alpha/beta store.  For a quantized matrix they are
+    None: the sketch kernel checks its vectors itself, per call.
+    """
+
+    a: object  # the bound float32 ndarray or QuantizedMatrix
+    x: np.ndarray
+    y: np.ndarray
+    params: GemvParams
+    view: np.ndarray | None = None
+    x_eff: np.ndarray | None = None
+    y_eff: np.ndarray | None = None
+
+    def over(self, a, y: np.ndarray | None = None) -> "GemvCall":
+        """The same call on matrix `a` (and output `y`), checked again."""
+        return _bind_operands(a, self.x, self.y if y is None else y, self.params)
+
+
+def _bind_operands(a, x, y, p: GemvParams) -> GemvCall:
+    if isinstance(a, QuantizedMatrix):
+        return GemvCall(a, x, y, p)
+    return GemvCall(a, x, y, p, *_operands(a.reshape(-1), x, y, p))
+
+
+def bind_gemv(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy) -> GemvCall:
+    """Check one BLAS-shaped gemv call's arguments and bind its operands."""
     p = GemvParams(
         layout=Layout(layout),
         trans=Trans(trans),
@@ -62,10 +99,17 @@ def gemv_handler(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy) -> 
         incx=int(incx),
         incy=int(incy),
     )
-    if isinstance(a, QuantizedMatrix):
-        gemv_sketch(a, x, y, p)
+    return _bind_operands(a, x, y, p)
+
+
+def gemv_handler(call: GemvCall) -> None:
+    """Run a bound gemv call; dense results equal ``gemv_opt``'s bit for bit."""
+    if call.view is None:
+        gemv_sketch(call.a, call.x, call.y, call.params)
     else:
-        gemv_opt(a.reshape(-1), x, y, p)
+        p = call.params
+        y_eff = call.y_eff
+        y_eff[...] = np.float32(p.alpha) * (call.view @ call.x_eff) + np.float32(p.beta) * y_eff
 
 
 def rmsnorm_handler(dst, src, weight) -> None:

@@ -14,23 +14,33 @@ a bound array since the last run, but not a name rebound to a new object:
 that needs a fresh :class:`Prepared`.  Scalar arithmetic runs in Python
 floats (double precision) and every store rounds to float32, so loop-nest
 results match a float32 kernel up to summation rounding while staying
-exactly reproducible.
+exactly reproducible.  An elementwise depth-1 loop (two loads, one add or
+mul, one store, all at the bare loop index) runs as one numpy operation,
+which gives the same float32 results and leaves the same scalars behind;
+any other loop, and any loop whose range leaves a buffer, runs element by
+element, so a trap fires at the same index.
 
 Intrinsic calls dispatch through a registry mapping the intrinsic name to a
 Python handler; the default registry lives in :mod:`quantloop.intrinsics`.
 Buffer arguments are resolved when the program is bound, so each call
-passes the bound environment values and a ``gemv`` over a quantized buffer
-receives the :class:`QuantizedMatrix` itself and can pick the sketch kernel.
+passes the bound environment values.  A ``gemv`` call is bound whole: its
+params are built and its operands checked once, into the
+:class:`~quantloop.intrinsics.GemvCall` the handler receives (on every call
+instead when some argument is a param).  Over a quantized buffer the call
+holds the :class:`QuantizedMatrix` itself, so the handler can pick the
+sketch kernel.
 Loads from a quantized buffer in an ordinary loop nest see its dense
 reconstruction, built once at bind and read-only.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Mapping
 
 import numpy as np
 
+from ..intrinsics import bind_gemv, default_registry
 from ..quantizer import QuantizedMatrix, dequantize
 from .nodes import (
     AccumInit,
@@ -51,6 +61,18 @@ from .nodes import (
 __all__ = ["Prepared", "TrapError", "interpret"]
 
 
+#: Elementwise binary ops that a depth-1 loop may run as one numpy call.
+_UFUNCS = {"add": (np.add, operator.add), "mul": (np.multiply, operator.mul)}
+
+
+def _pack(*args) -> tuple:
+    return args
+
+
+def _pack_gemv(*args) -> tuple:
+    return (bind_gemv(*args),)
+
+
 class TrapError(RuntimeError):
     """Out-of-bounds buffer access, reported with buffer name and index."""
 
@@ -68,7 +90,9 @@ class Prepared:
     """A program compiled to closures over one bound environment.
 
     Building it validates every buffer the function references against its
-    declaration, once; :meth:`run` then only reads the params from `env`.
+    declaration, binds each ``gemv`` call whose arguments are all literals
+    or buffers, and compiles each elementwise depth-1 loop to one numpy
+    operation, all once; :meth:`run` then only reads the params from `env`.
     """
 
     def __init__(
@@ -79,8 +103,6 @@ class Prepared:
         intrinsics: Mapping[str, Callable] | None = None,
     ) -> None:
         if intrinsics is None:
-            from ..intrinsics import default_registry
-
             intrinsics = default_registry()
         self.program = program
         self.function = program.function(function)
@@ -265,7 +287,72 @@ class Prepared:
             return self._compile_call(s)
         raise TypeError(f"cannot compile statement of type {type(s).__name__}")
 
+    def _compile_elementwise(self, s: Loop) -> Callable | None:
+        """One ufunc call for an elementwise loop, or None to run it scalar.
+
+        The loop must be exactly ``for d in lo..hi { load a = L[d]; load b =
+        R[d]; let r = a op b; store O[d] = r }`` with op add or mul, constant
+        bounds inside every buffer, a bare ``d`` as every subscript and a
+        writeable output (not a quantized reconstruction).  O may be L or R:
+        each element is read before it is written either way.  A float32 sum
+        or product taken in double and rounded to float32 equals the float32
+        operation (double rounding is innocuous for + and x when the wide
+        format has at least 2p+2 bits: 53 >= 2*24+2, Figueroa 1995), so the
+        result is bit-identical to the scalar loop.  Afterwards the frame
+        holds what the scalar loop leaves: ``d = hi-1`` and the last
+        iteration's ``a``, ``b`` and ``r``.
+        """
+        if len(s.body) != 4 or not all(
+            isinstance(e, AffineExpr) and e.is_const for e in (s.lower, s.upper)
+        ):
+            return None
+        load_l, load_r, binop, store = s.body
+        if not (
+            isinstance(load_l, Load)
+            and isinstance(load_r, Load)
+            and isinstance(binop, BinOp)
+            and isinstance(store, Store)
+        ):
+            return None
+        d, a, b, r = s.iv, load_l.dest, load_r.dest, binop.dest
+        lo, hi = s.lower.offset, s.upper.offset
+        if (
+            binop.op not in _UFUNCS
+            or (binop.a, binop.b, store.value) != (a, b, r)
+            or len({d, a, b, r}) != 4
+            or not load_l.index == load_r.index == store.index == (AffineExpr.of(d),)
+        ):
+            return None
+        left, right, out = (self._flat_view(x.buffer) for x in (load_l, load_r, store))
+        # Bounds inside every buffer, and either the same storage or none
+        # shared: a partial overlap would let the scalar loop read its own
+        # earlier stores.
+        if (
+            not 0 <= lo < hi <= min(left.size, right.size, out.size)
+            or not out.flags.writeable
+            or any(v is not out and np.may_share_memory(v, out) for v in (left, right))
+        ):
+            return None
+        ufunc, scalar_op = _UFUNCS[binop.op]
+        left_item, right_item = left.item, right.item
+        left, right, out = left[lo:hi], right[lo:hi], out[lo:hi]
+        last = hi - 1
+
+        def run_elementwise(frame):
+            last_a = left_item(last)  # read before the op: O may be L or R
+            last_b = right_item(last)
+            ufunc(left, right, out=out)
+            frame[d] = last
+            frame[a] = last_a
+            frame[b] = last_b
+            frame[r] = scalar_op(last_a, last_b)
+
+        return run_elementwise
+
     def _compile_loop(self, s: Loop) -> Callable:
+        elementwise = self._compile_elementwise(s)
+        if elementwise is not None:
+            return elementwise
         body = [self._compile_stmt(b) for b in s.body]
         iv = s.iv
         lower, upper = s.lower, s.upper
@@ -321,11 +408,15 @@ class Prepared:
                 args[pos] = self._bind(arg)
             elif arg in self._params:
                 from_frame.append((pos, arg))
+        # A gemv handler takes one GemvCall, bound here when every argument
+        # is known, or on each call when some are params.
+        pack = _pack_gemv if s.name == "gemv" else _pack
 
         if not from_frame:
+            packed = pack(*args)
 
             def run_call(frame):
-                handler(*args)
+                handler(*packed)
 
             return run_call
 
@@ -333,7 +424,7 @@ class Prepared:
             call_args = args.copy()
             for pos, name in from_frame:
                 call_args[pos] = frame[name]
-            handler(*call_args)
+            handler(*pack(*call_args))
 
         return run_call_params
 

@@ -20,6 +20,10 @@ ignored, indentation is cosmetic)::
     operand   := NAME | FLOAT
     arg       := NAME | INT | FLOAT
 
+Loops nest at most :data:`MAX_LOOP_DEPTH` deep; a deeper ``for`` is a parse
+error, which keeps every recursive walk of a parsed program (validation,
+the GEMV pass, printing, interpretation) far from Python's recursion limit.
+
 In ``expr`` a NAME is an enclosing induction variable or a declared
 parameter.  A product of two induction variables (or any other non-affine
 form) is a parse error, as is a subscript on an undeclared buffer.  In
@@ -53,7 +57,10 @@ from .nodes import (
     Store,
 )
 
-__all__ = ["ParseError", "parse_program", "print_program"]
+__all__ = ["MAX_LOOP_DEPTH", "ParseError", "parse_program", "print_program"]
+
+#: Deepest loop nest the parser accepts.
+MAX_LOOP_DEPTH = 64
 
 
 class ParseError(ValueError):
@@ -222,6 +229,10 @@ class _Parser:
         if kind != "name":
             raise ParseError(f"expected a statement keyword, got {text!r}", cur.line, col)
         if text == "for":
+            if len(ivs) == MAX_LOOP_DEPTH:
+                raise ParseError(
+                    f"loops nest deeper than {MAX_LOOP_DEPTH} levels", cur.line, col
+                )
             iv = cur.expect("name")[1]
             cur.expect("name", "in")
             lower = self._parse_affine(cur, ivs, stop={".."})

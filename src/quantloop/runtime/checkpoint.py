@@ -31,7 +31,7 @@ import numpy as np
 
 from ..bitcodec import MAX_BIT_WIDTH, PackedBuffer, payload_size
 from ..quantizer import Codebook, QuantConfig, QuantizedMatrix, quantize_matrix
-from .config import ModelConfig, TOY_CONFIG, tensor_shapes
+from .config import ModelConfig, TOY_CONFIG, layer_shapes, tensor_shapes
 from .rng import tensor_fill
 
 FLOAT_MAGIC = b"DITF"
@@ -100,6 +100,23 @@ def _read_header(f: BinaryIO, magic: bytes, path: str) -> ModelConfig:
         raise InvalidHeaderError(f"{path}: bad config fields: {exc}") from exc
 
 
+def _check_layer_count(config: ModelConfig, size: int, quantized: bool) -> None:
+    # The header's n_layers sizes the tensor inventory, a list of 9 entries
+    # per layer, so it is checked against the file first: each layer takes at
+    # least its raw float32 tensors, or for .ditq its gains plus one 1-bit
+    # record per matrix.
+    per_layer = sum(
+        quantized_record_size(*shape, 1) if quantized and len(shape) == 2
+        else 4 * math.prod(shape)
+        for _, shape in layer_shapes(config, 0)
+    )
+    need = _HEADER.size + config.n_layers * per_layer
+    if need > size:
+        raise TruncatedCheckpointError(
+            f"{config.n_layers} layers need at least {need} bytes, the file has {size}"
+        )
+
+
 def _write_header(f: BinaryIO, magic: bytes, config: ModelConfig) -> None:
     f.write(_HEADER.pack(magic, FORMAT_VERSION, *config.fields_tuple()))
 
@@ -130,6 +147,7 @@ def read_float_checkpoint(path: str):
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         config = _read_header(f, FLOAT_MAGIC, path)
+        _check_layer_count(config, size, quantized=False)
         tensors = {}
         for name, shape in tensor_shapes(config):
             count = int(np.prod(shape))
@@ -221,6 +239,7 @@ def read_quantized_checkpoint(path: str):
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         config = _read_header(f, QUANT_MAGIC, path)
+        _check_layer_count(config, size, quantized=True)
         tensors = {}
         for name, shape in tensor_shapes(config):
             if len(shape) == 1:

@@ -63,26 +63,32 @@ TOY_CONFIG = ModelConfig(
 )
 
 
+def layer_shapes(config: ModelConfig, i: int) -> list:
+    """Ordered (name, shape) pairs of layer `i`'s tensors; every layer has the same shapes."""
+    d, h, kv = config.dim, config.hidden_dim, config.kv_dim
+    return [
+        (f"l{i}_att_norm", (d,)),
+        (f"l{i}_wq", (d, d)),
+        (f"l{i}_wk", (kv, d)),
+        (f"l{i}_wv", (kv, d)),
+        (f"l{i}_wo", (d, d)),
+        (f"l{i}_ffn_norm", (d,)),
+        (f"l{i}_w1", (h, d)),
+        (f"l{i}_w2", (d, h)),
+        (f"l{i}_w3", (h, d)),
+    ]
+
+
 def tensor_shapes(config: ModelConfig) -> list:
     """Ordered (name, shape) pairs for every tensor in a checkpoint.
 
     2-D tensors are the matmul weights (quantizable); 1-D tensors are the
     normalization gains (always stored as float32).
     """
-    d, h, kv = config.dim, config.hidden_dim, config.kv_dim
+    d = config.dim
     shapes = [("tok_emb", (config.vocab_size, d))]
     for i in range(config.n_layers):
-        shapes += [
-            (f"l{i}_att_norm", (d,)),
-            (f"l{i}_wq", (d, d)),
-            (f"l{i}_wk", (kv, d)),
-            (f"l{i}_wv", (kv, d)),
-            (f"l{i}_wo", (d, d)),
-            (f"l{i}_ffn_norm", (d,)),
-            (f"l{i}_w1", (h, d)),
-            (f"l{i}_w2", (d, h)),
-            (f"l{i}_w3", (h, d)),
-        ]
+        shapes += layer_shapes(config, i)
     shapes += [("final_norm", (d,)), ("classifier", (config.vocab_size, d))]
     return shapes
 

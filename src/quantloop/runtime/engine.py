@@ -20,9 +20,12 @@ from a dequantized copy of each matrix, made when the program is prepared
 (the slow ablation arm).  Bound fallback and the dual check need the shadow,
 so the engine refuses a threshold or the dual check without one.
 
-Every ``gemv`` call goes through one policy, :meth:`Engine._gemv_policy`,
-which returns a :class:`GemvObservation`; the :class:`EngineStats` counters
-and the optional ``gemv_observer`` both read that record.
+Each ``gemv`` call arrives bound (a :class:`~quantloop.intrinsics.GemvCall`
+built when the program was prepared).  With no threshold, no dual check and
+no observer it runs straight through the kernel and only the call counters
+of :class:`EngineStats` advance.  Otherwise it goes through one policy,
+:meth:`Engine._gemv_policy`, which returns a :class:`GemvObservation`; the
+counters and the optional ``gemv_observer`` both read that record.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from ..kernels import runtime_bound_check
 from ..quantizer import QuantConfig, QuantizedMatrix, quantize_matrix
 from ..loopir.interp import Prepared
-from ..intrinsics import default_registry
+from ..intrinsics import GemvCall, default_registry
 from ..gemvpass import run_gemv_pass
 from .checkpoint import (
     FLOAT_MAGIC,
@@ -191,48 +194,57 @@ class Engine:
 
     # -- gemv policy ---------------------------------------------------------
 
-    def _gemv_policy(
-        self, layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy
-    ) -> GemvObservation:
+    def _gemv_policy(self, call: GemvCall) -> GemvObservation:
         """Run one gemv call as the engine's settings say, and describe it.
 
-        A quantized matrix is bound-checked when a threshold, the dual check
-        or an observer needs the bound.  Over the threshold the call runs on
-        the matrix's float shadow instead; under the dual check it runs on
-        both, and the gap between the two results is measured.
+        A quantized matrix is bound-checked (the policy runs only when a
+        threshold, the dual check or an observer needs the bound).  Over the
+        threshold the call runs on the matrix's float shadow instead; under
+        the dual check it runs on both, and the gap between the two results
+        is measured.
         """
         kernel = self._gemv_kernel
-        epsilon = bound = diff_inf = shadow = y_float = None
+        a, p = call.a, call.params
+        epsilon = bound = diff_inf = None
         fallback = False
         if isinstance(a, QuantizedMatrix):
             epsilon = a.epsilon
-            shadow = self._float_shadow.get(id(a))
-            if (
-                self.bound_threshold is not None
-                or self.dual_check
-                or self.gemv_observer is not None
-            ):
-                report = runtime_bound_check(a, x, self.bound_threshold)
-                bound = abs(alpha) * report.inf_bound
-                fallback = report.threshold_exceeded
+            report = runtime_bound_check(a, call.x, self.bound_threshold)
+            bound = abs(p.alpha) * report.inf_bound
+            fallback = report.threshold_exceeded
         if fallback:
-            a = shadow
+            kernel(call.over(self._float_shadow[id(a)]))
         elif self.dual_check:
-            y_float = y.copy()
-        kernel(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
-        if y_float is not None:
-            kernel(layout, trans, m, n, alpha, shadow, lda, x, incx, beta, y_float, incy)
-            diff = np.abs(y.astype(np.float64) - y_float)
+            y_float = call.y.copy()
+            kernel(call)
+            kernel(call.over(self._float_shadow[id(a)], y_float))
+            diff = np.abs(call.y.astype(np.float64) - y_float)
             diff_inf = float(diff.max(initial=0.0))
+        else:
+            kernel(call)
         seq = self.stats.gemv_calls + 1
-        return GemvObservation(seq, m, n, alpha, beta, epsilon, bound, diff_inf, fallback)
+        return GemvObservation(
+            seq, p.m, p.n, p.alpha, p.beta, epsilon, bound, diff_inf, fallback
+        )
 
-    def _gemv(self, *args) -> None:
-        """The ``gemv`` intrinsic: the policy's record feeds stats and observer."""
-        obs = self._gemv_policy(*args)
-        self.stats.record(obs)
-        if self.gemv_observer is not None:
-            self.gemv_observer(obs)
+    def _gemv(self, call: GemvCall) -> None:
+        """The ``gemv`` intrinsic.
+
+        Runs the kernel straight away unless a threshold, the dual check or
+        an observer (which may be attached at any time) needs the policy's
+        :class:`GemvObservation`; the counts in :attr:`stats` come out the
+        same either way.
+        """
+        observer = self.gemv_observer
+        if self.bound_threshold is not None or self.dual_check or observer is not None:
+            obs = self._gemv_policy(call)
+            self.stats.record(obs)
+            if observer is not None:
+                observer(obs)
+            return
+        self._gemv_kernel(call)
+        self.stats.gemv_calls += 1
+        self.stats.quantized_gemv_calls += isinstance(call.a, QuantizedMatrix)
 
     # -- stepping ------------------------------------------------------------
 

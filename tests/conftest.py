@@ -18,6 +18,22 @@ def toy_quant_path(tmp_path_factory, toy_float_path):
     return str(path)
 
 
+@pytest.fixture
+def gemv_bind_counts(monkeypatch):
+    """Counts of GemvParams builds and operand checks made to bind gemv calls."""
+    from quantloop import intrinsics
+
+    counts = {"GemvParams": 0, "_operands": 0}
+    for name in counts:
+
+        def counting(*args, _name=name, _original=getattr(intrinsics, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(intrinsics, name, counting)
+    return counts
+
+
 def assert_elementwise_close(actual, reference, scale, rtol, context=""):
     """Per-element |actual - reference| <= rtol * scale, evaluated in float64.
 

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from quantloop.cli import main
+from quantloop.loopir.textio import MAX_LOOP_DEPTH, parse_program
 from quantloop.runtime.checkpoint import FLOAT_MAGIC, QUANT_MAGIC
 from quantloop.runtime.engine import sniff_magic
 
@@ -71,12 +72,15 @@ def test_missing_path_is_usage_error(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("magic", [FLOAT_MAGIC, QUANT_MAGIC], ids=["ditf", "ditq"])
 @pytest.mark.parametrize(
-    "vocab, dim", [(1 << 20, 4096), ((1 << 31) - 1, (1 << 31) - 1)], ids=["16GiB", "2pow31"]
+    "vocab, dim, n_layers",
+    [(1 << 20, 4096, 1), ((1 << 31) - 1, (1 << 31) - 1, 1), (1, 1, 20_000)],
+    ids=["16GiB", "2pow31", "layers"],
 )
-def test_hostile_header_sizes_are_refused(tmp_path, capsys, magic, vocab, dim):
-    # A 136-byte file whose header implies a tok_emb of vocab x dim.  The
-    # .ditq record agrees with the header, so only its code read is too big.
-    header = struct.pack("<4sI7i", magic, 1, dim, 1, 1, 1, 1, vocab, 1)
+def test_hostile_header_sizes_are_refused(tmp_path, capsys, magic, vocab, dim, n_layers):
+    # A 136-byte file whose header implies a tok_emb of vocab x dim, or more
+    # layers than the file can hold.  The .ditq record agrees with the
+    # header, so only its code read is too big.
+    header = struct.pack("<4sI7i", magic, 1, dim, 1, n_layers, 1, 1, vocab, 1)
     if magic == QUANT_MAGIC:
         header += struct.pack("<BIIf", 3, vocab, dim, 0.0) + bytes(4 * 8)
     path = tmp_path / "hostile.bin"
@@ -91,6 +95,28 @@ def test_hostile_header_sizes_are_refused(tmp_path, capsys, magic, vocab, dim):
         assert code == 2, command
         assert stderr.startswith("error:"), stderr
         assert peak < 1 << 20, (command, peak)
+
+
+def _nested_program(depth: int) -> str:
+    lines = ["buffer y[1]", "", "func f {"]
+    lines += [f"for i{d} in 0..1 {{" for d in range(depth)]
+    lines += ["store y[0] = 1.0"] + ["}"] * depth + ["}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_loop_depth_is_limited(tmp_path, capsys):
+    deep = tmp_path / "deep.dir"
+    deep.write_text(_nested_program(3000))
+    for argv in (("inspect", str(deep)), ("optimize", str(deep), str(tmp_path / "o.dir"))):
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert stderr.startswith("error:"), stderr
+        assert f"deeper than {MAX_LOOP_DEPTH}" in stderr
+    limit = tmp_path / "limit.dir"
+    limit.write_text(_nested_program(MAX_LOOP_DEPTH))
+    code, _, _ = run_cli(capsys, "optimize", str(limit), str(tmp_path / "o.dir"))
+    assert code == 0
+    assert parse_program((tmp_path / "o.dir").read_text()) == parse_program(limit.read_text())
 
 
 def test_optimize_rewrites_program(tmp_path, capsys):

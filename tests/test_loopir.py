@@ -358,6 +358,161 @@ def test_quantized_loads_reconstruct_once(monkeypatch):
     np.testing.assert_array_equal(env["y"], [3.0, 7.0])
 
 
+# -- elementwise loops -------------------------------------------------------
+
+_SCALAR_OPS = {"add": lambda u, v: u + v, "mul": lambda u, v: u * v}
+
+
+def _ewise(op, out="O", lo=0, hi=4, n=4, upper=None, tail=()):
+    """``for d in lo..hi { a = L[d]; b = R[d]; r = a op b; O[d] = r }`` plus `tail`.
+
+    With `upper` the loop's upper bound is that param, which keeps the loop
+    on the interpreter's scalar path: the reference the tests compare with.
+    """
+    d = AffineExpr.of("d")
+    loop = Loop(
+        iv="d",
+        lower=AffineExpr.const(lo),
+        upper=AffineExpr.of(upper) if upper else AffineExpr.const(hi),
+        body=(
+            Load(dest="a", buffer="L", index=(d,)),
+            Load(dest="b", buffer="R", index=(d,)),
+            BinOp(dest="r", op=op, a="a", b="b"),
+            Store(buffer=out, index=(d,), value="r"),
+        ),
+    )
+    return LoopProgram(
+        buffers=tuple(BufferDecl(name, (n,)) for name in ("L", "R", "O", "Z")),
+        params=(upper,) if upper else (),
+        functions=(Function(name="f", body=(loop, *tail)),),
+    )
+
+
+def _run(program, env, **params):
+    env = {k: v.copy() for k, v in env.items()} | params
+    prepared = Prepared(program, env)
+    prepared.run()
+    return prepared, env
+
+
+_special = st.sampled_from(
+    [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, 3.4028235e38]
+)
+_f32 = st.one_of(_special, st.floats(width=32, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    op=st.sampled_from(["add", "mul"]),
+    out=st.sampled_from(["O", "L", "R"]),
+    data=st.data(),
+)
+def test_elementwise_loop_matches_scalar_reference(op, out, data):
+    n = data.draw(st.integers(1, 12))
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    env = {
+        name: np.array(data.draw(st.lists(_f32, min_size=n, max_size=n)), dtype=np.float32)
+        for name in ("L", "R", "O", "Z")
+    }
+    expect = {k: v.copy() for k, v in env.items()}
+    with np.errstate(all="ignore"):
+        for i in range(lo, hi):
+            u, v = float(expect["L"][i]), float(expect["R"][i])
+            expect[out][i] = np.float32(_SCALAR_OPS[op](u, v))
+        prepared, got = _run(_ewise(op, out, lo, hi, n), env)
+    assert prepared._body[0].__name__ == "run_elementwise"
+    for name in env:
+        assert got[name].view(np.uint32).tolist() == expect[name].view(np.uint32).tolist(), name
+
+
+@pytest.mark.parametrize("out", ["O", "L", "R"])
+def test_elementwise_loop_leaves_the_scalar_frame(out):
+    # After the loop, d, a, b and an unrounded r hold the last iteration's
+    # values, a and b as loaded before the store: Z[d] = r rounds r, and
+    # Z[0] = r - out[2] is the residue of that rounding.
+    d = AffineExpr.of("d")
+    tail = (
+        Store(buffer="Z", index=(d,), value="r"),
+        Load(dest="c", buffer=out, index=(AffineExpr.const(2),)),
+        BinOp(dest="e", op="fma", a="c", b=-1.0, c="r"),
+        Store(buffer="Z", index=(AffineExpr.const(0),), value="e"),
+        Store(buffer="Z", index=(AffineExpr.const(1),), value="a"),
+        Store(buffer="Z", index=(AffineExpr.const(3),), value="b"),
+    )
+    env = {
+        "L": np.array([1, 2, 1 + 2**-23, 5], dtype=np.float32),
+        "R": np.array([3, 4, 1 + 2**-22, 7], dtype=np.float32),
+        "O": np.zeros(4, dtype=np.float32),
+        "Z": np.zeros(4, dtype=np.float32),
+    }
+    prepared, fast = _run(_ewise("mul", out, hi=3, tail=tail), env)
+    assert prepared._body[0].__name__ == "run_elementwise"
+    _, scalar = _run(_ewise("mul", out, upper="n", tail=tail), env, n=3)
+    for name in ("L", "R", "O", "Z"):
+        np.testing.assert_array_equal(fast[name], scalar[name])
+    assert fast["Z"][2] == fast[out][2]  # d = 2
+    assert fast["Z"][0] == np.float32(2.0**-45)  # exact product minus its rounding
+    assert (fast["Z"][1], fast["Z"][3]) == (env["L"][2], env["R"][2])
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 5), (-1, 3)], ids=["past-end", "before-start"])
+def test_elementwise_loop_out_of_range_traps_like_scalar(lo, hi):
+    env = {name: np.arange(4, dtype=np.float32) + 1 for name in ("L", "R", "O", "Z")}
+    env["O"][:] = 0
+    results = []
+    for upper in (None, "n"):
+        program = _ewise("add", lo=lo, hi=hi, upper=upper)
+        run_env = {k: v.copy() for k, v in env.items()} | {"n": hi}
+        with pytest.raises(TrapError) as exc:
+            Prepared(program, run_env).run()
+        results.append((exc.value.buffer, exc.value.index, run_env["O"].tolist()))
+    assert results[0] == results[1]
+    assert results[0][:2] == ("L", (4 if lo == 0 else lo,))
+    assert results[0][2] == ([2.0, 4.0, 6.0, 8.0] if lo == 0 else [0.0] * 4)
+
+
+def test_elementwise_loop_over_overlapping_buffers_runs_scalar():
+    # O starts one element into L's storage, so each store feeds the next load.
+    storage = np.arange(1, 6, dtype=np.float32)
+    env = {"L": storage[:4], "R": np.ones(4, np.float32), "O": storage[1:],
+           "Z": np.zeros(4, np.float32)}
+    prepared = Prepared(_ewise("add"), env)
+    prepared.run()
+    assert prepared._body[0].__name__ != "run_elementwise"
+    np.testing.assert_array_equal(storage, [1, 2, 3, 4, 5])
+
+
+GEMV_PARAM_LDA = """\
+buffer A[2, 3]
+buffer x[3]
+buffer y[2]
+param lda
+
+func f {
+  call gemv(RM, NT, 2, 3, 1.0, A, lda, x, 1, 0.0, y, 1)
+}
+"""
+
+
+def test_gemv_with_param_arguments_binds_per_call(gemv_bind_counts):
+    results = []
+    for text in (GEMV_PARAM_LDA, GEMV_PARAM_LDA.replace("lda, x", "3, x")):
+        env = {
+            "A": np.arange(6, dtype=np.float32).reshape(2, 3) / 7,
+            "x": np.array([1, -2, 3], dtype=np.float32) / 3,
+            "y": np.zeros(2, dtype=np.float32),
+            "lda": 3,
+        }
+        prepared = Prepared(parse_program(text), env)
+        prepared.run()
+        prepared.run()
+        results.append(env["y"].tobytes())
+    assert results[0] == results[1]
+    # Two runs of the param site, then the literal site's one bind at prepare.
+    assert gemv_bind_counts == {"GemvParams": 3, "_operands": 3}
+
+
 # -- validation --------------------------------------------------------------
 
 

@@ -362,6 +362,14 @@ def test_stats_count_gemv_calls(toy_float_path):
     assert q.stats.quantized_gemv_calls == 15 * 5
 
 
+def test_gemv_call_sites_bind_once(toy_float_path, gemv_bind_counts):
+    eng = Engine(toy_float_path, mode="optimized")
+    assert gemv_bind_counts == {"GemvParams": 15, "_operands": 15}
+    eng.generate([1], steps=4)
+    assert gemv_bind_counts == {"GemvParams": 15, "_operands": 15}
+    assert eng.stats.gemv_calls == 15 * 5
+
+
 def test_naive_mode_interprets_loops(toy_float_path):
     eng = Engine(toy_float_path, mode="naive")
     eng.forward(1, 0)
