@@ -2,9 +2,11 @@
 """Time the GEMV kernels over a sweep of matrix shapes.
 
 Prints one row per ``MxN`` shape with the best-of-N wall time of the
-reference kernel, the optimized kernel and the quantized sketch, the
-optimized kernel's effective GFLOP/s, and each kernel's speed-up over the
-reference.  The default shapes are the toy model's GEMVs plus 1024x1024.
+reference kernel, the optimized kernel, the ordered codes-domain oracle
+(sketch) and the codes-domain kernel the ``gemv`` intrinsic runs (codes),
+the optimized kernel's effective GFLOP/s, and each kernel's speed-up over
+the reference.  The default shapes are the toy model's GEMVs plus
+1024x1024.
 
     python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 3
 """
@@ -22,6 +24,7 @@ from quantloop.kernels import (
     GemvParams,
     Layout,
     Trans,
+    gemv_codes,
     gemv_naive,
     gemv_opt,
     gemv_sketch,
@@ -56,8 +59,8 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     shapes = [parse_shape(s) for s in args.sizes.split(",")]
 
-    print(f"{'shape':>10} {'naive ms':>10} {'opt ms':>10} {'sketch ms':>10} "
-          f"{'opt GFLOP/s':>12} {'opt/naive':>10} {'sketch/naive':>13}")
+    print(f"{'shape':>10} {'naive ms':>10} {'opt ms':>10} {'sketch ms':>10} {'codes ms':>10} "
+          f"{'opt GFLOP/s':>12} {'opt/naive':>10} {'sketch/naive':>13} {'codes/naive':>12}")
     for m, n in shapes:
         a = rng.standard_normal((m, n)).astype(np.float32)
         x = rng.standard_normal(n).astype(np.float32)
@@ -71,11 +74,12 @@ def main() -> int:
         t_naive = best_of(lambda: gemv_naive(flat, x, y, p), max(args.reps // 2, 1))
         t_opt = best_of(lambda: gemv_opt(flat, x, y, p), args.reps)
         t_sketch = best_of(lambda: gemv_sketch(q, x, y, p), max(args.reps // 2, 1))
+        t_codes = best_of(lambda: gemv_codes(q, x, y, p), max(args.reps // 2, 1))
 
         flops = 2.0 * m * n
         print(f"{f'{m}x{n}':>10} {t_naive * 1e3:>10.3f} {t_opt * 1e3:>10.3f} "
-              f"{t_sketch * 1e3:>10.3f} {flops / t_opt / 1e9:>12.2f} "
-              f"{t_naive / t_opt:>9.1f}x {t_naive / t_sketch:>12.1f}x")
+              f"{t_sketch * 1e3:>10.3f} {t_codes * 1e3:>10.3f} {flops / t_opt / 1e9:>12.2f} "
+              f"{t_naive / t_opt:>9.1f}x {t_naive / t_sketch:>12.1f}x {t_naive / t_codes:>11.1f}x")
     return 0
 
 

@@ -30,6 +30,7 @@ from .kernels import (
     Layout,
     Trans,
     error_bound,
+    gemv_codes,
     gemv_naive,
     gemv_opt,
     gemv_sketch,
@@ -52,6 +53,7 @@ __all__ = [
     "bits_required",
     "dequantize",
     "error_bound",
+    "gemv_codes",
     "gemv_naive",
     "gemv_opt",
     "gemv_sketch",

@@ -10,8 +10,11 @@ Signatures (buffers first, then scalars):
 * ``gemv(call)`` — one :class:`GemvCall`, which the interpreter binds from
   the program's BLAS-shaped arguments ``(layout, trans, m, n, alpha, A, lda,
   x, incx, beta, y, incy)`` with :func:`bind_gemv` when the program is
-  prepared.  A quantized A runs the sketch kernel; a dense A runs the
-  product over the view checked at bind.
+  prepared.  A dense A runs the product over the view checked at bind.  A
+  quantized A runs :func:`~quantloop.kernels.gemv_codes`, the kernel that
+  reduces each decoded tile with one matmul, on the vectors checked at
+  bind; :func:`~quantloop.kernels.gemv_sketch` is not dispatched, it stays
+  the ordered oracle that ``gemv_codes`` is tested against.
 * ``rmsnorm(dst, src, weight)`` — ``dst = src * weight / rms(src)`` with
   ``rms(src) = sqrt(mean(src^2) + 1e-5)``.
 * ``softmax(v)`` — in place, max-subtracted.
@@ -39,10 +42,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitcodec import unpack_slice
-# gemv_opt is imported for perfbench/tracing.py, which patches it here by
-# name; the bound dense product below is gemv_opt minus the operand check.
-from .kernels import GemvParams, Layout, Trans, _operands, gemv_opt, gemv_sketch  # noqa: F401
-from .quantizer import QuantizedMatrix
+# gemv_opt and gemv_sketch are imported only for perfbench/tracing.py, which
+# patches them here by name.  The handler runs neither: a dense call is
+# gemv_opt's product and a packed one gemv_codes' tile loop, each minus the
+# operand check, so their traced figures read 0.
+from .kernels import (  # noqa: F401
+    GemvParams,
+    Layout,
+    Trans,
+    _codes_tiles,
+    _operands,
+    _packed_operands,
+    gemv_opt,
+    gemv_sketch,
+)
+from .quantizer import QuantizedMatrix, dequantize
 
 __all__ = [
     "GemvCall",
@@ -61,19 +75,24 @@ ROPE_THETA = 10000.0
 class GemvCall:
     """One gemv call with its operands checked against its params.
 
-    For a dense matrix, ``view``, ``x_eff`` and ``y_eff`` are the strided
-    views the kernels' operand check returns, so running the call is only
-    the product and the alpha/beta store.  For a quantized matrix they are
-    None: the sketch kernel checks its vectors itself, per call.
+    ``x_eff`` and ``y_eff`` are the strided views of the vectors that the
+    kernels' operand check returns.  For a dense matrix ``view`` is the
+    checked view of the matrix, so running the call is only the product and
+    the alpha/beta store.  For a quantized matrix in its packed layout
+    ``view`` is None and the call runs the codes kernel's tile loop; in
+    any other layout ``view`` is over a reconstruction made once, here.
+    ``shadow``, when a caller binds one, is the same call on the matrix's
+    float copy, writing into its own y scratch.
     """
 
     a: object  # the bound float32 ndarray or QuantizedMatrix
     x: np.ndarray
     y: np.ndarray
     params: GemvParams
-    view: np.ndarray | None = None
-    x_eff: np.ndarray | None = None
-    y_eff: np.ndarray | None = None
+    view: np.ndarray | None
+    x_eff: np.ndarray
+    y_eff: np.ndarray
+    shadow: "GemvCall | None" = None
 
     def over(self, a, y: np.ndarray | None = None) -> "GemvCall":
         """The same call on matrix `a` (and output `y`), checked again."""
@@ -82,7 +101,12 @@ class GemvCall:
 
 def _bind_operands(a, x, y, p: GemvParams) -> GemvCall:
     if isinstance(a, QuantizedMatrix):
-        return GemvCall(a, x, y, p)
+        vectors = _packed_operands(a, x, y, p)
+        if vectors is not None:
+            return GemvCall(a, x, y, p, None, *vectors)
+        dense = dequantize(a).reshape(-1)
+        dense.flags.writeable = False
+        return GemvCall(a, x, y, p, *_operands(dense, x, y, p))
     return GemvCall(a, x, y, p, *_operands(a.reshape(-1), x, y, p))
 
 
@@ -103,11 +127,15 @@ def bind_gemv(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy) -> Gem
 
 
 def gemv_handler(call: GemvCall) -> None:
-    """Run a bound gemv call; dense results equal ``gemv_opt``'s bit for bit."""
+    """Run a bound gemv call.
+
+    Dense results equal ``gemv_opt``'s bit for bit and packed quantized
+    results ``gemv_codes``'s.
+    """
+    p = call.params
     if call.view is None:
-        gemv_sketch(call.a, call.x, call.y, call.params)
+        _codes_tiles(call.a, call.x_eff, call.y_eff, p)
     else:
-        p = call.params
         y_eff = call.y_eff
         y_eff[...] = np.float32(p.alpha) * (call.view @ call.x_eff) + np.float32(p.beta) * y_eff
 

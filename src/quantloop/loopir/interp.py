@@ -28,7 +28,8 @@ params are built and its operands checked once, into the
 :class:`~quantloop.intrinsics.GemvCall` the handler receives (on every call
 instead when some argument is a param).  Over a quantized buffer the call
 holds the :class:`QuantizedMatrix` itself, so the handler can pick the
-sketch kernel.
+codes-domain kernel.  A caller may pass its own ``bind_gemv`` that binds
+more per site, such as the engine's float-shadow call.
 Loads from a quantized buffer in an ordinary loop nest see its dense
 reconstruction, built once at bind and read-only.
 """
@@ -69,10 +70,6 @@ def _pack(*args) -> tuple:
     return args
 
 
-def _pack_gemv(*args) -> tuple:
-    return (bind_gemv(*args),)
-
-
 class TrapError(RuntimeError):
     """Out-of-bounds buffer access, reported with buffer name and index."""
 
@@ -93,6 +90,7 @@ class Prepared:
     declaration, binds each ``gemv`` call whose arguments are all literals
     or buffers, and compiles each elementwise depth-1 loop to one numpy
     operation, all once; :meth:`run` then only reads the params from `env`.
+    `bind_gemv` builds each gemv site's call from its BLAS-shaped arguments.
     """
 
     def __init__(
@@ -101,6 +99,7 @@ class Prepared:
         env: dict,
         function: str | None = None,
         intrinsics: Mapping[str, Callable] | None = None,
+        bind_gemv: Callable = bind_gemv,
     ) -> None:
         if intrinsics is None:
             intrinsics = default_registry()
@@ -108,6 +107,7 @@ class Prepared:
         self.function = program.function(function)
         self.env = env
         self._intrinsics = dict(intrinsics)
+        self._bind_gemv = bind_gemv
         self._params = tuple(program.params)
         self._buffer_names = {d.name for d in program.buffers}
         self._bound: dict[str, object] = {}
@@ -410,7 +410,7 @@ class Prepared:
                 from_frame.append((pos, arg))
         # A gemv handler takes one GemvCall, bound here when every argument
         # is known, or on each call when some are params.
-        pack = _pack_gemv if s.name == "gemv" else _pack
+        pack = (lambda *a: (self._bind_gemv(*a),)) if s.name == "gemv" else _pack
 
         if not from_frame:
             packed = pack(*args)

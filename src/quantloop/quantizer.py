@@ -12,7 +12,7 @@ output error of matrix-vector products analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +55,15 @@ class QuantConfig:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Centroid table: ``2**bit_width`` float32 values, sorted ascending."""
+    """Centroid table: ``2**bit_width`` float32 values, sorted ascending.
+
+    ``max_abs`` is the largest centroid magnitude, taken once here; the
+    float32 error bound scales with it on every call.
+    """
 
     centroids: np.ndarray
     bit_width: int
+    max_abs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.centroids, dtype=np.float32)
@@ -69,6 +74,7 @@ class Codebook:
         if np.any(np.diff(c) < 0):
             raise ValueError("codebook centroids must be sorted ascending")
         object.__setattr__(self, "centroids", c)
+        object.__setattr__(self, "max_abs", float(np.abs(c).max()))
 
 
 @dataclass(frozen=True)

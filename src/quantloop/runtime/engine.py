@@ -21,17 +21,21 @@ from a dequantized copy of each matrix, made when the program is prepared
 so the engine refuses a threshold or the dual check without one.
 
 Each ``gemv`` call arrives bound (a :class:`~quantloop.intrinsics.GemvCall`
-built when the program was prepared).  With no threshold, no dual check and
-no observer it runs straight through the kernel and only the call counters
-of :class:`EngineStats` advance.  Otherwise it goes through one policy,
-:meth:`Engine._gemv_policy`, which returns a :class:`GemvObservation`; the
-counters and the optional ``gemv_observer`` both read that record.
+built when the program was prepared; a call on a matrix with a float shadow
+also carries the shadow's call, bound at the same time).  With no
+threshold, no dual check and no observer it runs straight through the
+kernel and only the call counters of :class:`EngineStats` advance.
+Otherwise it goes through one policy, :meth:`Engine._gemv_policy`, which
+returns a :class:`GemvObservation`; the counters and the optional
+``gemv_observer`` both read that record.  The bound it checks is
+:func:`~quantloop.kernels.runtime_bound_check`'s, which covers the float32
+rounding of both paths, not only exact arithmetic.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +43,7 @@ import numpy as np
 from ..kernels import runtime_bound_check
 from ..quantizer import QuantConfig, QuantizedMatrix, quantize_matrix
 from ..loopir.interp import Prepared
-from ..intrinsics import GemvCall, default_registry
+from ..intrinsics import GemvCall, bind_gemv, default_registry
 from ..gemvpass import run_gemv_pass
 from .checkpoint import (
     FLOAT_MAGIC,
@@ -65,7 +69,7 @@ class GemvObservation:
     alpha: float
     beta: float
     epsilon: Optional[float]  # None when the operand was a float matrix
-    bound: Optional[float]  # |alpha| * epsilon * ||x||_1, None for float
+    bound: Optional[float]  # runtime_bound_check's float32 bound, None for float
     diff_inf: Optional[float]  # dual-path |y_q - y_f|_inf, None unless dual
     fallback: bool
 
@@ -189,10 +193,23 @@ class Engine:
             if decl.name not in self._env:
                 self._env[decl.name] = np.zeros(decl.extents, dtype=np.float32)
         self._prepared = Prepared(
-            program, self._env, function="step", intrinsics=registry
+            program, self._env, function="step", intrinsics=registry,
+            bind_gemv=self._bind_gemv,
         )
 
     # -- gemv policy ---------------------------------------------------------
+
+    def _bind_gemv(self, *args) -> GemvCall:
+        """Bind a gemv call site, and its float-shadow call if it has one.
+
+        The shadow call writes into its own y scratch, so the policy below
+        never re-checks operands or allocates a y per call.
+        """
+        call = bind_gemv(*args)
+        shadow = self._float_shadow.get(id(call.a))
+        if shadow is None:
+            return call
+        return replace(call, shadow=call.over(shadow, np.empty_like(call.y)))
 
     def _gemv_policy(self, call: GemvCall) -> GemvObservation:
         """Run one gemv call as the engine's settings say, and describe it.
@@ -201,24 +218,28 @@ class Engine:
         threshold, the dual check or an observer needs the bound).  Over the
         threshold the call runs on the matrix's float shadow instead; under
         the dual check it runs on both, and the gap between the two results
-        is measured.
+        is measured.  Either way the shadow starts from the same old y.
         """
         kernel = self._gemv_kernel
-        a, p = call.a, call.params
+        a, p, shadow = call.a, call.params, call.shadow
         epsilon = bound = diff_inf = None
         fallback = False
         if isinstance(a, QuantizedMatrix):
             epsilon = a.epsilon
-            report = runtime_bound_check(a, call.x, self.bound_threshold)
-            bound = abs(p.alpha) * report.inf_bound
+            report = runtime_bound_check(
+                a, call.x_eff, self.bound_threshold, alpha=p.alpha, beta=p.beta, y=call.y_eff
+            )
+            bound = report.inf_bound
             fallback = report.threshold_exceeded
         if fallback:
-            kernel(call.over(self._float_shadow[id(a)]))
-        elif self.dual_check:
-            y_float = call.y.copy()
+            np.copyto(shadow.y, call.y)
+            kernel(shadow)
+            np.copyto(call.y, shadow.y)
+        elif self.dual_check and shadow is not None:
+            np.copyto(shadow.y, call.y)
             kernel(call)
-            kernel(call.over(self._float_shadow[id(a)], y_float))
-            diff = np.abs(call.y.astype(np.float64) - y_float)
+            kernel(shadow)
+            diff = np.abs(call.y.astype(np.float64) - shadow.y)
             diff_inf = float(diff.max(initial=0.0))
         else:
             kernel(call)
@@ -329,7 +350,8 @@ def verify_bounds(
 
     Quantizes a float checkpoint in memory, then at every quantized gemv
     computes the float-weight result on the *same* input vector and checks
-    the measured infinity-norm difference against |alpha| * epsilon * ||x||_1.
+    the measured infinity-norm difference against the float32 bound of
+    :func:`~quantloop.kernels.runtime_bound_check`, with zero tolerance.
     Returns a JSON-able report; `violations` must be 0 for the bound claim
     to stand.
     """

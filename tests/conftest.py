@@ -20,17 +20,21 @@ def toy_quant_path(tmp_path_factory, toy_float_path):
 
 @pytest.fixture
 def gemv_bind_counts(monkeypatch):
-    """Counts of GemvParams builds and operand checks made to bind gemv calls."""
-    from quantloop import intrinsics
+    """Counts of GemvParams builds and operand checks made to bind gemv calls.
+
+    Operand checks are counted where dense calls bind them (intrinsics) and
+    where packed calls and the kernels' own entry points do (kernels).
+    """
+    from quantloop import intrinsics, kernels
 
     counts = {"GemvParams": 0, "_operands": 0}
-    for name in counts:
+    for owner, name in ((intrinsics, "GemvParams"), (intrinsics, "_operands"), (kernels, "_operands")):
 
-        def counting(*args, _name=name, _original=getattr(intrinsics, name), **kwargs):
+        def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(intrinsics, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return counts
 
 

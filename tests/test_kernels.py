@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantloop.bitcodec import pack_bits
+from quantloop.intrinsics import bind_gemv, gemv_handler
 from quantloop.kernels import (
     SKETCH_TILE_CODES,
     BoundReport,
@@ -14,6 +16,7 @@ from quantloop.kernels import (
     Layout,
     Trans,
     error_bound,
+    gemv_codes,
     gemv_naive,
     gemv_opt,
     gemv_sketch,
@@ -250,7 +253,7 @@ def test_sketch_tile_boundaries_bit_identical():
 def _peak_bytes(kernel, rows: int, cols: int) -> int:
     rng = np.random.default_rng(5)
     q = random_quantized(rng, rows, cols, 3)
-    a = q if kernel is gemv_sketch else dequantize(q).reshape(-1)
+    a = q if kernel in (gemv_sketch, gemv_codes) else dequantize(q).reshape(-1)
     x = rng.normal(size=cols).astype(np.float32)
     y = np.zeros(rows, dtype=np.float32)
     p = params(m=rows, n=cols)
@@ -266,7 +269,7 @@ def _peak_bytes(kernel, rows: int, cols: int) -> int:
 def test_sketch_extra_memory_is_per_tile():
     # The tiled kernels' transient memory must not grow with the matrix: a
     # kernel that caches, materializes or copies the whole matrix fails this.
-    for kernel in (gemv_sketch, gemv_naive):
+    for kernel in (gemv_sketch, gemv_codes, gemv_naive):
         small = _peak_bytes(kernel, 64, 256)
         large = _peak_bytes(kernel, 4096, 256)
         assert large <= 1.25 * small, (kernel.__name__, small, large)
@@ -387,3 +390,188 @@ def test_bounds_hold_on_random_matrices():
         rep = error_bound(q.epsilon, x, m)
         assert np.abs(diff).max() <= rep.inf_bound
         assert np.linalg.norm(diff) <= rep.l2_bound
+
+
+# -- codes kernel --------------------------------------------------------------
+
+
+def assert_codes_close_to_sketch(q, x, y0, p):
+    y_codes = gemv_codes(q, x, y0.copy(), p)
+    y_sketch = gemv_sketch(q, x, y0.copy(), p)
+    # The two compute the same exact product, so their gap is rounding
+    # alone: the float32 bound with epsilon set to 0.
+    bound = runtime_bound_check(
+        replace(q, epsilon=0.0), x[:: p.incx][: p.n],
+        alpha=p.alpha, beta=p.beta, y=y0[:: p.incy][: p.m],
+    ).inf_bound
+    gap = np.abs(y_codes.astype(np.float64) - y_sketch).max()
+    assert gap <= bound, (gap, bound)
+    # Only the elements the call writes may change.
+    untouched = np.ones(y0.size, dtype=bool)
+    untouched[:: p.incy][: p.m] = False
+    np.testing.assert_array_equal(y_codes[untouched], y0[untouched])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bit_width=st.integers(1, 8),
+    rows=st.integers(1, 24),
+    cols=st.integers(1, 2 * SKETCH_TILE_CODES + 5),
+    incx=st.integers(1, 3),
+    incy=st.integers(1, 3),
+    alpha=st.floats(-4, 4, width=32),
+    beta=st.floats(-4, 4, width=32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_codes_agrees_with_sketch_within_rounding_property(
+    bit_width, rows, cols, incx, incy, alpha, beta, seed
+):
+    rng = np.random.default_rng(seed)
+    q = random_quantized(rng, rows, cols, bit_width)
+    x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
+    y0 = rng.normal(size=(rows - 1) * incy + 1).astype(np.float32)
+    p = params("RM", "NT", rows, cols, alpha, beta, incx=incx, incy=incy)
+    assert_codes_close_to_sketch(q, x, y0, p)
+
+
+def test_codes_tile_edges():
+    # m = 1, row counts around exact multiples of a tile, and rows wider
+    # than a tile, at every bit width.
+    rng = np.random.default_rng(21)
+    for bit_width in range(1, 9):
+        for cols in (64, SKETCH_TILE_CODES, SKETCH_TILE_CODES + 37):
+            tile_rows = max(1, SKETCH_TILE_CODES // cols)
+            for rows in (1, tile_rows, tile_rows + 1, 3 * tile_rows):
+                q = random_quantized(rng, rows, cols, bit_width)
+                x = rng.normal(size=cols).astype(np.float32)
+                y0 = rng.normal(size=rows).astype(np.float32)
+                assert_codes_close_to_sketch(q, x, y0, params(m=rows, n=cols, alpha=0.75, beta=-1.5))
+
+
+def test_codes_other_layouts_share_the_sketch_fallback():
+    # Layouts the codes are not packed in reconstruct the matrix and run the
+    # reference kernel, exactly as gemv_sketch does.
+    rng = np.random.default_rng(22)
+    for layout, trans in (("RM", "T"), ("CM", "NT"), ("CM", "T")):
+        m, n = 12, 9
+        q = random_quantized(rng, m, n, 4)
+        lda = n if layout == "RM" else m
+        x = rng.normal(size=n if trans == "NT" else m).astype(np.float32)
+        y0 = rng.normal(size=m if trans == "NT" else n).astype(np.float32)
+        p = params(layout, trans, m, n, 1.5, 0.5, lda)
+        y_codes = gemv_codes(q, x, y0.copy(), p)
+        np.testing.assert_array_equal(y_codes, gemv_sketch(q, x, y0.copy(), p))
+        np.testing.assert_array_equal(
+            y_codes, gemv_naive(dequantize(q).reshape(-1), x, y0.copy(), p)
+        )
+
+
+def test_codes_checks_like_the_sketch():
+    q = random_quantized(np.random.default_rng(23), 2, 3, 1)
+    x, y = np.zeros(3, dtype=np.float32), np.zeros(2, dtype=np.float32)
+    for p in (params(m=2, n=3, lda=4), params(m=3, n=2)):
+        with pytest.raises(GemvShapeError):
+            gemv_codes(q, x, y, p)
+    with pytest.raises(GemvShapeError):
+        gemv_codes(q, x[:2], y, params(m=2, n=3))
+
+
+def test_handler_runs_packed_calls_as_gemv_codes():
+    rng = np.random.default_rng(24)
+    q = random_quantized(rng, 70, 40, 3)
+    x = rng.normal(size=2 * 40 - 1).astype(np.float32)
+    y0 = rng.normal(size=3 * 70 - 2).astype(np.float32)
+    y = y0.copy()
+    call = bind_gemv("RM", "NT", 70, 40, -0.5, q, 40, x, 2, 1.0, y, 3)
+    assert call.view is None
+    gemv_handler(call)
+    expect = gemv_codes(q, x, y0.copy(), params(m=70, n=40, alpha=-0.5, beta=1.0, incx=2, incy=3))
+    np.testing.assert_array_equal(y, expect)
+
+
+def test_handler_runs_other_layouts_over_one_reconstruction():
+    rng = np.random.default_rng(25)
+    q = random_quantized(rng, 12, 9, 2)
+    x = rng.normal(size=12).astype(np.float32)
+    y = np.zeros(9, dtype=np.float32)
+    call = bind_gemv("RM", "T", 12, 9, 1.0, q, 9, x, 1, 0.0, y, 1)
+    assert call.view is not None and not call.view.flags.writeable
+    gemv_handler(call)
+    expect = gemv_opt(dequantize(q).reshape(-1), x, np.zeros(9, dtype=np.float32), params("RM", "T", 12, 9))
+    np.testing.assert_array_equal(y, expect)
+
+
+# -- float32 bound -------------------------------------------------------------
+
+
+def test_runtime_bound_covers_float32_rounding_when_epsilon_is_zero():
+    # 8 distinct values at 3 bits reconstruct exactly, so the exact bound is
+    # 0, yet the ordered and reassociating sums differ in float32.
+    rng = np.random.default_rng(26)
+    values = np.linspace(-1.0, 1.0, 8, dtype=np.float32)
+    w = values[rng.integers(0, 8, size=(172, 256))]
+    q = quantize_matrix(w, QuantConfig(bit_width=3))
+    assert q.epsilon == 0.0
+    x = rng.normal(size=256).astype(np.float32)
+    p = params(m=172, n=256)
+    y_f = gemv_opt(w.reshape(-1), x, np.zeros(172, dtype=np.float32), p)
+    rep = runtime_bound_check(q, x)
+    assert error_bound(q.epsilon, x, 172).inf_bound == 0.0
+    assert rep.inf_bound > 0.0
+    for kernel in (gemv_sketch, gemv_codes):
+        y_q = kernel(q, x, np.zeros(172, dtype=np.float32), p)
+        assert np.abs(y_q.astype(np.float64) - y_f).max() <= rep.inf_bound
+
+
+def test_runtime_bound_terms():
+    # eps 0, c = 2, x = [1, -2, 3]: g_3 * 2c * 6, inflated by (3+16) ulps.
+    q = random_quantized(np.random.default_rng(27), 2, 3, 1)
+    q = replace(q, codebook=Codebook(np.array([-2.0, 1.0], dtype=np.float32), 1))
+    x = np.array([1, -2, 3], dtype=np.float32)
+    u = 2.0**-24
+    g3 = 3 * u / (1 - 3 * u)
+    rep = runtime_bound_check(q, x)
+    assert rep.epsilon == 0.0 and rep.x_l1_norm == 6.0
+    assert g3 * 4 * 6 < rep.inf_bound <= g3 * 4 * 6 * (1 + 2**-40)
+    assert rep.l2_bound == pytest.approx(np.sqrt(2) * rep.inf_bound)
+    # alpha = -1, beta = 0 stores exactly; any other alpha or beta adds the
+    # store's rounding, and beta != 0 needs the old y.
+    assert runtime_bound_check(q, x, alpha=-1.0).inf_bound == rep.inf_bound
+    assert runtime_bound_check(q, x, alpha=1.0, beta=0.5, y=np.ones(2, np.float32)).inf_bound > rep.inf_bound
+    assert runtime_bound_check(q, x, alpha=2.0).inf_bound > 2 * rep.inf_bound
+    with pytest.raises(ValueError, match="old y"):
+        runtime_bound_check(q, x, beta=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bit_width=st.integers(1, 8),
+    # Up to 80 rows of up to two tiles and a bit: taller than a tile for
+    # any row wider than 12 codes, and rows wider than a tile.
+    rows=st.integers(1, 80),
+    cols=st.integers(1, 2 * SKETCH_TILE_CODES + 5),
+    incx=st.integers(1, 3),
+    incy=st.integers(1, 3),
+    alpha=st.sampled_from([1.0, 2.0, -0.5]),
+    beta=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_bound_holds_for_every_kernel_pair_property(
+    bit_width, rows, cols, incx, incy, alpha, beta, seed
+):
+    # random_quantized draws at most 2^b distinct values with epsilon 0, so
+    # its reconstruction is the float matrix itself: every gap between a
+    # quantized and a float kernel is float32 rounding.
+    rng = np.random.default_rng(seed)
+    q = random_quantized(rng, rows, cols, bit_width)
+    w = dequantize(q).reshape(-1)
+    x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
+    y0 = rng.normal(size=(rows - 1) * incy + 1).astype(np.float32)
+    p = params("RM", "NT", rows, cols, alpha, beta, incx=incx, incy=incy)
+    bound = runtime_bound_check(q, x[::incx], alpha=alpha, beta=beta, y=y0[::incy]).inf_bound
+    assert bound > 0.0
+    for quantized in (gemv_sketch, gemv_codes):
+        y_q = quantized(q, x, y0.copy(), p).astype(np.float64)
+        for dense in (gemv_naive, gemv_opt):
+            gap = np.abs(y_q - dense(w, x, y0.copy(), p)).max()
+            assert gap <= bound, (quantized.__name__, dense.__name__, gap, bound)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quantloop.cli import main
-from quantloop.loopir import Loop, print_program, validate
+from quantloop.loopir import Loop, Prepared, parse_program, print_program, validate
 from quantloop.quantizer import QuantizedMatrix, dequantize
 from quantloop.runtime import (
     TOY_CONFIG,
@@ -368,6 +368,76 @@ def test_gemv_call_sites_bind_once(toy_float_path, gemv_bind_counts):
     eng.generate([1], steps=4)
     assert gemv_bind_counts == {"GemvParams": 15, "_operands": 15}
     assert eng.stats.gemv_calls == 15 * 5
+
+
+@pytest.mark.parametrize(
+    "settings", [{"dual_check": True}, {"bound_threshold": 1e-12}], ids=["dual", "fallback"]
+)
+def test_shadow_calls_bind_once(toy_float_path, gemv_bind_counts, settings):
+    eng = Engine(toy_float_path, mode="quantized", **settings)
+    # Each site's params once; its packed operands and its shadow's once.
+    assert gemv_bind_counts == {"GemvParams": 15, "_operands": 30}
+    for pos in range(5):
+        eng.forward(pos + 1, pos)
+    assert gemv_bind_counts == {"GemvParams": 15, "_operands": 30}
+    assert eng.stats.bound_checks == 15 * 5
+    assert eng.stats.bound_violations == 0
+    if "bound_threshold" in settings:
+        assert eng.stats.fallback_calls == 15 * 5
+    else:
+        assert eng.stats.max_dual_diff > 0.0
+
+
+def test_param_gemv_site_rebinds_its_shadow_per_call(toy_float_path, gemv_bind_counts):
+    eng = Engine(toy_float_path, mode="quantized", dual_check=True)
+    observations = []
+    eng.gemv_observer = observations.append
+    program = parse_program(
+        "buffer A[64, 64]\nbuffer x[64]\nbuffer y[64]\nparam lda\n\n"
+        "func f {\n  call gemv(RM, NT, 64, 64, 1.0, A, lda, x, 1, 0.0, y, 1)\n}\n"
+    )
+    rng = np.random.default_rng(3)
+    env = {
+        "A": eng._env["l0_wq"],
+        "x": rng.normal(size=64).astype(np.float32),
+        "y": np.zeros(64, dtype=np.float32),
+        "lda": 64,
+    }
+    prepared = Prepared(program, env, intrinsics={"gemv": eng._gemv}, bind_gemv=eng._bind_gemv)
+    before = dict(gemv_bind_counts)
+    prepared.run()
+    prepared.run()
+    # Per run: the params, then the packed operands and the shadow's.
+    assert gemv_bind_counts["GemvParams"] - before["GemvParams"] == 2
+    assert gemv_bind_counts["_operands"] - before["_operands"] == 4
+    assert [o.diff_inf is not None and o.diff_inf <= o.bound for o in observations] == [True, True]
+
+
+def test_verify_bounds_holds_with_exact_reconstruction(tmp_path):
+    # Every matrix holds at most 8 distinct values, so 3-bit quantization
+    # reconstructs it exactly (epsilon 0) and the exact-arithmetic bound is
+    # 0: only the float32 terms can cover the dual check's gaps.
+    rng = np.random.default_rng(11)
+    values = np.linspace(-0.5, 0.5, 8, dtype=np.float32)
+    tensors = {
+        name: (
+            values[rng.integers(0, 8, size=shape)]
+            if len(shape) == 2
+            else np.ones(shape, dtype=np.float32)
+        )
+        for name, shape in tensor_shapes(TOY_CONFIG)
+    }
+    path = str(tmp_path / "exact.ditf")
+    write_float_checkpoint(path, TOY_CONFIG, tensors)
+    eng = Engine(path, mode="quantized", bit_width=3)
+    assert all(
+        w.epsilon == 0.0 for w in eng._env.values() if isinstance(w, QuantizedMatrix)
+    )
+    report = verify_bounds(path, bit_width=3, prompt_tokens=(1, 2, 3), steps=8)
+    assert report["violations"] == 0
+    assert report["ok"] is True
+    assert report["max_bound"] > 0.0
+    assert report["max_measured_error"] <= report["max_bound"]
 
 
 def test_naive_mode_interprets_loops(toy_float_path):
