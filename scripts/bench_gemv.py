@@ -2,10 +2,11 @@
 """Time the GEMV kernels over a sweep of matrix shapes.
 
 Prints one row per ``MxN`` shape with the best-of-N wall time of the
-reference kernel, the optimized kernel, the ordered codes-domain oracle
-(sketch) and the codes-domain kernel the ``gemv`` intrinsic runs (codes),
-the optimized kernel's effective GFLOP/s, and each kernel's speed-up over
-the reference.  The default shapes are the toy model's GEMVs plus
+reference kernel, the optimized kernel on the float matrix, the ordered
+codes-domain oracle (sketch) and the optimized kernel on the quantized
+matrix, which is what the ``gemv`` intrinsic runs on it (codes), the
+optimized kernel's effective GFLOP/s, and each kernel's speed-up over the
+reference.  The default shapes are the toy model's GEMVs plus
 1024x1024.
 
     python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 3
@@ -24,7 +25,6 @@ from quantloop.kernels import (
     GemvParams,
     Layout,
     Trans,
-    gemv_codes,
     gemv_naive,
     gemv_opt,
     gemv_sketch,
@@ -74,7 +74,7 @@ def main() -> int:
         t_naive = best_of(lambda: gemv_naive(flat, x, y, p), max(args.reps // 2, 1))
         t_opt = best_of(lambda: gemv_opt(flat, x, y, p), args.reps)
         t_sketch = best_of(lambda: gemv_sketch(q, x, y, p), max(args.reps // 2, 1))
-        t_codes = best_of(lambda: gemv_codes(q, x, y, p), max(args.reps // 2, 1))
+        t_codes = best_of(lambda: gemv_opt(q, x, y, p), max(args.reps // 2, 1))
 
         flops = 2.0 * m * n
         print(f"{f'{m}x{n}':>10} {t_naive * 1e3:>10.3f} {t_opt * 1e3:>10.3f} "

@@ -30,7 +30,6 @@ from .kernels import (
     Layout,
     Trans,
     error_bound,
-    gemv_codes,
     gemv_naive,
     gemv_opt,
     gemv_sketch,
@@ -53,7 +52,6 @@ __all__ = [
     "bits_required",
     "dequantize",
     "error_bound",
-    "gemv_codes",
     "gemv_naive",
     "gemv_opt",
     "gemv_sketch",

@@ -35,8 +35,9 @@ __all__ = [
 
 MAX_BIT_WIDTH = 8
 
-# uint8 is wide enough: a code of at most MAX_BIT_WIDTH bits sums to <= 255.
-_PLACE_VALUES = (1 << np.arange(MAX_BIT_WIDTH)).astype(np.uint8)
+# float32 holds every sum of at most MAX_BIT_WIDTH place values (<= 255)
+# exactly, and a float32 product runs through BLAS where a uint8 one does not.
+_PLACE_VALUES = (1 << np.arange(MAX_BIT_WIDTH)).astype(np.float32)
 
 
 class CodeRangeError(ValueError):
@@ -120,9 +121,10 @@ def unpack_slice(buf: PackedBuffer, start: int, count: int) -> np.ndarray:
     The payload bytes spanning the slice are exploded into their
     little-endian bit stream, the bits of the code straddling the first byte
     are skipped, and each run of ``bit_width`` bits is folded back into a
-    ``uint8`` by a product with the place values ``1, 2, 4, ...``.  That is
-    three numpy calls whatever the count, and about ``bit_width + 1`` bytes
-    of scratch per code.
+    code by a float32 product with the place values ``1, 2, 4, ...`` (exact,
+    as every code is below 256) and cast to ``uint8``.  That is a handful of
+    numpy calls whatever the count, and about ``5 * bit_width + 5`` bytes of
+    scratch per code.
     """
     data = _payload_view(buf)
     if start < 0 or count < 0 or start + count > buf.count:
@@ -134,7 +136,8 @@ def unpack_slice(buf: PackedBuffer, start: int, count: int) -> np.ndarray:
     end_bit = first_bit + count * b
     bits = np.unpackbits(data[first_bit >> 3 : (end_bit + 7) >> 3], bitorder="little")
     skip = first_bit & 7
-    return bits[skip : skip + count * b].reshape(count, b) @ _PLACE_VALUES[:b]
+    bits = bits[skip : skip + count * b].reshape(count, b).astype(np.float32)
+    return (bits @ _PLACE_VALUES[:b]).astype(np.uint8)
 
 
 def unpack_bits(buf: PackedBuffer) -> np.ndarray:

@@ -78,7 +78,7 @@ def cmd_optimize(args) -> int:
         program = parse_program(text)
     except OSError as exc:
         return _fail(str(exc))
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         return _fail(f"{args.input}: {exc}")
 
     diagnostics = validate(program)
@@ -276,7 +276,7 @@ def cmd_inspect(args) -> int:
             _emit(_inspect_program(args.path))
     except (OSError, CheckpointError) as exc:
         return _fail(str(exc))
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         return _fail(f"{args.path}: not a checkpoint and not a loop program: {exc}")
     return 0
 

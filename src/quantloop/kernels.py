@@ -1,34 +1,33 @@
 """Matrix-vector product kernels and analytic output-error bounds.
 
-Four kernels share one calling convention modeled on BLAS GEMV:
+Three kernels share one calling convention modeled on BLAS GEMV:
 
     y[i] = beta * y[i] + alpha * sum_k A(i, k) * x[k]
 
-and one core.  :func:`_operands` checks the flat storage and the two
-vectors against the :class:`GemvParams` once and exposes the logical
-``y_len x x_len`` matrix as a single read-only strided view that follows
-the storage's own element stride.  :func:`_row_tiles` walks tiles of whole
-rows, reduces each against x and stores ``alpha * sums + beta * y`` for the
-tile.
+and one bound call.  :func:`bind` is the only operand check: it checks the
+matrix and the two vectors against the :class:`GemvParams` once and returns
+a :class:`GemvCall`.  Dense storage, and a quantized matrix in any layout
+but the one its codes are packed in (row-major, not transposed), become the
+logical ``y_len x x_len`` matrix as one read-only strided view; a packed
+matrix stays packed and its rows are decoded a tile at a time.
+:meth:`GemvCall.run` is the only executor.  :func:`_row_tiles` walks tiles
+of whole rows, reduces each against x and stores ``alpha * sums + beta * y``
+for the tile.
 
 * ``gemv_naive`` is the semantic reference: its tiles are copies of the
   view, reduced strictly left to right in float32, so its result is a
   deterministic, order-fixed baseline the other kernels are judged against.
-* ``gemv_opt`` multiplies the whole view by x through numpy's BLAS-backed
-  matmul (blocked, vectorized, deterministic per row).
-* ``gemv_sketch`` is the codes-domain oracle.  It consumes a
-  :class:`~quantloop.quantizer.QuantizedMatrix` directly and runs the
-  reference's ordered tile loop on rows decoded from the packed codes
-  through the centroid table, so it matches ``gemv_naive`` on the
-  dequantized matrix bit for bit.
-* ``gemv_codes`` is the codes-domain kernel that runs: the same decoded
-  tiles, each reduced by one matmul.  It may reassociate each row's sum,
-  so it agrees with the oracle within the float32 rounding term below, not
-  bit for bit.  The ``gemv`` intrinsic dispatches every quantized call to
-  it (:func:`quantloop.intrinsics.gemv_handler`).
+* ``gemv_sketch`` is the codes-domain oracle: ``gemv_naive`` on a
+  :class:`~quantloop.quantizer.QuantizedMatrix`, whose tiles are rows
+  decoded from the packed codes through the centroid table, so it matches
+  ``gemv_naive`` on the dequantized matrix bit for bit.
+* ``gemv_opt`` is ``bind(...).run()``, what the ``gemv`` intrinsic runs:
+  a view times x through numpy's BLAS-backed matmul, or each decoded tile
+  reduced by one matmul.  It may reassociate each row's sum, so on a
+  quantized matrix it agrees with the oracle within the float32 rounding
+  term below, not bit for bit.
 
-The three tiled kernels keep extra memory at O(tile)
-(:data:`SKETCH_TILE_CODES`).
+The tiled paths keep extra memory at O(tile) (:data:`SKETCH_TILE_CODES`).
 
 **Exact-arithmetic bound.**  For a quantized matrix ``W_hat`` with
 reconstruction error ``epsilon`` (``|w - w_hat| <= epsilon`` per element)
@@ -74,14 +73,14 @@ The sum of both is the per-element bound of one call.  It is evaluated in
 float64, which rounds too, so the result is inflated by ``(n + 16)``
 float64 ulps (more than the relative error of an ``n``-term sum plus the
 dozen operations after it) and then rounded up once more.  It holds for
-any summation order, which is what lets ``gemv_codes`` reassociate.
+any summation order, which is what lets ``gemv_opt`` reassociate.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,13 +89,14 @@ from .quantizer import QuantizedMatrix, dequantize
 
 __all__ = [
     "BoundReport",
+    "GemvCall",
     "GemvParams",
     "GemvShapeError",
     "Layout",
     "SKETCH_TILE_CODES",
     "Trans",
+    "bind",
     "error_bound",
-    "gemv_codes",
     "gemv_naive",
     "gemv_opt",
     "gemv_sketch",
@@ -179,7 +179,7 @@ def _operands(a: np.ndarray | None, x: np.ndarray, y: np.ndarray, p: GemvParams)
     storage's own element stride (so a sliced or reversed array is addressed
     correctly); ``x_eff`` and ``y_eff`` are strided views of the vectors, and
     writes to ``y_eff`` land in `y`.  With ``a=None`` (a packed matrix, which
-    the sketch checks itself) ``A`` is None.
+    :func:`bind` checks itself) ``A`` is None.
     """
     rows, cols = (p.m, p.n) if p.layout is Layout.ROW_MAJOR else (p.n, p.m)
     views = []
@@ -209,6 +209,68 @@ def _operands(a: np.ndarray | None, x: np.ndarray, y: np.ndarray, p: GemvParams)
     if (p.layout is Layout.ROW_MAJOR) == (p.trans is Trans.TRANS):
         view = view.T
     return view, x_eff, y_eff
+
+
+@dataclass(frozen=True, slots=True)
+class GemvCall:
+    """One gemv call with its operands checked against its params.
+
+    ``x_eff`` and ``y_eff`` are the strided views of the vectors that
+    :func:`_operands` returns.  ``view`` is the logical matrix of the
+    product: the checked view of dense storage, or of a read-only
+    reconstruction of a quantized matrix in a layout its codes are not packed
+    in.  It is None for a quantized matrix in its packed layout, whose rows
+    are decoded a tile at a time.  ``shadow``, when a caller binds one, is
+    the same call on the matrix's float copy, writing into its own y scratch.
+    """
+
+    a: object  # the flat float32 storage or QuantizedMatrix
+    x: np.ndarray
+    y: np.ndarray
+    params: GemvParams
+    view: np.ndarray | None
+    x_eff: np.ndarray
+    y_eff: np.ndarray
+    shadow: "GemvCall | None" = None
+
+    def run(self) -> np.ndarray:
+        """``y = alpha * (A @ x) + beta * y`` over the bound operands; returns y.
+
+        A view is multiplied whole through numpy's BLAS-backed matmul.  Packed
+        rows run :func:`_row_tiles` with each decoded tile reduced by one
+        matmul and stored in the same step, so extra memory stays O(tile).
+        Either way each row's sum may be reassociated.
+        """
+        p = self.params
+        if self.view is None:
+            _row_tiles(_decoded_rows(self.a), self.x_eff, self.y_eff, p, np.matmul)
+        else:
+            y_eff = self.y_eff
+            y_eff[...] = np.float32(p.alpha) * (self.view @ self.x_eff) + np.float32(p.beta) * y_eff
+        return self.y
+
+
+def bind(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> GemvCall:
+    """Check one call's operands against `p` once and choose how A is read.
+
+    `a` is flat float32 storage or a :class:`QuantizedMatrix`.  A quantized
+    matrix in row-major, non-transposed layout (the one its codes are packed
+    in) must match `p`'s extents with ``lda == cols`` and is left packed;
+    in any other layout it is reconstructed once, read-only, and viewed like
+    dense storage.
+    """
+    if isinstance(a, QuantizedMatrix):
+        if p.layout is Layout.ROW_MAJOR and p.trans is Trans.NO_TRANS:
+            if (p.m, p.n, p.lda) != (a.rows, a.cols, a.cols):
+                raise GemvShapeError(
+                    f"params describe {p.m}x{p.n} with lda {p.lda}; the packed matrix "
+                    f"is {a.rows}x{a.cols} with dense rows (lda {a.cols})"
+                )
+            return GemvCall(a, x, y, p, *_operands(None, x, y, p))
+        dense = dequantize(a).reshape(-1)
+        dense.flags.writeable = False
+        return GemvCall(a, x, y, p, *_operands(dense, x, y, p))
+    return GemvCall(a, x, y, p, *_operands(a, x, y, p))
 
 
 def _ordered_sums(tile: np.ndarray, x_eff: np.ndarray) -> np.ndarray:
@@ -241,50 +303,6 @@ def _row_tiles(rows, x_eff: np.ndarray, y_eff: np.ndarray, p: GemvParams, sums) 
         y_tile[...] = alpha * sums(rows(r0, r1), x_eff) + beta * y_tile
 
 
-def gemv_naive(a: np.ndarray, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
-    """Reference GEMV with a fixed left-to-right float32 summation order.
-
-    Copies a tile of rows of the logical matrix at a time and reduces it in
-    :func:`_row_tiles`, so extra memory is O(tile).  Updates ``y`` in place
-    (``y[i] = alpha * sum + beta * y[i]``, evaluated in that operand order)
-    and returns it.  Non-finite inputs propagate per IEEE-754; in particular
-    ``beta == 0`` still multiplies the old y.
-    """
-    view, x_eff, y_eff = _operands(a, x, y, p)
-    _row_tiles(lambda r0, r1: view[r0:r1].copy(), x_eff, y_eff, p, _ordered_sums)
-    return y
-
-
-def gemv_opt(a: np.ndarray, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
-    """Optimized GEMV; agrees with :func:`gemv_naive` up to sum reassociation.
-
-    The product is the checked strided view times x through numpy's
-    BLAS-backed matmul, which blocks and vectorizes the traversal while
-    keeping a fixed reduction order per output row.
-    """
-    view, x_eff, y_eff = _operands(a, x, y, p)
-    y_eff[...] = np.float32(p.alpha) * (view @ x_eff) + np.float32(p.beta) * y_eff
-    return y
-
-
-def _packed_operands(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, p: GemvParams):
-    """Check a call on packed matrix `q` and return ``(x_eff, y_eff)``.
-
-    Returns None for any layout but the one the codes are packed in
-    (row-major, not transposed); the caller then works on a reconstruction.
-    """
-    if p.layout is not Layout.ROW_MAJOR or p.trans is not Trans.NO_TRANS:
-        return None
-    if p.m != q.rows or p.n != q.cols:
-        raise GemvShapeError(f"params describe {p.m}x{p.n} but matrix is {q.rows}x{q.cols}")
-    if p.lda != q.cols:
-        raise GemvShapeError(
-            f"packed rows are dense; lda must equal cols ({q.cols}), got {p.lda}"
-        )
-    _, x_eff, y_eff = _operands(None, x, y, p)
-    return x_eff, y_eff
-
-
 def _decoded_rows(q: QuantizedMatrix):
     """``rows(r0, r1)`` for :func:`_row_tiles`: one slice decode and one lookup."""
     centroids = q.codebook.centroids
@@ -297,21 +315,31 @@ def _decoded_rows(q: QuantizedMatrix):
     return rows
 
 
-def _codes_tiles(q: QuantizedMatrix, x_eff: np.ndarray, y_eff: np.ndarray, p: GemvParams) -> None:
-    """:func:`gemv_codes` on operands :func:`_packed_operands` already checked.
+def gemv_naive(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
+    """Reference GEMV with a fixed left-to-right float32 summation order.
 
-    Per tile, ``y_tile = alpha * (decoded_tile @ x_eff) + beta * y_tile``.
+    Runs :func:`_row_tiles` over the rows the bound call reads: copies of
+    its view, or rows decoded from packed codes.  Either way extra memory is
+    O(tile).  Updates ``y`` in place (``y[i] = alpha * sum + beta * y[i]``,
+    evaluated in that operand order) and returns it.  Non-finite inputs
+    propagate per IEEE-754; in particular ``beta == 0`` still multiplies the
+    old y.
     """
-    _row_tiles(_decoded_rows(q), x_eff, y_eff, p, np.matmul)
-
-
-def _quantized_gemv(q: QuantizedMatrix, x, y, p: GemvParams, sums) -> np.ndarray:
-    operands = _packed_operands(q, x, y, p)
-    if operands is None:
-        return gemv_naive(dequantize(q).reshape(-1), x, y, p)
-    x_eff, y_eff = operands
-    _row_tiles(_decoded_rows(q), x_eff, y_eff, p, sums)
+    call = bind(a, x, y, p)
+    view = call.view
+    rows = _decoded_rows(a) if view is None else lambda r0, r1: view[r0:r1].copy()
+    _row_tiles(rows, call.x_eff, call.y_eff, p, _ordered_sums)
     return y
+
+
+def gemv_opt(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
+    """Optimized GEMV on flat float32 storage or a :class:`QuantizedMatrix`.
+
+    ``bind(a, x, y, p).run()``: it agrees with :func:`gemv_naive` (and, on a
+    quantized matrix, with :func:`gemv_sketch`) up to sum reassociation,
+    which the float32 term of :func:`runtime_bound_check` covers.
+    """
+    return bind(a, x, y, p).run()
 
 
 def gemv_sketch(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
@@ -322,22 +350,10 @@ def gemv_sketch(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, p: GemvParams)
     each tile's rows decoded by one :func:`~quantloop.bitcodec.unpack_slice`
     call and mapped through the centroid table, so extra memory is O(tile)
     and the result is bit-identical to :func:`gemv_naive` on the dequantized
-    matrix by construction.  Other layouts reconstruct the dense matrix once
-    and delegate to :func:`gemv_naive`, with the same result.
+    matrix by construction.  Other layouts run the reference kernel over the
+    one reconstruction :func:`bind` makes, with the same result.
     """
-    return _quantized_gemv(q, x, y, p, _ordered_sums)
-
-
-def gemv_codes(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
-    """GEMV over a quantized matrix, one decoded-tile matmul per tile.
-
-    The same tiles, decode, checks and non-native-layout fallback as
-    :func:`gemv_sketch`, but each tile is reduced by one BLAS-backed matmul
-    and stored in the same step, so row sums may be reassociated.  It agrees
-    with the sketch within the float32 rounding term of
-    :func:`runtime_bound_check`; extra memory stays O(tile).
-    """
-    return _quantized_gemv(q, x, y, p, np.matmul)
+    return gemv_naive(q, x, y, p)
 
 
 @dataclass(frozen=True)
@@ -366,14 +382,14 @@ def error_bound(epsilon: float, x: np.ndarray, m: int) -> BoundReport:
 
     Args:
         epsilon: max per-element reconstruction error of the matrix.
-        x: the input vector (any float dtype; the L1 norm is taken in float64).
+        x: the input vector (any float dtype; the L1 norm is summed in float64).
         m: number of output elements.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if m < 1:
         raise ValueError(f"output length must be positive, got {m}")
-    x_l1 = float(np.abs(np.asarray(x, dtype=np.float64)).sum())
+    x_l1 = float(np.abs(x).sum(dtype=np.float64))
     inf_bound = epsilon * x_l1
     return BoundReport(
         epsilon=float(epsilon),
@@ -411,25 +427,28 @@ def runtime_bound_check(
     computed at call time, so callers may use ``threshold_exceeded`` to fall
     back to a full-precision product for this call.
     """
-    base = error_bound(q.epsilon, x, q.rows)
+    eps = float(q.epsilon)
+    if eps < 0:
+        raise ValueError(f"epsilon must be non-negative, got {eps}")
     n = np.size(x)
     a = abs(float(np.float32(alpha)))
     b = abs(float(np.float32(beta)))
     u = F32_UNIT_ROUNDOFF
     g = _gamma(n)
-    eps, c, l1 = base.epsilon, q.codebook.max_abs, base.x_l1_norm
+    c, l1 = q.codebook.max_abs, float(np.abs(x).sum(dtype=np.float64))
     bound = a * (eps + g * (2.0 * c + eps)) * l1
     if a != 1.0 or b != 0.0:
         y_max = 0.0
         if b != 0.0:
             if y is None:
                 raise ValueError("a bound with beta != 0 needs the old y")
-            y_max = float(np.abs(np.asarray(y, dtype=np.float64)).max(initial=0.0))
+            y_max = float(np.abs(y).max(initial=0.0))
         bound += (2 * u + u * u) * a * (1.0 + g) * (2.0 * c + eps) * l1
         bound += 2 * u * (1.0 + u) * b * y_max
     bound = math.nextafter(bound * (1.0 + (n + 16) * 2.0**-52), math.inf)
-    return replace(
-        base,
+    return BoundReport(
+        epsilon=eps,
+        x_l1_norm=l1,
         inf_bound=bound,
         l2_bound=math.sqrt(q.rows) * bound,
         threshold=None if threshold is None else float(threshold),

@@ -23,13 +23,15 @@ element, so a trap fires at the same index.
 Intrinsic calls dispatch through a registry mapping the intrinsic name to a
 Python handler; the default registry lives in :mod:`quantloop.intrinsics`.
 Buffer arguments are resolved when the program is bound, so each call
-passes the bound environment values.  A ``gemv`` call is bound whole: its
-params are built and its operands checked once, into the
-:class:`~quantloop.intrinsics.GemvCall` the handler receives (on every call
+passes the bound environment values.  A ``gemv`` call is bound whole by
+the ``bind_gemv`` hook (:func:`quantloop.intrinsics.bind_gemv` unless a
+caller passes its own): its params are built and its operands checked once,
+by :func:`quantloop.kernels.bind`, into the
+:class:`~quantloop.kernels.GemvCall` the handler receives (on every call
 instead when some argument is a param).  Over a quantized buffer the call
-holds the :class:`QuantizedMatrix` itself, so the handler can pick the
-codes-domain kernel.  A caller may pass its own ``bind_gemv`` that binds
-more per site, such as the engine's float-shadow call.
+holds the :class:`QuantizedMatrix` itself and runs in the codes domain.  A
+caller's hook may bind more per site, such as the engine's float-shadow
+call.
 Loads from a quantized buffer in an ordinary loop nest see its dense
 reconstruction, built once at bind and read-only.
 """

@@ -41,6 +41,12 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sI7i")
 _RECORD = struct.Struct("<BIIf")
 
+#: Largest KV cache, in bytes, a header may ask for: one float32 key and one
+#: value cache of ``max_seq_len x kv_dim`` per layer.  ``max_seq_len`` is the
+#: one header field the file's size does not bound, so the readers refuse a
+#: header past this ceiling before the engine tries to allocate its caches.
+MAX_KV_CACHE_BYTES = 1 << 30
+
 Tensor = Union[np.ndarray, QuantizedMatrix]
 
 
@@ -61,7 +67,7 @@ class ExtentMismatchError(CheckpointError):
 
 
 class InvalidRecordError(CheckpointError):
-    """A quantization record's bit width or epsilon is out of range."""
+    """A quantization record's bit width, epsilon or centroid order is invalid."""
 
 
 def _read_exact(f: BinaryIO, size: int, n: int, what: str) -> bytes:
@@ -95,9 +101,16 @@ def _read_header(f: BinaryIO, magic: bytes, path: str) -> ModelConfig:
             f"{path}: unsupported version {version} (expected {FORMAT_VERSION})"
         )
     try:
-        return ModelConfig(*fields)
+        config = ModelConfig(*fields)
     except ValueError as exc:
         raise InvalidHeaderError(f"{path}: bad config fields: {exc}") from exc
+    kv_bytes = 2 * config.n_layers * config.max_seq_len * config.kv_dim * 4
+    if kv_bytes > MAX_KV_CACHE_BYTES:
+        raise InvalidHeaderError(
+            f"{path}: max_seq_len {config.max_seq_len} needs a {kv_bytes}-byte KV "
+            f"cache, over the {MAX_KV_CACHE_BYTES}-byte limit"
+        )
+    return config
 
 
 def _check_layer_count(config: ModelConfig, size: int, quantized: bool) -> None:
@@ -196,13 +209,17 @@ def _read_record(f: BinaryIO, size: int, name: str, shape: tuple) -> QuantizedMa
     centroids = np.frombuffer(
         _read_exact(f, size, 4 * n_centroids, f"centroids of {name!r}"), dtype="<f4"
     ).copy()
+    try:
+        codebook = Codebook(centroids=centroids, bit_width=bit_width)
+    except ValueError as exc:  # centroids out of order
+        raise InvalidRecordError(f"{name}: {exc}") from exc
     data = _read_exact(
         f, size, payload_size(rows * cols, bit_width) + 1, f"codes of {name!r}"
     )
     return QuantizedMatrix(
         rows=rows,
         cols=cols,
-        codebook=Codebook(centroids=centroids, bit_width=bit_width),
+        codebook=codebook,
         indices=PackedBuffer(data=data, count=rows * cols, bit_width=bit_width),
         epsilon=float(epsilon),
     )

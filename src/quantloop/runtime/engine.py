@@ -20,7 +20,7 @@ from a dequantized copy of each matrix, made when the program is prepared
 (the slow ablation arm).  Bound fallback and the dual check need the shadow,
 so the engine refuses a threshold or the dual check without one.
 
-Each ``gemv`` call arrives bound (a :class:`~quantloop.intrinsics.GemvCall`
+Each ``gemv`` call arrives bound (a :class:`~quantloop.kernels.GemvCall`
 built when the program was prepared; a call on a matrix with a float shadow
 also carries the shadow's call, bound at the same time).  With no
 threshold, no dual check and no observer it runs straight through the
@@ -40,10 +40,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..kernels import runtime_bound_check
+from ..kernels import GemvCall, bind, runtime_bound_check
 from ..quantizer import QuantConfig, QuantizedMatrix, quantize_matrix
 from ..loopir.interp import Prepared
-from ..intrinsics import GemvCall, bind_gemv, default_registry
+from ..intrinsics import bind_gemv, default_registry
 from ..gemvpass import run_gemv_pass
 from .checkpoint import (
     FLOAT_MAGIC,
@@ -151,7 +151,7 @@ class Engine:
                 if len(shape) == 2 and quantize:
                     q = quantize_matrix(arr, QuantConfig(bit_width=bit_width))
                     weights[name] = q
-                    self._float_shadow[id(q)] = arr
+                    self._float_shadow[id(q)] = arr.reshape(-1)
                 else:
                     weights[name] = arr
         elif magic == QUANT_MAGIC:
@@ -209,7 +209,8 @@ class Engine:
         shadow = self._float_shadow.get(id(call.a))
         if shadow is None:
             return call
-        return replace(call, shadow=call.over(shadow, np.empty_like(call.y)))
+        scratch = np.empty_like(call.y)
+        return replace(call, shadow=bind(shadow, call.x, scratch, call.params))
 
     def _gemv_policy(self, call: GemvCall) -> GemvObservation:
         """Run one gemv call as the engine's settings say, and describe it.

@@ -22,13 +22,14 @@ def toy_quant_path(tmp_path_factory, toy_float_path):
 def gemv_bind_counts(monkeypatch):
     """Counts of GemvParams builds and operand checks made to bind gemv calls.
 
-    Operand checks are counted where dense calls bind them (intrinsics) and
-    where packed calls and the kernels' own entry points do (kernels).
+    Params are counted where ``intrinsics.bind_gemv`` builds them, operand
+    checks where ``kernels.bind`` (and so every kernel entry point) makes
+    them.
     """
     from quantloop import intrinsics, kernels
 
     counts = {"GemvParams": 0, "_operands": 0}
-    for owner, name in ((intrinsics, "GemvParams"), (intrinsics, "_operands"), (kernels, "_operands")):
+    for owner, name in ((intrinsics, "GemvParams"), (kernels, "_operands")):
 
         def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
             counts[_name] += 1

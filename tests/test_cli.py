@@ -1,15 +1,32 @@
+import contextlib
+import io
 import json
+import os
+import pathlib
 import shutil
 import struct
 import subprocess
+import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantloop.cli import main
-from quantloop.loopir.textio import MAX_LOOP_DEPTH, parse_program
-from quantloop.runtime.checkpoint import FLOAT_MAGIC, QUANT_MAGIC
+from quantloop.loopir.textio import MAX_LOOP_DEPTH, parse_program, print_program
+from quantloop.runtime import TOY_CONFIG
+from quantloop.runtime.checkpoint import (
+    FLOAT_MAGIC,
+    MAX_KV_CACHE_BYTES,
+    QUANT_MAGIC,
+    InvalidHeaderError,
+    read_float_checkpoint,
+    read_quantized_checkpoint,
+)
 from quantloop.runtime.engine import sniff_magic
+from quantloop.runtime.synthesize import synthesize_forward_program
 
 
 MATVEC = """\
@@ -95,6 +112,85 @@ def test_hostile_header_sizes_are_refused(tmp_path, capsys, magic, vocab, dim, n
         assert code == 2, command
         assert stderr.startswith("error:"), stderr
         assert peak < 1 << 20, (command, peak)
+
+
+def test_huge_kv_cache_header_is_refused(tmp_path, capsys, toy_float_path, toy_quant_path):
+    # max_seq_len is the one header field the file size does not bound: a toy
+    # file that claims 2^31-1 positions would need terabytes of KV cache.
+    offset = struct.calcsize("<4sI6i")  # max_seq_len is the header's last field
+    for source, reader in (
+        (toy_float_path, read_float_checkpoint),
+        (toy_quant_path, read_quantized_checkpoint),
+    ):
+        path = tmp_path / os.path.basename(source)
+        data = bytearray(pathlib.Path(source).read_bytes())
+        data[offset : offset + 4] = struct.pack("<i", (1 << 31) - 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidHeaderError, match="KV"):
+            reader(str(path))
+        code, _, stderr = run_cli(capsys, "run", str(path), "--steps", "1")
+        assert code == 2
+        assert stderr.startswith("error:") and "KV" in stderr
+    # The ceiling itself is still accepted.
+    kv_dim = TOY_CONFIG.kv_dim
+    seq = MAX_KV_CACHE_BYTES // (2 * TOY_CONFIG.n_layers * kv_dim * 4)
+    data = bytearray(pathlib.Path(toy_float_path).read_bytes())
+    data[offset : offset + 4] = struct.pack("<i", seq)
+    path = tmp_path / "ceiling.ditf"
+    path.write_bytes(bytes(data))
+    assert read_float_checkpoint(str(path))[0].max_seq_len == seq
+
+
+@pytest.fixture(scope="session")
+def fuzz_seeds(toy_float_path, toy_quant_path, tmp_path_factory):
+    program = tmp_path_factory.mktemp("prog") / "step.dir"
+    program.write_text(print_program(synthesize_forward_program(TOY_CONFIG)))
+    return {"ditf": toy_float_path, "ditq": toy_quant_path, "dir": str(program)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["ditf", "ditq", "dir"]),
+    # Positions in the first 128 bytes (every header and the .dir buffer
+    # declarations) or anywhere; each taken modulo the file's length.
+    edits=st.lists(
+        st.tuples(st.one_of(st.integers(0, 127), st.integers(0, 2**31 - 1)), st.integers(0, 255)),
+        min_size=1, max_size=8,
+    ),
+    cut=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+)
+def test_mutated_inputs_exit_cleanly_property(fuzz_seeds, kind, edits, cut):
+    # Every command on a corrupted file either works or says why with exit
+    # 2: no traceback, no check-failed exit, and no allocation past the KV
+    # ceiling.
+    data = bytearray(pathlib.Path(fuzz_seeds[kind]).read_bytes())
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    if cut is not None:
+        del data[cut % (len(data) + 1):]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"mutated.{kind}")
+        with open(path, "wb") as f:
+            f.write(data)
+        for argv in (
+            ["inspect", path],
+            ["run", path, "--steps", "1"],
+            ["optimize", path, os.path.join(tmp, "out.dir")],
+        ):
+            stderr = io.StringIO()
+            tracemalloc.start()
+            try:
+                # Corrupted weights may overflow; that is data, not an error.
+                with np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code in (0, 2), (argv[0], code, stderr.getvalue())
+            if code == 2:
+                assert stderr.getvalue().startswith("error:"), (argv[0], stderr.getvalue())
+            assert peak < MAX_KV_CACHE_BYTES + (64 << 20), (argv[0], peak)
 
 
 def _nested_program(depth: int) -> str:

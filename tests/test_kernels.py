@@ -16,7 +16,6 @@ from quantloop.kernels import (
     Layout,
     Trans,
     error_bound,
-    gemv_codes,
     gemv_naive,
     gemv_opt,
     gemv_sketch,
@@ -250,10 +249,10 @@ def test_sketch_tile_boundaries_bit_identical():
             np.testing.assert_array_equal(y_sketch, y_naive)
 
 
-def _peak_bytes(kernel, rows: int, cols: int) -> int:
+def _peak_bytes(kernel, quantized: bool, rows: int, cols: int) -> int:
     rng = np.random.default_rng(5)
     q = random_quantized(rng, rows, cols, 3)
-    a = q if kernel in (gemv_sketch, gemv_codes) else dequantize(q).reshape(-1)
+    a = q if quantized else dequantize(q).reshape(-1)
     x = rng.normal(size=cols).astype(np.float32)
     y = np.zeros(rows, dtype=np.float32)
     p = params(m=rows, n=cols)
@@ -269,9 +268,9 @@ def _peak_bytes(kernel, rows: int, cols: int) -> int:
 def test_sketch_extra_memory_is_per_tile():
     # The tiled kernels' transient memory must not grow with the matrix: a
     # kernel that caches, materializes or copies the whole matrix fails this.
-    for kernel in (gemv_sketch, gemv_codes, gemv_naive):
-        small = _peak_bytes(kernel, 64, 256)
-        large = _peak_bytes(kernel, 4096, 256)
+    for kernel, quantized in ((gemv_sketch, True), (gemv_opt, True), (gemv_naive, False)):
+        small = _peak_bytes(kernel, quantized, 64, 256)
+        large = _peak_bytes(kernel, quantized, 4096, 256)
         assert large <= 1.25 * small, (kernel.__name__, small, large)
         assert large < 64 * 1024, (kernel.__name__, large)
 
@@ -396,20 +395,21 @@ def test_bounds_hold_on_random_matrices():
 
 
 def assert_codes_close_to_sketch(q, x, y0, p):
-    y_codes = gemv_codes(q, x, y0.copy(), p)
+    y_codes = gemv_opt(q, x, y0.copy(), p)
     y_sketch = gemv_sketch(q, x, y0.copy(), p)
     # The two compute the same exact product, so their gap is rounding
     # alone: the float32 bound with epsilon set to 0.
     bound = runtime_bound_check(
-        replace(q, epsilon=0.0), x[:: p.incx][: p.n],
-        alpha=p.alpha, beta=p.beta, y=y0[:: p.incy][: p.m],
+        replace(q, epsilon=0.0), x[:: p.incx][: p.x_len],
+        alpha=p.alpha, beta=p.beta, y=y0[:: p.incy][: p.y_len],
     ).inf_bound
     gap = np.abs(y_codes.astype(np.float64) - y_sketch).max()
     assert gap <= bound, (gap, bound)
     # Only the elements the call writes may change.
     untouched = np.ones(y0.size, dtype=bool)
-    untouched[:: p.incy][: p.m] = False
+    untouched[:: p.incy][: p.y_len] = False
     np.testing.assert_array_equal(y_codes[untouched], y0[untouched])
+    return y_codes
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,20 +449,32 @@ def test_codes_tile_edges():
 
 
 def test_codes_other_layouts_share_the_sketch_fallback():
-    # Layouts the codes are not packed in reconstruct the matrix and run the
-    # reference kernel, exactly as gemv_sketch does.
+    # Layouts the codes are not packed in run the dense product on one
+    # read-only reconstruction, so they equal gemv_opt on the dequantized
+    # storage bit for bit and the ordered sketch within the float32 bound.
+    # The packed layout (three tiles, strided vectors) rides along: through
+    # the gemv intrinsic every layout gives what gemv_opt gives.
     rng = np.random.default_rng(22)
-    for layout, trans in (("RM", "T"), ("CM", "NT"), ("CM", "T")):
-        m, n = 12, 9
+    for layout, trans, m, n, incx, incy in (
+        ("RM", "T", 12, 9, 1, 1), ("CM", "NT", 12, 9, 1, 1), ("CM", "T", 12, 9, 1, 1),
+        ("RM", "NT", 70, 40, 2, 3),
+    ):
         q = random_quantized(rng, m, n, 4)
         lda = n if layout == "RM" else m
-        x = rng.normal(size=n if trans == "NT" else m).astype(np.float32)
-        y0 = rng.normal(size=m if trans == "NT" else n).astype(np.float32)
-        p = params(layout, trans, m, n, 1.5, 0.5, lda)
-        y_codes = gemv_codes(q, x, y0.copy(), p)
-        np.testing.assert_array_equal(y_codes, gemv_sketch(q, x, y0.copy(), p))
+        p = params(layout, trans, m, n, 1.5, 0.5, lda, incx, incy)
+        x = rng.normal(size=(p.x_len - 1) * incx + 1).astype(np.float32)
+        y0 = rng.normal(size=(p.y_len - 1) * incy + 1).astype(np.float32)
+        y_codes = assert_codes_close_to_sketch(q, x, y0, p)
+        y = y0.copy()
+        call = bind_gemv(layout, trans, m, n, 1.5, q, lda, x, incx, 0.5, y, incy)
+        gemv_handler(call)
+        np.testing.assert_array_equal(y, y_codes)
+        if (layout, trans) == ("RM", "NT"):
+            assert call.view is None
+            continue
+        assert not call.view.flags.writeable
         np.testing.assert_array_equal(
-            y_codes, gemv_naive(dequantize(q).reshape(-1), x, y0.copy(), p)
+            y_codes, gemv_opt(dequantize(q).reshape(-1), x, y0.copy(), p)
         )
 
 
@@ -471,34 +483,9 @@ def test_codes_checks_like_the_sketch():
     x, y = np.zeros(3, dtype=np.float32), np.zeros(2, dtype=np.float32)
     for p in (params(m=2, n=3, lda=4), params(m=3, n=2)):
         with pytest.raises(GemvShapeError):
-            gemv_codes(q, x, y, p)
+            gemv_opt(q, x, y, p)
     with pytest.raises(GemvShapeError):
-        gemv_codes(q, x[:2], y, params(m=2, n=3))
-
-
-def test_handler_runs_packed_calls_as_gemv_codes():
-    rng = np.random.default_rng(24)
-    q = random_quantized(rng, 70, 40, 3)
-    x = rng.normal(size=2 * 40 - 1).astype(np.float32)
-    y0 = rng.normal(size=3 * 70 - 2).astype(np.float32)
-    y = y0.copy()
-    call = bind_gemv("RM", "NT", 70, 40, -0.5, q, 40, x, 2, 1.0, y, 3)
-    assert call.view is None
-    gemv_handler(call)
-    expect = gemv_codes(q, x, y0.copy(), params(m=70, n=40, alpha=-0.5, beta=1.0, incx=2, incy=3))
-    np.testing.assert_array_equal(y, expect)
-
-
-def test_handler_runs_other_layouts_over_one_reconstruction():
-    rng = np.random.default_rng(25)
-    q = random_quantized(rng, 12, 9, 2)
-    x = rng.normal(size=12).astype(np.float32)
-    y = np.zeros(9, dtype=np.float32)
-    call = bind_gemv("RM", "T", 12, 9, 1.0, q, 9, x, 1, 0.0, y, 1)
-    assert call.view is not None and not call.view.flags.writeable
-    gemv_handler(call)
-    expect = gemv_opt(dequantize(q).reshape(-1), x, np.zeros(9, dtype=np.float32), params("RM", "T", 12, 9))
-    np.testing.assert_array_equal(y, expect)
+        gemv_opt(q, x[:2], y, params(m=2, n=3))
 
 
 # -- float32 bound -------------------------------------------------------------
@@ -518,7 +505,7 @@ def test_runtime_bound_covers_float32_rounding_when_epsilon_is_zero():
     rep = runtime_bound_check(q, x)
     assert error_bound(q.epsilon, x, 172).inf_bound == 0.0
     assert rep.inf_bound > 0.0
-    for kernel in (gemv_sketch, gemv_codes):
+    for kernel in (gemv_sketch, gemv_opt):
         y_q = kernel(q, x, np.zeros(172, dtype=np.float32), p)
         assert np.abs(y_q.astype(np.float64) - y_f).max() <= rep.inf_bound
 
@@ -570,7 +557,7 @@ def test_float32_bound_holds_for_every_kernel_pair_property(
     p = params("RM", "NT", rows, cols, alpha, beta, incx=incx, incy=incy)
     bound = runtime_bound_check(q, x[::incx], alpha=alpha, beta=beta, y=y0[::incy]).inf_bound
     assert bound > 0.0
-    for quantized in (gemv_sketch, gemv_codes):
+    for quantized in (gemv_sketch, gemv_opt):
         y_q = quantized(q, x, y0.copy(), p).astype(np.float64)
         for dense in (gemv_naive, gemv_opt):
             gap = np.abs(y_q - dense(w, x, y0.copy(), p)).max()
