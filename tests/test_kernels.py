@@ -488,6 +488,32 @@ def test_codes_checks_like_the_sketch():
         gemv_opt(q, x[:2], y, params(m=2, n=3))
 
 
+def test_handler_runs_packed_calls_as_gemv_codes():
+    # The packed layout runs straight on the codes: no reconstruction is bound.
+    rng = np.random.default_rng(24)
+    q = random_quantized(rng, 70, 40, 3)
+    x = rng.normal(size=2 * 40 - 1).astype(np.float32)
+    y0 = rng.normal(size=3 * 70 - 2).astype(np.float32)
+    y = y0.copy()
+    call = bind_gemv("RM", "NT", 70, 40, -0.5, q, 40, x, 2, 1.0, y, 3)
+    assert call.view is None
+    gemv_handler(call)
+    expect = gemv_opt(q, x, y0.copy(), params(m=70, n=40, alpha=-0.5, beta=1.0, incx=2, incy=3))
+    np.testing.assert_array_equal(y, expect)
+
+
+def test_handler_runs_other_layouts_over_one_reconstruction():
+    rng = np.random.default_rng(25)
+    q = random_quantized(rng, 12, 9, 2)
+    x = rng.normal(size=12).astype(np.float32)
+    y = np.zeros(9, dtype=np.float32)
+    call = bind_gemv("RM", "T", 12, 9, 1.0, q, 9, x, 1, 0.0, y, 1)
+    assert call.view is not None and not call.view.flags.writeable
+    gemv_handler(call)
+    expect = gemv_opt(dequantize(q).reshape(-1), x, np.zeros(9, dtype=np.float32), params("RM", "T", 12, 9))
+    np.testing.assert_array_equal(y, expect)
+
+
 # -- float32 bound -------------------------------------------------------------
 
 
