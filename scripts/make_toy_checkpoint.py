@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -23,15 +24,7 @@ def main() -> int:
         "seed": args.seed,
         "bytes": os.path.getsize(args.output),
         "parameters": param_count(TOY_CONFIG),
-        "config": {
-            "dim": TOY_CONFIG.dim,
-            "hidden_dim": TOY_CONFIG.hidden_dim,
-            "n_layers": TOY_CONFIG.n_layers,
-            "n_heads": TOY_CONFIG.n_heads,
-            "n_kv_heads": TOY_CONFIG.n_kv_heads,
-            "vocab_size": TOY_CONFIG.vocab_size,
-            "max_seq_len": TOY_CONFIG.max_seq_len,
-        },
+        "config": asdict(TOY_CONFIG),
     }, indent=2))
     return 0
 

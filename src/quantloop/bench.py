@@ -11,7 +11,7 @@ formulas can be pinned by tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .runtime.config import ModelConfig, gemv_flops_per_token
@@ -27,14 +27,7 @@ class BenchReport:
     joules_per_token: Optional[float]
 
     def to_json(self) -> dict:
-        return {
-            "tokens_per_second": self.tokens_per_second,
-            "latency_ms_per_token": self.latency_ms_per_token,
-            "gflops_per_token": self.gflops_per_token,
-            "effective_gflops": self.effective_gflops,
-            "watts": self.watts,
-            "joules_per_token": self.joules_per_token,
-        }
+        return asdict(self)
 
 
 def build_report(

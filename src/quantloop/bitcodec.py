@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DECODE_SLICE",
     "MAX_BIT_WIDTH",
     "CodeRangeError",
     "MalformedBuffer",
@@ -34,6 +35,11 @@ __all__ = [
 ]
 
 MAX_BIT_WIDTH = 8
+
+#: Codes decoded per :func:`unpack_slice` call when a whole stream is decoded
+#: (:func:`unpack_bits`, :func:`quantloop.quantizer.dequantize`), which bounds
+#: their scratch to about ``(5 * bit_width + 13) * DECODE_SLICE`` bytes.
+DECODE_SLICE = 1 << 14
 
 # float32 holds every sum of at most MAX_BIT_WIDTH place values (<= 255)
 # exactly, and a float32 product runs through BLAS where a uint8 one does not.
@@ -148,4 +154,9 @@ def unpack_bits(buf: PackedBuffer) -> np.ndarray:
     Raises:
         MalformedBuffer: if the buffer is shorter than payload + guard.
     """
-    return unpack_slice(buf, 0, buf.count)
+    _payload_view(buf)
+    codes = np.empty(buf.count, dtype=np.uint8)
+    for start in range(0, buf.count, DECODE_SLICE):
+        stop = min(start + DECODE_SLICE, buf.count)
+        codes[start:stop] = unpack_slice(buf, start, stop - start)
+    return codes

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from .bench import build_report, model_gflops_per_token
 from .gemvpass import run_gemv_pass
 from .loopir.textio import ParseError, parse_program, print_program
 from .loopir.validate import validate
-from .quantizer import QuantConfig
+from .quantizer import QuantConfig, QuantizedMatrix
 from .runtime.checkpoint import (
     CheckpointError,
     FLOAT_MAGIC,
@@ -27,9 +27,10 @@ from .runtime.checkpoint import (
     quantize_checkpoint,
     read_float_checkpoint,
     read_quantized_checkpoint,
+    sniff_magic,
 )
-from .runtime.config import param_count, tensor_shapes
-from .runtime.engine import Engine, sniff_magic, verify_bounds
+from .runtime.config import param_count
+from .runtime.engine import Engine, verify_bounds
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
@@ -151,11 +152,6 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        if sniff_magic(args.checkpoint) != FLOAT_MAGIC:
-            return _fail(
-                "verify needs a float checkpoint: it quantizes in memory and "
-                "compares both weight paths on identical inputs"
-            )
         report = verify_bounds(
             args.checkpoint,
             bit_width=args.bits,
@@ -202,47 +198,23 @@ def cmd_bench(args) -> int:
 
 
 def _inspect_checkpoint(path: str, magic: bytes) -> dict:
-    import os
-
-    if magic == FLOAT_MAGIC:
-        config, tensors = read_float_checkpoint(path)
-        kind = "float"
-        tensor_rows = [
-            {"name": name, "shape": list(shape), "dtype": "float32"}
-            for name, shape in tensor_shapes(config)
-        ]
-    else:
-        config, tensors = read_quantized_checkpoint(path)
-        kind = "quantized"
-        tensor_rows = []
-        for name, shape in tensor_shapes(config):
-            t = tensors[name]
-            if len(shape) == 1:
-                tensor_rows.append(
-                    {"name": name, "shape": list(shape), "dtype": "float32"}
-                )
-            else:
-                tensor_rows.append(
-                    {
-                        "name": name,
-                        "shape": list(shape),
-                        "bit_width": t.codebook.bit_width,
-                        "epsilon": t.epsilon,
-                    }
-                )
+    quantized = magic == QUANT_MAGIC
+    read = read_quantized_checkpoint if quantized else read_float_checkpoint
+    config, tensors = read(path)
+    tensor_rows = []
+    for name, t in tensors.items():
+        if isinstance(t, QuantizedMatrix):
+            tensor_rows.append({
+                "name": name, "shape": [t.rows, t.cols],
+                "bit_width": t.codebook.bit_width, "epsilon": t.epsilon,
+            })
+        else:
+            tensor_rows.append({"name": name, "shape": list(t.shape), "dtype": "float32"})
     return {
         "path": path,
-        "kind": kind,
+        "kind": "quantized" if quantized else "float",
         "bytes": os.path.getsize(path),
-        "config": {
-            "dim": config.dim,
-            "hidden_dim": config.hidden_dim,
-            "n_layers": config.n_layers,
-            "n_heads": config.n_heads,
-            "n_kv_heads": config.n_kv_heads,
-            "vocab_size": config.vocab_size,
-            "max_seq_len": config.max_seq_len,
-        },
+        "config": asdict(config),
         "parameters": param_count(config),
         "tensors": tensor_rows,
     }

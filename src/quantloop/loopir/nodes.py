@@ -16,7 +16,7 @@ induction variables); the interpreter rejects it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 __all__ = [

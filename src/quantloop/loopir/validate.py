@@ -21,6 +21,7 @@ check would otherwise apply, so analyses can still run and skip them.
 
 from __future__ import annotations
 
+from ..intrinsics import default_registry
 from .nodes import (
     AccumInit,
     AccumUpdate,
@@ -37,9 +38,7 @@ from .nodes import (
 
 __all__ = ["KNOWN_INTRINSICS", "validate"]
 
-KNOWN_INTRINSICS = frozenset(
-    {"gemv", "rmsnorm", "softmax", "rope", "silu", "argmax", "attention", "embed"}
-)
+KNOWN_INTRINSICS = frozenset(default_registry())
 
 # gemv's two leading arguments are storage-mode tokens, not buffer names.
 _GEMV_MODE_ARGS = 2

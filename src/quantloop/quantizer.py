@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcodec import MAX_BIT_WIDTH, PackedBuffer, pack_bits, unpack_bits
+from .bitcodec import DECODE_SLICE, MAX_BIT_WIDTH, PackedBuffer, pack_bits, unpack_slice
 
 __all__ = [
     "Codebook",
@@ -267,6 +267,15 @@ def quantize_matrix(weights, config: QuantConfig = QuantConfig()) -> QuantizedMa
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
-    """Reconstruct the dense float32 ``rows x cols`` matrix."""
-    codes = unpack_bits(q.indices)
-    return q.codebook.centroids[codes].reshape(q.rows, q.cols)
+    """Reconstruct the dense float32 ``rows x cols`` matrix.
+
+    The codes are decoded :data:`~quantloop.bitcodec.DECODE_SLICE` at a time
+    straight into the result, so the scratch stays bounded whatever the size.
+    """
+    n = q.rows * q.cols
+    result = np.empty(n, dtype=np.float32)
+    for start in range(0, n, DECODE_SLICE):
+        stop = min(start + DECODE_SLICE, n)
+        codes = unpack_slice(q.indices, start, stop - start)
+        np.take(q.codebook.centroids, codes, out=result[start:stop])
+    return result.reshape(q.rows, q.cols)

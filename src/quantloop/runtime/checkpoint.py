@@ -16,6 +16,13 @@ float32 and each 2-D tensor as a quantization record::
 
 Epsilon is stored because the runtime bound check needs it and the original
 weights are gone after quantization.
+
+The two kinds differ only in that one choice, so one reader (`_read`) and
+one writer (`_write`) serve both, keyed on the magic; the four public
+read/write functions are one-line calls into them.  Either reader returns
+``{name: tensor}`` in inventory order, each tensor a C-contiguous float32
+array or, in a DITQ file, a :class:`~quantloop.quantizer.QuantizedMatrix`
+for each 2-D slot.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple
 from typing import BinaryIO, Union
 
 import numpy as np
@@ -130,50 +137,6 @@ def _check_layer_count(config: ModelConfig, size: int, quantized: bool) -> None:
         )
 
 
-def _write_header(f: BinaryIO, magic: bytes, config: ModelConfig) -> None:
-    f.write(_HEADER.pack(magic, FORMAT_VERSION, *config.fields_tuple()))
-
-
-# ---------------------------------------------------------------------------
-# Float checkpoints
-# ---------------------------------------------------------------------------
-
-
-def write_float_checkpoint(path: str, config: ModelConfig, tensors: dict) -> None:
-    shapes = tensor_shapes(config)
-    missing = [name for name, _ in shapes if name not in tensors]
-    if missing:
-        raise ValueError(f"missing tensors: {missing}")
-    with open(path, "wb") as f:
-        _write_header(f, FLOAT_MAGIC, config)
-        for name, shape in shapes:
-            arr = np.ascontiguousarray(tensors[name], dtype=np.float32)
-            if arr.shape != shape:
-                raise ExtentMismatchError(
-                    f"{name}: shape {arr.shape} != expected {shape}"
-                )
-            f.write(arr.tobytes())
-
-
-def read_float_checkpoint(path: str):
-    """Returns (config, {name: float32 ndarray})."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        config = _read_header(f, FLOAT_MAGIC, path)
-        _check_layer_count(config, size, quantized=False)
-        tensors = {}
-        for name, shape in tensor_shapes(config):
-            count = int(np.prod(shape))
-            raw = _read_exact(f, size, 4 * count, f"tensor {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        return config, tensors
-
-
-# ---------------------------------------------------------------------------
-# Quantized checkpoints
-# ---------------------------------------------------------------------------
-
-
 def quantized_record_size(rows: int, cols: int, bit_width: int) -> int:
     return _RECORD.size + 4 * (1 << bit_width) + payload_size(rows * cols, bit_width) + 1
 
@@ -225,23 +188,35 @@ def _read_record(f: BinaryIO, size: int, name: str, shape: tuple) -> QuantizedMa
     )
 
 
-def write_quantized_checkpoint(path: str, config: ModelConfig, tensors: dict) -> None:
+def _read(path: str, magic: bytes) -> tuple[ModelConfig, dict[str, Tensor]]:
+    """The one reader: a 2-D tensor is a quantization record iff `magic` is DITQ."""
+    quantized = magic == QUANT_MAGIC
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        config = _read_header(f, magic, path)
+        _check_layer_count(config, size, quantized)
+        tensors = {}
+        for name, shape in tensor_shapes(config):
+            if quantized and len(shape) == 2:
+                tensors[name] = _read_record(f, size, name, shape)
+            else:
+                raw = _read_exact(f, size, 4 * math.prod(shape), f"tensor {name!r}")
+                tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        return config, tensors
+
+
+def _write(path: str, magic: bytes, config: ModelConfig, tensors: dict[str, Tensor]) -> None:
+    """The one writer: a 2-D tensor must be a QuantizedMatrix iff `magic` is DITQ."""
+    quantized = magic == QUANT_MAGIC
     shapes = tensor_shapes(config)
     missing = [name for name, _ in shapes if name not in tensors]
     if missing:
         raise ValueError(f"missing tensors: {missing}")
     with open(path, "wb") as f:
-        _write_header(f, QUANT_MAGIC, config)
+        f.write(_HEADER.pack(magic, FORMAT_VERSION, *astuple(config)))
         for name, shape in shapes:
             t = tensors[name]
-            if len(shape) == 1:
-                arr = np.ascontiguousarray(t, dtype=np.float32)
-                if arr.shape != shape:
-                    raise ExtentMismatchError(
-                        f"{name}: shape {arr.shape} != expected {shape}"
-                    )
-                f.write(arr.tobytes())
-            else:
+            if quantized and len(shape) == 2:
                 if not isinstance(t, QuantizedMatrix):
                     raise TypeError(f"{name}: expected QuantizedMatrix, got {type(t)}")
                 if (t.rows, t.cols) != shape:
@@ -249,22 +224,37 @@ def write_quantized_checkpoint(path: str, config: ModelConfig, tensors: dict) ->
                         f"{name}: extents ({t.rows}, {t.cols}) != expected {shape}"
                     )
                 f.write(serialize_record(t))
+            else:
+                arr = np.ascontiguousarray(t, dtype=np.float32)
+                if arr.shape != shape:
+                    raise ExtentMismatchError(
+                        f"{name}: shape {arr.shape} != expected {shape}"
+                    )
+                f.write(arr.tobytes())
+
+
+def read_float_checkpoint(path: str):
+    """Returns (config, {name: float32 ndarray})."""
+    return _read(path, FLOAT_MAGIC)
 
 
 def read_quantized_checkpoint(path: str):
     """Returns (config, {name: QuantizedMatrix | float32 ndarray})."""
+    return _read(path, QUANT_MAGIC)
+
+
+def write_float_checkpoint(path: str, config: ModelConfig, tensors: dict) -> None:
+    _write(path, FLOAT_MAGIC, config, tensors)
+
+
+def write_quantized_checkpoint(path: str, config: ModelConfig, tensors: dict) -> None:
+    _write(path, QUANT_MAGIC, config, tensors)
+
+
+def sniff_magic(path: str) -> bytes:
+    """The first four bytes of a file: FLOAT_MAGIC, QUANT_MAGIC or anything else."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        config = _read_header(f, QUANT_MAGIC, path)
-        _check_layer_count(config, size, quantized=True)
-        tensors = {}
-        for name, shape in tensor_shapes(config):
-            if len(shape) == 1:
-                raw = _read_exact(f, size, 4 * shape[0], f"tensor {name!r}")
-                tensors[name] = np.frombuffer(raw, dtype="<f4").copy()
-            else:
-                tensors[name] = _read_record(f, size, name, shape)
-        return config, tensors
+        return f.read(4)
 
 
 # ---------------------------------------------------------------------------

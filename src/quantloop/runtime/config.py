@@ -7,11 +7,14 @@ per-tensor headers beyond the quantization record itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The seven checkpoint header integers; the fields, in order, are the header."""
+
     dim: int
     hidden_dim: int
     n_layers: int
@@ -21,11 +24,10 @@ class ModelConfig:
     max_seq_len: int
 
     def __post_init__(self) -> None:
-        for name in ("dim", "hidden_dim", "n_layers", "n_heads", "n_kv_heads",
-                     "vocab_size", "max_seq_len"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive int, got {v!r}")
+                raise ValueError(f"{f.name} must be a positive int, got {v!r}")
         if self.dim % self.n_heads != 0:
             raise ValueError("dim must be divisible by n_heads")
         if self.n_heads % self.n_kv_heads != 0:
@@ -38,17 +40,6 @@ class ModelConfig:
     @property
     def kv_dim(self) -> int:
         return self.head_size * self.n_kv_heads
-
-    def fields_tuple(self) -> tuple:
-        return (
-            self.dim,
-            self.hidden_dim,
-            self.n_layers,
-            self.n_heads,
-            self.n_kv_heads,
-            self.vocab_size,
-            self.max_seq_len,
-        )
 
 
 #: Small config used by the test suite and the toy checkpoint script.
@@ -94,19 +85,9 @@ def tensor_shapes(config: ModelConfig) -> list:
 
 
 def param_count(config: ModelConfig) -> int:
-    total = 0
-    for _, shape in tensor_shapes(config):
-        n = 1
-        for e in shape:
-            n *= e
-        total += n
-    return total
+    return sum(math.prod(shape) for _, shape in tensor_shapes(config))
 
 
 def gemv_flops_per_token(config: ModelConfig) -> int:
     """Multiply-accumulate FLOPs (2 per MAC) in the matmul weights per token."""
-    total = 0
-    for _, shape in tensor_shapes(config):
-        if len(shape) == 2:
-            total += 2 * shape[0] * shape[1]
-    return total
+    return sum(2 * math.prod(shape) for _, shape in tensor_shapes(config) if len(shape) == 2)

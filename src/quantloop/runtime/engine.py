@@ -14,11 +14,16 @@ the GEMV nests execute as:
                    a shadow copy, enabling per-call bound fallback and
                    dual-path verification).
 
-A quantized checkpoint is quantized already, so ``optimized`` and
-``quantized`` coincide on it and no shadow exists; ``naive`` on it loads
-from a dequantized copy of each matrix, made when the program is prepared
-(the slow ablation arm).  Bound fallback and the dual check need the shadow,
-so the engine refuses a threshold or the dual check without one.
+Both checkpoint kinds load through one loop: the reader the file's magic
+picks returns ``{name: float32 array | QuantizedMatrix}``, and ``quantized``
+mode replaces each 2-D float array with its quantization, keeping the array
+as its shadow.  A quantized checkpoint is quantized already, so
+``optimized`` and ``quantized`` coincide on it and no shadow exists;
+``naive`` on it loads from a dequantized copy of each matrix, made when the
+program is prepared (the slow ablation arm).  Bound fallback and the dual
+check need the shadow, so the engine refuses a threshold or the dual check,
+before reading the file, anywhere but on a float checkpoint in
+``quantized`` mode.
 
 Each ``gemv`` call arrives bound (a :class:`~quantloop.kernels.GemvCall`
 built when the program was prepared; a call on a matrix with a float shadow
@@ -51,8 +56,8 @@ from .checkpoint import (
     InvalidHeaderError,
     read_float_checkpoint,
     read_quantized_checkpoint,
+    sniff_magic,
 )
-from .config import tensor_shapes
 from .rng import SplitMix64
 from .synthesize import synthesize_forward_program
 
@@ -116,11 +121,6 @@ class GenerationResult:
         return list(self.prompt_tokens) + list(self.generated_tokens)
 
 
-def sniff_magic(path: str) -> bytes:
-    with open(path, "rb") as f:
-        return f.read(4)
-
-
 class Engine:
     def __init__(
         self,
@@ -141,42 +141,28 @@ class Engine:
         self._rng = SplitMix64(seed)
 
         magic = sniff_magic(checkpoint_path)
-        if magic == FLOAT_MAGIC:
-            self.config, tensors = read_float_checkpoint(checkpoint_path)
-            quantize = mode == "quantized"
-            self._float_shadow: dict = {}
-            weights: dict = {}
-            for name, shape in tensor_shapes(self.config):
-                arr = np.ascontiguousarray(tensors[name], dtype=np.float32)
-                if len(shape) == 2 and quantize:
-                    q = quantize_matrix(arr, QuantConfig(bit_width=bit_width))
-                    weights[name] = q
-                    self._float_shadow[id(q)] = arr.reshape(-1)
-                else:
-                    weights[name] = arr
-        elif magic == QUANT_MAGIC:
-            self.config, tensors = read_quantized_checkpoint(checkpoint_path)
-            self._float_shadow = {}
-            weights = {
-                name: (
-                    t
-                    if isinstance(t, QuantizedMatrix)
-                    else np.ascontiguousarray(t, dtype=np.float32)
-                )
-                for name, t in tensors.items()
-            }
-        else:
+        readers = {FLOAT_MAGIC: read_float_checkpoint, QUANT_MAGIC: read_quantized_checkpoint}
+        if magic not in readers:
             raise InvalidHeaderError(
                 f"{checkpoint_path}: magic {magic!r} is neither "
                 f"{FLOAT_MAGIC.decode()!r} nor {QUANT_MAGIC.decode()!r}"
             )
-
-        if (dual_check or bound_threshold is not None) and not self._float_shadow:
+        shadowed = mode == "quantized" and magic == FLOAT_MAGIC
+        if (dual_check or bound_threshold is not None) and not shadowed:
             raise ValueError(
                 "dual-path checking and bound-threshold fallback need float "
                 "weights alongside the quantized ones; run a float checkpoint "
                 "in 'quantized' mode"
             )
+
+        self.config, weights = readers[magic](checkpoint_path)
+        self._float_shadow: dict = {}
+        if mode == "quantized":
+            qconfig = QuantConfig(bit_width=bit_width)
+            for name, t in weights.items():
+                if isinstance(t, np.ndarray) and t.ndim == 2:
+                    q = weights[name] = quantize_matrix(t, qconfig)
+                    self._float_shadow[id(q)] = t.reshape(-1)
 
         program = synthesize_forward_program(self.config)
         self.pass_result = None

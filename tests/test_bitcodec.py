@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantloop.bitcodec import (
+    DECODE_SLICE,
     CodeRangeError,
     MalformedBuffer,
     PackedBuffer,
@@ -46,7 +47,8 @@ def test_payload_size_formula():
 def test_matches_bit_by_bit_reference():
     rng = np.random.default_rng(11)
     for bit_width in range(1, 9):
-        for n in (0, 1, 7, 8, 9, 100):
+        # The last size spans two decode slices of unpack_bits.
+        for n in (0, 1, 7, 8, 9, 100, DECODE_SLICE + 3):
             codes = rng.integers(0, 1 << bit_width, size=n)
             got = pack_bits(codes, bit_width)
             assert got.data == pack_bits_reference(codes, bit_width)

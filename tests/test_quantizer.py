@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from quantloop.quantizer import (
     quantize_matrix,
     refine,
 )
-from quantloop.bitcodec import unpack_bits
+from quantloop.bitcodec import pack_bits, unpack_bits
 
 from oracles import best_assignment_bruteforce, epsilon_reference
 
@@ -166,6 +168,28 @@ def test_exact_when_few_distinct_values():
     q = quantize_matrix(w, QuantConfig(bit_width=2))
     assert q.epsilon == 0.0
     np.testing.assert_array_equal(dequantize(q), w)
+
+
+def test_dequantize_scratch_is_bounded():
+    # A 512x512 3-bit matrix reconstructs to 1 MiB; decoding it slice by
+    # slice keeps the peak near that, where one whole-matrix decode took
+    # over 4 MiB of scratch.
+    rng = np.random.default_rng(6)
+    codes = rng.integers(0, 8, size=512 * 512)
+    centroids = np.sort(rng.normal(size=8)).astype(np.float32)
+    q = QuantizedMatrix(
+        rows=512, cols=512, codebook=Codebook(centroids=centroids, bit_width=3),
+        indices=pack_bits(codes, 3), epsilon=0.0,
+    )
+    tracemalloc.start()
+    try:
+        result = dequantize(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20, f"dequantize peaked at {peak / 2**20:.2f} MiB"
+    assert result.dtype == np.float32 and result.shape == (512, 512)
+    np.testing.assert_array_equal(result, centroids[codes].reshape(512, 512))
 
 
 def test_quantize_determinism():

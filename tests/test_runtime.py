@@ -29,6 +29,7 @@ from quantloop.runtime import (
     tensor_shapes,
     verify_bounds,
     write_float_checkpoint,
+    write_quantized_checkpoint,
 )
 from quantloop.runtime.checkpoint import FLOAT_MAGIC, QUANT_MAGIC
 from quantloop.runtime.rng import SplitMix64, tensor_fill
@@ -168,17 +169,49 @@ def test_quantized_reader_rejects_float_file(toy_float_path):
         read_quantized_checkpoint(toy_float_path)
 
 
-def test_write_rejects_bad_shapes(tmp_path):
-    tensors = {
-        name: np.zeros(shape, dtype=np.float32)
-        for name, shape in tensor_shapes(TOY_CONFIG)
-    }
-    tensors["classifier"] = np.zeros((2, 2), dtype=np.float32)
-    with pytest.raises(ExtentMismatchError):
-        write_float_checkpoint(str(tmp_path / "bad.ditf"), TOY_CONFIG, tensors)
-    del tensors["classifier"]
-    with pytest.raises(ValueError, match="missing"):
-        write_float_checkpoint(str(tmp_path / "bad.ditf"), TOY_CONFIG, tensors)
+def _both_kinds(toy_float_path, toy_quant_path):
+    return (
+        (read_float_checkpoint, write_float_checkpoint, toy_float_path),
+        (read_quantized_checkpoint, write_quantized_checkpoint, toy_quant_path),
+    )
+
+
+def test_write_rejects_bad_shapes(tmp_path, toy_float_path, toy_quant_path):
+    out = str(tmp_path / "bad.bin")
+    for read, write, path in _both_kinds(toy_float_path, toy_quant_path):
+        _, good = read(path)
+        missing = dict(good)
+        del missing["classifier"]
+        with pytest.raises(ValueError, match="missing"):
+            write(out, TOY_CONFIG, missing)
+        for name, bad in (
+            ("final_norm", np.zeros(3, np.float32)),
+            ("l0_att_norm", np.zeros((2, 32), np.float32)),
+        ):
+            with pytest.raises(ExtentMismatchError, match=name):
+                write(out, TOY_CONFIG, {**good, name: bad})
+
+    _, floats = read_float_checkpoint(toy_float_path)
+    with pytest.raises(ExtentMismatchError, match="classifier"):
+        write_float_checkpoint(
+            out, TOY_CONFIG, {**floats, "classifier": np.zeros((2, 2), np.float32)}
+        )
+    # A .ditq takes only a record of the right extents in a 2-D slot.
+    _, records = read_quantized_checkpoint(toy_quant_path)
+    with pytest.raises(TypeError, match="l0_wq"):
+        write_quantized_checkpoint(out, TOY_CONFIG, {**records, "l0_wq": floats["l0_wq"]})
+    with pytest.raises(ExtentMismatchError, match="classifier"):
+        write_quantized_checkpoint(
+            out, TOY_CONFIG, {**records, "classifier": records["l0_wq"]}
+        )
+
+
+def test_read_write_roundtrip_is_byte_identical(tmp_path, toy_float_path, toy_quant_path):
+    out = str(tmp_path / "again.bin")
+    for read, write, path in _both_kinds(toy_float_path, toy_quant_path):
+        config, tensors = read(path)
+        write(out, config, tensors)
+        assert open(out, "rb").read() == open(path, "rb").read()
 
 
 def test_quantize_checkpoint_report_and_roundtrip(tmp_path, toy_float_path):
