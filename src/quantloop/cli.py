@@ -4,7 +4,9 @@ Subcommands: quantize, optimize, run, verify, bench, inspect.  All
 machine-readable output is JSON on stdout; diagnostics go to stderr.
 
 Exit codes: 0 success; 1 a check failed (bound violation, regression);
-2 usage, I/O, or format errors.
+2 usage, I/O, or format errors.  The subcommands raise; `main` is the one
+place where an error (`OSError`, `CheckpointError` or `ValueError`)
+becomes ``error: <message>`` on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import os
 import sys
 from dataclasses import asdict
 
-from .bench import build_report, model_gflops_per_token
 from .gemvpass import run_gemv_pass
 from .loopir.textio import ParseError, parse_program, print_program
 from .loopir.validate import validate
@@ -29,7 +30,7 @@ from .runtime.checkpoint import (
     read_quantized_checkpoint,
     sniff_magic,
 )
-from .runtime.config import param_count
+from .runtime.config import gemv_flops_per_token, param_count
 from .runtime.engine import Engine, verify_bounds
 
 _USAGE_ERROR = 2
@@ -54,35 +55,31 @@ def _parse_prompt(text: str) -> list:
     return [int(t) for t in text.replace(",", " ").split()]
 
 
+def _read_program(path: str, why: str = ""):
+    """The loop program in the `.dir` file at `path`, and its diagnostics.
+
+    Text that does not decode or parse raises ``ValueError("<path>: <why><reason>")``.
+    """
+    with open(path) as f:
+        try:
+            program = parse_program(f.read())
+        except (ParseError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {why}{exc}") from exc
+    return program, validate(program)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_quantize(args) -> int:
-    try:
-        report = quantize_checkpoint(
-            args.input,
-            args.output,
-            QuantConfig(bit_width=args.bits),
-        )
-    except (OSError, CheckpointError, ValueError) as exc:
-        return _fail(str(exc))
-    _emit(report)
+    _emit(quantize_checkpoint(args.input, args.output, QuantConfig(bit_width=args.bits)))
     return 0
 
 
 def cmd_optimize(args) -> int:
-    try:
-        with open(args.input) as f:
-            text = f.read()
-        program = parse_program(text)
-    except OSError as exc:
-        return _fail(str(exc))
-    except (ParseError, UnicodeDecodeError) as exc:
-        return _fail(f"{args.input}: {exc}")
-
-    diagnostics = validate(program)
+    program, diagnostics = _read_program(args.input)
     if diagnostics:
         for d in diagnostics:
             print(f"error: {args.input}: {d}", file=sys.stderr)
@@ -92,14 +89,11 @@ def cmd_optimize(args) -> int:
     report = result.report()
     report["input"] = args.input
     report["output"] = args.output
-    try:
-        with open(args.output, "w") as f:
-            f.write(print_program(result.program))
-        if args.report:
-            with open(args.report, "w") as f:
-                json.dump(report, f, indent=2)
-    except OSError as exc:
-        return _fail(str(exc))
+    with open(args.output, "w") as f:
+        f.write(print_program(result.program))
+    if args.report:
+        with open(args.report, "w") as f:
+            json.dump(report, f, indent=2)
     _emit(report)
     return 0
 
@@ -115,10 +109,7 @@ def _make_engine(args) -> Engine:
 
 
 def cmd_run(args) -> int:
-    try:
-        engine = _make_engine(args)
-    except (OSError, CheckpointError, ValueError) as exc:
-        return _fail(str(exc))
+    engine = _make_engine(args)
 
     def on_token(pos: int, token: int, ms: float) -> None:
         if args.telemetry:
@@ -127,16 +118,12 @@ def cmd_run(args) -> int:
                 compact=True,
             )
 
-    try:
-        result = engine.generate(
-            _parse_prompt(args.prompt),
-            steps=args.steps,
-            temperature=args.temperature,
-            on_token=on_token,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-
+    result = engine.generate(
+        _parse_prompt(args.prompt),
+        steps=args.steps,
+        temperature=args.temperature,
+        on_token=on_token,
+    )
     summary = {
         "event": "summary",
         "mode": args.mode,
@@ -151,53 +138,60 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify_bounds(
-            args.checkpoint,
-            bit_width=args.bits,
-            prompt_tokens=_parse_prompt(args.prompt),
-            steps=args.steps,
-            seed=args.seed,
-        )
-    except (OSError, CheckpointError, ValueError) as exc:
-        return _fail(str(exc))
+    report = verify_bounds(
+        args.checkpoint,
+        bit_width=args.bits,
+        prompt_tokens=_parse_prompt(args.prompt),
+        steps=args.steps,
+        seed=args.seed,
+    )
     _emit(report)
     return 0 if report["ok"] else _CHECK_FAILED
 
 
 def cmd_bench(args) -> int:
-    try:
-        engine = _make_engine(args)
-    except (OSError, CheckpointError, ValueError) as exc:
-        return _fail(str(exc))
-
-    if args.gflops_per_token is not None:
-        gflops = args.gflops_per_token
-    else:
-        gflops = model_gflops_per_token(engine.config)
-    if args.assume_tokens_per_second is not None:
-        tok_s = args.assume_tokens_per_second
-    else:
-        try:
-            result = engine.generate(
-                _parse_prompt(args.prompt), steps=args.steps,
-                temperature=args.temperature,
-            )
-        except ValueError as exc:
-            return _fail(str(exc))
-        tok_s = result.tokens_per_second
-
-    try:
-        report = build_report(tok_s, gflops, watts=args.watts)
-    except ValueError as exc:
-        return _fail(str(exc))
-    out = report.to_json()
-    out.update({"mode": args.mode, "checkpoint": args.checkpoint, "steps": args.steps})
-    _emit(out)
+    engine = _make_engine(args)
+    gflops = args.gflops_per_token
+    if gflops is None:
+        gflops = gemv_flops_per_token(engine.config) / 1e9
+    tok_s = args.assume_tokens_per_second
+    if tok_s is None:
+        tok_s = engine.generate(
+            _parse_prompt(args.prompt), steps=args.steps, temperature=args.temperature,
+        ).tokens_per_second
+    if tok_s <= 0:
+        raise ValueError("tokens_per_second must be positive")
+    _emit({
+        "tokens_per_second": tok_s,
+        "latency_ms_per_token": 1000.0 / tok_s,
+        "gflops_per_token": gflops,
+        "effective_gflops": gflops * tok_s,
+        "watts": args.watts,
+        "joules_per_token": None if args.watts is None else args.watts / tok_s,
+        "mode": args.mode,
+        "checkpoint": args.checkpoint,
+        "steps": args.steps,
+    })
     return 0
 
 
-def _inspect_checkpoint(path: str, magic: bytes) -> dict:
+def cmd_inspect(args) -> int:
+    path = args.path
+    magic = sniff_magic(path)
+    if magic not in (FLOAT_MAGIC, QUANT_MAGIC):
+        program, diagnostics = _read_program(
+            path, "not a checkpoint and not a loop program: "
+        )
+        _emit({
+            "path": path,
+            "kind": "program",
+            "buffers": len(program.buffers),
+            "params": list(program.params),
+            "functions": [fn.name for fn in program.functions],
+            "diagnostics": diagnostics,
+            "gemv_census": run_gemv_pass(program).report(),
+        })
+        return 0
     quantized = magic == QUANT_MAGIC
     read = read_quantized_checkpoint if quantized else read_float_checkpoint
     config, tensors = read(path)
@@ -210,46 +204,14 @@ def _inspect_checkpoint(path: str, magic: bytes) -> dict:
             })
         else:
             tensor_rows.append({"name": name, "shape": list(t.shape), "dtype": "float32"})
-    return {
+    _emit({
         "path": path,
         "kind": "quantized" if quantized else "float",
         "bytes": os.path.getsize(path),
         "config": asdict(config),
         "parameters": param_count(config),
         "tensors": tensor_rows,
-    }
-
-
-def _inspect_program(path: str) -> dict:
-    with open(path) as f:
-        program = parse_program(f.read())
-    diagnostics = validate(program)
-    census = run_gemv_pass(program).report()
-    return {
-        "path": path,
-        "kind": "program",
-        "buffers": len(program.buffers),
-        "params": list(program.params),
-        "functions": [fn.name for fn in program.functions],
-        "diagnostics": diagnostics,
-        "gemv_census": census,
-    }
-
-
-def cmd_inspect(args) -> int:
-    try:
-        magic = sniff_magic(args.path)
-    except OSError as exc:
-        return _fail(str(exc))
-    try:
-        if magic in (FLOAT_MAGIC, QUANT_MAGIC):
-            _emit(_inspect_checkpoint(args.path, magic))
-        else:
-            _emit(_inspect_program(args.path))
-    except (OSError, CheckpointError) as exc:
-        return _fail(str(exc))
-    except (ParseError, UnicodeDecodeError) as exc:
-        return _fail(f"{args.path}: not a checkpoint and not a loop program: {exc}")
+    })
     return 0
 
 
@@ -348,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, CheckpointError, ValueError) as exc:
+        return _fail(str(exc))
 
 
 def console_main() -> None:

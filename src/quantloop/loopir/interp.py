@@ -189,12 +189,12 @@ class Prepared:
 
     def _compile_address(self, decl: BufferDecl, index) -> Callable[[dict], int]:
         name = decl.name
+        if len(index) not in (1, len(decl.extents)):
+            raise ValueError(
+                f"buffer {name!r} declared with {len(decl.extents)} extents "
+                f"but accessed with {len(index)} subscripts"
+            )
         if len(index) == 2:
-            if len(decl.extents) != 2:
-                raise ValueError(
-                    f"buffer {name!r} declared with {len(decl.extents)} extents "
-                    f"but accessed with 2 subscripts"
-                )
             f0 = self._compile_affine(index[0])
             f1 = self._compile_affine(index[1])
             e0, e1 = decl.extents

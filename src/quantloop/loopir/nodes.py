@@ -4,8 +4,9 @@ Programs are trees of frozen dataclasses: buffer/param declarations plus
 functions whose bodies are counted loops, scalar loads/stores over float32
 buffers, scalar arithmetic, an explicit accumulator pair (init / update),
 and opaque intrinsic calls.  Array subscripts and loop bounds are affine
-expressions over enclosing induction variables; coefficients are integer
-constants or named parameters (used for symbolic leading dimensions).
+expressions over enclosing induction variables and declared parameters;
+coefficients are integer constants or named parameters (used for symbolic
+leading dimensions).
 Programs are immutable after construction — transformation passes build new
 trees.
 

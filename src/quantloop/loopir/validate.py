@@ -9,8 +9,8 @@ program is well formed).  Checked invariants:
   are defined exactly once per function and before use;
 * accumulator updates sit inside a loop and refer to exactly one ``acc``
   definition in an enclosing scope;
-* affine expressions reference enclosing induction variables only, with
-  declared params as symbolic coefficients;
+* affine expression terms name enclosing induction variables or declared
+  params, and symbolic coefficients are declared params;
 * intrinsic calls name a known intrinsic and pass declared identifiers
   (the two leading mode tokens of ``gemv`` are exempt).
 
@@ -92,10 +92,10 @@ def _validate_function(p, fn: Function, buffers, params, diags: list[str]) -> No
             return
         assert isinstance(expr, AffineExpr)
         for iv, coeff in expr.terms:
-            if iv not in ivs:
+            if iv not in ivs and iv not in params:
                 diags.append(
-                    f"{where}: {context} references {iv!r}, which is not an "
-                    f"enclosing induction variable"
+                    f"{where}: {context} references {iv!r}, which is neither an "
+                    f"enclosing induction variable nor a declared param"
                 )
             if isinstance(coeff, str) and coeff not in params:
                 diags.append(

@@ -206,31 +206,35 @@ def _read(path: str, magic: bytes) -> tuple[ModelConfig, dict[str, Tensor]]:
 
 
 def _write(path: str, magic: bytes, config: ModelConfig, tensors: dict[str, Tensor]) -> None:
-    """The one writer: a 2-D tensor must be a QuantizedMatrix iff `magic` is DITQ."""
+    """The one writer: a 2-D tensor must be a QuantizedMatrix iff `magic` is DITQ.
+
+    Every tensor is checked before the output is opened, so a refused write
+    leaves whatever file was at `path` as it was.
+    """
     quantized = magic == QUANT_MAGIC
     shapes = tensor_shapes(config)
     missing = [name for name, _ in shapes if name not in tensors]
     if missing:
         raise ValueError(f"missing tensors: {missing}")
+    checked = []
+    for name, shape in shapes:
+        t = tensors[name]
+        if quantized and len(shape) == 2:
+            if not isinstance(t, QuantizedMatrix):
+                raise TypeError(f"{name}: expected QuantizedMatrix, got {type(t)}")
+            if (t.rows, t.cols) != shape:
+                raise ExtentMismatchError(
+                    f"{name}: extents ({t.rows}, {t.cols}) != expected {shape}"
+                )
+        else:
+            t = np.ascontiguousarray(t, dtype=np.float32)
+            if t.shape != shape:
+                raise ExtentMismatchError(f"{name}: shape {t.shape} != expected {shape}")
+        checked.append(t)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(magic, FORMAT_VERSION, *astuple(config)))
-        for name, shape in shapes:
-            t = tensors[name]
-            if quantized and len(shape) == 2:
-                if not isinstance(t, QuantizedMatrix):
-                    raise TypeError(f"{name}: expected QuantizedMatrix, got {type(t)}")
-                if (t.rows, t.cols) != shape:
-                    raise ExtentMismatchError(
-                        f"{name}: extents ({t.rows}, {t.cols}) != expected {shape}"
-                    )
-                f.write(serialize_record(t))
-            else:
-                arr = np.ascontiguousarray(t, dtype=np.float32)
-                if arr.shape != shape:
-                    raise ExtentMismatchError(
-                        f"{name}: shape {arr.shape} != expected {shape}"
-                    )
-                f.write(arr.tobytes())
+        for t in checked:
+            f.write(serialize_record(t) if isinstance(t, QuantizedMatrix) else t.tobytes())
 
 
 def read_float_checkpoint(path: str):

@@ -74,13 +74,26 @@ def test_quantize_writes_file_and_report(tmp_path, toy_float_path, capsys):
         ("verify", "{missing}"),
         ("bench", "{missing}", "--steps", "1"),
         ("inspect", "{missing}"),
+        # Other requests refused with exit 2: out-of-range values, unparsable text.
+        ("quantize", "{float}", "{tmp}/o.ditq", "--bits", "9"),
+        ("run", "{quant}", "--steps", "300"),
+        ("run", "{quant}", "--prompt", "9999", "--steps", "1"),
+        ("bench", "{float}", "--assume-tokens-per-second", "0"),
+        ("bench", "{quant}", "--steps", "0"),
+        ("optimize", "{junk}", "{tmp}/o.dir"),
+        ("inspect", "{junk}"),
     ],
-    ids=["quantize", "optimize", "optimize-report", "run", "verify", "bench", "inspect"],
+    ids=["quantize", "optimize", "optimize-report", "run", "verify", "bench", "inspect",
+         "quantize-bits", "run-steps", "run-token", "bench-rate", "bench-steps",
+         "optimize-junk", "inspect-junk"],
 )
-def test_missing_path_is_usage_error(argv, tmp_path, capsys):
+def test_missing_path_is_usage_error(argv, tmp_path, capsys, toy_float_path, toy_quant_path):
     program = tmp_path / "matvec.dir"
     program.write_text(MATVEC)
-    paths = {"missing": tmp_path / "nope.ditf", "tmp": tmp_path, "program": program}
+    junk = tmp_path / "junk.dir"
+    junk.write_text("this is not a loop program\n")
+    paths = {"missing": tmp_path / "nope.ditf", "tmp": tmp_path, "program": program,
+             "float": toy_float_path, "quant": toy_quant_path, "junk": junk}
     code, _, stderr = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert stderr.startswith("error:")
@@ -230,6 +243,21 @@ def test_optimize_rewrites_program(tmp_path, capsys):
     assert json.loads(rep.read_text())["matched"] == 1
 
 
+def test_optimize_skips_param_bound_nest(tmp_path, capsys):
+    # A declared param in a loop bound is valid; the pass leaves that nest
+    # as it was and says why.
+    src = tmp_path / "param.dir"
+    src.write_text(MATVEC.replace("buffer y[2]\n", "buffer y[2]\nparam n\n")
+                   .replace("for i in 0..2", "for i in 0..n"))
+    dst = tmp_path / "param_opt.dir"
+    code, stdout, stderr = run_cli(capsys, "optimize", str(src), str(dst))
+    assert code == 0, stderr
+    report = json.loads(stdout)
+    assert report["matched"] == 0 and report["skipped"] == 1
+    assert report["records"][0]["reason"]
+    assert parse_program(dst.read_text()) == parse_program(src.read_text())
+
+
 def test_optimize_rejects_invalid_program(tmp_path, capsys):
     src = tmp_path / "bad.dir"
     src.write_text("buffer x[4]\n\nfunc f {\n  store y[0] = 1.0\n}\n")
@@ -243,6 +271,7 @@ def test_optimize_rejects_unparsable_text(tmp_path, capsys):
     src.write_text("this is not a loop program\n")
     code, _, stderr = run_cli(capsys, "optimize", str(src), str(tmp_path / "o.dir"))
     assert code == 2
+    assert stderr.startswith(f"error: {src}: line 1, col 1: ")
 
 
 def test_run_emits_summary(toy_quant_path, capsys):
@@ -379,6 +408,7 @@ def test_inspect_garbage_is_usage_error(tmp_path, capsys):
     path.write_bytes(b"\x00\x01\x02\x03 garbage")
     code, _, stderr = run_cli(capsys, "inspect", str(path))
     assert code == 2
+    assert stderr.startswith(f"error: {path}: not a checkpoint and not a loop program: ")
 
 
 def test_unknown_subcommand_exits_two(capsys):

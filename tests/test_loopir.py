@@ -226,9 +226,31 @@ func f {
   }
 }
 """
+    p = parse_program(src)
+    # A declared param is a legal NAME in a bound, for validate as for the parser.
+    assert validate(p) == []
     env = {"v": np.zeros(8, dtype=np.float32), "n": 5}
-    interpret(parse_program(src), env)
+    interpret(p, env)
     np.testing.assert_array_equal(env["v"], [1, 1, 1, 1, 1, 0, 0, 0])
+
+
+def test_subscript_count_must_be_one_or_rank():
+    # Three subscripts on a 2-D buffer are refused at prepare, as validate
+    # reports them, rather than read as a flat index on the first one.
+    src = """\
+buffer A[2, 3]
+buffer y[1]
+
+func f {
+  load a = A[1, 2, 0]
+  store y[0] = a
+}
+"""
+    env = {"A": np.arange(6, dtype=np.float32).reshape(2, 3), "y": np.zeros(1, np.float32)}
+    p = parse_program(src)
+    assert any("subscript" in d for d in validate(p))
+    with pytest.raises(ValueError, match="'A'.*3 subscripts"):
+        Prepared(p, env)
 
 
 def test_intrinsic_dispatch_and_args():

@@ -177,33 +177,38 @@ def _both_kinds(toy_float_path, toy_quant_path):
 
 
 def test_write_rejects_bad_shapes(tmp_path, toy_float_path, toy_quant_path):
-    out = str(tmp_path / "bad.bin")
+    out = tmp_path / "old.bin"
+
+    def refused(write, tensors, error, match, old):
+        # A refused write leaves the valid file already at the path as it was.
+        out.write_bytes(old)
+        with pytest.raises(error, match=match):
+            write(str(out), TOY_CONFIG, tensors)
+        assert out.read_bytes() == old
+
     for read, write, path in _both_kinds(toy_float_path, toy_quant_path):
         _, good = read(path)
+        old = open(path, "rb").read()
         missing = dict(good)
         del missing["classifier"]
-        with pytest.raises(ValueError, match="missing"):
-            write(out, TOY_CONFIG, missing)
+        refused(write, missing, ValueError, "missing", old)
         for name, bad in (
             ("final_norm", np.zeros(3, np.float32)),
             ("l0_att_norm", np.zeros((2, 32), np.float32)),
         ):
-            with pytest.raises(ExtentMismatchError, match=name):
-                write(out, TOY_CONFIG, {**good, name: bad})
+            refused(write, {**good, name: bad}, ExtentMismatchError, name, old)
 
     _, floats = read_float_checkpoint(toy_float_path)
-    with pytest.raises(ExtentMismatchError, match="classifier"):
-        write_float_checkpoint(
-            out, TOY_CONFIG, {**floats, "classifier": np.zeros((2, 2), np.float32)}
-        )
+    old = open(toy_float_path, "rb").read()
+    refused(write_float_checkpoint, {**floats, "classifier": np.zeros((2, 2), np.float32)},
+            ExtentMismatchError, "classifier", old)
     # A .ditq takes only a record of the right extents in a 2-D slot.
     _, records = read_quantized_checkpoint(toy_quant_path)
-    with pytest.raises(TypeError, match="l0_wq"):
-        write_quantized_checkpoint(out, TOY_CONFIG, {**records, "l0_wq": floats["l0_wq"]})
-    with pytest.raises(ExtentMismatchError, match="classifier"):
-        write_quantized_checkpoint(
-            out, TOY_CONFIG, {**records, "classifier": records["l0_wq"]}
-        )
+    old = open(toy_quant_path, "rb").read()
+    refused(write_quantized_checkpoint, {**records, "l0_wq": floats["l0_wq"]},
+            TypeError, "l0_wq", old)
+    refused(write_quantized_checkpoint, {**records, "classifier": records["l0_wq"]},
+            ExtentMismatchError, "classifier", old)
 
 
 def test_read_write_roundtrip_is_byte_identical(tmp_path, toy_float_path, toy_quant_path):
