@@ -22,11 +22,13 @@ idiom from, and a nest only becomes a candidate when *every* statement in
 it is accounted for, which is what makes the pass conservative about extra
 side effects.
 
-Failures carry one of five reason codes (:class:`SkipReason`): nests
+Failures carry one of six reason codes (:class:`SkipReason`): nests
 shallower than two loops, subscripts outside the recognized affine shapes,
 leftover statements / interfering accesses (including operand aliasing),
-2-D accesses whose storage order cannot be inferred, and strided or offset
-vector accesses, which are recognized but deliberately not rewritten.
+2-D accesses whose storage order cannot be inferred, strided or offset
+vector accesses, which are recognized but deliberately not rewritten, and
+loop bounds that are affine but not constant (they name a declared param),
+so the trip count is not known when the pass runs.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ class SkipReason(str, enum.Enum):
     EXTRA_SIDE_EFFECT = "extra-side-effect"
     LAYOUT_UNKNOWN = "layout-unknown"
     STRIDED = "strided"
+    SYMBOLIC_TRIP_COUNT = "symbolic-trip-count"
 
 
 class MatchFailure(Exception):
@@ -357,9 +360,11 @@ class GemvCandidate:
 
 def _const_trip_count(loop: Loop) -> int:
     lo, hi = loop.lower, loop.upper
-    if not (isinstance(lo, AffineExpr) and lo.is_const and isinstance(hi, AffineExpr) and hi.is_const):
+    if not (isinstance(lo, AffineExpr) and isinstance(hi, AffineExpr)):
+        raise MatchFailure(SkipReason.NON_AFFINE, f"loop {loop.iv!r} bounds are not affine")
+    if not (lo.is_const and hi.is_const):
         raise MatchFailure(
-            SkipReason.NON_AFFINE, f"loop {loop.iv!r} bounds are not integer constants"
+            SkipReason.SYMBOLIC_TRIP_COUNT, f"loop {loop.iv!r} bounds are not integer constants"
         )
     if lo.offset != 0:
         raise MatchFailure(

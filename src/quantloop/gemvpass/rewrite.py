@@ -5,7 +5,7 @@ replaced in place by its ``gemv`` intrinsic call when it matches the idiom
 (:func:`match_nest`, which accounts for every statement in the nest), passes
 :func:`check_legality`, and defines no scalar that is read outside it.  Any
 other nest keeps its position and its object, so it prints byte-identically,
-and gets a record with one of five reason codes.  Nothing outside the
+and gets a record with one of six reason codes.  Nothing outside the
 replaced nests is touched.
 """
 

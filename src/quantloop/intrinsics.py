@@ -15,17 +15,21 @@ Signatures (buffers first, then scalars):
   :func:`~quantloop.kernels.gemv_opt` runs too, minus the operand check.
 * ``rmsnorm(dst, src, weight)`` — ``dst = src * weight / rms(src)`` with
   ``rms(src) = sqrt(mean(src^2) + 1e-5)``.
-* ``softmax(v)`` — in place, max-subtracted.
+* ``softmax(v)`` — in place, max-subtracted, along the last axis.
 * ``silu(v)`` — in place ``v * sigmoid(v)``.
 * ``rope(q, k, pos, head_size, kv_dim)`` — rotary position embedding:
   consecutive pairs ``(2i, 2i+1)`` rotate by ``pos * 10000^-(d/head_size)``
-  where ``d = 2i mod head_size``; ``k`` only holds ``kv_dim`` entries and is
-  rotated over those.
+  where ``d = 2i mod head_size``; ``k`` is rotated over its first ``kv_dim``
+  entries.  The even and odd entries rotate in place as two strided views,
+  with the float32 products and sums of a one-pair-at-a-time rotation, so
+  the results are those of that rotation bit for bit.
 * ``attention(out, q, k_cur, v_cur, k_cache, v_cache, pos, n_heads,
-  n_kv_heads, head_size)`` — appends the current key/value rows to the
+  n_kv_heads, head_size)`` — writes the current key/value rows to the
   caches at ``pos`` and computes causal scaled dot-product attention over
-  positions ``0..pos``; with fewer KV heads than query heads, each group of
-  ``n_heads // n_kv_heads`` query heads shares one KV head.
+  positions ``0..pos``.  All heads run as one batched product; with fewer
+  KV heads than query heads, each run of ``n_heads // n_kv_heads``
+  consecutive query heads shares one KV head.  Only rows ``0..pos`` and
+  columns below ``n_kv_heads * head_size`` of the caches are read.
 * ``embed(dst, table, token)`` — copies row ``token`` of the embedding
   table (decoding just that row when the table is quantized).
 * ``argmax(dst, src)`` — writes the index of the first maximum to
@@ -96,10 +100,9 @@ def rmsnorm_handler(dst, src, weight) -> None:
 
 
 def softmax_inplace(v: np.ndarray) -> None:
-    m = v.max()
-    np.subtract(v, m, out=v)
+    np.subtract(v, v.max(axis=-1, keepdims=True), out=v)
     np.exp(v, out=v)
-    v /= v.sum()
+    v /= v.sum(axis=-1, keepdims=True)
 
 
 def silu_handler(v) -> None:
@@ -109,23 +112,19 @@ def silu_handler(v) -> None:
 def rope_handler(q, k, pos, head_size, kv_dim) -> None:
     head_size = int(head_size)
     kv_dim = int(kv_dim)
-    idx = np.arange(0, q.shape[0], 2)
-    angles = int(pos) * (ROPE_THETA ** (-((idx % head_size) / head_size)))
+    if kv_dim > k.shape[0]:
+        raise ValueError(f"rope: kv_dim {kv_dim} exceeds the {k.shape[0]} entries of k")
+    d = np.arange(0, q.shape[0], 2) % head_size
+    angles = int(pos) * (ROPE_THETA ** (-(d / head_size)))
     cos = np.cos(angles).astype(np.float32)
     sin = np.sin(angles).astype(np.float32)
-
-    q0 = q[idx].copy()
-    q1 = q[idx + 1].copy()
-    q[idx] = q0 * cos - q1 * sin
-    q[idx + 1] = q0 * sin + q1 * cos
-
-    kidx = idx[idx < kv_dim]
-    kcos = cos[: kidx.size]
-    ksin = sin[: kidx.size]
-    k0 = k[kidx].copy()
-    k1 = k[kidx + 1].copy()
-    k[kidx] = k0 * kcos - k1 * ksin
-    k[kidx + 1] = k0 * ksin + k1 * kcos
+    for v, n in ((q, cos.size), (k, kv_dim // 2)):
+        v0, v1, c, s = v[0 : 2 * n : 2], v[1 : 2 * n : 2], cos[:n], sin[:n]
+        t = v0 * s
+        v0 *= c
+        v0 -= v1 * s
+        v1 *= c
+        v1 += t
 
 
 def attention_handler(
@@ -135,19 +134,17 @@ def attention_handler(
     n_heads = int(n_heads)
     n_kv_heads = int(n_kv_heads)
     head_size = int(head_size)
+    if q.shape[0] != n_heads * head_size:
+        raise ValueError(f"attention: {n_heads} heads of {head_size} do not cover q of {q.shape[0]}")
     k_cache[pos, :] = k_cur
     v_cache[pos, :] = v_cur
-    keys = k_cache[: pos + 1]
-    vals = v_cache[: pos + 1]
-    kv_mul = n_heads // n_kv_heads
-    scale = np.float32(1.0 / math.sqrt(head_size))
-    for h in range(n_heads):
-        lo = h * head_size
-        hi = lo + head_size
-        kv = (h // kv_mul) * head_size
-        scores = (keys[:, kv : kv + head_size] @ q[lo:hi]) * scale
-        softmax_inplace(scores)
-        out[lo:hi] = scores @ vals[:, kv : kv + head_size]
+    rows, width = pos + 1, n_kv_heads * head_size
+    keys = k_cache[:rows, :width].reshape(rows, n_kv_heads, head_size)
+    vals = v_cache[:rows, :width].reshape(rows, n_kv_heads, head_size)
+    scores = q.reshape(n_kv_heads, n_heads // n_kv_heads, head_size) @ keys.transpose(1, 2, 0)
+    scores *= np.float32(1.0 / math.sqrt(head_size))
+    softmax_inplace(scores)
+    out[...] = (scores @ vals.transpose(1, 0, 2)).reshape(-1)
 
 
 def embed_handler(dst, table, token) -> None:

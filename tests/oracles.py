@@ -101,3 +101,53 @@ def epsilon_reference(weights, centroids, assignments) -> float:
     return max(
         abs(float(w) - float(centroids[a])) for w, a in zip(weights, assignments)
     )
+
+
+# -- rope and attention ------------------------------------------------------
+
+
+def rope_reference(q, k, pos: int, head_size: int, kv_dim: int, theta: float = 10000.0):
+    """Rotary embedding one pair at a time in float64; returns new (q, k).
+
+    Pair ``(i, i+1)``, ``i`` even, turns by ``pos * theta^-((i mod
+    head_size) / head_size)``.  ``k`` turns over its first ``kv_dim``
+    entries and keeps the rest.
+    """
+
+    def rotate(v, width):
+        v = [float(x) for x in v]
+        for i in range(0, width, 2):
+            angle = pos * theta ** (-((i % head_size) / head_size))
+            c, s = math.cos(angle), math.sin(angle)
+            a, b = v[i], v[i + 1]
+            v[i] = a * c - b * s
+            v[i + 1] = a * s + b * c
+        return np.array(v)
+
+    return rotate(q, len(q)), rotate(k, kv_dim)
+
+
+def attention_reference(q, keys, values, n_heads: int, n_kv_heads: int, head_size: int):
+    """Scaled dot-product attention one head at a time in float64.
+
+    `keys` and `values` are the cache rows ``0..pos``, each
+    ``n_kv_heads * head_size`` wide.  Query head ``h`` reads KV head
+    ``h // (n_heads // n_kv_heads)``.  Returns the ``n_heads * head_size``
+    output.
+    """
+    group = n_heads // n_kv_heads
+    out = np.zeros(n_heads * head_size)
+    for h in range(n_heads):
+        qh = [float(x) for x in q[h * head_size : (h + 1) * head_size]]
+        kv = (h // group) * head_size
+        scores = []
+        for row in keys:
+            dot = sum(qh[d] * float(row[kv + d]) for d in range(head_size))
+            scores.append(dot / math.sqrt(head_size))
+        top = max(scores)
+        weights = [math.exp(s - top) for s in scores]
+        total = sum(weights)
+        for d in range(head_size):
+            acc = sum(w * float(row[kv + d]) for w, row in zip(weights, values))
+            out[h * head_size + d] = acc / total
+    return out

@@ -254,7 +254,7 @@ def test_optimize_skips_param_bound_nest(tmp_path, capsys):
     assert code == 0, stderr
     report = json.loads(stdout)
     assert report["matched"] == 0 and report["skipped"] == 1
-    assert report["records"][0]["reason"]
+    assert report["records"][0]["reason"] == "symbolic-trip-count"
     assert parse_program(dst.read_text()) == parse_program(src.read_text())
 
 

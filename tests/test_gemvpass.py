@@ -385,7 +385,29 @@ func f {
 }
 """
     reason, _ = single_skip_reason(parse_program(src))
-    assert reason == "non-affine"
+    assert reason == "symbolic-trip-count"
+
+
+@pytest.mark.parametrize("bounds, want", [
+    ("n..4", "symbolic-trip-count"),
+    ("0..n + 1", "symbolic-trip-count"),
+    ("1..4", "non-affine"),
+    ("0..0", "non-affine"),
+    (None, "non-affine"),
+])
+def test_skip_reason_of_loop_bounds(bounds, want):
+    src = canonical().replace("buffer z[4]\n", "buffer z[4]\nparam n\n")
+    if bounds is None:  # a bound the parser cannot produce: built directly
+        prog = parse_program(src)
+        nest = prog.functions[0].body[0]
+        nest = Loop(iv=nest.iv, lower=nest.lower, upper=NonAffineExpr(text="n * n"),
+                    body=nest.body)
+        prog = LoopProgram(buffers=prog.buffers, params=prog.params,
+                           functions=(Function(name="f", body=(nest,)),))
+    else:
+        prog = parse_program(src.replace("for i in 0..4", f"for i in {bounds}"))
+    reason, _ = single_skip_reason(prog)
+    assert reason == want
 
 
 def test_skip_nonzero_accumulator_init():
