@@ -9,9 +9,10 @@ next byte.
 
 The payload is exactly ``ceil(n*b/8)`` bytes and is always followed by a
 single zero guard byte.  The guard is a format invariant: writers always
-emit it, the ``.ditq`` record size counts it, and readers check that a
-buffer is long enough to hold it (:class:`MalformedBuffer` otherwise), so a
-stream cut at the end of its payload is refused.  No decoder reads it:
+emit it, the ``.ditq`` record size counts it, and :class:`PackedBuffer`
+refuses a buffer too short to hold it (:class:`MalformedBuffer`), so a
+stream cut at the end of its payload is refused when it is made.  No
+decoder reads it:
 :func:`unpack_slice` reads only the payload bytes that hold the requested
 codes.
 """
@@ -28,6 +29,7 @@ __all__ = [
     "CodeRangeError",
     "MalformedBuffer",
     "PackedBuffer",
+    "check_bit_width",
     "pack_bits",
     "payload_size",
     "unpack_bits",
@@ -59,26 +61,40 @@ def payload_size(count: int, bit_width: int) -> int:
     return (count * bit_width + 7) // 8
 
 
+def check_bit_width(bit_width: int) -> None:
+    """Refuse a code width outside 1..:data:`MAX_BIT_WIDTH` with a ValueError."""
+    if not 1 <= bit_width <= MAX_BIT_WIDTH:
+        raise ValueError(f"bit width must be in 1..{MAX_BIT_WIDTH}, got {bit_width}")
+
+
 @dataclass(frozen=True)
 class PackedBuffer:
     """A densely packed stream of fixed-width codes.
 
     ``data`` holds the payload plus the trailing zero guard byte, so
-    ``len(data) == payload_size(count, bit_width) + 1``.
+    ``len(data) == payload_size(count, bit_width) + 1``.  A bad bit width, a
+    negative count or a buffer too short for payload and guard is refused
+    here, and the decoders do not check again.
     """
 
     data: bytes
     count: int
     bit_width: int
 
+    def __post_init__(self) -> None:
+        check_bit_width(self.bit_width)
+        if self.count < 0:
+            raise MalformedBuffer(f"negative code count {self.count}")
+        need = self.payload_bytes + 1  # payload + guard
+        if len(self.data) < need:
+            raise MalformedBuffer(
+                f"packed buffer truncated: need {need} bytes "
+                f"({need - 1} payload + 1 guard), have {len(self.data)}"
+            )
+
     @property
     def payload_bytes(self) -> int:
         return payload_size(self.count, self.bit_width)
-
-
-def _check_bit_width(bit_width: int) -> None:
-    if not 1 <= bit_width <= MAX_BIT_WIDTH:
-        raise ValueError(f"bit width must be in 1..{MAX_BIT_WIDTH}, got {bit_width}")
 
 
 def pack_bits(codes, bit_width: int) -> PackedBuffer:
@@ -91,7 +107,7 @@ def pack_bits(codes, bit_width: int) -> PackedBuffer:
     Raises:
         CodeRangeError: if any code falls outside the representable range.
     """
-    _check_bit_width(bit_width)
+    check_bit_width(bit_width)
     arr = np.ascontiguousarray(codes, dtype=np.int64).reshape(-1)
     if arr.size:
         lo = int(arr.min())
@@ -108,19 +124,6 @@ def pack_bits(codes, bit_width: int) -> PackedBuffer:
     return PackedBuffer(data=payload + b"\x00", count=arr.size, bit_width=bit_width)
 
 
-def _payload_view(buf: PackedBuffer) -> np.ndarray:
-    _check_bit_width(buf.bit_width)
-    if buf.count < 0:
-        raise MalformedBuffer(f"negative code count {buf.count}")
-    need = payload_size(buf.count, buf.bit_width) + 1  # payload + guard
-    if len(buf.data) < need:
-        raise MalformedBuffer(
-            f"packed buffer truncated: need {need} bytes "
-            f"({need - 1} payload + 1 guard), have {len(buf.data)}"
-        )
-    return np.frombuffer(buf.data, dtype=np.uint8)
-
-
 def unpack_slice(buf: PackedBuffer, start: int, count: int) -> np.ndarray:
     """Decode codes ``start .. start+count`` without touching the rest.
 
@@ -132,7 +135,6 @@ def unpack_slice(buf: PackedBuffer, start: int, count: int) -> np.ndarray:
     numpy calls whatever the count, and about ``5 * bit_width + 5`` bytes of
     scratch per code.
     """
-    data = _payload_view(buf)
     if start < 0 or count < 0 or start + count > buf.count:
         raise IndexError(
             f"slice [{start}, {start + count}) out of range for {buf.count} codes"
@@ -140,6 +142,7 @@ def unpack_slice(buf: PackedBuffer, start: int, count: int) -> np.ndarray:
     b = buf.bit_width
     first_bit = start * b
     end_bit = first_bit + count * b
+    data = np.frombuffer(buf.data, dtype=np.uint8)
     bits = np.unpackbits(data[first_bit >> 3 : (end_bit + 7) >> 3], bitorder="little")
     skip = first_bit & 7
     bits = bits[skip : skip + count * b].reshape(count, b).astype(np.float32)
@@ -150,11 +153,7 @@ def unpack_bits(buf: PackedBuffer) -> np.ndarray:
     """Decode every code in the buffer; inverse of :func:`pack_bits`.
 
     Returns a ``uint8`` array of length ``buf.count``.
-
-    Raises:
-        MalformedBuffer: if the buffer is shorter than payload + guard.
     """
-    _payload_view(buf)
     codes = np.empty(buf.count, dtype=np.uint8)
     for start in range(0, buf.count, DECODE_SLICE):
         stop = min(start + DECODE_SLICE, buf.count)

@@ -15,7 +15,6 @@ Signatures (buffers first, then scalars):
   :func:`~quantloop.kernels.gemv_opt` runs too, minus the operand check.
 * ``rmsnorm(dst, src, weight)`` — ``dst = src * weight / rms(src)`` with
   ``rms(src) = sqrt(mean(src^2) + 1e-5)``.
-* ``softmax(v)`` — in place, max-subtracted, along the last axis.
 * ``silu(v)`` — in place ``v * sigmoid(v)``.
 * ``rope(q, k, pos, head_size, kv_dim)`` — rotary position embedding:
   consecutive pairs ``(2i, 2i+1)`` rotate by ``pos * 10000^-(d/head_size)``
@@ -26,14 +25,13 @@ Signatures (buffers first, then scalars):
 * ``attention(out, q, k_cur, v_cur, k_cache, v_cache, pos, n_heads,
   n_kv_heads, head_size)`` — writes the current key/value rows to the
   caches at ``pos`` and computes causal scaled dot-product attention over
-  positions ``0..pos``.  All heads run as one batched product; with fewer
-  KV heads than query heads, each run of ``n_heads // n_kv_heads``
-  consecutive query heads shares one KV head.  Only rows ``0..pos`` and
-  columns below ``n_kv_heads * head_size`` of the caches are read.
+  positions ``0..pos`` (softmax max-subtracted).  All heads run as one
+  batched product; with fewer KV heads than query heads, each run of
+  ``n_heads // n_kv_heads`` consecutive query heads shares one KV head.
+  Only rows ``0..pos`` and columns below ``n_kv_heads * head_size`` of the
+  caches are read.
 * ``embed(dst, table, token)`` — copies row ``token`` of the embedding
   table (decoding just that row when the table is quantized).
-* ``argmax(dst, src)`` — writes the index of the first maximum to
-  ``dst[0]`` as a float.
 """
 
 from __future__ import annotations
@@ -160,19 +158,13 @@ def embed_handler(dst, table, token) -> None:
         dst[...] = table[token]
 
 
-def argmax_handler(dst, src) -> None:
-    dst[0] = float(np.argmax(src))
-
-
 def default_registry() -> dict:
     """A fresh name->handler mapping (callers may override entries)."""
     return {
         "gemv": gemv_handler,
         "rmsnorm": rmsnorm_handler,
-        "softmax": softmax_inplace,
         "silu": silu_handler,
         "rope": rope_handler,
         "attention": attention_handler,
         "embed": embed_handler,
-        "argmax": argmax_handler,
     }

@@ -425,11 +425,11 @@ def runtime_bound_check(
     are the vectors the product reads (the strided views, not the whole
     buffers); `y` is needed only when ``beta != 0``.  The L1 norm of x is
     computed at call time, so callers may use ``threshold_exceeded`` to fall
-    back to a full-precision product for this call.
+    back to a full-precision product for this call.  ``q.epsilon`` is not
+    checked here: a :class:`~quantloop.quantizer.QuantizedMatrix` holds only
+    a finite, non-negative one.
     """
     eps = float(q.epsilon)
-    if eps < 0:
-        raise ValueError(f"epsilon must be non-negative, got {eps}")
     n = np.size(x)
     a = abs(float(np.float32(alpha)))
     b = abs(float(np.float32(beta)))

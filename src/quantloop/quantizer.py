@@ -12,11 +12,12 @@ output error of matrix-vector products analytically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcodec import DECODE_SLICE, MAX_BIT_WIDTH, PackedBuffer, pack_bits, unpack_slice
+from .bitcodec import DECODE_SLICE, PackedBuffer, check_bit_width, pack_bits, unpack_slice
 
 __all__ = [
     "Codebook",
@@ -49,13 +50,12 @@ class QuantConfig:
     bit_width: int = 3
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bit_width <= MAX_BIT_WIDTH:
-            raise ValueError(f"bit_width must be in 1..{MAX_BIT_WIDTH}, got {self.bit_width}")
+        check_bit_width(self.bit_width)
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Centroid table: ``2**bit_width`` float32 values, sorted ascending.
+    """Centroid table: ``2**bit_width`` finite float32 values, sorted ascending.
 
     ``max_abs`` is the largest centroid magnitude, taken once here; the
     float32 error bound scales with it on every call.
@@ -71,6 +71,8 @@ class Codebook:
             raise ValueError(
                 f"codebook must hold exactly {1 << self.bit_width} centroids, got shape {c.shape}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("codebook centroids must be finite")
         if np.any(np.diff(c) < 0):
             raise ValueError("codebook centroids must be sorted ascending")
         object.__setattr__(self, "centroids", c)
@@ -85,6 +87,8 @@ class QuantizedMatrix:
     is the max absolute difference between the source matrix and its
     reconstruction, measured at quantization time against the float32
     codebook (rounded up so the recorded value never understates the error).
+    An epsilon that is not a finite non-negative number is refused here: the
+    runtime bound scales with it, and a NaN bound is never over threshold.
     """
 
     rows: int
@@ -103,6 +107,8 @@ class QuantizedMatrix:
             )
         if self.indices.bit_width != self.codebook.bit_width:
             raise ValueError("index bit width does not match codebook bit width")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon {self.epsilon} is not a finite non-negative number")
 
 
 def _as_flat_weights(weights) -> np.ndarray:

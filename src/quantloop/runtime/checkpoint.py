@@ -36,7 +36,7 @@ from typing import BinaryIO, Union
 
 import numpy as np
 
-from ..bitcodec import MAX_BIT_WIDTH, PackedBuffer, payload_size
+from ..bitcodec import PackedBuffer, check_bit_width, payload_size
 from ..quantizer import Codebook, QuantConfig, QuantizedMatrix, quantize_matrix
 from .config import ModelConfig, TOY_CONFIG, layer_shapes, tensor_shapes
 from .rng import tensor_fill
@@ -47,12 +47,6 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sI7i")
 _RECORD = struct.Struct("<BIIf")
-
-#: Largest KV cache, in bytes, a header may ask for: one float32 key and one
-#: value cache of ``max_seq_len x kv_dim`` per layer.  ``max_seq_len`` is the
-#: one header field the file's size does not bound, so the readers refuse a
-#: header past this ceiling before the engine tries to allocate its caches.
-MAX_KV_CACHE_BYTES = 1 << 30
 
 Tensor = Union[np.ndarray, QuantizedMatrix]
 
@@ -74,7 +68,7 @@ class ExtentMismatchError(CheckpointError):
 
 
 class InvalidRecordError(CheckpointError):
-    """A quantization record's bit width, epsilon or centroid order is invalid."""
+    """A quantization record's bit width, epsilon or centroids are invalid."""
 
 
 def _read_exact(f: BinaryIO, size: int, n: int, what: str) -> bytes:
@@ -111,12 +105,6 @@ def _read_header(f: BinaryIO, magic: bytes, path: str) -> ModelConfig:
         config = ModelConfig(*fields)
     except ValueError as exc:
         raise InvalidHeaderError(f"{path}: bad config fields: {exc}") from exc
-    kv_bytes = 2 * config.n_layers * config.max_seq_len * config.kv_dim * 4
-    if kv_bytes > MAX_KV_CACHE_BYTES:
-        raise InvalidHeaderError(
-            f"{path}: max_seq_len {config.max_seq_len} needs a {kv_bytes}-byte KV "
-            f"cache, over the {MAX_KV_CACHE_BYTES}-byte limit"
-        )
     return config
 
 
@@ -157,35 +145,25 @@ def _read_record(f: BinaryIO, size: int, name: str, shape: tuple) -> QuantizedMa
         raise ExtentMismatchError(
             f"{name}: stored extents ({rows}, {cols}) != expected {shape}"
         )
-    # bit_width sizes the centroid read below, so it is checked first.  A NaN
-    # epsilon would silently disable the runtime threshold check (NaN > T is
-    # false), so it is refused here, where the file is read.
-    if not 1 <= bit_width <= MAX_BIT_WIDTH:
-        raise InvalidRecordError(
-            f"{name}: bit width {bit_width} outside 1..{MAX_BIT_WIDTH}"
-        )
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise InvalidRecordError(
-            f"{name}: epsilon {epsilon} is not a finite non-negative number"
-        )
-    n_centroids = 1 << bit_width
-    centroids = np.frombuffer(
-        _read_exact(f, size, 4 * n_centroids, f"centroids of {name!r}"), dtype="<f4"
-    ).copy()
+    # The types below check every other rule; bit_width is checked first
+    # because it sizes both reads.
     try:
-        codebook = Codebook(centroids=centroids, bit_width=bit_width)
-    except ValueError as exc:  # centroids out of order
+        check_bit_width(bit_width)
+        centroids = _read_exact(f, size, 4 << bit_width, f"centroids of {name!r}")
+        data = _read_exact(
+            f, size, payload_size(rows * cols, bit_width) + 1, f"codes of {name!r}"
+        )
+        return QuantizedMatrix(
+            rows=rows,
+            cols=cols,
+            codebook=Codebook(
+                centroids=np.frombuffer(centroids, dtype="<f4").copy(), bit_width=bit_width
+            ),
+            indices=PackedBuffer(data=data, count=rows * cols, bit_width=bit_width),
+            epsilon=float(epsilon),
+        )
+    except ValueError as exc:
         raise InvalidRecordError(f"{name}: {exc}") from exc
-    data = _read_exact(
-        f, size, payload_size(rows * cols, bit_width) + 1, f"codes of {name!r}"
-    )
-    return QuantizedMatrix(
-        rows=rows,
-        cols=cols,
-        codebook=codebook,
-        indices=PackedBuffer(data=data, count=rows * cols, bit_width=bit_width),
-        epsilon=float(epsilon),
-    )
 
 
 def _read(path: str, magic: bytes) -> tuple[ModelConfig, dict[str, Tensor]]:

@@ -10,10 +10,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+#: Largest KV cache, in bytes, a config may ask for: one float32 key and one
+#: value cache of ``max_seq_len x kv_dim`` per layer.  ``max_seq_len`` is the
+#: one header field a checkpoint's size does not bound, so a config past this
+#: ceiling is refused before the engine tries to allocate its caches.
+MAX_KV_CACHE_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """The seven checkpoint header integers; the fields, in order, are the header."""
+    """The seven checkpoint header integers; the fields, in order, are the header.
+
+    Every rule on the fields' values is checked here, so a config that the
+    readers refuse cannot be built in memory and written either.
+    """
 
     dim: int
     hidden_dim: int
@@ -32,6 +42,15 @@ class ModelConfig:
             raise ValueError("dim must be divisible by n_heads")
         if self.n_heads % self.n_kv_heads != 0:
             raise ValueError("n_heads must be divisible by n_kv_heads")
+        if self.head_size % 2 != 0:
+            # rope rotates pairs (2i, 2i+1), and each must lie inside one head.
+            raise ValueError(f"head_size {self.head_size} must be even")
+        kv_bytes = 2 * self.n_layers * self.max_seq_len * self.kv_dim * 4
+        if kv_bytes > MAX_KV_CACHE_BYTES:
+            raise ValueError(
+                f"max_seq_len {self.max_seq_len} needs a {kv_bytes}-byte KV "
+                f"cache, over the {MAX_KV_CACHE_BYTES}-byte limit"
+            )
 
     @property
     def head_size(self) -> int:

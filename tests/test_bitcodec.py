@@ -96,17 +96,15 @@ def test_bad_bit_width_rejected():
 
 def test_truncated_buffer_rejected():
     good = pack_bits(np.arange(16) % 4, 2)
-    clipped = PackedBuffer(data=good.data[:-2], count=16, bit_width=2)
     with pytest.raises(MalformedBuffer):
-        unpack_bits(clipped)
+        PackedBuffer(data=good.data[:-2], count=16, bit_width=2)
 
 
 def test_missing_guard_byte_rejected():
     good = pack_bits(np.arange(16) % 4, 2)
     # Payload intact but guard byte missing.
-    clipped = PackedBuffer(data=good.data[:-1], count=16, bit_width=2)
     with pytest.raises(MalformedBuffer):
-        unpack_bits(clipped)
+        PackedBuffer(data=good.data[:-1], count=16, bit_width=2)
 
 
 # -- properties --------------------------------------------------------------

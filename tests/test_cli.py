@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from quantloop.cli import main
 from quantloop.loopir.textio import MAX_LOOP_DEPTH, parse_program, print_program
 from quantloop.runtime import TOY_CONFIG
+from quantloop.runtime.config import MAX_KV_CACHE_BYTES
 from quantloop.runtime.checkpoint import (
     FLOAT_MAGIC,
-    MAX_KV_CACHE_BYTES,
     QUANT_MAGIC,
     InvalidHeaderError,
     read_float_checkpoint,

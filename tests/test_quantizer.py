@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +155,14 @@ def test_codebook_sorted_ascending():
     assert np.all(np.diff(c) >= 0)
 
 
+def test_codebook_refuses_non_finite_centroids():
+    # A NaN centroid makes the runtime bound NaN, which is never over the
+    # fallback threshold.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Codebook(centroids=np.array([0.0, bad], np.float32), bit_width=1)
+
+
 def test_epsilon_upper_bounds_reconstruction():
     rng = np.random.default_rng(2)
     for trial in range(20):
@@ -207,6 +216,17 @@ def test_config_validation():
         QuantConfig(bit_width=0)
     with pytest.raises(ValueError):
         QuantConfig(bit_width=9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_bad_epsilon_refused_at_construction(bad):
+    # A NaN bound is never over threshold, so a matrix built in memory is
+    # held to the same rule as one read from a file.
+    q = quantize_matrix(WORKED.reshape(3, 3), QuantConfig(bit_width=2))
+    with pytest.raises(ValueError, match="epsilon"):
+        QuantizedMatrix(rows=3, cols=3, codebook=q.codebook, indices=q.indices, epsilon=bad)
+    with pytest.raises(ValueError, match="epsilon"):
+        replace(q, epsilon=bad)
 
 
 def test_bits_required_values():

@@ -101,6 +101,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(dim=12, hidden_dim=4, n_layers=1, n_heads=4, n_kv_heads=3,
                     vocab_size=4, max_seq_len=4)
+    # head_size 3: rope's pairs would straddle two heads.
+    with pytest.raises(ValueError, match="head_size"):
+        ModelConfig(dim=12, hidden_dim=8, n_layers=1, n_heads=4, n_kv_heads=1,
+                    vocab_size=8, max_seq_len=4)
+    # A 2 GiB KV cache is refused where the config is built, so a writer
+    # cannot save a header that the readers then refuse.
+    with pytest.raises(ValueError, match="KV"):
+        ModelConfig(dim=8, hidden_dim=8, n_layers=1, n_heads=2, n_kv_heads=2,
+                    vocab_size=8, max_seq_len=1 << 25)
 
 
 def test_toy_config_tensor_inventory():
