@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Time the GEMV kernels over a sweep of matrix shapes.
 
-Prints one row per ``MxN`` shape with the best-of-N wall time of the
-reference kernel, the optimized kernel on the float matrix, the ordered
-codes-domain oracle (sketch) and the optimized kernel on the quantized
-matrix, which is what the ``gemv`` intrinsic runs on it (codes), the
-optimized kernel's effective GFLOP/s, and each kernel's speed-up over the
-reference.  The default shapes are the toy model's GEMVs plus
+Prints one row per ``MxN`` shape and code width with the best-of-N wall
+time of the reference kernel, the optimized kernel on the float matrix, the
+ordered codes-domain oracle (sketch) and the optimized kernel on the
+quantized matrix, which is what the ``gemv`` intrinsic runs on it (codes),
+the optimized kernel's effective GFLOP/s, and each kernel's speed-up over
+the reference.  The float kernels do not depend on the width and are timed
+once per shape.  The default shapes are the toy model's GEMVs plus
 1024x1024.
 
-    python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 3
+    python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 2,3,4,8
 """
 
 import argparse
@@ -52,34 +53,38 @@ def main() -> int:
     parser.add_argument("--sizes", default="64x64,172x64,64x172,256x64,1024x1024",
                         help="comma-separated MxN matrix shapes")
     parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--bits", type=int, default=3)
+    parser.add_argument("--bits", default="3",
+                        help="comma-separated code widths; each shape is timed at every one")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
     shapes = [parse_shape(s) for s in args.sizes.split(",")]
+    widths = [int(b) for b in args.bits.split(",")]
 
-    print(f"{'shape':>10} {'naive ms':>10} {'opt ms':>10} {'sketch ms':>10} {'codes ms':>10} "
-          f"{'opt GFLOP/s':>12} {'opt/naive':>10} {'sketch/naive':>13} {'codes/naive':>12}")
+    print(f"{'shape':>10} {'bits':>4} {'naive ms':>10} {'opt ms':>10} {'sketch ms':>10} "
+          f"{'codes ms':>10} {'opt GFLOP/s':>12} {'opt/naive':>10} {'sketch/naive':>13} "
+          f"{'codes/naive':>12}")
     for m, n in shapes:
         a = rng.standard_normal((m, n)).astype(np.float32)
         x = rng.standard_normal(n).astype(np.float32)
         y = np.zeros(m, dtype=np.float32)
         flat = a.reshape(-1)
-        q = quantize_matrix(a, QuantConfig(bit_width=args.bits))
         p = GemvParams(layout=Layout.ROW_MAJOR, trans=Trans.NO_TRANS, m=m, n=n,
                        alpha=1.0, beta=0.0, lda=n, incx=1, incy=1)
 
         gemv_opt(flat, x, y, p)  # warm up
         t_naive = best_of(lambda: gemv_naive(flat, x, y, p), max(args.reps // 2, 1))
         t_opt = best_of(lambda: gemv_opt(flat, x, y, p), args.reps)
-        t_sketch = best_of(lambda: gemv_sketch(q, x, y, p), max(args.reps // 2, 1))
-        t_codes = best_of(lambda: gemv_opt(q, x, y, p), max(args.reps // 2, 1))
-
         flops = 2.0 * m * n
-        print(f"{f'{m}x{n}':>10} {t_naive * 1e3:>10.3f} {t_opt * 1e3:>10.3f} "
-              f"{t_sketch * 1e3:>10.3f} {t_codes * 1e3:>10.3f} {flops / t_opt / 1e9:>12.2f} "
-              f"{t_naive / t_opt:>9.1f}x {t_naive / t_sketch:>12.1f}x {t_naive / t_codes:>11.1f}x")
+        for bits in widths:
+            q = quantize_matrix(a, QuantConfig(bit_width=bits))
+            t_sketch = best_of(lambda: gemv_sketch(q, x, y, p), max(args.reps // 2, 1))
+            t_codes = best_of(lambda: gemv_opt(q, x, y, p), max(args.reps // 2, 1))
+            print(f"{f'{m}x{n}':>10} {bits:>4} {t_naive * 1e3:>10.3f} {t_opt * 1e3:>10.3f} "
+                  f"{t_sketch * 1e3:>10.3f} {t_codes * 1e3:>10.3f} "
+                  f"{flops / t_opt / 1e9:>12.2f} {t_naive / t_opt:>9.1f}x "
+                  f"{t_naive / t_sketch:>12.1f}x {t_naive / t_codes:>11.1f}x")
     return 0
 
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Run the decode benchmark on a parent revision and on this tree, in pairs.
 
-The parent revision is checked out into a temporary ``git worktree``, which
-is removed afterwards.  For each workload, pair ``i`` runs
-``perfbench/run.py --seed SEED+i`` once on each tree, alternating which tree
-runs first, and reads the contract line (the last line of its output).  A
-pair fails when either contract line says ``correct: false``.  With
-``--trace``, one ``--trace 1`` run per tree and workload follows the pairs
-and its per-layer metrics are kept.
+The parent revision's committed files are extracted with ``git archive``
+into a temporary directory, which is removed afterwards.  For each workload,
+pair ``i`` runs ``perfbench/run.py --seed SEED+i`` once on each tree,
+alternating which tree runs first, and reads the contract line (the last
+line of its output).  A pair fails when either contract line says
+``correct: false``.  With ``--trace``, one ``--trace 1`` run per tree and
+workload follows the pairs and its per-layer metrics are kept.
 
 The JSON written to ``--out`` holds, per workload and gated metric, each
 side's median and quartiles, the pairs the change won (by the metric's
@@ -19,9 +19,11 @@ the medians, followed by every run.
 """
 
 import argparse
+import io
 import json
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -94,31 +96,31 @@ def main() -> int:
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     trees, runs, traced, host = {"change": ROOT}, [], {}, None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees["parent"] = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(trees["parent"]), parent)
-        try:
-            for workload in workloads:
-                for pair in range(args.pairs):
-                    seed = args.seed + pair
-                    order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                    for side in order:
-                        report, contract = run(trees[side], workload, seed, args.seconds, 0)
-                        host = host or report["metadata"]
-                        runs.append({
-                            "workload": workload, "seed": seed, "pair": pair, "side": side,
-                            "ran_first": side == order[0], "correct": contract["correct"],
-                            "attempted": contract["attempted"], "failed": contract["failed"],
-                            **{k: v["value"] for k, v in contract["metrics"].items()},
-                        })
-                        print(json.dumps(runs[-1]), flush=True)
-                if args.trace:
-                    traced[workload] = {
-                        side: {k: v["value"] for k, v in
-                               run(trees[side], workload, args.seed, args.seconds, 1)[0]["metrics"].items()}
-                        for side in ("parent", "change")
-                    }
-        finally:
-            git("worktree", "remove", "--force", str(trees["parent"]))
+        trees["parent"] = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        for workload in workloads:
+            for pair in range(args.pairs):
+                seed = args.seed + pair
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    report, contract = run(trees[side], workload, seed, args.seconds, 0)
+                    host = host or report["metadata"]
+                    runs.append({
+                        "workload": workload, "seed": seed, "pair": pair, "side": side,
+                        "ran_first": side == order[0], "correct": contract["correct"],
+                        "attempted": contract["attempted"], "failed": contract["failed"],
+                        **{k: v["value"] for k, v in contract["metrics"].items()},
+                    })
+                    print(json.dumps(runs[-1]), flush=True)
+            if args.trace:
+                traced[workload] = {
+                    side: {k: v["value"] for k, v in
+                           run(trees[side], workload, args.seed, args.seconds, 1)[0]["metrics"].items()}
+                    for side in ("parent", "change")
+                }
 
     head = git("rev-parse", "HEAD")
     result = {

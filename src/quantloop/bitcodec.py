@@ -11,10 +11,13 @@ The payload is exactly ``ceil(n*b/8)`` bytes and is always followed by a
 single zero guard byte.  The guard is a format invariant: writers always
 emit it, the ``.ditq`` record size counts it, and :class:`PackedBuffer`
 refuses a buffer too short to hold it (:class:`MalformedBuffer`), so a
-stream cut at the end of its payload is refused when it is made.  No
-decoder reads it:
+stream cut at the end of its payload is refused when it is made.
 :func:`unpack_slice` reads only the payload bytes that hold the requested
-codes.
+codes.  The packed GEMV path in :mod:`quantloop.kernels` reads whole-byte
+groups through integer windows one byte wider than a 3- or 7-byte group,
+and the guard is what makes that window safe: when the codes fill the last
+group, its window ends on the guard byte, inside the buffer.  A window
+that would still run past the buffer is read from a zero-padded copy.
 """
 
 from __future__ import annotations

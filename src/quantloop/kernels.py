@@ -25,9 +25,16 @@ for the tile.
   a view times x through numpy's BLAS-backed matmul, or each decoded tile
   reduced by one matmul.  It may reassociate each row's sum, so on a
   quantized matrix it agrees with the oracle within the float32 rounding
-  term below, not bit for bit.
+  term below, not bit for bit.  Its packed tiles come from a decoder of its
+  own, :func:`_field_rows`: it reads whole-byte groups of the packed stream
+  as integer windows, splits them into fields of one or two codes, and maps
+  each field through a small table of centroids that does not depend on x.
+  The oracle keeps :func:`~quantloop.bitcodec.unpack_slice`, so the two
+  paths decode the codes independently.
 
-The tiled paths keep extra memory at O(tile) (:data:`SKETCH_TILE_CODES`).
+The tiled paths keep extra memory at O(tile): :data:`SKETCH_TILE_CODES`
+elements per tile for the reference kernels and :data:`PACKED_TILE_CODES`
+for the packed path, whose decoder needs less memory per code.
 
 **Exact-arithmetic bound.**  For a quantized matrix ``W_hat`` with
 reconstruction error ``epsilon`` (``|w - w_hat| <= epsilon`` per element)
@@ -93,6 +100,7 @@ __all__ = [
     "GemvParams",
     "GemvShapeError",
     "Layout",
+    "PACKED_TILE_CODES",
     "SKETCH_TILE_CODES",
     "Trans",
     "bind",
@@ -104,12 +112,20 @@ __all__ = [
 ]
 
 
-#: Matrix elements per step of the row-tile loop shared by the reference and
-#: codes-domain kernels, rounded down to whole rows but never below one row.
-#: A decoded tile costs about 16 B of transient memory per code (the uint8
-#: code, its intp cast inside ``take``, the float32 value), so this constant
-#: caps the kernels' extra memory as well as their per-tile call count.
+#: Matrix elements per step of the row-tile loop of the reference kernels
+#: (``gemv_naive`` and the ``gemv_sketch`` oracle), rounded down to whole rows
+#: but never below one row.  The oracle's decode costs about 18 B of
+#: transient memory per code at 3 bits (``unpack_slice``'s bits and their
+#: float32 copy, then the intp index and float32 value of ``take``), so this
+#: constant caps its extra memory as well as its per-tile call count.
 SKETCH_TILE_CODES = 1024
+
+#: The same for the packed path of :meth:`GemvCall.run`.  Its field decoder
+#: costs about 5 B of transient memory per code at 1 to 4 bits (each field's
+#: int64, which the pair of float32 values it maps to then overwrites, plus
+#: one int64 per group window) and about 13 B at 5 to 8 bits, where the
+#: float32 value needs an array of its own.
+PACKED_TILE_CODES = 4096
 
 #: Unit roundoff of IEEE-754 binary32 with round to nearest.
 F32_UNIT_ROUNDOFF = 2.0**-24
@@ -237,13 +253,15 @@ class GemvCall:
         """``y = alpha * (A @ x) + beta * y`` over the bound operands; returns y.
 
         A view is multiplied whole through numpy's BLAS-backed matmul.  Packed
-        rows run :func:`_row_tiles` with each decoded tile reduced by one
-        matmul and stored in the same step, so extra memory stays O(tile).
-        Either way each row's sum may be reassociated.
+        rows run :func:`_row_tiles` over tiles of :data:`PACKED_TILE_CODES`
+        that :func:`_field_rows` decodes, each reduced by one matmul and
+        stored in the same step, so extra memory stays O(tile).  Either way
+        each row's sum may be reassociated.
         """
         p = self.params
         if self.view is None:
-            _row_tiles(_decoded_rows(self.a), self.x_eff, self.y_eff, p, np.matmul)
+            rows = _field_rows(self.a)
+            _row_tiles(rows, self.x_eff, self.y_eff, p, np.matmul, PACKED_TILE_CODES)
         else:
             y_eff = self.y_eff
             y_eff[...] = np.float32(p.alpha) * (self.view @ self.x_eff) + np.float32(p.beta) * y_eff
@@ -285,18 +303,20 @@ def _ordered_sums(tile: np.ndarray, x_eff: np.ndarray) -> np.ndarray:
     return tile[:, -1]
 
 
-def _row_tiles(rows, x_eff: np.ndarray, y_eff: np.ndarray, p: GemvParams, sums) -> None:
+def _row_tiles(
+    rows, x_eff: np.ndarray, y_eff: np.ndarray, p: GemvParams, sums, tile_codes: int
+) -> None:
     """``y_eff = alpha * (A @ x_eff) + beta * y_eff``, a tile of whole rows at a time.
 
     ``rows(r0, r1)`` returns rows ``r0:r1`` of the logical matrix A as a new
     float32 array, which ``sums(tile, x_eff)`` may use as scratch while it
-    reduces each row against x.  Each step holds about
-    :data:`SKETCH_TILE_CODES` elements and never less than one row.
+    reduces each row against x.  Each step holds about `tile_codes` elements
+    and never less than one row.
     """
     alpha = np.float32(p.alpha)
     beta = np.float32(p.beta)
     n_rows = y_eff.size
-    step = max(1, SKETCH_TILE_CODES // x_eff.size)
+    step = max(1, tile_codes // x_eff.size)
     for r0 in range(0, n_rows, step):
         r1 = min(r0 + step, n_rows)
         y_tile = y_eff[r0:r1]
@@ -315,6 +335,83 @@ def _decoded_rows(q: QuantizedMatrix):
     return rows
 
 
+#: Window dtype for each group size in bytes: a 3-byte group is read as 4
+#: bytes, and 5- and 7-byte groups as 8 (signed; the field mask drops the
+#: sign bits a right shift brings in).
+_WINDOW_DTYPES = {1: np.dtype("<u1"), 3: np.dtype("<u4"), 5: np.dtype("<i8"), 7: np.dtype("<i8")}
+
+
+def _windows(data: bytes, first: int, count: int, step: int, dtype: np.dtype) -> np.ndarray:
+    """`count` integers of `dtype`, one every `step` bytes from byte `first` of `data`.
+
+    A window wider than its step also reads the first bytes after its group.
+    At the end of the stream those are the guard byte, and a window that
+    would run past the buffer reads from a zero-padded copy of its tail
+    instead.  ``np.ndarray`` refuses a window past its buffer.
+    """
+    end = first + (count - 1) * step + dtype.itemsize
+    if end > len(data):
+        tail = np.zeros(end - first, np.uint8)
+        tail[: len(data) - first] = np.frombuffer(data, np.uint8, offset=first)
+        data, first = tail, 0
+    return np.ndarray(count, dtype, buffer=data, offset=first, strides=(step,))
+
+
+def _field_rows(q: QuantizedMatrix):
+    """``rows(r0, r1)`` for :func:`_row_tiles`, read through byte-aligned fields.
+
+    A field is ``f = 2b`` bits for ``b <= 4``, a pair of codes, and ``b``
+    bits above that.  A group of ``lcm(f, 8) / 8`` bytes holds whole fields,
+    so each group is read as one little-endian integer window and split into
+    its fields by one shift per field position and one mask.  One ``take``
+    per tile then maps each field through a table of the centroids of its
+    codes, ``2**f`` entries that do not depend on x (64 pairs at 3 bits),
+    which yields ``centroids[codes]`` exactly with no bit ever exploded.  A
+    pair entry is its two float32 values read as one int64, so the lookup
+    writes its values over the fields it reads.
+    """
+    b = q.codebook.bit_width
+    per_field = 2 if b <= 4 else 1
+    f = per_field * b
+    group = math.lcm(f, 8) // 8
+    window = _WINDOW_DTYPES[group]
+    shifts = range(0, 8 * group, f)
+    mask = (1 << f) - 1
+    per_group = len(shifts) * per_field
+    c = q.codebook.centroids
+    if per_field == 1:
+        table = c
+    else:  # field lo | hi << b maps to (c[lo], c[hi]), one 8-byte item
+        pairs = np.empty((c.size, c.size, 2), np.float32)
+        pairs[..., 0] = c
+        pairs[..., 1] = c[:, None]
+        table = pairs.reshape(-1).view(np.int64)
+    data, cols = q.indices.data, q.cols
+
+    def rows(r0: int, r1: int) -> np.ndarray:
+        start, stop = r0 * cols, r1 * cols
+        g0 = start // per_group
+        n_groups = (stop - 1) // per_group - g0 + 1
+        words = _windows(data, g0 * group, n_groups, group, window).astype(np.int64)
+        if len(shifts) == 1:  # a field that fills its byte is the byte
+            fields = words
+        else:
+            fields = np.empty((n_groups, len(shifts)), np.int64)
+            for k, s in enumerate(shifts):
+                np.right_shift(words, s, out=fields[:, k])
+            fields &= mask
+        # take reads each field before it writes that position's entry, so a
+        # pair entry, as wide as its int64 field, can overwrite the fields.
+        # No field is out of range, so mode="clip" never clips; it spares the
+        # copy of `out` that take makes under the default mode.
+        values = np.take(table, fields, out=fields if per_field == 2 else None, mode="clip")
+        values = values.view(np.float32).reshape(-1)
+        skip = start - g0 * per_group
+        return values[skip : skip + stop - start].reshape(r1 - r0, cols)
+
+    return rows
+
+
 def gemv_naive(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
     """Reference GEMV with a fixed left-to-right float32 summation order.
 
@@ -328,7 +425,7 @@ def gemv_naive(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
     call = bind(a, x, y, p)
     view = call.view
     rows = _decoded_rows(a) if view is None else lambda r0, r1: view[r0:r1].copy()
-    _row_tiles(rows, call.x_eff, call.y_eff, p, _ordered_sums)
+    _row_tiles(rows, call.x_eff, call.y_eff, p, _ordered_sums, SKETCH_TILE_CODES)
     return y
 
 

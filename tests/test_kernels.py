@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantloop.bitcodec import pack_bits
+from quantloop.bitcodec import pack_bits, unpack_slice
 from quantloop.intrinsics import bind_gemv, gemv_handler
 from quantloop.kernels import (
+    PACKED_TILE_CODES,
     SKETCH_TILE_CODES,
     BoundReport,
     GemvParams,
@@ -19,6 +20,7 @@ from quantloop.kernels import (
     gemv_naive,
     gemv_opt,
     gemv_sketch,
+    _field_rows,
     runtime_bound_check,
 )
 from quantloop.quantizer import (
@@ -249,9 +251,9 @@ def test_sketch_tile_boundaries_bit_identical():
             np.testing.assert_array_equal(y_sketch, y_naive)
 
 
-def _peak_bytes(kernel, quantized: bool, rows: int, cols: int) -> int:
+def _peak_bytes(kernel, quantized: bool, rows: int, cols: int, bit_width: int = 3) -> int:
     rng = np.random.default_rng(5)
-    q = random_quantized(rng, rows, cols, 3)
+    q = random_quantized(rng, rows, cols, bit_width)
     a = q if quantized else dequantize(q).reshape(-1)
     x = rng.normal(size=cols).astype(np.float32)
     y = np.zeros(rows, dtype=np.float32)
@@ -268,11 +270,16 @@ def _peak_bytes(kernel, quantized: bool, rows: int, cols: int) -> int:
 def test_sketch_extra_memory_is_per_tile():
     # The tiled kernels' transient memory must not grow with the matrix: a
     # kernel that caches, materializes or copies the whole matrix fails this.
-    for kernel, quantized in ((gemv_sketch, True), (gemv_opt, True), (gemv_naive, False)):
-        small = _peak_bytes(kernel, quantized, 64, 256)
-        large = _peak_bytes(kernel, quantized, 4096, 256)
-        assert large <= 1.25 * small, (kernel.__name__, small, large)
-        assert large < 64 * 1024, (kernel.__name__, large)
+    # The packed path decodes pairs of codes at 1..4 bits and single codes
+    # above, so gemv_opt is held to the same bounds at 2, 4 and 8 bits too.
+    for kernel, quantized, bit_width in (
+        (gemv_sketch, True, 3), (gemv_opt, True, 3), (gemv_naive, False, 3),
+        (gemv_opt, True, 2), (gemv_opt, True, 4), (gemv_opt, True, 8),
+    ):
+        small = _peak_bytes(kernel, quantized, 64, 256, bit_width)
+        large = _peak_bytes(kernel, quantized, 4096, 256, bit_width)
+        assert large <= 1.25 * small, (kernel.__name__, bit_width, small, large)
+        assert large < 64 * 1024, (kernel.__name__, bit_width, large)
 
 
 def test_sketch_other_layouts_match_reference():
@@ -416,7 +423,8 @@ def assert_codes_close_to_sketch(q, x, y0, p):
 @given(
     bit_width=st.integers(1, 8),
     rows=st.integers(1, 24),
-    cols=st.integers(1, 2 * SKETCH_TILE_CODES + 5),
+    # Up to a little over two packed tiles per row, as in the sketch's test.
+    cols=st.integers(1, 2 * PACKED_TILE_CODES + 5),
     incx=st.integers(1, 3),
     incy=st.integers(1, 3),
     alpha=st.floats(-4, 4, width=32),
@@ -435,17 +443,39 @@ def test_codes_agrees_with_sketch_within_rounding_property(
 
 
 def test_codes_tile_edges():
-    # m = 1, row counts around exact multiples of a tile, and rows wider
-    # than a tile, at every bit width.
+    # m = 1, row counts around exact multiples of a tile, rows that start
+    # mid-group (odd cols), and rows wider than a tile, at every bit width.
     rng = np.random.default_rng(21)
     for bit_width in range(1, 9):
-        for cols in (64, SKETCH_TILE_CODES, SKETCH_TILE_CODES + 37):
-            tile_rows = max(1, SKETCH_TILE_CODES // cols)
+        for cols in (23, 64, 172, PACKED_TILE_CODES, PACKED_TILE_CODES + 37):
+            tile_rows = max(1, PACKED_TILE_CODES // cols)
             for rows in (1, tile_rows, tile_rows + 1, 3 * tile_rows):
                 q = random_quantized(rng, rows, cols, bit_width)
                 x = rng.normal(size=cols).astype(np.float32)
                 y0 = rng.normal(size=rows).astype(np.float32)
                 assert_codes_close_to_sketch(q, x, y0, params(m=rows, n=cols, alpha=0.75, beta=-1.5))
+
+
+def test_field_decoder_tiles_match_unpack_slice():
+    # The packed path's decoder against the oracle's, bit for bit, at every
+    # width.  Odd widths make rows start mid-group, and the code counts
+    # both fill their last group and stop short of it.  pack_bits leaves
+    # exactly payload + guard bytes, so a window read past the buffer
+    # raises in np.ndarray: a full last group's 3- or 7-byte window must
+    # end on the guard, and any other window past the end must be padded.
+    rng = np.random.default_rng(26)
+    for bit_width in range(1, 9):
+        for cols in (1, 7, 23, 64, 172):
+            for rows in (1, 2, 3, 5, 9):
+                q = random_quantized(rng, rows, cols, bit_width)
+                assert len(q.indices.data) == q.indices.payload_bytes + 1
+                decode = _field_rows(q)
+                for r0 in range(rows):
+                    for r1 in range(r0 + 1, rows + 1):
+                        codes = unpack_slice(q.indices, r0 * cols, (r1 - r0) * cols)
+                        expect = np.take(q.codebook.centroids, codes).reshape(r1 - r0, cols)
+                        where = f"b={bit_width} {rows}x{cols} [{r0}:{r1}]"
+                        np.testing.assert_array_equal(decode(r0, r1), expect, err_msg=where)
 
 
 def test_codes_other_layouts_share_the_sketch_fallback():
