@@ -14,12 +14,18 @@ Signatures (buffers first, then scalars):
   :meth:`~quantloop.kernels.GemvCall.run` is what
   :func:`~quantloop.kernels.gemv_opt` runs too, minus the operand check.
 * ``rmsnorm(dst, src, weight)`` — ``dst = src * weight / rms(src)`` with
-  ``rms(src) = sqrt(mean(src^2) + 1e-5)``.
-* ``silu(v)`` — in place ``v * sigmoid(v)``.
+  ``rms(src) = sqrt(mean(src^2) + 1e-5)``, evaluated as ``(src * inv_rms)
+  * weight``.  Both products are written into ``dst`` (``dst`` may be
+  ``src``); when ``dst`` shares memory with ``weight`` the expression runs
+  out of place instead, so weight is read whole before it is overwritten.
+* ``silu(v)`` — in place ``v * sigmoid(v)``, with one temporary.
 * ``rope(q, k, pos, head_size, kv_dim)`` — rotary position embedding:
   consecutive pairs ``(2i, 2i+1)`` rotate by ``pos * 10000^-(d/head_size)``
   where ``d = 2i mod head_size``; ``k`` is rotated over its first ``kv_dim``
-  entries.  The even and odd entries rotate in place as two strided views,
+  entries.  The float64 inverse frequencies ``10000^-(d/head_size)`` are
+  computed once per ``(len(q), head_size)`` and memoized read-only; each
+  call multiplies them by ``pos``, which gives the angles of computing them
+  afresh.  The even and odd entries rotate in place as two strided views,
   with the float32 products and sums of a one-pair-at-a-time rotation, so
   the results are those of that rotation bit for bit.
 * ``attention(out, q, k_cur, v_cur, k_cache, v_cache, pos, n_heads,
@@ -36,6 +42,7 @@ Signatures (buffers first, then scalars):
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -94,7 +101,11 @@ def gemv_handler(call: GemvCall) -> None:
 def rmsnorm_handler(dst, src, weight) -> None:
     ss = float(np.dot(src, src)) / src.shape[0] + RMSNORM_EPS
     inv = np.float32(1.0 / math.sqrt(ss))
-    dst[...] = (src * inv) * weight
+    if np.may_share_memory(dst, weight):  # weight must be read before dst is written
+        dst[...] = (src * inv) * weight
+    else:
+        np.multiply(src, inv, out=dst)
+        np.multiply(dst, weight, out=dst)
 
 
 def softmax_inplace(v: np.ndarray) -> None:
@@ -104,7 +115,23 @@ def softmax_inplace(v: np.ndarray) -> None:
 
 
 def silu_handler(v) -> None:
-    v *= 1.0 / (1.0 + np.exp(-v))
+    t = np.negative(v)  # the one temporary: each step of 1 / (1 + exp(-v)) overwrites it
+    np.exp(t, out=t)
+    np.add(1.0, t, out=t)
+    np.divide(1.0, t, out=t)
+    v *= t
+
+
+@functools.lru_cache(maxsize=32)
+def _rope_inv_freq(dim: int, head_size: int) -> np.ndarray:
+    """``ROPE_THETA ** -(d / head_size)`` in float64 for each pair of a `dim` vector.
+
+    Memoized per shape, so the array is read-only.
+    """
+    d = np.arange(0, dim, 2) % head_size
+    inv = ROPE_THETA ** (-(d / head_size))
+    inv.flags.writeable = False
+    return inv
 
 
 def rope_handler(q, k, pos, head_size, kv_dim) -> None:
@@ -112,8 +139,7 @@ def rope_handler(q, k, pos, head_size, kv_dim) -> None:
     kv_dim = int(kv_dim)
     if kv_dim > k.shape[0]:
         raise ValueError(f"rope: kv_dim {kv_dim} exceeds the {k.shape[0]} entries of k")
-    d = np.arange(0, q.shape[0], 2) % head_size
-    angles = int(pos) * (ROPE_THETA ** (-(d / head_size)))
+    angles = int(pos) * _rope_inv_freq(q.shape[0], head_size)
     cos = np.cos(angles).astype(np.float32)
     sin = np.sin(angles).astype(np.float32)
     for v, n in ((q, cos.size), (k, kv_dim // 2)):

@@ -12,7 +12,7 @@ logical ``y_len x x_len`` matrix as one read-only strided view; a packed
 matrix stays packed and its rows are decoded a tile at a time.
 :meth:`GemvCall.run` is the only executor.  :func:`_row_tiles` walks tiles
 of whole rows, reduces each against x and stores ``alpha * sums + beta * y``
-for the tile.
+for the tile in place, as the dense path stores its product.
 
 * ``gemv_naive`` is the semantic reference: its tiles are copies of the
   view, reduced strictly left to right in float32, so its result is a
@@ -69,8 +69,11 @@ overflow or underflow):
 
 2. *The alpha/beta store.*  Every kernel stores
    ``fl(fl(alpha * s) + fl(beta * y0))`` in that operand order, with
-   float32 ``alpha`` and ``beta``.  ``fl(beta * y0)`` is the same value on
-   both paths, so the results differ by at most
+   float32 ``alpha`` and ``beta``.  The store runs in place
+   (:func:`_store`): ``alpha * s`` overwrites the sums, ``beta * y0``
+   overwrites y and their sum overwrites y, so the order and every
+   rounding are those of the expression.  ``fl(beta * y0)`` is the same
+   value on both paths, so the results differ by at most
    ``|alpha| |s_q - s_f| + (2u + u**2) |alpha| (|s_q| + |s_f|)
    + 2u (1 + u) |beta| |y0|``, and ``|s_q| + |s_f| <= (1 + g_n) (2c +
    epsilon) L``.  For ``alpha = +-1`` and ``beta = 0`` every store
@@ -87,7 +90,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,10 +124,10 @@ __all__ = [
 SKETCH_TILE_CODES = 1024
 
 #: The same for the packed path of :meth:`GemvCall.run`.  Its field decoder
-#: costs about 5 B of transient memory per code at 1 to 4 bits (each field's
-#: int64, which the pair of float32 values it maps to then overwrites, plus
-#: one int64 per group window) and about 13 B at 5 to 8 bits, where the
-#: float32 value needs an array of its own.
+#: costs about 4 B of transient memory per code at 1 to 4 bits (each field's
+#: int64, which the pair of float32 values it maps to then overwrites; each
+#: window is widened straight into its first field) and about 12 B at 5 to 8
+#: bits, where the float32 value needs an array of its own.
 PACKED_TILE_CODES = 4096
 
 #: Unit roundoff of IEEE-754 binary32 with round to nearest.
@@ -151,7 +154,9 @@ class GemvParams:
 
     ``m`` and ``n`` are the logical matrix extents (A is m x n); ``lda`` is
     the leading dimension of the flat storage (>= n for row-major, >= m for
-    column-major); ``incx``/``incy`` are vector strides.
+    column-major); ``incx``/``incy`` are vector strides.  ``alpha32`` and
+    ``beta32`` are alpha and beta rounded to float32, taken once here; every
+    kernel's store multiplies by them.
     """
 
     layout: Layout = Layout.ROW_MAJOR
@@ -163,6 +168,8 @@ class GemvParams:
     lda: int = 1
     incx: int = 1
     incy: int = 1
+    alpha32: np.float32 = field(init=False, repr=False, compare=False)
+    beta32: np.float32 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -174,6 +181,8 @@ class GemvParams:
             )
         if self.incx < 1 or self.incy < 1:
             raise GemvShapeError("vector strides must be >= 1")
+        object.__setattr__(self, "alpha32", np.float32(self.alpha))
+        object.__setattr__(self, "beta32", np.float32(self.beta))
 
     @property
     def x_len(self) -> int:
@@ -191,40 +200,45 @@ def _operands(a: np.ndarray | None, x: np.ndarray, y: np.ndarray, p: GemvParams)
 
     Each operand must be 1-D float32 and long enough for its extents and
     stride.  ``A`` is the logical ``y_len x x_len`` matrix of the product, a
-    read-only strided view of the flat storage `a` that steps by the
-    storage's own element stride (so a sliced or reversed array is addressed
-    correctly); ``x_eff`` and ``y_eff`` are strided views of the vectors, and
-    writes to ``y_eff`` land in `y`.  With ``a=None`` (a packed matrix, which
+    read-only view of the flat storage `a` that steps by the storage's own
+    element stride (so a sliced or reversed array is addressed correctly);
+    ``x_eff`` and ``y_eff`` are strided views of the vectors, and writes to
+    ``y_eff`` land in `y`.  With ``a=None`` (a packed matrix, which
     :func:`bind` checks itself) ``A`` is None.
     """
-    rows, cols = (p.m, p.n) if p.layout is Layout.ROW_MAJOR else (p.n, p.m)
-    views = []
-    for name, v, need, inc in (
-        ("matrix storage", a, (rows - 1) * p.lda + cols, 1),
-        ("x", x, (p.x_len - 1) * p.incx + 1, p.incx),
-        ("y", y, (p.y_len - 1) * p.incy + 1, p.incy),
-    ):
-        if v is not None:
-            v = np.asarray(v)
-            if v.ndim != 1 or v.dtype != np.float32:
-                raise GemvShapeError(f"{name} must be flat float32, got {v.dtype} {v.shape}")
-            if v.size < need:
-                raise GemvShapeError(f"{name} holds {v.size} elements, need {need}")
-            v = v[:need:inc]
-        views.append(v)
-    a, x_eff, y_eff = views
+    x_need = (p.x_len - 1) * p.incx + 1
+    y_need = (p.y_len - 1) * p.incy + 1
+    x_eff = _checked("x", x, x_need)[: x_need : p.incx]
+    y_eff = _checked("y", y, y_need)[: y_need : p.incy]
     if a is None:
         return None, x_eff, y_eff
-    # Storage row r, column c is a[r*lda + c].  Row-major storage holds A,
-    # column-major storage holds A^T, and the product needs A (NT) or A^T
-    # (T), so the storage view is transposed for RM/T and CM/NT.
-    s = a.strides[0]
-    view = np.lib.stride_tricks.as_strided(
-        a, shape=(rows, cols), strides=(p.lda * s, s), writeable=False
-    )
+    rows, cols = (p.m, p.n) if p.layout is Layout.ROW_MAJOR else (p.n, p.m)
+    a = _checked("matrix storage", a, (rows - 1) * p.lda + cols)
+    # Storage row r, column c is a[r*lda + c].  When the storage holds every
+    # row whole, splitting its one axis into (rows, lda) is a view whatever
+    # its stride; a shorter last row needs as_strided.
+    if a.size >= rows * p.lda:
+        view = a[: rows * p.lda].reshape(rows, p.lda)[:, :cols]
+    else:
+        s = a.strides[0]
+        view = np.lib.stride_tricks.as_strided(a, shape=(rows, cols), strides=(p.lda * s, s))
+    view.flags.writeable = False
+    # Row-major storage holds A, column-major storage holds A^T, and the
+    # product needs A (NT) or A^T (T), so the storage view is transposed for
+    # RM/T and CM/NT.
     if (p.layout is Layout.ROW_MAJOR) == (p.trans is Trans.TRANS):
         view = view.T
     return view, x_eff, y_eff
+
+
+def _checked(name: str, v, need: int) -> np.ndarray:
+    """`v` as an array, if it is 1-D float32 with at least `need` elements."""
+    v = np.asarray(v)
+    if v.ndim != 1 or v.dtype != np.float32:
+        raise GemvShapeError(f"{name} must be flat float32, got {v.dtype} {v.shape}")
+    if v.size < need:
+        raise GemvShapeError(f"{name} holds {v.size} elements, need {need}")
+    return v
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,8 +277,7 @@ class GemvCall:
             rows = _field_rows(self.a)
             _row_tiles(rows, self.x_eff, self.y_eff, p, np.matmul, PACKED_TILE_CODES)
         else:
-            y_eff = self.y_eff
-            y_eff[...] = np.float32(p.alpha) * (self.view @ self.x_eff) + np.float32(p.beta) * y_eff
+            _store(self.view @ self.x_eff, self.y_eff, p)
         return self.y
 
 
@@ -311,16 +324,30 @@ def _row_tiles(
     ``rows(r0, r1)`` returns rows ``r0:r1`` of the logical matrix A as a new
     float32 array, which ``sums(tile, x_eff)`` may use as scratch while it
     reduces each row against x.  Each step holds about `tile_codes` elements
-    and never less than one row.
+    and never less than one row, and stores its rows with :func:`_store`, in
+    place.
     """
-    alpha = np.float32(p.alpha)
-    beta = np.float32(p.beta)
     n_rows = y_eff.size
     step = max(1, tile_codes // x_eff.size)
     for r0 in range(0, n_rows, step):
         r1 = min(r0 + step, n_rows)
-        y_tile = y_eff[r0:r1]
-        y_tile[...] = alpha * sums(rows(r0, r1), x_eff) + beta * y_tile
+        _store(sums(rows(r0, r1), x_eff), y_eff[r0:r1], p)
+
+
+def _store(s: np.ndarray, y: np.ndarray, p: GemvParams) -> None:
+    """``y = alpha * s + beta * y`` in place, with `s` as scratch.
+
+    Each step is one float32 operation with its operands in the order of
+    that expression, so ``y`` is ``fl(fl(alpha * s) + fl(beta * y0))`` with
+    no temporary: ``alpha * s`` overwrites `s` (skipped for ``alpha == 1``,
+    where ``fl(1 * s) == s``), ``beta * y`` overwrites `y`, and their sum
+    overwrites `y`.  ``beta == 0`` still multiplies the old y, so its NaNs
+    and infinities propagate.
+    """
+    if p.alpha != 1.0:
+        np.multiply(p.alpha32, s, out=s)
+    np.multiply(p.beta32, y, out=y)
+    np.add(s, y, out=y)
 
 
 def _decoded_rows(q: QuantizedMatrix):
@@ -366,9 +393,10 @@ def _field_rows(q: QuantizedMatrix):
     its fields by one shift per field position and one mask.  One ``take``
     per tile then maps each field through a table of the centroids of its
     codes, ``2**f`` entries that do not depend on x (64 pairs at 3 bits),
-    which yields ``centroids[codes]`` exactly with no bit ever exploded.  A
-    pair entry is its two float32 values read as one int64, so the lookup
-    writes its values over the fields it reads.
+    which yields ``centroids[codes]`` exactly with no bit ever exploded.
+    The table is :attr:`~quantloop.quantizer.Codebook.field_table`, built
+    once per codebook.  A pair entry is its two float32 values read as one
+    int64, so the lookup writes its values over the fields it reads.
     """
     b = q.codebook.bit_width
     per_field = 2 if b <= 4 else 1
@@ -378,27 +406,23 @@ def _field_rows(q: QuantizedMatrix):
     shifts = range(0, 8 * group, f)
     mask = (1 << f) - 1
     per_group = len(shifts) * per_field
-    c = q.codebook.centroids
-    if per_field == 1:
-        table = c
-    else:  # field lo | hi << b maps to (c[lo], c[hi]), one 8-byte item
-        pairs = np.empty((c.size, c.size, 2), np.float32)
-        pairs[..., 0] = c
-        pairs[..., 1] = c[:, None]
-        table = pairs.reshape(-1).view(np.int64)
+    table = q.codebook.field_table
     data, cols = q.indices.data, q.cols
 
     def rows(r0: int, r1: int) -> np.ndarray:
         start, stop = r0 * cols, r1 * cols
         g0 = start // per_group
         n_groups = (stop - 1) // per_group - g0 + 1
-        words = _windows(data, g0 * group, n_groups, group, window).astype(np.int64)
+        words = _windows(data, g0 * group, n_groups, group, window)
         if len(shifts) == 1:  # a field that fills its byte is the byte
-            fields = words
+            fields = words.astype(np.int64)
         else:
+            # Widen each window into its first field's column once; the other
+            # fields are shifted out of that column.
             fields = np.empty((n_groups, len(shifts)), np.int64)
-            for k, s in enumerate(shifts):
-                np.right_shift(words, s, out=fields[:, k])
+            fields[:, 0] = words
+            for k in range(1, len(shifts)):
+                np.right_shift(fields[:, 0], shifts[k], out=fields[:, k])
             fields &= mask
         # take reads each field before it writes that position's entry, so a
         # pair entry, as wide as its int64 field, can overwrite the fields.
@@ -418,7 +442,8 @@ def gemv_naive(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
     Runs :func:`_row_tiles` over the rows the bound call reads: copies of
     its view, or rows decoded from packed codes.  Either way extra memory is
     O(tile).  Updates ``y`` in place (``y[i] = alpha * sum + beta * y[i]``,
-    evaluated in that operand order) and returns it.  Non-finite inputs
+    evaluated in that operand order by :func:`_store`, which writes each
+    step over the tile's sums or over y) and returns it.  Non-finite inputs
     propagate per IEEE-754; in particular ``beta == 0`` still multiplies the
     old y.
     """

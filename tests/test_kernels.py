@@ -618,3 +618,96 @@ def test_float32_bound_holds_for_every_kernel_pair_property(
         for dense in (gemv_naive, gemv_opt):
             gap = np.abs(y_q - dense(w, x, y0.copy(), p)).max()
             assert gap <= bound, (quantized.__name__, dense.__name__, gap, bound)
+
+
+# -- the in-place alpha/beta store -------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, -0.5])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_store_matches_the_formula_bit_for_bit(alpha, beta):
+    # Every kernel stores fl(fl(alpha * s) + fl(beta * y0)) in that operand
+    # order, where s is its own row sums.  Checked on the int32 bits, so NaN
+    # payloads, the NaN that 0 * inf makes and the sign of zero all count.
+    # y0 holds NaN, +-inf and -0.0, and x and y are strided.
+    rng = np.random.default_rng(31)
+    m, n, incx, incy = 172, 64, 2, 3  # 172 rows: three packed tiles
+    q = random_quantized(rng, m, n, 3)
+    dense = dequantize(q)
+    x = rng.normal(size=(n - 1) * incx + 1).astype(np.float32)
+    y0 = rng.normal(size=(m - 1) * incy + 1).astype(np.float32)
+    y0[[0, 3, 6, 9]] = [np.nan, np.inf, -np.inf, -0.0]
+    p = params(m=m, n=n, alpha=alpha, beta=beta, incx=incx, incy=incy)
+    x_eff, y_eff0 = x[::incx], y0[::incy]
+    step = PACKED_TILE_CODES // n
+    sums = {
+        "dense gemv_opt": (gemv_opt, dense.reshape(-1), dense @ x_eff),
+        "packed gemv_opt": (gemv_opt, q, np.concatenate(
+            [dense[r0 : r0 + step] @ x_eff for r0 in range(0, m, step)])),
+        "gemv_naive": (gemv_naive, dense.reshape(-1), np.cumsum(dense * x_eff, axis=1)[:, -1]),
+        "gemv_sketch": (gemv_sketch, q, np.cumsum(dense * x_eff, axis=1)[:, -1]),
+    }
+    with np.errstate(invalid="ignore"):
+        for name, (kernel, a, s) in sums.items():
+            expect = y0.copy()
+            expect[::incy] = np.float32(alpha) * s + np.float32(beta) * y_eff0
+            y = y0.copy()
+            kernel(a, x, y, p)
+            np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32), err_msg=name)
+
+
+def test_dense_call_allocates_one_y_sized_temporary():
+    # The product's result is the only array a bound dense call allocates:
+    # alpha and beta scale it and y in place.
+    rng = np.random.default_rng(32)
+    m, n = 256, 64
+    a = rng.normal(size=m * n).astype(np.float32)
+    x = rng.normal(size=n).astype(np.float32)
+    y = rng.normal(size=m).astype(np.float32)
+    for alpha, beta in ((1.0, 0.0), (2.0, 0.5)):
+        call = bind_gemv("RM", "NT", m, n, alpha, a.reshape(m, n), n, x, 1, beta, y, 1)
+        call.run()  # warm up lazy numpy state outside the measurement
+        tracemalloc.start()
+        try:
+            call.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.nbytes + 1024, (alpha, beta, peak)
+
+
+@pytest.mark.parametrize("storage", ["contiguous", "stride2", "reversed"])
+def test_dense_view_is_a_read_only_view_of_storage(storage):
+    # Whole rows split the storage's one axis, which never copies; the last
+    # row stopping short of lda takes the as_strided path.  Either way the
+    # view reads the caller's storage and cannot write it.
+    rng = np.random.default_rng(33)
+    m, n, lda = 4, 5, 7
+    for size in (m * lda, (m - 1) * lda + n):
+        base = rng.normal(size=2 * size).astype(np.float32)
+        a = {"contiguous": base[:size], "stride2": base[::2], "reversed": base[::-1][:size]}[storage]
+        call = bind_gemv("RM", "NT", m, n, 1.0, a, lda, np.ones(n, np.float32), 1, 0.0,
+                         np.zeros(m, np.float32), 1)
+        assert np.shares_memory(call.view, a)
+        assert not call.view.flags.writeable
+        expect = np.stack([a[r * lda : r * lda + n] for r in range(m)])
+        np.testing.assert_array_equal(call.view, expect)
+
+
+def test_field_table_is_built_once_per_codebook():
+    rng = np.random.default_rng(34)
+    for bit_width in (2, 3, 4, 8):
+        q = random_quantized(rng, 3, 8, bit_width)
+        book = q.codebook
+        assert "field_table" not in vars(book)  # built on first use only
+        table = book.field_table
+        assert book.field_table is table
+        c = book.centroids
+        if bit_width <= 4:
+            assert not table.flags.writeable
+            pairs = table.view(np.float32).reshape(c.size, c.size, 2)
+            lo, hi = np.meshgrid(np.arange(c.size), np.arange(c.size))
+            np.testing.assert_array_equal(pairs[..., 0], c[lo])
+            np.testing.assert_array_equal(pairs[..., 1], c[hi])
+        else:
+            assert table is c
