@@ -10,6 +10,10 @@ the reference.  The float kernels do not depend on the width and are timed
 once per shape.  The default shapes are the toy model's GEMVs plus
 1024x1024.
 
+The "codes" column times the compiled packed kernel (``quantloop.native``)
+when it builds and loads, and the numpy fallback otherwise; the first line
+printed names the backend and, for the fallback, the reason.
+
     python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 2,3,4,8
 """
 
@@ -22,6 +26,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from quantloop import native
 from quantloop.kernels import (
     GemvParams,
     Layout,
@@ -62,6 +67,9 @@ def main() -> int:
     shapes = [parse_shape(s) for s in args.sizes.split(",")]
     widths = [int(b) for b in args.bits.split(",")]
 
+    status = native.status()
+    print(f"packed gemv backend: {status['backend']}"
+          + (f" ({status['reason']})" if status["reason"] else ""))
     print(f"{'shape':>10} {'bits':>4} {'naive ms':>10} {'opt ms':>10} {'sketch ms':>10} "
           f"{'codes ms':>10} {'opt GFLOP/s':>12} {'opt/naive':>10} {'sketch/naive':>13} "
           f"{'codes/naive':>12}")

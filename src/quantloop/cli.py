@@ -2,6 +2,9 @@
 
 Subcommands: quantize, optimize, run, verify, bench, inspect.  All
 machine-readable output is JSON on stdout; diagnostics go to stderr.
+``bench`` and ``inspect`` on a checkpoint report which backend runs the
+packed GEMV (``"packed_gemv": {"backend": "native" | "numpy", "reason":
+...}``, the reason saying why the compiled kernel is not in use).
 
 Exit codes: 0 success; 1 a check failed (bound violation, regression);
 2 usage, I/O, or format errors.  The subcommands raise; `main` is the one
@@ -17,6 +20,7 @@ import os
 import sys
 from dataclasses import asdict
 
+from . import native
 from .gemvpass import run_gemv_pass
 from .loopir.textio import ParseError, parse_program, print_program
 from .loopir.validate import validate
@@ -171,6 +175,7 @@ def cmd_bench(args) -> int:
         "mode": args.mode,
         "checkpoint": args.checkpoint,
         "steps": args.steps,
+        "packed_gemv": native.status(),
     })
     return 0
 
@@ -211,6 +216,7 @@ def cmd_inspect(args) -> int:
         "config": asdict(config),
         "parameters": param_count(config),
         "tensors": tensor_rows,
+        "packed_gemv": native.status(),
     })
     return 0
 

@@ -9,10 +9,10 @@ matrix and the two vectors against the :class:`GemvParams` once and returns
 a :class:`GemvCall`.  Dense storage, and a quantized matrix in any layout
 but the one its codes are packed in (row-major, not transposed), become the
 logical ``y_len x x_len`` matrix as one read-only strided view; a packed
-matrix stays packed and its rows are decoded a tile at a time.
-:meth:`GemvCall.run` is the only executor.  :func:`_row_tiles` walks tiles
-of whole rows, reduces each against x and stores ``alpha * sums + beta * y``
-for the tile in place, as the dense path stores its product.
+matrix stays packed.  :meth:`GemvCall.run` is the only executor.
+:func:`_row_tiles` walks tiles of whole rows, reduces each against x and
+stores ``alpha * sums + beta * y`` for the tile in place, as the dense path
+stores its product.
 
 * ``gemv_naive`` is the semantic reference: its tiles are copies of the
   view, reduced strictly left to right in float32, so its result is a
@@ -22,19 +22,25 @@ for the tile in place, as the dense path stores its product.
   decoded from the packed codes through the centroid table, so it matches
   ``gemv_naive`` on the dequantized matrix bit for bit.
 * ``gemv_opt`` is ``bind(...).run()``, what the ``gemv`` intrinsic runs:
-  a view times x through numpy's BLAS-backed matmul, or each decoded tile
-  reduced by one matmul.  It may reassociate each row's sum, so on a
-  quantized matrix it agrees with the oracle within the float32 rounding
-  term below, not bit for bit.  Its packed tiles come from a decoder of its
-  own, :func:`_field_rows`: it reads whole-byte groups of the packed stream
-  as integer windows, splits them into fields of one or two codes, and maps
-  each field through a small table of centroids that does not depend on x.
-  The oracle keeps :func:`~quantloop.bitcodec.unpack_slice`, so the two
-  paths decode the codes independently.
+  a view times x through numpy's BLAS-backed matmul, or, on packed codes,
+  one call into the compiled kernel of :mod:`quantloop.native`.  That
+  kernel reads the packed bytes itself, maps each field of one or two
+  codes through :attr:`~quantloop.quantizer.Codebook.field_table`, and
+  sums each row in the fixed order that ``_native/gemv.c`` documents (8
+  float32 accumulators, a fixed combine tree, then the tail).  It reads
+  each group of 8 codes as one 8-byte word and trusts only what
+  :class:`~quantloop.bitcodec.PackedBuffer` guarantees: the buffer holds
+  the whole payload and the guard byte after it, so every group starts
+  inside the buffer.  A word is read whole only when all 8 of its bytes
+  lie inside; otherwise a bound tail read copies just the bytes left, the
+  guard byte among them.  Without a compiler, or when the build or the
+  load fails, packed rows are decoded by the oracle's decoder instead and
+  each tile is reduced by one matmul.  Either way each row's sum may
+  be reassociated, so on a quantized matrix ``gemv_opt`` agrees with the
+  oracle within the float32 rounding term below, not bit for bit.
 
-The tiled paths keep extra memory at O(tile): :data:`SKETCH_TILE_CODES`
-elements per tile for the reference kernels and :data:`PACKED_TILE_CODES`
-for the packed path, whose decoder needs less memory per code.
+The tiled paths keep extra memory at O(tile), :data:`SKETCH_TILE_CODES`
+elements per tile; the compiled kernel allocates nothing.
 
 **Exact-arithmetic bound.**  For a quantized matrix ``W_hat`` with
 reconstruction error ``epsilon`` (``|w - w_hat| <= epsilon`` per element)
@@ -94,6 +100,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import native
 from .bitcodec import unpack_slice
 from .quantizer import QuantizedMatrix, dequantize
 
@@ -103,7 +110,6 @@ __all__ = [
     "GemvParams",
     "GemvShapeError",
     "Layout",
-    "PACKED_TILE_CODES",
     "SKETCH_TILE_CODES",
     "Trans",
     "bind",
@@ -115,20 +121,14 @@ __all__ = [
 ]
 
 
-#: Matrix elements per step of the row-tile loop of the reference kernels
-#: (``gemv_naive`` and the ``gemv_sketch`` oracle), rounded down to whole rows
-#: but never below one row.  The oracle's decode costs about 18 B of
-#: transient memory per code at 3 bits (``unpack_slice``'s bits and their
-#: float32 copy, then the intp index and float32 value of ``take``), so this
-#: constant caps its extra memory as well as its per-tile call count.
+#: Matrix elements per step of the row-tile loop (``gemv_naive``, the
+#: ``gemv_sketch`` oracle, and the packed path without the compiled kernel),
+#: rounded down to whole rows but never below one row.  The oracle's decode
+#: costs about 18 B of transient memory per code at 3 bits (``unpack_slice``'s
+#: bits and their float32 copy, then the intp index and float32 value of
+#: ``take``), so this constant caps its extra memory as well as its per-tile
+#: call count.
 SKETCH_TILE_CODES = 1024
-
-#: The same for the packed path of :meth:`GemvCall.run`.  Its field decoder
-#: costs about 4 B of transient memory per code at 1 to 4 bits (each field's
-#: int64, which the pair of float32 values it maps to then overwrites; each
-#: window is widened straight into its first field) and about 12 B at 5 to 8
-#: bits, where the float32 value needs an array of its own.
-PACKED_TILE_CODES = 4096
 
 #: Unit roundoff of IEEE-754 binary32 with round to nearest.
 F32_UNIT_ROUNDOFF = 2.0**-24
@@ -249,9 +249,11 @@ class GemvCall:
     :func:`_operands` returns.  ``view`` is the logical matrix of the
     product: the checked view of dense storage, or of a read-only
     reconstruction of a quantized matrix in a layout its codes are not packed
-    in.  It is None for a quantized matrix in its packed layout, whose rows
-    are decoded a tile at a time.  ``shadow``, when a caller binds one, is
-    the same call on the matrix's float copy, writing into its own y scratch.
+    in.  It is None for a quantized matrix in its packed layout, which stays
+    packed.  ``native`` then holds the compiled kernel's operands (see
+    :func:`_native_args`), or None when the rows are decoded on numpy.
+    ``shadow``, when a caller binds one, is the same call on the matrix's
+    float copy, writing into its own y scratch.
     """
 
     a: object  # the flat float32 storage or QuantizedMatrix
@@ -262,22 +264,28 @@ class GemvCall:
     x_eff: np.ndarray
     y_eff: np.ndarray
     shadow: "GemvCall | None" = None
+    native: "native.GemvArgs | None" = None
 
     def run(self) -> np.ndarray:
         """``y = alpha * (A @ x) + beta * y`` over the bound operands; returns y.
 
         A view is multiplied whole through numpy's BLAS-backed matmul.  Packed
-        rows run :func:`_row_tiles` over tiles of :data:`PACKED_TILE_CODES`
-        that :func:`_field_rows` decodes, each reduced by one matmul and
-        stored in the same step, so extra memory stays O(tile).  Either way
+        codes are one call into the compiled kernel, which decodes and sums
+        each row and stores it in place.  Without that kernel, packed rows
+        run :func:`_row_tiles` over tiles that the oracle's decoder,
+        :func:`_decoded_rows`, makes, each reduced by one matmul.  Either way
         each row's sum may be reassociated.
         """
         p = self.params
-        if self.view is None:
-            rows = _field_rows(self.a)
-            _row_tiles(rows, self.x_eff, self.y_eff, p, np.matmul, PACKED_TILE_CODES)
-        else:
+        if self.view is not None:
             _store(self.view @ self.x_eff, self.y_eff, p)
+        elif (args := self.native) is not None:
+            if not args.table:  # the call site's first run builds the field table
+                args.table = self.a.codebook.field_table.ctypes.data
+            native.load().kernel(args)
+        else:
+            rows = _decoded_rows(self.a)
+            _row_tiles(rows, self.x_eff, self.y_eff, p, np.matmul, SKETCH_TILE_CODES)
         return self.y
 
 
@@ -297,11 +305,47 @@ def bind(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> GemvCall:
                     f"params describe {p.m}x{p.n} with lda {p.lda}; the packed matrix "
                     f"is {a.rows}x{a.cols} with dense rows (lda {a.cols})"
                 )
-            return GemvCall(a, x, y, p, *_operands(None, x, y, p))
+            _, x_eff, y_eff = _operands(None, x, y, p)
+            return GemvCall(a, x, y, p, None, x_eff, y_eff,
+                            native=_native_args(a, x_eff, y_eff, p))
         dense = dequantize(a).reshape(-1)
         dense.flags.writeable = False
         return GemvCall(a, x, y, p, *_operands(dense, x, y, p))
     return GemvCall(a, x, y, p, *_operands(a, x, y, p))
+
+
+def _native_args(q: QuantizedMatrix, x_eff: np.ndarray, y_eff: np.ndarray,
+                 p: GemvParams) -> "native.GemvArgs | None":
+    """The compiled kernel's operands for one packed call, or None to run it on numpy.
+
+    The kernel is loaded here, on the first packed bind of the process.  The
+    struct holds raw pointers into the packed bytes and the two vectors,
+    which the call and its matrix keep alive; its reads of the packed bytes
+    stop at their length.  Its pointer to the codebook's field table is
+    filled in by the call's first run, which builds the table: a table built
+    here would sit through the quantization of every engine made after this
+    one.  A vector the kernel cannot take as it is (a read-only or
+    misaligned y, a misaligned x, or an x and y that may overlap) leaves the
+    call on numpy, which raises or runs it as before.
+    """
+    if native.load().kernel is None or np.may_share_memory(x_eff, y_eff):
+        return None
+    if not (y_eff.flags.writeable and y_eff.flags.aligned and x_eff.flags.aligned):
+        return None
+    codes = np.frombuffer(q.indices.data, np.uint8)
+    return native.GemvArgs(
+        codes=codes.ctypes.data,
+        x=x_eff.ctypes.data,
+        y=y_eff.ctypes.data,
+        codes_bytes=codes.size,
+        rows=q.rows,
+        cols=q.cols,
+        incx=x_eff.strides[0] // x_eff.itemsize,
+        incy=y_eff.strides[0] // y_eff.itemsize,
+        bits=q.codebook.bit_width,
+        alpha=float(p.alpha32),
+        beta=float(p.beta32),
+    )
 
 
 def _ordered_sums(tile: np.ndarray, x_eff: np.ndarray) -> np.ndarray:
@@ -358,80 +402,6 @@ def _decoded_rows(q: QuantizedMatrix):
     def rows(r0: int, r1: int) -> np.ndarray:
         codes = unpack_slice(q.indices, r0 * cols, (r1 - r0) * cols)
         return np.take(centroids, codes).reshape(r1 - r0, cols)
-
-    return rows
-
-
-#: Window dtype for each group size in bytes: a 3-byte group is read as 4
-#: bytes, and 5- and 7-byte groups as 8 (signed; the field mask drops the
-#: sign bits a right shift brings in).
-_WINDOW_DTYPES = {1: np.dtype("<u1"), 3: np.dtype("<u4"), 5: np.dtype("<i8"), 7: np.dtype("<i8")}
-
-
-def _windows(data: bytes, first: int, count: int, step: int, dtype: np.dtype) -> np.ndarray:
-    """`count` integers of `dtype`, one every `step` bytes from byte `first` of `data`.
-
-    A window wider than its step also reads the first bytes after its group.
-    At the end of the stream those are the guard byte, and a window that
-    would run past the buffer reads from a zero-padded copy of its tail
-    instead.  ``np.ndarray`` refuses a window past its buffer.
-    """
-    end = first + (count - 1) * step + dtype.itemsize
-    if end > len(data):
-        tail = np.zeros(end - first, np.uint8)
-        tail[: len(data) - first] = np.frombuffer(data, np.uint8, offset=first)
-        data, first = tail, 0
-    return np.ndarray(count, dtype, buffer=data, offset=first, strides=(step,))
-
-
-def _field_rows(q: QuantizedMatrix):
-    """``rows(r0, r1)`` for :func:`_row_tiles`, read through byte-aligned fields.
-
-    A field is ``f = 2b`` bits for ``b <= 4``, a pair of codes, and ``b``
-    bits above that.  A group of ``lcm(f, 8) / 8`` bytes holds whole fields,
-    so each group is read as one little-endian integer window and split into
-    its fields by one shift per field position and one mask.  One ``take``
-    per tile then maps each field through a table of the centroids of its
-    codes, ``2**f`` entries that do not depend on x (64 pairs at 3 bits),
-    which yields ``centroids[codes]`` exactly with no bit ever exploded.
-    The table is :attr:`~quantloop.quantizer.Codebook.field_table`, built
-    once per codebook.  A pair entry is its two float32 values read as one
-    int64, so the lookup writes its values over the fields it reads.
-    """
-    b = q.codebook.bit_width
-    per_field = 2 if b <= 4 else 1
-    f = per_field * b
-    group = math.lcm(f, 8) // 8
-    window = _WINDOW_DTYPES[group]
-    shifts = range(0, 8 * group, f)
-    mask = (1 << f) - 1
-    per_group = len(shifts) * per_field
-    table = q.codebook.field_table
-    data, cols = q.indices.data, q.cols
-
-    def rows(r0: int, r1: int) -> np.ndarray:
-        start, stop = r0 * cols, r1 * cols
-        g0 = start // per_group
-        n_groups = (stop - 1) // per_group - g0 + 1
-        words = _windows(data, g0 * group, n_groups, group, window)
-        if len(shifts) == 1:  # a field that fills its byte is the byte
-            fields = words.astype(np.int64)
-        else:
-            # Widen each window into its first field's column once; the other
-            # fields are shifted out of that column.
-            fields = np.empty((n_groups, len(shifts)), np.int64)
-            fields[:, 0] = words
-            for k in range(1, len(shifts)):
-                np.right_shift(fields[:, 0], shifts[k], out=fields[:, k])
-            fields &= mask
-        # take reads each field before it writes that position's entry, so a
-        # pair entry, as wide as its int64 field, can overwrite the fields.
-        # No field is out of range, so mode="clip" never clips; it spares the
-        # copy of `out` that take makes under the default mode.
-        values = np.take(table, fields, out=fields if per_field == 2 else None, mode="clip")
-        values = values.view(np.float32).reshape(-1)
-        skip = start - g0 * per_group
-        return values[skip : skip + stop - start].reshape(r1 - r0, cols)
 
     return rows
 

@@ -58,6 +58,9 @@ class QuantConfig:
 class Codebook:
     """Centroid table: ``2**bit_width`` finite float32 values, sorted ascending.
 
+    The centroids are kept as one contiguous float32 array, which the
+    compiled packed GEMV reads through a raw pointer.
+
     ``max_abs`` is the largest centroid magnitude, taken once here; the
     float32 error bound scales with it on every call.
     """
@@ -67,7 +70,7 @@ class Codebook:
     max_abs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.centroids, dtype=np.float32)
+        c = np.ascontiguousarray(self.centroids, dtype=np.float32)
         if c.ndim != 1 or c.size != (1 << self.bit_width):
             raise ValueError(
                 f"codebook must hold exactly {1 << self.bit_width} centroids, got shape {c.shape}"

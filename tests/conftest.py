@@ -1,7 +1,52 @@
+import contextlib
+import os
+import shutil
+
 import numpy as np
 import pytest
 
+from quantloop import native
+from quantloop.bitcodec import pack_bits
+from quantloop.quantizer import Codebook, QuantizedMatrix
 from quantloop.runtime import TOY_CONFIG, make_toy_checkpoint, quantize_checkpoint
+
+#: Skips a test that needs the compiled packed GEMV kernel, only when there is
+#: no compiler to build it with.
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def native_cache(tmp_path_factory):
+    """Build the compiled kernel into a cache of the test session's own.
+
+    Subprocesses the tests start inherit it through ``XDG_CACHE_HOME``.
+    """
+    saved = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("xdg-cache"))
+    native.load.cache_clear()
+    try:
+        yield os.environ["XDG_CACHE_HOME"]
+    finally:
+        if saved is None:
+            del os.environ["XDG_CACHE_HOME"]
+        else:
+            os.environ["XDG_CACHE_HOME"] = saved
+        native.load.cache_clear()
+
+
+@contextlib.contextmanager
+def packed_gemv_on_numpy():
+    """Make the kernel's loader report it unavailable: packed binds run on numpy."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "load", lambda: native.Native(None, "unavailable under test"))
+        yield
+
+
+@pytest.fixture
+def numpy_fallback():
+    """The packed GEMV on its numpy fallback for the whole test."""
+    with packed_gemv_on_numpy():
+        yield
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +82,19 @@ def gemv_bind_counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
     return counts
+
+
+def random_quantized(rng, rows, cols, bit_width) -> QuantizedMatrix:
+    """A quantized matrix with random codes, built without running the quantizer."""
+    centroids = np.sort(rng.normal(size=1 << bit_width)).astype(np.float32)
+    codes = rng.integers(0, 1 << bit_width, size=rows * cols)
+    return QuantizedMatrix(
+        rows=rows,
+        cols=cols,
+        codebook=Codebook(centroids=centroids, bit_width=bit_width),
+        indices=pack_bits(codes, bit_width),
+        epsilon=0.0,
+    )
 
 
 def assert_elementwise_close(actual, reference, scale, rtol, context=""):

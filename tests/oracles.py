@@ -46,6 +46,28 @@ def unpack_bits_reference(data: bytes, count: int, bit_width: int):
 # -- GEMV --------------------------------------------------------------------
 
 
+def native_order_sums(w, x):
+    """Row sums of ``w @ x`` in the order of the compiled packed kernel.
+
+    Written from the order ``_native/gemv.c`` documents, in float32 numpy:
+    every product rounded on its own; products ``k < n8 = n - n % 8`` added
+    to accumulator ``k % 8`` in increasing k; the accumulators combined as
+    ``((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))``; then the
+    products ``k >= n8`` added left to right.
+    """
+    products = np.asarray(w, dtype=np.float32) * np.asarray(x, dtype=np.float32)
+    rows, n = products.shape
+    n8 = n - n % 8
+    acc = np.zeros((rows, 8), dtype=np.float32)
+    for k in range(0, n8, 8):
+        acc += products[:, k : k + 8]
+    a = acc.T
+    s = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    for k in range(n8, n):
+        s += products[:, k]
+    return s
+
+
 def gemv_reference(a_flat, x, y, layout, trans, m, n, alpha, beta, lda,
                    incx=1, incy=1):
     """Scalar float32 GEMV, one multiply and one add at a time.

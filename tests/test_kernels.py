@@ -1,26 +1,27 @@
+import contextlib
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quantloop.bitcodec import pack_bits, unpack_slice
+from quantloop import native
+from quantloop.bitcodec import unpack_slice
 from quantloop.intrinsics import bind_gemv, gemv_handler
 from quantloop.kernels import (
-    PACKED_TILE_CODES,
     SKETCH_TILE_CODES,
     BoundReport,
     GemvParams,
     GemvShapeError,
     Layout,
     Trans,
+    bind,
     error_bound,
     gemv_naive,
     gemv_opt,
     gemv_sketch,
-    _field_rows,
     runtime_bound_check,
 )
 from quantloop.quantizer import (
@@ -31,8 +32,21 @@ from quantloop.quantizer import (
     quantize_matrix,
 )
 
-from conftest import assert_elementwise_close, gemv_scale
-from oracles import gemv_reference
+from conftest import (
+    assert_elementwise_close,
+    gemv_scale,
+    needs_cc,
+    packed_gemv_on_numpy,
+    random_quantized,
+)
+from oracles import gemv_reference, native_order_sums
+
+#: Codes the compiled kernel decodes per step (``CHUNK`` in ``_native/gemv.c``).
+NATIVE_CHUNK = 512
+
+#: Each packed backend, as a context to run the calls under: the compiled
+#: kernel (when it loads), and the numpy fallback.
+PACKED_BACKENDS = (contextlib.nullcontext, packed_gemv_on_numpy)
 
 
 def params(layout="RM", trans="NT", m=2, n=3, alpha=1.0, beta=0.0, lda=None,
@@ -194,19 +208,6 @@ def test_sketch_bit_identical_on_native_layout():
         y_naive = y0.copy()
         gemv_naive(dequantize(q).reshape(-1), x, y_naive, p)
         np.testing.assert_array_equal(y_sketch, y_naive)
-
-
-def random_quantized(rng, rows, cols, bit_width) -> QuantizedMatrix:
-    """A quantized matrix with random codes, built without running the quantizer."""
-    centroids = np.sort(rng.normal(size=1 << bit_width)).astype(np.float32)
-    codes = rng.integers(0, 1 << bit_width, size=rows * cols)
-    return QuantizedMatrix(
-        rows=rows,
-        cols=cols,
-        codebook=Codebook(centroids=centroids, bit_width=bit_width),
-        indices=pack_bits(codes, bit_width),
-        epsilon=0.0,
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,21 +420,21 @@ def assert_codes_close_to_sketch(q, x, y0, p):
     return y_codes
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+_codes_property = given(
     bit_width=st.integers(1, 8),
     rows=st.integers(1, 24),
-    # Up to a little over two packed tiles per row, as in the sketch's test.
-    cols=st.integers(1, 2 * PACKED_TILE_CODES + 5),
+    # Up to a little over two of the compiled kernel's decode steps per row,
+    # which is also more than a numpy tile.
+    cols=st.integers(1, 2 * NATIVE_CHUNK + 13),
     incx=st.integers(1, 3),
     incy=st.integers(1, 3),
     alpha=st.floats(-4, 4, width=32),
     beta=st.floats(-4, 4, width=32),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_codes_agrees_with_sketch_within_rounding_property(
-    bit_width, rows, cols, incx, incy, alpha, beta, seed
-):
+
+
+def _codes_agree_with_sketch(bit_width, rows, cols, incx, incy, alpha, beta, seed):
     rng = np.random.default_rng(seed)
     q = random_quantized(rng, rows, cols, bit_width)
     x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
@@ -442,40 +443,109 @@ def test_codes_agrees_with_sketch_within_rounding_property(
     assert_codes_close_to_sketch(q, x, y0, p)
 
 
+@settings(max_examples=40, deadline=None)
+@_codes_property
+def test_codes_agrees_with_sketch_within_rounding_property(
+    bit_width, rows, cols, incx, incy, alpha, beta, seed
+):
+    _codes_agree_with_sketch(bit_width, rows, cols, incx, incy, alpha, beta, seed)
+
+
+# The fixture patches the kernel's loader once for the whole test, which is
+# the same for every example.
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@_codes_property
+def test_codes_agrees_with_sketch_within_rounding_on_numpy_property(
+    numpy_fallback, bit_width, rows, cols, incx, incy, alpha, beta, seed
+):
+    assert bind(random_quantized(np.random.default_rng(0), 1, 1, 1), np.ones(1, np.float32),
+                np.zeros(1, np.float32), params(m=1, n=1)).native is None
+    _codes_agree_with_sketch(bit_width, rows, cols, incx, incy, alpha, beta, seed)
+
+
 def test_codes_tile_edges():
-    # m = 1, row counts around exact multiples of a tile, rows that start
-    # mid-group (odd cols), and rows wider than a tile, at every bit width.
+    # m = 1, rows that start mid-group (odd cols), rows around the compiled
+    # kernel's 8-code groups and decode steps, and rows around a numpy tile,
+    # at every bit width and on both backends.
     rng = np.random.default_rng(21)
-    for bit_width in range(1, 9):
-        for cols in (23, 64, 172, PACKED_TILE_CODES, PACKED_TILE_CODES + 37):
-            tile_rows = max(1, PACKED_TILE_CODES // cols)
-            for rows in (1, tile_rows, tile_rows + 1, 3 * tile_rows):
-                q = random_quantized(rng, rows, cols, bit_width)
-                x = rng.normal(size=cols).astype(np.float32)
-                y0 = rng.normal(size=rows).astype(np.float32)
-                assert_codes_close_to_sketch(q, x, y0, params(m=rows, n=cols, alpha=0.75, beta=-1.5))
+    for backend in PACKED_BACKENDS:
+        with backend():
+            for bit_width in range(1, 9):
+                for cols in (1, 7, 8, 9, 23, 64, 172, NATIVE_CHUNK - 1, NATIVE_CHUNK + 9,
+                             SKETCH_TILE_CODES + 37):
+                    tile_rows = max(1, SKETCH_TILE_CODES // cols)
+                    for rows in sorted({1, 2, 3, tile_rows, tile_rows + 1}):
+                        q = random_quantized(rng, rows, cols, bit_width)
+                        x = rng.normal(size=cols).astype(np.float32)
+                        y0 = rng.normal(size=rows).astype(np.float32)
+                        p = params(m=rows, n=cols, alpha=0.75, beta=-1.5)
+                        assert_codes_close_to_sketch(q, x, y0, p)
 
 
-def test_field_decoder_tiles_match_unpack_slice():
-    # The packed path's decoder against the oracle's, bit for bit, at every
-    # width.  Odd widths make rows start mid-group, and the code counts
-    # both fill their last group and stop short of it.  pack_bits leaves
-    # exactly payload + guard bytes, so a window read past the buffer
-    # raises in np.ndarray: a full last group's 3- or 7-byte window must
-    # end on the guard, and any other window past the end must be padded.
+def test_packed_decode_matches_unpack_slice():
+    # A one-hot x = e_k with alpha = 1 and beta = 0 makes each y element the
+    # weight itself, so the packed path's decode is checked against the
+    # oracle's bit for bit, column by column, at every width and on both
+    # backends.  Odd widths and odd column counts make rows start mid-group,
+    # and the code counts both fill their last group and stop short of it.
+    # pack_bits leaves exactly payload + guard bytes, so a read past them
+    # reads what lies after the buffer (test_native proves none happens).
     rng = np.random.default_rng(26)
-    for bit_width in range(1, 9):
-        for cols in (1, 7, 23, 64, 172):
-            for rows in (1, 2, 3, 5, 9):
-                q = random_quantized(rng, rows, cols, bit_width)
-                assert len(q.indices.data) == q.indices.payload_bytes + 1
-                decode = _field_rows(q)
-                for r0 in range(rows):
-                    for r1 in range(r0 + 1, rows + 1):
-                        codes = unpack_slice(q.indices, r0 * cols, (r1 - r0) * cols)
-                        expect = np.take(q.codebook.centroids, codes).reshape(r1 - r0, cols)
-                        where = f"b={bit_width} {rows}x{cols} [{r0}:{r1}]"
-                        np.testing.assert_array_equal(decode(r0, r1), expect, err_msg=where)
+    for backend in PACKED_BACKENDS:
+        with backend():
+            for bit_width in range(1, 9):
+                for cols in (1, 7, 23, 64, 172):
+                    for rows in (1, 2, 3, 5, 9):
+                        q = random_quantized(rng, rows, cols, bit_width)
+                        assert len(q.indices.data) == q.indices.payload_bytes + 1
+                        codes = unpack_slice(q.indices, 0, rows * cols).reshape(rows, cols)
+                        x = np.zeros(cols, np.float32)
+                        y = np.zeros(rows, np.float32)
+                        call = bind(q, x, y, params(m=rows, n=cols))
+                        for k in range(cols):
+                            x[:] = 0.0
+                            x[k] = 1.0
+                            call.run()
+                            np.testing.assert_array_equal(
+                                y, q.codebook.centroids[codes[:, k]],
+                                err_msg=f"b={bit_width} {rows}x{cols} column {k}",
+                            )
+
+
+@needs_cc
+@settings(max_examples=60, deadline=None)
+@given(
+    bit_width=st.integers(1, 8),
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 2 * NATIVE_CHUNK + 13),
+    incx=st.sampled_from([1, 2, -1]),
+    incy=st.sampled_from([1, 3, -2]),
+    alpha=st.sampled_from([1.0, -0.5, 3.0]),
+    beta=st.sampled_from([0.0, 1.0, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_native_kernel_sums_in_its_documented_order_property(
+    bit_width, rows, cols, incx, incy, alpha, beta, seed
+):
+    # The compiled kernel against a numpy emulation of the order gemv.c
+    # documents, bit for bit, on strided and reversed vectors; the elements
+    # between y's strided ones stay as they were.
+    rng = np.random.default_rng(seed)
+    q = random_quantized(rng, rows, cols, bit_width)
+    sx, sy = np.sign(incx), np.sign(incy)
+    x = rng.normal(size=(cols - 1) * abs(incx) + 1).astype(np.float32)[::sx]
+    y_base = rng.normal(size=(rows - 1) * abs(incy) + 1).astype(np.float32)
+    y = y_base.copy()[::sy]
+    call = bind(q, x, y, params(m=rows, n=cols, alpha=alpha, beta=beta,
+                                incx=abs(incx), incy=abs(incy)))
+    assert call.native is not None
+    assert (call.native.incx, call.native.incy) == (incx, incy)
+    call.run()
+    y0_eff = y_base[::sy][:: abs(incy)]
+    s = native_order_sums(dequantize(q), x[:: abs(incx)])
+    expect = y_base.copy()[::sy]
+    expect[:: abs(incy)] = np.float32(alpha) * s + np.float32(beta) * y0_eff
+    np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32))
 
 
 def test_codes_other_layouts_share_the_sketch_fallback():
@@ -631,7 +701,7 @@ def test_store_matches_the_formula_bit_for_bit(alpha, beta):
     # payloads, the NaN that 0 * inf makes and the sign of zero all count.
     # y0 holds NaN, +-inf and -0.0, and x and y are strided.
     rng = np.random.default_rng(31)
-    m, n, incx, incy = 172, 64, 2, 3  # 172 rows: three packed tiles
+    m, n, incx, incy = 172, 61, 2, 3  # 61 columns: 7 full groups of 8, then a tail
     q = random_quantized(rng, m, n, 3)
     dense = dequantize(q)
     x = rng.normal(size=(n - 1) * incx + 1).astype(np.float32)
@@ -639,11 +709,16 @@ def test_store_matches_the_formula_bit_for_bit(alpha, beta):
     y0[[0, 3, 6, 9]] = [np.nan, np.inf, -np.inf, -0.0]
     p = params(m=m, n=n, alpha=alpha, beta=beta, incx=incx, incy=incy)
     x_eff, y_eff0 = x[::incx], y0[::incy]
-    step = PACKED_TILE_CODES // n
+    # The packed call sums in the compiled kernel's documented order; on the
+    # numpy fallback (no compiler) each tile is one matmul.
+    if native.load().kernel is not None:
+        packed = native_order_sums(dense, x_eff)
+    else:
+        step = SKETCH_TILE_CODES // n
+        packed = np.concatenate([dense[r0 : r0 + step] @ x_eff for r0 in range(0, m, step)])
     sums = {
         "dense gemv_opt": (gemv_opt, dense.reshape(-1), dense @ x_eff),
-        "packed gemv_opt": (gemv_opt, q, np.concatenate(
-            [dense[r0 : r0 + step] @ x_eff for r0 in range(0, m, step)])),
+        "packed gemv_opt": (gemv_opt, q, packed),
         "gemv_naive": (gemv_naive, dense.reshape(-1), np.cumsum(dense * x_eff, axis=1)[:, -1]),
         "gemv_sketch": (gemv_sketch, q, np.cumsum(dense * x_eff, axis=1)[:, -1]),
     }
