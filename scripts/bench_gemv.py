@@ -2,15 +2,17 @@
 """Time the GEMV kernels over a sweep of matrix shapes.
 
 Prints one row per ``MxN`` shape and code width with the best-of-N wall
-time of the reference kernel, the optimized kernel on the float matrix, the
-ordered codes-domain oracle (sketch) and the optimized kernel on the
-quantized matrix, which is what the ``gemv`` intrinsic runs on it (codes),
-the optimized kernel's effective GFLOP/s, and each kernel's speed-up over
-the reference.  The float kernels do not depend on the width and are timed
-once per shape.  The default shapes are the toy model's GEMVs plus
-1024x1024.
+time of the reference kernel, the ordered codes-domain oracle (sketch), and
+the optimized kernel on the float matrix (opt) and on the quantized matrix
+(codes).  The optimized kernel is split as the ``gemv`` intrinsic uses it:
+``bind`` checks the operands once, when a program is prepared, and the
+bound call's ``run`` is what every decode step pays, so the two have their
+own columns.  Then come the bound float run's effective GFLOP/s and each
+run's speed-up over the reference.  The float kernels do not depend on the
+width and are timed once per shape.  The default shapes are the toy
+model's GEMVs plus 1024x1024.
 
-The "codes" column times the compiled packed kernel (``quantloop.native``)
+The codes columns time the compiled packed kernel (``quantloop.native``)
 when it builds and loads, and the numpy fallback otherwise; the first line
 printed names the backend and, for the fallback, the reason.
 
@@ -31,8 +33,8 @@ from quantloop.kernels import (
     GemvParams,
     Layout,
     Trans,
+    bind,
     gemv_naive,
-    gemv_opt,
     gemv_sketch,
 )
 from quantloop.quantizer import QuantConfig, quantize_matrix
@@ -70,9 +72,9 @@ def main() -> int:
     status = native.status()
     print(f"packed gemv backend: {status['backend']}"
           + (f" ({status['reason']})" if status["reason"] else ""))
-    print(f"{'shape':>10} {'bits':>4} {'naive ms':>10} {'opt ms':>10} {'sketch ms':>10} "
-          f"{'codes ms':>10} {'opt GFLOP/s':>12} {'opt/naive':>10} {'sketch/naive':>13} "
-          f"{'codes/naive':>12}")
+    print(f"{'shape':>10} {'bits':>4} {'naive ms':>10} {'sketch ms':>10} {'opt bind ms':>12} "
+          f"{'opt run ms':>11} {'codes bind ms':>14} {'codes run ms':>13} {'opt GFLOP/s':>12} "
+          f"{'opt/naive':>10} {'sketch/naive':>13} {'codes/naive':>12}")
     for m, n in shapes:
         a = rng.standard_normal((m, n)).astype(np.float32)
         x = rng.standard_normal(n).astype(np.float32)
@@ -81,17 +83,21 @@ def main() -> int:
         p = GemvParams(layout=Layout.ROW_MAJOR, trans=Trans.NO_TRANS, m=m, n=n,
                        alpha=1.0, beta=0.0, lda=n, incx=1, incy=1)
 
-        gemv_opt(flat, x, y, p)  # warm up
+        bind(flat, x, y, p).run()  # warm up
         t_naive = best_of(lambda: gemv_naive(flat, x, y, p), max(args.reps // 2, 1))
-        t_opt = best_of(lambda: gemv_opt(flat, x, y, p), args.reps)
+        t_bind = best_of(lambda: bind(flat, x, y, p), args.reps)
+        t_opt = best_of(bind(flat, x, y, p).run, args.reps)
         flops = 2.0 * m * n
         for bits in widths:
             q = quantize_matrix(a, QuantConfig(bit_width=bits))
             t_sketch = best_of(lambda: gemv_sketch(q, x, y, p), max(args.reps // 2, 1))
-            t_codes = best_of(lambda: gemv_opt(q, x, y, p), max(args.reps // 2, 1))
-            print(f"{f'{m}x{n}':>10} {bits:>4} {t_naive * 1e3:>10.3f} {t_opt * 1e3:>10.3f} "
-                  f"{t_sketch * 1e3:>10.3f} {t_codes * 1e3:>10.3f} "
-                  f"{flops / t_opt / 1e9:>12.2f} {t_naive / t_opt:>9.1f}x "
+            t_codes_bind = best_of(lambda: bind(q, x, y, p), args.reps)
+            call = bind(q, x, y, p)
+            call.run()  # the first run builds the codebook's field table
+            t_codes = best_of(call.run, args.reps)
+            print(f"{f'{m}x{n}':>10} {bits:>4} {t_naive * 1e3:>10.3f} {t_sketch * 1e3:>10.3f} "
+                  f"{t_bind * 1e3:>12.4f} {t_opt * 1e3:>11.4f} {t_codes_bind * 1e3:>14.4f} "
+                  f"{t_codes * 1e3:>13.4f} {flops / t_opt / 1e9:>12.2f} {t_naive / t_opt:>9.1f}x "
                   f"{t_naive / t_sketch:>12.1f}x {t_naive / t_codes:>11.1f}x")
     return 0
 

@@ -39,27 +39,14 @@
 #include <stdint.h>
 #include <string.h>
 
+#include "qgemv.h"
+
 #if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
 #error "group words are read as little-endian integers"
 #endif
 
 /* Codes decoded per step into the stack buffer: a multiple of 8. */
 #define CHUNK 512
-
-typedef struct {
-    const uint8_t *codes; /* packed stream: payload, then the guard byte */
-    const void *table;    /* Codebook.field_table */
-    const float *x;       /* x[0] of the strided x */
-    float *y;             /* y[0] of the strided y */
-    int64_t codes_bytes;  /* bytes readable from `codes` */
-    int64_t rows;
-    int64_t cols;
-    int64_t incx;
-    int64_t incy;
-    int32_t bits;
-    float alpha;
-    float beta;
-} quantloop_qgemv_args;
 
 /* The group word at byte `at`, reading nothing at or past byte `nbytes`. */
 static inline uint64_t group_word(const uint8_t *codes, int64_t nbytes, int64_t at)

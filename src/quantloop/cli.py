@@ -5,6 +5,9 @@ machine-readable output is JSON on stdout; diagnostics go to stderr.
 ``bench`` and ``inspect`` on a checkpoint report which backend runs the
 packed GEMV (``"packed_gemv": {"backend": "native" | "numpy", "reason":
 ...}``, the reason saying why the compiled kernel is not in use).
+``bench`` also reports whether its forwards ran the compiled step
+(``"step": {"backend": "native" | "closures", "reason": ...,
+"native_forwards": n}``).
 
 Exit codes: 0 success; 1 a check failed (bound violation, regression);
 2 usage, I/O, or format errors.  The subcommands raise; `main` is the one
@@ -176,6 +179,7 @@ def cmd_bench(args) -> int:
         "checkpoint": args.checkpoint,
         "steps": args.steps,
         "packed_gemv": native.status(),
+        "step": engine.step_status(),
     })
     return 0
 

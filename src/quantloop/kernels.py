@@ -281,7 +281,7 @@ class GemvCall:
             _store(self.view @ self.x_eff, self.y_eff, p)
         elif (args := self.native) is not None:
             if not args.table:  # the call site's first run builds the field table
-                args.table = self.a.codebook.field_table.ctypes.data
+                args.table = native.address(self.a.codebook.field_table)
             native.load().kernel(args)
         else:
             rows = _decoded_rows(self.a)
@@ -289,14 +289,16 @@ class GemvCall:
         return self.y
 
 
-def bind(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> GemvCall:
+def bind(a, x: np.ndarray, y: np.ndarray, p: GemvParams,
+         addresses: native.Addresses | None = None) -> GemvCall:
     """Check one call's operands against `p` once and choose how A is read.
 
     `a` is flat float32 storage or a :class:`QuantizedMatrix`.  A quantized
     matrix in row-major, non-transposed layout (the one its codes are packed
     in) must match `p`'s extents with ``lda == cols`` and is left packed;
     in any other layout it is reconstructed once, read-only, and viewed like
-    dense storage.
+    dense storage.  `addresses`, when a caller binds many sites over the
+    same vectors, looks each vector's address up once for all of them.
     """
     if isinstance(a, QuantizedMatrix):
         if p.layout is Layout.ROW_MAJOR and p.trans is Trans.NO_TRANS:
@@ -307,24 +309,26 @@ def bind(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> GemvCall:
                 )
             _, x_eff, y_eff = _operands(None, x, y, p)
             return GemvCall(a, x, y, p, None, x_eff, y_eff,
-                            native=_native_args(a, x_eff, y_eff, p))
+                            native=_native_args(a, x, y, x_eff, y_eff, p, addresses))
         dense = dequantize(a).reshape(-1)
         dense.flags.writeable = False
         return GemvCall(a, x, y, p, *_operands(dense, x, y, p))
     return GemvCall(a, x, y, p, *_operands(a, x, y, p))
 
 
-def _native_args(q: QuantizedMatrix, x_eff: np.ndarray, y_eff: np.ndarray,
-                 p: GemvParams) -> "native.GemvArgs | None":
+def _native_args(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, x_eff: np.ndarray,
+                 y_eff: np.ndarray, p: GemvParams,
+                 addresses: native.Addresses | None) -> "native.GemvArgs | None":
     """The compiled kernel's operands for one packed call, or None to run it on numpy.
 
     The kernel is loaded here, on the first packed bind of the process.  The
     struct holds raw pointers into the packed bytes and the two vectors,
     which the call and its matrix keep alive; its reads of the packed bytes
-    stop at their length.  Its pointer to the codebook's field table is
-    filled in by the call's first run, which builds the table: a table built
-    here would sit through the quantization of every engine made after this
-    one.  A vector the kernel cannot take as it is (a read-only or
+    stop at their length.  The strided views start at element 0 of `x` and
+    `y`, whose addresses `addresses` looks up when given.  Its pointer to
+    the codebook's field table is filled in by the call's first run, which
+    builds the table: a table built here would sit through the quantization
+    of every engine made after this one.  A vector the kernel cannot take as it is (a read-only or
     misaligned y, a misaligned x, or an x and y that may overlap) leaves the
     call on numpy, which raises or runs it as before.
     """
@@ -333,10 +337,11 @@ def _native_args(q: QuantizedMatrix, x_eff: np.ndarray, y_eff: np.ndarray,
     if not (y_eff.flags.writeable and y_eff.flags.aligned and x_eff.flags.aligned):
         return None
     codes = np.frombuffer(q.indices.data, np.uint8)
+    address = addresses or native.address
     return native.GemvArgs(
-        codes=codes.ctypes.data,
-        x=x_eff.ctypes.data,
-        y=y_eff.ctypes.data,
+        codes=address(codes),
+        x=address(x),
+        y=address(y),
         codes_bytes=codes.size,
         rows=q.rows,
         cols=q.cols,

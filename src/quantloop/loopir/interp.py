@@ -34,6 +34,15 @@ caller's hook may bind more per site, such as the engine's float-shadow
 call.
 Loads from a quantized buffer in an ordinary loop nest see its dense
 reconstruction, built once at bind and read-only.
+
+The closures are the oracle.  A caller that passes ``compiled_ops`` also
+gets the program's compiled step (:mod:`quantloop.step`): from what binding
+checked and bound, :class:`Prepared` fills a table of op records, one per
+top-level statement, that the native runtime walks in one call.  Every
+top-level statement must be an intrinsic call whose handler `compiled_ops`
+names, or an elementwise loop; otherwise, or without a compiler,
+:attr:`Prepared.step` is None and :attr:`Prepared.step_reason` says why.
+:meth:`Prepared.run` always runs the closures.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .. import native, step
 from ..intrinsics import bind_gemv, default_registry
 from ..quantizer import QuantizedMatrix, dequantize
 from .nodes import (
@@ -93,6 +103,9 @@ class Prepared:
     or buffers, and compiles each elementwise depth-1 loop to one numpy
     operation, all once; :meth:`run` then only reads the params from `env`.
     `bind_gemv` builds each gemv site's call from its BLAS-shaped arguments.
+    `compiled_ops`, when given, maps handlers to the C ops that may stand in
+    for them, and the compiled step is built from it (see the module
+    docstring).
     """
 
     def __init__(
@@ -102,6 +115,7 @@ class Prepared:
         function: str | None = None,
         intrinsics: Mapping[str, Callable] | None = None,
         bind_gemv: Callable = bind_gemv,
+        compiled_ops: Mapping[Callable, str] | None = None,
     ) -> None:
         if intrinsics is None:
             intrinsics = default_registry()
@@ -114,7 +128,21 @@ class Prepared:
         self._buffer_names = {d.name for d in program.buffers}
         self._bound: dict[str, object] = {}
         self._flat: dict[str, np.ndarray] = {}
+        # Binding fills these; only the compiled step's build reads them after.
+        self._addresses = native.Addresses()
+        self._sites: dict[int, step.Site] = {}
         self._body = [self._compile_stmt(s) for s in self.function.body]
+        #: The compiled step (:class:`quantloop.step.Step`), or None and why not.
+        self.step: step.Step | None = None
+        self.step_reason: str | None = "no compiled ops were asked for"
+        if compiled_ops is not None:
+            try:
+                self.step = step.build(self.function.body, self._sites, self._params,
+                                       compiled_ops, self._addresses)
+                self.step_reason = None
+            except step.NoStep as exc:
+                self.step_reason = str(exc)
+        del self._addresses, self._sites
 
     # -- binding -----------------------------------------------------------
 
@@ -147,6 +175,7 @@ class Prepared:
 
         A quantized matrix is reconstructed here, once, into a read-only
         array: the matrix is immutable, so the reconstruction never changes.
+        A 1-D buffer is its own flat storage.
         """
         if name not in self._flat:
             value = self._bind(name)
@@ -154,7 +183,7 @@ class Prepared:
                 flat = dequantize(value).reshape(-1)
                 flat.flags.writeable = False
             else:
-                flat = value.reshape(-1)
+                flat = value if value.ndim == 1 else value.reshape(-1)
             self._flat[name] = flat
         return self._flat[name]
 
@@ -335,6 +364,7 @@ class Prepared:
             or any(v is not out and np.may_share_memory(v, out) for v in (left, right))
         ):
             return None
+        self._sites[id(s)] = step.Site(binop.op, (left, right, out, lo, hi))
         ufunc, scalar_op = _UFUNCS[binop.op]
         left_item, right_item = left.item, right.item
         left, right, out = left[lo:hi], right[lo:hi], out[lo:hi]
@@ -415,12 +445,19 @@ class Prepared:
         pack = (lambda *a: (self._bind_gemv(*a),)) if s.name == "gemv" else _pack
 
         if not from_frame:
-            packed = pack(*args)
+            if s.name == "gemv":  # the sites of one program share their address lookups
+                packed = (self._bind_gemv(*args, addresses=self._addresses),)
+            else:
+                packed = pack(*args)
+            self._sites[id(s)] = step.Site(handler, packed)
 
             def run_call(frame):
                 handler(*packed)
 
             return run_call
+
+        if s.name != "gemv":
+            self._sites[id(s)] = step.Site(handler, tuple(args), tuple(from_frame))
 
         def run_call_params(frame):
             call_args = args.copy()

@@ -35,6 +35,19 @@ returns a :class:`GemvObservation`; the counters and the optional
 ``gemv_observer`` both read that record.  The bound it checks is
 :func:`~quantloop.kernels.runtime_bound_check`'s, which covers the float32
 rounding of both paths, not only exact arithmetic.
+
+A forward runs as one call into the compiled step
+(:mod:`quantloop.step`) when three things hold: the program has one (every
+top-level statement has a C op and a compiler built the runtime), the
+engine was built with no threshold and no dual check, and no observer is
+attached.  No setting chooses it.  ``optimized`` and ``quantized`` decoding
+without a per-call policy run it; ``naive`` mode, whose loop nests have no
+C op, an engine whose handlers are not quantloop's own (a tracer's
+wrappers, say), and the dual check run the closures, which stay the oracle.
+The compiled step's gemv records add the same counts to :class:`EngineStats`
+that the closures' calls do, and attaching an observer moves the next
+forward to the closures.  :meth:`Engine.step_status` says which path the
+next forward takes and why.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ from ..kernels import GemvCall, bind, runtime_bound_check
 from ..quantizer import QuantConfig, QuantizedMatrix, quantize_matrix
 from ..loopir.interp import Prepared
 from ..intrinsics import bind_gemv, default_registry
+from ..step import COMPILED_OPS
 from ..gemvpass import run_gemv_pass
 from .checkpoint import (
     FLOAT_MAGIC,
@@ -178,20 +192,29 @@ class Engine:
         for decl in program.buffers:
             if decl.name not in self._env:
                 self._env[decl.name] = np.zeros(decl.extents, dtype=np.float32)
+        ops = None
+        if not self._policy():
+            ops = dict(COMPILED_OPS)
+            if COMPILED_OPS.get(self._gemv_kernel) == "gemv":
+                ops[self._gemv] = "gemv"  # the kernel, plus the call counts forward keeps
         self._prepared = Prepared(
             program, self._env, function="step", intrinsics=registry,
-            bind_gemv=self._bind_gemv,
+            bind_gemv=self._bind_gemv, compiled_ops=ops,
         )
+        self._step = self._prepared.step
+        self._step_reason = (self._prepared.step_reason if ops is not None
+                             else "a bound threshold or the dual check runs each gemv call")
+        self.native_forwards = 0
 
     # -- gemv policy ---------------------------------------------------------
 
-    def _bind_gemv(self, *args) -> GemvCall:
+    def _bind_gemv(self, *args, addresses=None) -> GemvCall:
         """Bind a gemv call site, and its float-shadow call if it has one.
 
         The shadow call writes into its own y scratch, so the policy below
         never re-checks operands or allocates a y per call.
         """
-        call = bind_gemv(*args)
+        call = bind_gemv(*args, addresses=addresses)
         shadow = self._float_shadow.get(id(call.a))
         if shadow is None:
             return call
@@ -235,6 +258,10 @@ class Engine:
             seq, p.m, p.n, p.alpha, p.beta, epsilon, bound, diff_inf, fallback
         )
 
+    def _policy(self) -> bool:
+        """Whether each gemv call needs the policy: a threshold, the dual check or an observer."""
+        return self.bound_threshold is not None or self.dual_check or self.gemv_observer is not None
+
     def _gemv(self, call: GemvCall) -> None:
         """The ``gemv`` intrinsic.
 
@@ -243,12 +270,11 @@ class Engine:
         :class:`GemvObservation`; the counts in :attr:`stats` come out the
         same either way.
         """
-        observer = self.gemv_observer
-        if self.bound_threshold is not None or self.dual_check or observer is not None:
+        if self._policy():
             obs = self._gemv_policy(call)
             self.stats.record(obs)
-            if observer is not None:
-                observer(obs)
+            if self.gemv_observer is not None:
+                self.gemv_observer(obs)
             return
         self._gemv_kernel(call)
         self.stats.gemv_calls += 1
@@ -262,11 +288,29 @@ class Engine:
             raise ValueError(f"token {token} outside vocab of {self.config.vocab_size}")
         if not 0 <= pos < self.config.max_seq_len:
             raise ValueError(f"pos {pos} outside max_seq_len {self.config.max_seq_len}")
-        self._env["token"] = int(token)
-        self._env["pos"] = int(pos)
-        self._prepared.run()
+        self._env["token"] = token = int(token)
+        self._env["pos"] = pos = int(pos)
+        step = self._step
+        if step is not None and not self._policy() and step((token, pos)) == 0:
+            self.stats.gemv_calls += step.gemv_calls
+            self.stats.quantized_gemv_calls += step.quantized_gemv_calls
+            self.native_forwards += 1
+        else:
+            self._prepared.run()
         self.stats.forwards += 1
         return self._env["logits"]
+
+    def step_status(self) -> dict:
+        """Whether the next forward runs the compiled step, and if not, why.
+
+        ``{"backend": "native" | "closures", "reason": ..., "native_forwards":
+        n}``, where n counts the forwards that ran compiled so far.
+        """
+        reason = self._step_reason
+        if reason is None and self._policy():
+            reason = "a gemv observer needs each gemv call"
+        return {"backend": "closures" if reason else "native", "reason": reason,
+                "native_forwards": self.native_forwards}
 
     def sample(self, logits: np.ndarray, temperature: float) -> int:
         if temperature <= 0.0:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from quantloop.cli import main
 from quantloop.loopir.textio import MAX_LOOP_DEPTH, parse_program, print_program
-from quantloop.runtime import TOY_CONFIG
+from quantloop.runtime import TOY_CONFIG, Engine
 from quantloop.runtime.config import MAX_KV_CACHE_BYTES
 from quantloop.runtime.checkpoint import (
     FLOAT_MAGIC,
@@ -156,6 +156,11 @@ def test_huge_kv_cache_header_is_refused(tmp_path, capsys, toy_float_path, toy_q
 
 @pytest.fixture(scope="session")
 def fuzz_seeds(toy_float_path, toy_quant_path, tmp_path_factory):
+    # Unmutated, both checkpoints decode through the compiled step, so the
+    # mutated runs exercise it wherever the mutation leaves a valid file.
+    if shutil.which("cc") is not None:
+        for path in (toy_float_path, toy_quant_path):
+            assert Engine(path).step_status()["backend"] == "native", path
     program = tmp_path_factory.mktemp("prog") / "step.dir"
     program.write_text(print_program(synthesize_forward_program(TOY_CONFIG)))
     return {"ditf": toy_float_path, "ditq": toy_quant_path, "dir": str(program)}

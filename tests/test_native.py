@@ -1,4 +1,4 @@
-"""The compiled packed GEMV: its build cache, its fallback, and its reads."""
+"""The native library and its packed GEMV: the build cache, the fallback, the reads."""
 
 import json
 import os
@@ -95,7 +95,7 @@ def test_fresh_process_reuses_the_cache_and_rebuilds_a_truncated_library(tmp_pat
         done = run_python(probe, **env)
         assert done.stdout.strip() == "native", (run, done.stderr)
         assert len(compiles()) == built, run
-    [library] = (tmp_path / "cache" / "quantloop").glob("gemv-*.so")
+    [library] = (tmp_path / "cache" / "quantloop").glob("quantloop-*.so")
     size = library.stat().st_size
     with open(library, "r+b") as f:
         f.truncate(100)
@@ -104,11 +104,6 @@ def test_fresh_process_reuses_the_cache_and_rebuilds_a_truncated_library(tmp_pat
     assert len(compiles()) == 2
     assert library.stat().st_size == size
     assert [p.name for p in library.parent.iterdir()] == [library.name]
-
-
-def test_float_engine_never_loads_the_library(fresh_loader, toy_float_path):
-    Engine(toy_float_path, mode="optimized").generate([1, 2], steps=4)
-    assert native.load.cache_info().currsize == 0
 
 
 # -- through the engine and the CLI ---------------------------------------------
