@@ -14,6 +14,16 @@
  * the extent it indexes, so an out-of-range token or pos writes nothing and
  * returns 1 + the index of the first record that would read out of bounds.
  *
+ * A packed gemv record may also be checked.  quantloop.step gives each one a
+ * check: the matrix's epsilon and largest centroid magnitude, and the same
+ * call on its float shadow as a gemv record writing a scratch y (kind 0
+ * when there is no shadow).  A table with observations runs every packed
+ * record checked: it bounds the call, falls back to the shadow over the
+ * threshold or runs both under the dual check, writes (bound, gap,
+ * fallback) to the record's row of the observations and adds them to the
+ * counters.  Every run adds itself and its gemv records to the counters,
+ * whose layout quantloop.runtime.EngineStats shares.
+ *
  * Arithmetic, with each float operation rounded to float32 on its own (build
  * with -ffp-contract=off, never -ffast-math):
  *
@@ -24,6 +34,22 @@
  *            packed kernel in gemv.c;
  *   gemv     y[i] = fl(fl(alpha * s_i) + fl(beta * y[i])), s_i a dot, the
  *            store of every kernel in quantloop.kernels;
+ *   bound    quantloop.kernels.runtime_bound_check's, operation for operation
+ *            in double: a = |alpha|, b = |beta|, u = 2^-24, g = nu / (1 - nu)
+ *            for nu = n u < 1 (else inf), L = sum |x[k]| left to right, c the
+ *            largest centroid magnitude;
+ *            a (eps + g (2c + eps)) L, plus, unless a == 1 and b == 0,
+ *            (2u + u^2) a (1 + g) (2c + eps) L + 2u (1 + u) b max|y0| (the
+ *            old y's, read before the store, 0 when b == 0), times
+ *            1 + (n + 16) 2^-52, then rounded up to the next double;
+ *   fallback with a threshold, when !(bound <= threshold), so a NaN bound
+ *            falls back: y is copied to the shadow's scratch, the shadow's
+ *            gemv runs there and the scratch is copied back;
+ *   gap      under the dual check, y is copied to the scratch, the packed
+ *            call runs on y and the shadow's gemv on the scratch, and the gap
+ *            is max over i of |(double)y[i] - (double)scratch[i]|, NaN if
+ *            any term is; a gap that is not <= the bound is a violation, and
+ *            the counters' maxima keep a NaN once they see one;
  *   rmsnorm  ss = dot(src, src) / n + 1e-5 in double, inv = (float)(1 / sqrt(ss)),
  *            dst[i] = (src[i] * inv) * weight[i];
  *   rope     pair i turns by pos * inv_freq[i] (double), whose cos and sin are
@@ -35,8 +61,10 @@
  *   add, mul out[i] = left[i] op right[i].
  *
  * So gemv, rmsnorm and attention sum in another order than numpy's, and agree
- * with the Python handlers within float32 rounding; the elementwise ops, the
- * embeds and rope's rotation are the handlers' operations one for one.
+ * with the Python handlers within float32 rounding; the bound sums |x| in
+ * another order than numpy's pairwise sum, within a few double ulps; the
+ * elementwise ops, the embeds and rope's rotation are the handlers'
+ * operations one for one.
  */
 
 #include <math.h>
@@ -47,7 +75,7 @@
 
 enum {
     OP_GEMV = 1,  /* p: a, x, y; n: rows, cols, row stride, col stride, incx, incy; f: alpha, beta */
-    OP_QGEMV,     /* p: quantloop_qgemv_args */
+    OP_QGEMV,     /* p: quantloop_qgemv_args; n: index of its check */
     OP_EMBED,     /* p: dst, table; n: rows, cols, token slot */
     OP_QEMBED,    /* p: dst, codes, centroids; n: rows, cols, token slot, codes bytes, bits */
     OP_RMSNORM,   /* p: dst, src, weight; n: length */
@@ -66,16 +94,45 @@ typedef struct {
     float f[2];
 } quantloop_op;
 
-/* A table: its records, the values their slots index and the attention row. */
+/* What a packed gemv record's check reads besides the call. */
+typedef struct {
+    double epsilon;      /* QuantizedMatrix.epsilon */
+    double max_abs;      /* its Codebook.max_abs */
+    quantloop_op shadow; /* OP_GEMV on the float shadow into its scratch y, or kind 0 */
+} quantloop_check;
+
+/* The counters a run adds to, field for field quantloop.runtime.EngineStats. */
+typedef struct {
+    int64_t forwards; /* one per run */
+    int64_t gemv_calls;
+    int64_t quantized_gemv_calls;
+    int64_t fallback_calls;
+    int64_t bound_checks;
+    int64_t bound_violations;
+    double max_bound;
+    double max_dual_diff;
+} quantloop_counts;
+
+enum { CHECK_THRESHOLD = 1, CHECK_DUAL = 2 };
+
+/* A table: its records, the values their slots index, the attention row,
+ * the packed records' checks, the counters and, for a checked run, the
+ * observations (bound, gap, fallback per check), the threshold and flags. */
 typedef struct {
     const quantloop_op *ops;
     int64_t n_ops;
     const int64_t *vals;
     float *scratch;
+    const quantloop_check *checks;
+    quantloop_counts *counts;
+    double *obs; /* NULL: the packed records run unchecked */
+    double threshold;
+    int64_t flags;
 } quantloop_table;
 
-/* The record size quantloop.step must match before it fills a table. */
+/* The sizes quantloop.step must match before it fills a table. */
 int64_t quantloop_op_size(void) { return (int64_t)sizeof(quantloop_op); }
+int64_t quantloop_check_size(void) { return (int64_t)sizeof(quantloop_check); }
 
 static float dot(const float *a, int64_t inca, const float *b, int64_t incb, int64_t n)
 {
@@ -108,6 +165,76 @@ static void gemv(const quantloop_op *o)
         float *yi = y + i * incy;
         *yi = alpha * s + beta * *yi;
     }
+}
+
+/* The larger of m and v; NaN once either is. */
+static double nanmax(double m, double v)
+{
+    return m != m || v <= m ? m : v;
+}
+
+static void copy(float *dst, const float *src, int64_t n, int64_t inc)
+{
+    for (int64_t i = 0; i < n; i++)
+        dst[i * inc] = src[i * inc];
+}
+
+/* runtime_bound_check's float32 bound on the call, before it stores. */
+static double bound(const quantloop_qgemv_args *q, const quantloop_check *c)
+{
+    const int64_t n = q->cols;
+    const double u = 0x1p-24, nu = (double)n * u, g = nu < 1.0 ? nu / (1.0 - nu) : INFINITY;
+    const double a = fabs((double)q->alpha), b = fabs((double)q->beta);
+    const double eps = c->epsilon, cm = c->max_abs;
+    double l1 = 0.0;
+    for (int64_t k = 0; k < n; k++)
+        l1 += fabs((double)q->x[k * q->incx]);
+    double r = a * (eps + g * (2.0 * cm + eps)) * l1;
+    if (a != 1.0 || b != 0.0) {
+        double y_max = 0.0;
+        if (b != 0.0)
+            for (int64_t i = 0; i < q->rows; i++)
+                y_max = nanmax(y_max, fabs((double)q->y[i * q->incy]));
+        r += (2 * u + u * u) * a * (1.0 + g) * (2.0 * cm + eps) * l1;
+        r += 2 * u * (1.0 + u) * b * y_max;
+    }
+    return nextafter(r * (1.0 + (double)(n + 16) * 0x1p-52), INFINITY);
+}
+
+static void checked_qgemv(const quantloop_op *o, const quantloop_table *t)
+{
+    const quantloop_qgemv_args *q = o->p[0];
+    const quantloop_check *c = t->checks + o->n[0];
+    const quantloop_op *f = &c->shadow;
+    quantloop_counts *counts = t->counts;
+    double *obs = t->obs + 3 * o->n[0];
+    float *y = q->y, *s = f->p[2];
+    const int64_t rows = q->rows, inc = q->incy;
+    const int shadowed = f->kind == OP_GEMV;
+    const double b = bound(q, c);
+    const int fallback = shadowed && (t->flags & CHECK_THRESHOLD) && !(b <= t->threshold);
+    double gap = 0.0;
+    if (fallback) {
+        copy(s, y, rows, inc);
+        gemv(f);
+        copy(y, s, rows, inc);
+    } else if (shadowed && (t->flags & CHECK_DUAL)) {
+        copy(s, y, rows, inc);
+        quantloop_qgemv(q);
+        gemv(f);
+        for (int64_t i = 0; i < rows; i++)
+            gap = nanmax(gap, fabs((double)y[i * inc] - (double)s[i * inc]));
+        counts->bound_violations += !(gap <= b);
+        counts->max_dual_diff = nanmax(counts->max_dual_diff, gap);
+    } else {
+        quantloop_qgemv(q);
+    }
+    counts->bound_checks++;
+    counts->fallback_calls += fallback;
+    counts->max_bound = nanmax(counts->max_bound, b);
+    obs[0] = b;
+    obs[1] = gap;
+    obs[2] = fallback;
 }
 
 static void qembed(const quantloop_op *o, int64_t token)
@@ -241,9 +368,15 @@ int64_t quantloop_step(const quantloop_table *table)
         switch (o->kind) {
         case OP_GEMV:
             gemv(o);
+            table->counts->gemv_calls++;
             break;
         case OP_QGEMV:
-            quantloop_qgemv(o->p[0]);
+            if (table->obs)
+                checked_qgemv(o, table);
+            else
+                quantloop_qgemv(o->p[0]);
+            table->counts->gemv_calls++;
+            table->counts->quantized_gemv_calls++;
             break;
         case OP_EMBED:
             memcpy(o->p[0], (const float *)o->p[1] + vals[o->n[2]] * o->n[1],
@@ -270,5 +403,6 @@ int64_t quantloop_step(const quantloop_table *table)
             break;
         }
     }
+    table->counts->forwards++;
     return 0;
 }

@@ -5,8 +5,8 @@ machine-readable output is JSON on stdout; diagnostics go to stderr.
 ``bench`` and ``inspect`` on a checkpoint report which backend runs the
 packed GEMV (``"packed_gemv": {"backend": "native" | "numpy", "reason":
 ...}``, the reason saying why the compiled kernel is not in use).
-``bench`` also reports whether its forwards ran the compiled step
-(``"step": {"backend": "native" | "closures", "reason": ...,
+``bench`` and ``verify`` also report whether their forwards ran the
+compiled step (``"step": {"backend": "native" | "closures", "reason": ...,
 "native_forwards": n}``).
 
 Exit codes: 0 success; 1 a check failed (bound violation, regression);

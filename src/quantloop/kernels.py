@@ -549,5 +549,5 @@ def runtime_bound_check(
         inf_bound=bound,
         l2_bound=math.sqrt(q.rows) * bound,
         threshold=None if threshold is None else float(threshold),
-        threshold_exceeded=threshold is not None and bound > threshold,
+        threshold_exceeded=threshold is not None and not bound <= threshold,
     )

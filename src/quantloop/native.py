@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Addresses", "FLAGS", "GemvArgs", "Native", "OP_RECORD", "Op", "TABLE", "address", "load",
-           "status"]
+__all__ = ["Addresses", "CHECK", "Counts", "FLAGS", "GemvArgs", "Native", "OP_RECORD", "Op", "TABLE",
+           "address", "load", "status"]
 
 _DIR = Path(__file__).with_name("_native")
 #: Every file the library is built from; the cache key hashes them all.
@@ -74,10 +74,32 @@ class Op:
     GEMV, QGEMV, EMBED, QEMBED, RMSNORM, ROPE, ATTENTION, SILU, ADD, MUL = range(1, 11)
 
 
+#: ``step.c``'s check flags: a threshold is set; the dual check runs.
+CHECK_THRESHOLD, CHECK_DUAL = 1, 2
+
+
 #: ``quantloop_op`` in ``step.c``: the kind, 6 pointers, 6 integers, 2 floats.
 OP_RECORD = struct.Struct("<q6Q6q2f")
-#: ``quantloop_table`` in ``step.c``: records, their count, the values, the attention row.
-TABLE = struct.Struct("<QqQQ")
+#: ``quantloop_check`` in ``step.c``: epsilon, the largest centroid magnitude, the shadow's record.
+CHECK = struct.Struct("<2d" + OP_RECORD.format.lstrip("<"))
+#: ``quantloop_table`` in ``step.c``: records, their count, the values, the attention row,
+#: the checks, the counters, the observations, the threshold and the check flags.
+TABLE = struct.Struct("<QqQQQQQdq")
+
+
+class Counts(ctypes.Structure):
+    """``quantloop_counts`` in ``step.c``: the counters a compiled run adds to."""
+
+    _fields_ = [
+        ("forwards", ctypes.c_int64),
+        ("gemv_calls", ctypes.c_int64),
+        ("quantized_gemv_calls", ctypes.c_int64),
+        ("fallback_calls", ctypes.c_int64),
+        ("bound_checks", ctypes.c_int64),
+        ("bound_violations", ctypes.c_int64),
+        ("max_bound", ctypes.c_double),
+        ("max_dual_diff", ctypes.c_double),
+    ]
 
 
 def address(a: np.ndarray) -> int:
@@ -152,10 +174,12 @@ def _compile(cc: str, directory: Path, name: str) -> Path:
 
 def _open(path: Path) -> Native:
     lib = ctypes.CDLL(str(path))
-    lib.quantloop_op_size.restype = ctypes.c_int64
-    if lib.quantloop_op_size() != OP_RECORD.size:  # pointers wider than 8 bytes
-        raise _BuildFailed(f"a C op record is {lib.quantloop_op_size()} bytes, "
-                           f"not the {OP_RECORD.size} that quantloop.step fills")
+    for name, layout in (("op", OP_RECORD), ("check", CHECK)):
+        size = getattr(lib, f"quantloop_{name}_size")
+        size.restype = ctypes.c_int64
+        if size() != layout.size:  # pointers wider than 8 bytes
+            raise _BuildFailed(f"a C {name} record is {size()} bytes, "
+                               f"not the {layout.size} that quantloop.step fills")
     kernel = lib.quantloop_qgemv
     kernel.argtypes = [ctypes.POINTER(GemvArgs)]
     kernel.restype = None

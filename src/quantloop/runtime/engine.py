@@ -30,34 +30,37 @@ built when the program was prepared; a call on a matrix with a float shadow
 also carries the shadow's call, bound at the same time).  With no
 threshold, no dual check and no observer it runs straight through the
 kernel and only the call counters of :class:`EngineStats` advance.
-Otherwise it goes through one policy, :meth:`Engine._gemv_policy`, which
-returns a :class:`GemvObservation`; the counters and the optional
-``gemv_observer`` both read that record.  The bound it checks is
-:func:`~quantloop.kernels.runtime_bound_check`'s, which covers the float32
-rounding of both paths, not only exact arithmetic.
+Otherwise every call on a quantized matrix is bound-checked with
+:func:`~quantloop.kernels.runtime_bound_check`'s bound, which covers the
+float32 rounding of both paths, not only exact arithmetic: over the
+threshold (or when the bound is not a number) the call runs on the float
+shadow instead, and under the dual check it runs on both and the gap is
+measured.  Each call is described by a :class:`GemvObservation`, which the
+counters and the optional ``gemv_observer`` read.
 
-A forward runs as one call into the compiled step
-(:mod:`quantloop.step`) when three things hold: the program has one (every
-top-level statement has a C op and a compiler built the runtime), the
-engine was built with no threshold and no dual check, and no observer is
-attached.  No setting chooses it.  ``optimized`` and ``quantized`` decoding
-without a per-call policy run it; ``naive`` mode, whose loop nests have no
-C op, an engine whose handlers are not quantloop's own (a tracer's
-wrappers, say), and the dual check run the closures, which stay the oracle.
-The compiled step's gemv records add the same counts to :class:`EngineStats`
-that the closures' calls do, and attaching an observer moves the next
-forward to the closures.  :meth:`Engine.step_status` says which path the
-next forward takes and why.
+A forward runs as one call into the compiled step (:mod:`quantloop.step`)
+whenever the program has one: every top-level statement has a C op and a
+compiler built the runtime.  No setting chooses it.  Its packed gemv
+records run the policy above in C: each has a check with the matrix's
+epsilon and the shadow's call, the counters are laid out as the C
+runtime's so the step adds to them in place, and with an observer
+attached the forward hands it the same observations, in program order,
+from what each check wrote.  ``naive`` mode, whose loop nests have no C
+op, and an engine whose handlers are not quantloop's own (a tracer's
+wrappers, say) run the closures, whose policy is
+:meth:`Engine._gemv_policy`; they stay the oracle.
+:meth:`Engine.step_status` says which path the next forward takes and why.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
+from .. import native
 from ..kernels import GemvCall, bind, runtime_bound_check
 from ..quantizer import QuantConfig, QuantizedMatrix, quantize_matrix
 from ..loopir.interp import Prepared
@@ -93,19 +96,24 @@ class GemvObservation:
     fallback: bool
 
 
-@dataclass
-class EngineStats:
-    forwards: int = 0
-    gemv_calls: int = 0
-    quantized_gemv_calls: int = 0
-    fallback_calls: int = 0
-    bound_checks: int = 0
-    bound_violations: int = 0  # dual-path only; stays 0 when bounds hold
-    max_bound: float = 0.0
-    max_dual_diff: float = 0.0
+class EngineStats(native.Counts):
+    """The engine's counters.
+
+    Laid out as the compiled step's counters (:class:`~quantloop.native.Counts`),
+    so a compiled forward adds to them in place; the closures add one
+    :class:`GemvObservation` at a time through :meth:`record`.  A NaN bound
+    or gap stays in its maximum, and a gap that is not within its bound (a
+    NaN one included) is a violation.
+    """
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name, _ in self._fields_}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EngineStats) and self.to_json() == other.to_json()
+
+    def __repr__(self) -> str:
+        return f"EngineStats({', '.join(f'{k}={v!r}' for k, v in self.to_json().items())})"
 
     def record(self, obs: GemvObservation) -> None:
         """Count one gemv call from its observation."""
@@ -115,11 +123,16 @@ class EngineStats:
         self.quantized_gemv_calls += 1
         if obs.bound is not None:
             self.bound_checks += 1
-            self.max_bound = max(self.max_bound, obs.bound)
+            self.max_bound = _nanmax(self.max_bound, obs.bound)
         self.fallback_calls += obs.fallback
         if obs.diff_inf is not None:
-            self.max_dual_diff = max(self.max_dual_diff, obs.diff_inf)
-            self.bound_violations += obs.diff_inf > obs.bound
+            self.max_dual_diff = _nanmax(self.max_dual_diff, obs.diff_inf)
+            self.bound_violations += not obs.diff_inf <= obs.bound
+
+
+def _nanmax(m: float, v: float) -> float:
+    """The larger of `m` and `v`, NaN once either is (as ``step.c`` keeps its maxima)."""
+    return m if m != m or v <= m else v
 
 
 @dataclass
@@ -148,8 +161,8 @@ class Engine:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mode = mode
-        self.bound_threshold = bound_threshold
-        self.dual_check = dual_check
+        self._bound_threshold = bound_threshold
+        self._dual_check = dual_check
         self.stats = EngineStats()
         self.gemv_observer: Optional[Callable[[GemvObservation], None]] = None
         self._rng = SplitMix64(seed)
@@ -192,21 +205,34 @@ class Engine:
         for decl in program.buffers:
             if decl.name not in self._env:
                 self._env[decl.name] = np.zeros(decl.extents, dtype=np.float32)
-        ops = None
-        if not self._policy():
-            ops = dict(COMPILED_OPS)
-            if COMPILED_OPS.get(self._gemv_kernel) == "gemv":
-                ops[self._gemv] = "gemv"  # the kernel, plus the call counts forward keeps
+        ops = dict(COMPILED_OPS)
+        if COMPILED_OPS.get(self._gemv_kernel) == "gemv":
+            ops[self._gemv] = "gemv"  # the kernel and the policy, which the step runs in C
         self._prepared = Prepared(
             program, self._env, function="step", intrinsics=registry,
             bind_gemv=self._bind_gemv, compiled_ops=ops,
         )
         self._step = self._prepared.step
-        self._step_reason = (self._prepared.step_reason if ops is not None
-                             else "a bound threshold or the dual check runs each gemv call")
-        self.native_forwards = 0
+        self._step_reason = self._prepared.step_reason
+        if self._step is not None:
+            self._step.count_into(self.stats, bound_threshold, dual_check)
+        self._closure_forwards = 0
 
     # -- gemv policy ---------------------------------------------------------
+
+    @property
+    def bound_threshold(self) -> Optional[float]:
+        """The bound over which a gemv call runs on the float shadow; fixed at construction."""
+        return self._bound_threshold
+
+    @property
+    def dual_check(self) -> bool:
+        """Whether each gemv call runs on both weights and the gap is measured; fixed at construction.
+
+        Read-only, as is :attr:`bound_threshold`: the compiled step packs both
+        into its checked table once.
+        """
+        return self._dual_check
 
     def _bind_gemv(self, *args, addresses=None) -> GemvCall:
         """Bind a gemv call site, and its float-shadow call if it has one.
@@ -242,14 +268,14 @@ class Engine:
             bound = report.inf_bound
             fallback = report.threshold_exceeded
         if fallback:
-            np.copyto(shadow.y, call.y)
+            np.copyto(shadow.y_eff, call.y_eff)
             kernel(shadow)
-            np.copyto(call.y, shadow.y)
+            np.copyto(call.y_eff, shadow.y_eff)
         elif self.dual_check and shadow is not None:
-            np.copyto(shadow.y, call.y)
+            np.copyto(shadow.y_eff, call.y_eff)
             kernel(call)
             kernel(shadow)
-            diff = np.abs(call.y.astype(np.float64) - shadow.y)
+            diff = np.abs(call.y_eff.astype(np.float64) - shadow.y_eff)
             diff_inf = float(diff.max(initial=0.0))
         else:
             kernel(call)
@@ -291,14 +317,35 @@ class Engine:
         self._env["token"] = token = int(token)
         self._env["pos"] = pos = int(pos)
         step = self._step
-        if step is not None and not self._policy() and step((token, pos)) == 0:
-            self.stats.gemv_calls += step.gemv_calls
-            self.stats.quantized_gemv_calls += step.quantized_gemv_calls
-            self.native_forwards += 1
+        if step is not None and step((token, pos), self._policy()) == 0:
+            if self.gemv_observer is not None:
+                self._observe(step)
         else:
             self._prepared.run()
-        self.stats.forwards += 1
+            self.stats.forwards += 1
+            self._closure_forwards += 1
         return self._env["logits"]
+
+    def _observe(self, step) -> None:
+        """Hand the observer a :class:`GemvObservation` per gemv record of the forward just run.
+
+        The same records the closures' policy makes, in program order, from
+        what each packed record's check wrote to ``step.observations``.
+        """
+        observer = self.gemv_observer
+        rows = iter(step.observations.tolist())
+        seq = self.stats.gemv_calls - len(step.calls)
+        for call in step.calls:
+            seq += 1
+            a, p = call.a, call.params
+            if not isinstance(a, QuantizedMatrix):
+                observer(GemvObservation(seq, p.m, p.n, p.alpha, p.beta, None, None, None, False))
+                continue
+            bound, gap, fallback = next(rows)
+            fallback = bool(fallback)
+            dual = self.dual_check and call.shadow is not None and not fallback
+            observer(GemvObservation(seq, p.m, p.n, p.alpha, p.beta, a.epsilon, bound,
+                                     gap if dual else None, fallback))
 
     def step_status(self) -> dict:
         """Whether the next forward runs the compiled step, and if not, why.
@@ -307,10 +354,8 @@ class Engine:
         n}``, where n counts the forwards that ran compiled so far.
         """
         reason = self._step_reason
-        if reason is None and self._policy():
-            reason = "a gemv observer needs each gemv call"
         return {"backend": "closures" if reason else "native", "reason": reason,
-                "native_forwards": self.native_forwards}
+                "native_forwards": self.stats.forwards - self._closure_forwards}
 
     def sample(self, logits: np.ndarray, temperature: float) -> int:
         if temperature <= 0.0:
@@ -408,4 +453,5 @@ def verify_bounds(
         "max_bound": engine.stats.max_bound,
         "worst_error_to_bound_ratio": worst,
         "ok": engine.stats.bound_violations == 0,
+        "step": engine.step_status(),
     }

@@ -26,6 +26,12 @@ surfaces there.  Tokens and positions change per call: the runtime checks
 them against the extents they index before it writes anything, and a
 :class:`Step` call then returns nonzero, for the caller to run the closures
 instead.
+
+A packed gemv's record also has a check: the matrix's epsilon and largest
+centroid magnitude, and, when the caller bound one, the call on its float
+shadow as a dense gemv record.  A checked run uses it to apply the
+engine's per-call policy in C (the bound, the fallback over a threshold,
+the dual check), as :class:`Step` describes.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import intrinsics, native
-from .native import OP_RECORD, Op
+from .native import CHECK, OP_RECORD, TABLE, Op
 from .quantizer import QuantizedMatrix
 
 __all__ = ["COMPILED_OPS", "NoStep", "Site", "Step", "build"]
@@ -85,30 +91,53 @@ class NoOp(Exception):
 class Step:
     """One prepared program's op table, walked by one native call.
 
-    Holds every array and struct the records point into.  ``gemv_calls``
-    and ``quantized_gemv_calls`` count the table's gemv records, for the
-    caller's statistics.  The packed calls' codebook field tables are built
-    by the first call, as :meth:`~quantloop.kernels.GemvCall.run` builds
-    them, so they are not resident while the program is still being bound.
+    Holds every array and struct the records point into.  ``calls`` holds
+    the bound :class:`~quantloop.kernels.GemvCall` of each gemv record in
+    program order, and ``observations`` one row per packed one among them:
+    what its check measured in the last checked run, ``(bound, gap,
+    fallback)``.  Each run adds itself and its gemv records to the
+    counters :meth:`count_into` names.  The packed calls' codebook field
+    tables are built by the first call, as
+    :meth:`~quantloop.kernels.GemvCall.run` builds them, so they are not
+    resident while the program is still being bound.
     """
 
-    def __init__(self, records, values, n_params, scratch, keep, packed, gemv_calls,
-                 quantized_gemv_calls):
+    def __init__(self, records, values, n_params, scratch, checks, keep, calls):
         self._values = values
-        self.gemv_calls = gemv_calls
-        self.quantized_gemv_calls = quantized_gemv_calls
+        self.calls = calls
+        self.observations = np.zeros((len(checks) // CHECK.size, 3))
         self._n_params = n_params
-        self._keep = (records, scratch, keep)
-        self._unbuilt = packed
+        self._keep = (records, scratch, checks, keep)
+        self._unbuilt = [call for call in calls if call.view is None]  # packed calls
         self._run = native.load().step
-        self._table = native.TABLE.pack(native.address(records), len(records) // OP_RECORD.size,
-                                        native.address(values), native.address(scratch))
+        self._base = (native.address(records), len(records) // OP_RECORD.size,
+                      native.address(values), native.address(scratch), native.address(checks))
+        self.count_into(native.Counts())
 
-    def __call__(self, params) -> int:
+    def count_into(self, counts: native.Counts, threshold: float | None = None,
+                   dual: bool = False) -> None:
+        """Have every run add to `counts`, and set what a checked run checks.
+
+        A checked run bounds every packed gemv record; over `threshold` it
+        runs the call on the matrix's float shadow instead, and with `dual`
+        it runs both and measures the gap.
+        """
+        self._counts = counts
+        base = (*self._base, ctypes.addressof(counts))
+        flags = (threshold is not None) * native.CHECK_THRESHOLD + dual * native.CHECK_DUAL
+        self._tables = (
+            TABLE.pack(*base, 0, 0.0, 0),
+            TABLE.pack(*base, native.address(self.observations),
+                       0.0 if threshold is None else threshold, flags),
+        )
+
+    def __call__(self, params, checked: bool = False) -> int:
         """Run the table with `params` (in the program's order); 0 when it ran.
 
-        Nonzero means a token or position indexes past its table or cache:
-        nothing was written, and the closures raise the handler's error.
+        `checked` runs every packed gemv record checked (see
+        :meth:`count_into`).  Nonzero means a token or position indexes past
+        its table or cache: nothing was written, and the closures raise the
+        handler's error.
         """
         if self._unbuilt:
             for call in self._unbuilt:
@@ -119,7 +148,7 @@ class Step:
         while slot < self._n_params:  # no iterator object: the call allocates nothing
             values[slot] = params[slot]
             slot += 1
-        return self._run(self._table)
+        return self._run(self._tables[checked])
 
 
 _ZEROS = (0,) * 6
@@ -168,10 +197,9 @@ class _Builder:
         self.span = addresses.span
         self.literals: list[int] = []
         self.keep: list = [addresses.arrays]
-        self.packed: list = []  # packed calls: the first run builds their field tables
+        self.calls: list = []  # every gemv record's call
+        self.checks: list = []  # every packed record's check, as CHECK fields
         self.scratch_len = 0  # the longest KV cache an attention record reads
-        self.gemv_calls = 0
-        self.quantized_gemv_calls = 0
 
     def slot(self, site: Site, pos: int, what: str) -> int:
         """Index into the runtime's values of argument `pos`: a param or an int literal."""
@@ -182,19 +210,23 @@ class _Builder:
 
     def gemv(self, site: Site) -> tuple:
         (call,) = site.args
-        self.gemv_calls += 1
-        self.quantized_gemv_calls += isinstance(call.a, QuantizedMatrix)
-        self.keep.append(call)
+        self.calls.append(call)
         if call.view is None:
             if call.native is None:
                 raise NoOp("packed gemv runs on numpy")
-            self.packed.append(call)
-            return _record(Op.QGEMV, (ctypes.addressof(call.native),))
+            q = call.a
+            shadow = _record(0, ()) if call.shadow is None else self.dense(call.shadow)
+            self.checks.append((float(q.epsilon), q.codebook.max_abs, *shadow))
+            return _record(Op.QGEMV, (ctypes.addressof(call.native),), (len(self.checks) - 1,))
+        if not isinstance(call.a, np.ndarray):
+            raise NoOp("gemv matrix was reconstructed for its layout")
+        return self.dense(call)
+
+    def dense(self, call) -> tuple:
+        """The record of a gemv call on float storage."""
         # Written out: this is half the table.  x and y were checked 1-D
         # float32 at bind; the views start at element 0 of what they view.
         a, x, y = call.a, call.x, call.y
-        if not isinstance(a, np.ndarray):
-            raise NoOp("gemv matrix was reconstructed for its layout")
         if not (a.flags.aligned and x.flags.aligned and y.flags.aligned and y.flags.writeable):
             raise NoOp("gemv operands are unaligned or y is read-only")
         (a0, a1), (x0, x1), (y0, y1) = self.span(a), self.span(x), self.span(y)
@@ -317,5 +349,7 @@ def build(statements, sites: Mapping[int, Site], params: tuple, ops: Mapping[Cal
     values = np.zeros(len(params) + len(b.literals), np.int64)
     values[len(params):] = b.literals
     scratch = np.empty(max(b.scratch_len, 1), np.float32)
-    return Step(table, values, len(params), scratch, b.keep, b.packed, b.gemv_calls,
-                b.quantized_gemv_calls)
+    checks = np.empty(len(b.checks) * CHECK.size, np.uint8)
+    for i, fields in enumerate(b.checks):
+        CHECK.pack_into(checks, i * CHECK.size, *fields)
+    return Step(table, values, len(params), scratch, checks, b.keep, tuple(b.calls))

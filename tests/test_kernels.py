@@ -381,6 +381,18 @@ def test_runtime_bound_check_threshold():
     assert rep3.threshold is None and not rep3.threshold_exceeded
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_bound_exceeds_every_threshold(bad):
+    # A NaN bound compares false with everything, so "over the threshold"
+    # must be "not within it" for the fallback to take the call.
+    q = quantize_matrix(np.eye(4, 6, dtype=np.float32), QuantConfig(bit_width=2))
+    x = np.ones(6, dtype=np.float32)
+    x[2] = bad
+    rep = runtime_bound_check(q, x, threshold=1e30)
+    assert not rep.inf_bound <= 1e30
+    assert rep.threshold_exceeded
+
+
 def test_bounds_hold_on_random_matrices():
     rng = np.random.default_rng(13)
     for trial in range(30):

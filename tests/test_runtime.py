@@ -10,7 +10,9 @@ from quantloop.quantizer import QuantizedMatrix, dequantize
 from quantloop.runtime import (
     TOY_CONFIG,
     Engine,
+    EngineStats,
     ExtentMismatchError,
+    GemvObservation,
     InvalidHeaderError,
     InvalidRecordError,
     ModelConfig,
@@ -568,6 +570,16 @@ def test_observations_add_up_to_stats(toy_float_path):
     assert after["max_dual_diff"] == max(
         [before["max_dual_diff"]] + [o.diff_inf for o in dual]
     )
+
+
+def test_a_nan_gap_is_a_violation_and_stays_in_the_maximum():
+    stats = EngineStats()
+    for gap in (0.5, float("nan"), 0.25):
+        stats.record(GemvObservation(0, 4, 4, 1.0, 0.0, 0.1, 1.0, gap, False))
+    assert (stats.bound_checks, stats.bound_violations) == (3, 1)
+    assert stats.max_dual_diff != stats.max_dual_diff
+    stats.record(GemvObservation(0, 4, 4, 1.0, 0.0, 0.1, float("nan"), 0.0, False))
+    assert stats.bound_violations == 2 and stats.max_bound != stats.max_bound
 
 
 def test_loose_threshold_never_falls_back(toy_float_path):

@@ -10,8 +10,11 @@ import pytest
 
 from quantloop import intrinsics, native
 from quantloop.cli import main
+from quantloop.gemvpass import run_gemv_pass
+from quantloop.kernels import runtime_bound_check
 from quantloop.loopir import Prepared, parse_program
-from quantloop.runtime import Engine, ModelConfig, make_toy_checkpoint, quantize_checkpoint
+from quantloop.runtime import (Engine, EngineStats, ModelConfig, make_toy_checkpoint,
+                               quantize_checkpoint)
 from quantloop.step import COMPILED_OPS
 
 from conftest import needs_cc
@@ -123,13 +126,30 @@ def test_decode_modes_run_compiled(kind, mode, toy_float_path, toy_quant_path):
     assert engine.stats.quantized_gemv_calls == (0 if (kind, mode) == ("ditf", "optimized") else 75)
 
 
+@needs_cc
 @pytest.mark.parametrize("settings", [{"dual_check": True}, {"bound_threshold": 1e-3}])
-def test_per_call_policies_build_no_step(settings, toy_float_path):
+def test_per_call_policies_run_compiled(settings, toy_float_path):
     engine = Engine(toy_float_path, mode="quantized", **settings)
     engine.generate([1], steps=2)
-    status = engine.step_status()
-    assert status["backend"] == "closures" and status["native_forwards"] == 0
-    assert "runs each gemv call" in status["reason"]
+    assert engine.step_status() == {"backend": "native", "reason": None, "native_forwards": 3}
+    stats = engine.stats
+    assert stats.gemv_calls == stats.quantized_gemv_calls == stats.bound_checks == 3 * 15
+    assert stats.bound_violations == 0
+    if "dual_check" in settings:
+        assert stats.fallback_calls == 0 and 0 < stats.max_dual_diff <= stats.max_bound
+    else:
+        assert stats.fallback_calls > 0 and stats.max_dual_diff == 0
+
+
+def test_the_policy_is_fixed_at_construction(toy_float_path):
+    # The checked table is packed once; a later change would leave the step
+    # checking with the old flags while the observations read the new ones.
+    engine = Engine(toy_float_path, mode="quantized", dual_check=True)
+    with pytest.raises(AttributeError):
+        engine.dual_check = False
+    with pytest.raises(AttributeError):
+        engine.bound_threshold = 0.0
+    assert engine.dual_check is True and engine.bound_threshold is None
 
 
 def test_naive_mode_runs_the_closures(toy_float_path):
@@ -139,17 +159,19 @@ def test_naive_mode_runs_the_closures(toy_float_path):
 
 
 @needs_cc
-def test_an_observer_moves_the_next_forward_to_the_closures(toy_float_path):
+def test_an_observer_keeps_the_forward_compiled(toy_float_path):
     engine = Engine(toy_float_path)
     engine.forward(1, 0)
     observations = []
     engine.gemv_observer = observations.append
-    assert engine.step_status()["reason"] == "a gemv observer needs each gemv call"
     engine.forward(2, 1)
-    assert len(observations) == 15 and engine.step_status()["native_forwards"] == 1
+    assert engine.step_status() == {"backend": "native", "reason": None, "native_forwards": 2}
+    assert [o.seq for o in observations] == list(range(16, 31))
+    assert all(o.epsilon is o.bound is o.diff_inf is None and not o.fallback
+               for o in observations)
     engine.gemv_observer = None
     engine.forward(3, 2)
-    assert len(observations) == 15 and engine.step_status()["native_forwards"] == 2
+    assert len(observations) == 15 and engine.step_status()["native_forwards"] == 3
     assert engine.stats.gemv_calls == 3 * 15
 
 
@@ -175,6 +197,213 @@ def test_bench_reports_that_the_compiled_step_ran(toy_float_path, capsys):
     assert main(["bench", toy_float_path, "--steps", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["step"] == {"backend": "native", "reason": None, "native_forwards": 4}
+
+
+# -- the checked packed gemv: the engine's policy in C ------------------------------
+
+#: The counters both paths must agree on exactly; the maxima differ by rounding.
+COUNTS = ("gemv_calls", "quantized_gemv_calls", "bound_checks", "fallback_calls",
+          "bound_violations")
+
+
+def _observed(engine) -> list:
+    observations = []
+    engine.gemv_observer = observations.append
+    return observations
+
+
+def _assert_same_observations(got: list, expect: list) -> None:
+    """Equal fields; bounds within the rounding of the paths' x, gaps within float32 rounding."""
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert (g.seq, g.m, g.n, g.alpha, g.beta, g.epsilon, g.fallback) == (
+            e.seq, e.m, e.n, e.alpha, e.beta, e.epsilon, e.fallback), (g, e)
+        assert (g.bound is None, g.diff_inf is None) == (e.bound is None, e.diff_inf is None)
+        if e.bound is not None:
+            assert g.bound == pytest.approx(e.bound, rel=1e-5), (g, e)
+        if e.diff_inf is not None:
+            assert abs(g.diff_inf - e.diff_inf) <= 1e-5 * max(1.0, e.bound), (g, e)
+
+
+def _decode_both(path: str, positions: int, **settings) -> tuple:
+    """Greedy-decode `positions` tokens compiled and on the closures, checking each pick.
+
+    Returns both engines and their observations.
+    """
+    compiled = Engine(path, mode="quantized", **settings)
+    with closures_only():
+        closures = Engine(path, mode="quantized", **settings)
+    got, expect = _observed(compiled), _observed(closures)
+    classifier = compiled._step.calls[-1]
+    token = 1
+    for pos in range(positions):
+        want = closures.forward(token, pos).copy()
+        logits = compiled.forward(token, pos)
+        worst = float(np.abs(logits - want).max())
+        assert worst <= LOGIT_RTOL * float(np.abs(want).max()), (pos, worst)
+        assert int(np.argmax(logits)) == int(np.argmax(want)), pos
+        # The classifier's x is still the one its check read.
+        p = classifier.params
+        bound = runtime_bound_check(classifier.a, classifier.x_eff, alpha=p.alpha,
+                                    beta=p.beta).inf_bound
+        assert got[-1].bound == pytest.approx(bound, rel=1e-12, abs=0)
+        token = int(np.argmax(want))
+    assert compiled.step_status()["native_forwards"] == positions
+    assert closures.step_status()["backend"] == "closures"
+    return compiled, closures, got, expect
+
+
+@needs_cc
+@pytest.mark.parametrize("bits", [2, 3, 4, 8])
+def test_dual_check_agrees_with_the_closures_over_the_whole_context(bits, toy_float_path):
+    compiled, closures, got, expect = _decode_both(toy_float_path, 256, bit_width=bits,
+                                                   dual_check=True)
+    for name in COUNTS:
+        assert getattr(compiled.stats, name) == getattr(closures.stats, name), name
+    assert compiled.stats.bound_checks == 256 * 15 and compiled.stats.bound_violations == 0
+    assert 0 < compiled.stats.max_dual_diff <= compiled.stats.max_bound
+    assert compiled.stats.max_bound == pytest.approx(closures.stats.max_bound, rel=1e-5)
+    _assert_same_observations(got, expect)
+
+
+@needs_cc
+def test_bound_fallback_agrees_with_the_closures(toy_float_path):
+    # A threshold halfway between two of one forward's bounds sends some
+    # calls to the float shadow and leaves the others on the dual check.
+    probe = Engine(toy_float_path, mode="quantized", dual_check=True)
+    observations = _observed(probe)
+    probe.forward(1, 0)
+    bounds = sorted(o.bound for o in observations)
+    threshold = (bounds[6] + bounds[7]) / 2
+    compiled, closures, got, expect = _decode_both(
+        toy_float_path, 64, dual_check=True, bound_threshold=threshold)
+    for name in COUNTS:
+        assert getattr(compiled.stats, name) == getattr(closures.stats, name), name
+    assert 0 < compiled.stats.fallback_calls < compiled.stats.bound_checks
+    _assert_same_observations(got, expect)
+
+
+@needs_cc
+def test_compiled_dual_forward_allocates_nothing(toy_float_path):
+    # The counters live in C, so they allocate no int object even past the
+    # 256 that Python caches.
+    engine = Engine(toy_float_path, mode="quantized", dual_check=True)
+    last = engine.config.max_seq_len - 1
+    for _ in range(300):  # warm up outside the measurement
+        engine.forward(1, last)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        engine.forward(1, last)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine.step_status()["native_forwards"] == 301
+    assert engine.stats.bound_checks == 301 * 15
+    assert peak - before == 0
+
+
+#: One gemv whose store is fl(fl(-1.5 s) + fl(0.5 y0)): the store's rounding
+#: term and the old y's magnitude both enter the bound.
+_AXPBY = """buffer A[64, 64]
+buffer x[64]
+buffer y[64]
+
+func f {
+  for i in 0..64 {
+    acc s = 0.0
+    for k in 0..64 {
+      load a = A[i, k]
+      load t = x[k]
+      update s += a * t
+    }
+    load yv = y[i]
+    let sb = 0.5 * yv
+    let sa = -1.5 * s
+    let tot = sb + sa
+    store y[i] = tot
+  }
+}
+"""
+
+
+def _axpby_both(path: str, x: np.ndarray, **settings) -> dict:
+    """The gemv of `_AXPBY` on one quantized matrix of a toy engine, both ways.
+
+    Maps ``"compiled"`` and ``"closures"`` to (y, counters, observation),
+    the closures running the engine's own policy.
+    """
+    engine = Engine(path, mode="quantized", **settings)
+    program = run_gemv_pass(parse_program(_AXPBY)).program
+    y0 = np.random.default_rng(4).normal(size=64).astype(np.float32)
+    out = {}
+    for way in ("compiled", "closures"):
+        env = {"A": engine._env["l0_wq"], "x": x.copy(), "y": y0.copy()}
+        prepared = Prepared(program, env, intrinsics={"gemv": engine._gemv},
+                            bind_gemv=engine._bind_gemv, compiled_ops={engine._gemv: "gemv"})
+        step = prepared.step
+        assert step is not None, prepared.step_reason
+        if way == "compiled":
+            stats = EngineStats()
+            step.count_into(stats, engine.bound_threshold, engine.dual_check)
+            assert step((), True) == 0
+            bound, gap, fallback = step.observations[0].tolist()
+            dual = engine.dual_check and not fallback
+            out[way] = env["y"], stats, (bound, gap if dual else None, bool(fallback))
+        else:
+            observations = _observed(engine)
+            prepared.run()
+            (obs,) = observations
+            out[way] = env["y"], engine.stats, (obs.bound, obs.diff_inf, obs.fallback)
+        (call,) = step.calls
+        assert (call.params.alpha, call.params.beta) == (-1.5, 0.5)
+        out[way] += (runtime_bound_check(call.a, x, alpha=-1.5, beta=0.5, y=y0).inf_bound,)
+    return out
+
+
+@needs_cc
+@pytest.mark.parametrize("settings", [{"dual_check": True},
+                                      {"dual_check": True, "bound_threshold": 1e-3}])
+def test_checked_gemv_bounds_the_store_of_alpha_and_beta(settings, toy_float_path):
+    x = np.random.default_rng(5).normal(size=64).astype(np.float32)
+    both = _axpby_both(toy_float_path, x, **settings)
+    (y, stats, (bound, gap, fallback), expect_bound), closures = both["compiled"], both["closures"]
+    assert bound == pytest.approx(expect_bound, rel=1e-12, abs=0)
+    assert fallback == closures[2][2] == ("bound_threshold" in settings)
+    if fallback:
+        assert gap is None is closures[2][1]
+    else:
+        assert 0 < gap <= bound and gap == pytest.approx(closures[2][1], abs=1e-6)
+    np.testing.assert_allclose(y, closures[0], rtol=0, atol=1e-5 * float(np.abs(y).max()))
+    for name in COUNTS:
+        assert getattr(stats, name) == getattr(closures[1], name), name
+
+
+@needs_cc
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("settings", [{"dual_check": True}, {"bound_threshold": 1e30}])
+def test_checks_fail_closed_on_non_finite_x(bad, settings, toy_float_path):
+    x = np.random.default_rng(6).normal(size=64).astype(np.float32)
+    x[7] = bad
+    for way, (y, stats, (bound, gap, fallback), _) in _axpby_both(
+            toy_float_path, x, **settings).items():
+        assert not bound <= 1e30, way
+        assert stats.bound_checks == 1 and not stats.max_bound <= 1e30, way
+        if "bound_threshold" in settings:  # a bound that is not finite falls back
+            assert fallback and stats.fallback_calls == 1, way
+        else:  # the gap is NaN, a violation, and kept
+            assert gap != gap and stats.bound_violations == 1, way
+            assert stats.max_dual_diff != stats.max_dual_diff, way
+
+
+@needs_cc
+def test_verify_reports_that_the_compiled_step_ran(toy_float_path, capsys):
+    assert main(["verify", toy_float_path, "--steps", "3", "--bits", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == 0
+    assert report["step"] == {"backend": "native", "reason": None, "native_forwards": 6}
 
 
 # -- what the C ops refuse ---------------------------------------------------------
