@@ -2,19 +2,23 @@
 """Time the GEMV kernels over a sweep of matrix shapes.
 
 Prints one row per ``MxN`` shape and code width with the best-of-N wall
-time of the reference kernel, the ordered codes-domain oracle (sketch), and
-the optimized kernel on the float matrix (opt) and on the quantized matrix
-(codes).  The optimized kernel is split as the ``gemv`` intrinsic uses it:
-``bind`` checks the operands once, when a program is prepared, and the
-bound call's ``run`` is what every decode step pays, so the two have their
-own columns.  Then come the bound float run's effective GFLOP/s and each
+time of the reference kernel, the ordered codes-domain oracle (sketch), the
+optimized kernel on the float matrix (opt) and the packed kernel on the
+quantized matrix (codes).  The optimized kernel is split as the ``gemv``
+intrinsic uses it: ``bind`` checks the operands once, when a program is
+prepared, and the bound call's ``run`` is what every decode step pays, so
+the two have their own columns.  The packed kernel runs only inside a
+compiled step, so the codes columns time building a program of one
+``gemv`` over the quantized matrix with its step (bind) and running that
+step (run).  Then come the bound float run's effective GFLOP/s and each
 run's speed-up over the reference.  The float kernels do not depend on the
 width and are timed once per shape.  The default shapes are the toy
 model's GEMVs plus 1024x1024.
 
-The codes columns time the compiled packed kernel (``quantloop.native``)
-when it builds and loads, and the numpy fallback otherwise; the first line
-printed names the backend and, for the fallback, the reason.
+Without the native runtime (no compiler, or a failed build or load) the
+codes run column times the program's closures, which run the packed gemv
+on numpy; the first line printed names the backend and, for numpy, the
+reason.
 
     python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 2,3,4,8
 """
@@ -37,7 +41,9 @@ from quantloop.kernels import (
     gemv_naive,
     gemv_sketch,
 )
+from quantloop.loopir import BufferDecl, Function, IntrinsicCall, LoopProgram, Prepared
 from quantloop.quantizer import QuantConfig, quantize_matrix
+from quantloop.step import COMPILED_OPS
 
 
 def best_of(fn, reps):
@@ -47,6 +53,18 @@ def best_of(fn, reps):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def packed_program(q, x, y) -> Prepared:
+    """``y = q @ x`` as a program of one ``gemv``, prepared with its compiled step."""
+    call = IntrinsicCall("gemv", ("RM", "NT", q.rows, q.cols, 1.0, "A", q.cols, "x", 1, 0.0,
+                                  "y", 1))
+    program = LoopProgram(
+        buffers=(BufferDecl("A", (q.rows, q.cols)), BufferDecl("x", (x.size,)),
+                 BufferDecl("y", (y.size,))),
+        functions=(Function("f", (call,)),),
+    )
+    return Prepared(program, {"A": q, "x": x, "y": y}, compiled_ops=COMPILED_OPS)
 
 
 def parse_shape(text: str) -> tuple[int, int]:
@@ -91,10 +109,12 @@ def main() -> int:
         for bits in widths:
             q = quantize_matrix(a, QuantConfig(bit_width=bits))
             t_sketch = best_of(lambda: gemv_sketch(q, x, y, p), max(args.reps // 2, 1))
-            t_codes_bind = best_of(lambda: bind(q, x, y, p), args.reps)
-            call = bind(q, x, y, p)
-            call.run()  # the first run builds the codebook's field table
-            t_codes = best_of(call.run, args.reps)
+            t_codes_bind = best_of(lambda: packed_program(q, x, y), args.reps)
+            prepared = packed_program(q, x, y)
+            step = prepared.step
+            run = prepared.run if step is None else lambda: step(())
+            run()  # the first run builds the codebook's field table
+            t_codes = best_of(run, args.reps)
             print(f"{f'{m}x{n}':>10} {bits:>4} {t_naive * 1e3:>10.3f} {t_sketch * 1e3:>10.3f} "
                   f"{t_bind * 1e3:>12.4f} {t_opt * 1e3:>11.4f} {t_codes_bind * 1e3:>14.4f} "
                   f"{t_codes * 1e3:>13.4f} {flops / t_opt / 1e9:>12.2f} {t_naive / t_opt:>9.1f}x "

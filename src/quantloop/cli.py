@@ -4,7 +4,8 @@ Subcommands: quantize, optimize, run, verify, bench, inspect.  All
 machine-readable output is JSON on stdout; diagnostics go to stderr.
 ``bench`` and ``inspect`` on a checkpoint report which backend runs the
 packed GEMV (``"packed_gemv": {"backend": "native" | "numpy", "reason":
-...}``, the reason saying why the compiled kernel is not in use).
+...}``): ``native`` when the runtime's compiled step loaded, the one place
+the compiled kernel runs, and ``numpy`` with the reason it did not.
 ``bench`` and ``verify`` also report whether their forwards ran the
 compiled step (``"step": {"backend": "native" | "closures", "reason": ...,
 "native_forwards": n}``).

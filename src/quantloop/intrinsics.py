@@ -74,12 +74,10 @@ RMSNORM_EPS = 1e-5
 ROPE_THETA = 10000.0
 
 
-def bind_gemv(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy,
-              addresses=None) -> GemvCall:
+def bind_gemv(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy) -> GemvCall:
     """Parse one BLAS-shaped gemv call's arguments and bind its operands.
 
     A dense matrix arrives as its 2-D buffer and is bound as flat storage.
-    `addresses` is :func:`~quantloop.kernels.bind`'s.
     """
     p = GemvParams(
         layout=Layout(layout),
@@ -92,7 +90,7 @@ def bind_gemv(layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy,
         incx=int(incx),
         incy=int(incy),
     )
-    return bind(a if isinstance(a, QuantizedMatrix) else a.reshape(-1), x, y, p, addresses)
+    return bind(a if isinstance(a, QuantizedMatrix) else a.reshape(-1), x, y, p)
 
 
 def gemv_handler(call: GemvCall) -> None:

@@ -23,24 +23,17 @@ stores its product.
   ``gemv_naive`` on the dequantized matrix bit for bit.
 * ``gemv_opt`` is ``bind(...).run()``, what the ``gemv`` intrinsic runs:
   a view times x through numpy's BLAS-backed matmul, or, on packed codes,
-  one call into the compiled kernel of :mod:`quantloop.native`.  That
-  kernel reads the packed bytes itself, maps each field of one or two
-  codes through :attr:`~quantloop.quantizer.Codebook.field_table`, and
-  sums each row in the fixed order that ``_native/gemv.c`` documents (8
-  float32 accumulators, a fixed combine tree, then the tail).  It reads
-  each group of 8 codes as one 8-byte word and trusts only what
-  :class:`~quantloop.bitcodec.PackedBuffer` guarantees: the buffer holds
-  the whole payload and the guard byte after it, so every group starts
-  inside the buffer.  A word is read whole only when all 8 of its bytes
-  lie inside; otherwise a bound tail read copies just the bytes left, the
-  guard byte among them.  Without a compiler, or when the build or the
-  load fails, packed rows are decoded by the oracle's decoder instead and
-  each tile is reduced by one matmul.  Either way each row's sum may
-  be reassociated, so on a quantized matrix ``gemv_opt`` agrees with the
-  oracle within the float32 rounding term below, not bit for bit.
+  tiles of rows that the oracle's decoder makes, each reduced by one
+  matmul.  Each row's sum may be reassociated, so on a quantized matrix
+  ``gemv_opt`` agrees with the oracle within the float32 rounding term
+  below, not bit for bit.
+
+This module is numpy throughout and never loads the native runtime: the
+compiled packed kernel (``_native/gemv.c``) runs only inside a program's
+compiled step (:mod:`quantloop.step`), and these kernels are its oracle.
 
 The tiled paths keep extra memory at O(tile), :data:`SKETCH_TILE_CODES`
-elements per tile; the compiled kernel allocates nothing.
+elements per tile.
 
 **Exact-arithmetic bound.**  For a quantized matrix ``W_hat`` with
 reconstruction error ``epsilon`` (``|w - w_hat| <= epsilon`` per element)
@@ -100,7 +93,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import native
 from .bitcodec import unpack_slice
 from .quantizer import QuantizedMatrix, dequantize
 
@@ -122,7 +114,7 @@ __all__ = [
 
 
 #: Matrix elements per step of the row-tile loop (``gemv_naive``, the
-#: ``gemv_sketch`` oracle, and the packed path without the compiled kernel),
+#: ``gemv_sketch`` oracle, and the packed path of ``gemv_opt``),
 #: rounded down to whole rows but never below one row.  The oracle's decode
 #: costs about 18 B of transient memory per code at 3 bits (``unpack_slice``'s
 #: bits and their float32 copy, then the intp index and float32 value of
@@ -250,10 +242,8 @@ class GemvCall:
     product: the checked view of dense storage, or of a read-only
     reconstruction of a quantized matrix in a layout its codes are not packed
     in.  It is None for a quantized matrix in its packed layout, which stays
-    packed.  ``native`` then holds the compiled kernel's operands (see
-    :func:`_native_args`), or None when the rows are decoded on numpy.
-    ``shadow``, when a caller binds one, is the same call on the matrix's
-    float copy, writing into its own y scratch.
+    packed.  ``shadow``, when a caller binds one, is the same call on the
+    matrix's float copy, writing into its own y scratch.
     """
 
     a: object  # the flat float32 storage or QuantizedMatrix
@@ -264,41 +254,32 @@ class GemvCall:
     x_eff: np.ndarray
     y_eff: np.ndarray
     shadow: "GemvCall | None" = None
-    native: "native.GemvArgs | None" = None
 
     def run(self) -> np.ndarray:
         """``y = alpha * (A @ x) + beta * y`` over the bound operands; returns y.
 
         A view is multiplied whole through numpy's BLAS-backed matmul.  Packed
-        codes are one call into the compiled kernel, which decodes and sums
-        each row and stores it in place.  Without that kernel, packed rows
-        run :func:`_row_tiles` over tiles that the oracle's decoder,
-        :func:`_decoded_rows`, makes, each reduced by one matmul.  Either way
-        each row's sum may be reassociated.
+        rows run :func:`_row_tiles` over tiles that the oracle's decoder,
+        :func:`_decoded_rows`, makes, each reduced by one matmul, so each
+        row's sum may be reassociated.
         """
         p = self.params
         if self.view is not None:
             _store(self.view @ self.x_eff, self.y_eff, p)
-        elif (args := self.native) is not None:
-            if not args.table:  # the call site's first run builds the field table
-                args.table = native.address(self.a.codebook.field_table)
-            native.load().kernel(args)
         else:
             rows = _decoded_rows(self.a)
             _row_tiles(rows, self.x_eff, self.y_eff, p, np.matmul, SKETCH_TILE_CODES)
         return self.y
 
 
-def bind(a, x: np.ndarray, y: np.ndarray, p: GemvParams,
-         addresses: native.Addresses | None = None) -> GemvCall:
+def bind(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> GemvCall:
     """Check one call's operands against `p` once and choose how A is read.
 
     `a` is flat float32 storage or a :class:`QuantizedMatrix`.  A quantized
     matrix in row-major, non-transposed layout (the one its codes are packed
     in) must match `p`'s extents with ``lda == cols`` and is left packed;
     in any other layout it is reconstructed once, read-only, and viewed like
-    dense storage.  `addresses`, when a caller binds many sites over the
-    same vectors, looks each vector's address up once for all of them.
+    dense storage.
     """
     if isinstance(a, QuantizedMatrix):
         if p.layout is Layout.ROW_MAJOR and p.trans is Trans.NO_TRANS:
@@ -307,50 +288,11 @@ def bind(a, x: np.ndarray, y: np.ndarray, p: GemvParams,
                     f"params describe {p.m}x{p.n} with lda {p.lda}; the packed matrix "
                     f"is {a.rows}x{a.cols} with dense rows (lda {a.cols})"
                 )
-            _, x_eff, y_eff = _operands(None, x, y, p)
-            return GemvCall(a, x, y, p, None, x_eff, y_eff,
-                            native=_native_args(a, x, y, x_eff, y_eff, p, addresses))
+            return GemvCall(a, x, y, p, None, *_operands(None, x, y, p)[1:])
         dense = dequantize(a).reshape(-1)
         dense.flags.writeable = False
         return GemvCall(a, x, y, p, *_operands(dense, x, y, p))
     return GemvCall(a, x, y, p, *_operands(a, x, y, p))
-
-
-def _native_args(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, x_eff: np.ndarray,
-                 y_eff: np.ndarray, p: GemvParams,
-                 addresses: native.Addresses | None) -> "native.GemvArgs | None":
-    """The compiled kernel's operands for one packed call, or None to run it on numpy.
-
-    The kernel is loaded here, on the first packed bind of the process.  The
-    struct holds raw pointers into the packed bytes and the two vectors,
-    which the call and its matrix keep alive; its reads of the packed bytes
-    stop at their length.  The strided views start at element 0 of `x` and
-    `y`, whose addresses `addresses` looks up when given.  Its pointer to
-    the codebook's field table is filled in by the call's first run, which
-    builds the table: a table built here would sit through the quantization
-    of every engine made after this one.  A vector the kernel cannot take as it is (a read-only or
-    misaligned y, a misaligned x, or an x and y that may overlap) leaves the
-    call on numpy, which raises or runs it as before.
-    """
-    if native.load().kernel is None or np.may_share_memory(x_eff, y_eff):
-        return None
-    if not (y_eff.flags.writeable and y_eff.flags.aligned and x_eff.flags.aligned):
-        return None
-    codes = np.frombuffer(q.indices.data, np.uint8)
-    address = addresses or native.address
-    return native.GemvArgs(
-        codes=address(codes),
-        x=address(x),
-        y=address(y),
-        codes_bytes=codes.size,
-        rows=q.rows,
-        cols=q.cols,
-        incx=x_eff.strides[0] // x_eff.itemsize,
-        incy=y_eff.strides[0] // y_eff.itemsize,
-        bits=q.codebook.bit_width,
-        alpha=float(p.alpha32),
-        beta=float(p.beta32),
-    )
 
 
 def _ordered_sums(tile: np.ndarray, x_eff: np.ndarray) -> np.ndarray:

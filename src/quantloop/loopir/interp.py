@@ -35,14 +35,18 @@ call.
 Loads from a quantized buffer in an ordinary loop nest see its dense
 reconstruction, built once at bind and read-only.
 
-The closures are the oracle.  A caller that passes ``compiled_ops`` also
-gets the program's compiled step (:mod:`quantloop.step`): from what binding
-checked and bound, :class:`Prepared` fills a table of op records, one per
+The closures are the oracle: they run Python and numpy only, packed gemv
+calls included, and never call into C.  A caller that passes
+``compiled_ops`` also gets the program's compiled step
+(:mod:`quantloop.step`), the one path that does: from what binding checked
+and bound, :class:`Prepared` fills a table of op records, one per
 top-level statement, that the native runtime walks in one call.  Every
 top-level statement must be an intrinsic call whose handler `compiled_ops`
 names, or an elementwise loop; otherwise, or without a compiler,
 :attr:`Prepared.step` is None and :attr:`Prepared.step_reason` says why.
-:meth:`Prepared.run` always runs the closures.
+:meth:`Prepared.run` always runs the closures, with numpy's floating-point
+warnings off: like the compiled step, they let NaN, infinities and
+overflow propagate silently.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .. import native, step
+from .. import step
 from ..intrinsics import bind_gemv, default_registry
 from ..quantizer import QuantizedMatrix, dequantize
 from .nodes import (
@@ -128,8 +132,7 @@ class Prepared:
         self._buffer_names = {d.name for d in program.buffers}
         self._bound: dict[str, object] = {}
         self._flat: dict[str, np.ndarray] = {}
-        # Binding fills these; only the compiled step's build reads them after.
-        self._addresses = native.Addresses()
+        # Binding fills this; only the compiled step's build reads it after.
         self._sites: dict[int, step.Site] = {}
         self._body = [self._compile_stmt(s) for s in self.function.body]
         #: The compiled step (:class:`quantloop.step.Step`), or None and why not.
@@ -138,11 +141,11 @@ class Prepared:
         if compiled_ops is not None:
             try:
                 self.step = step.build(self.function.body, self._sites, self._params,
-                                       compiled_ops, self._addresses)
+                                       compiled_ops)
                 self.step_reason = None
             except step.NoStep as exc:
                 self.step_reason = str(exc)
-        del self._addresses, self._sites
+        del self._sites
 
     # -- binding -----------------------------------------------------------
 
@@ -445,10 +448,7 @@ class Prepared:
         pack = (lambda *a: (self._bind_gemv(*a),)) if s.name == "gemv" else _pack
 
         if not from_frame:
-            if s.name == "gemv":  # the sites of one program share their address lookups
-                packed = (self._bind_gemv(*args, addresses=self._addresses),)
-            else:
-                packed = pack(*args)
+            packed = pack(*args)
             self._sites[id(s)] = step.Site(handler, packed)
 
             def run_call(frame):
@@ -470,15 +470,21 @@ class Prepared:
     # -- execution ----------------------------------------------------------
 
     def run(self) -> dict:
-        """Execute over the bound environment, mutating its buffers in place."""
+        """Execute over the bound environment, mutating its buffers in place.
+
+        Non-finite values and overflow propagate per IEEE-754 without a
+        numpy warning, as they do in the compiled step, so every path is
+        equally silent.
+        """
         env = self.env
         frame: dict = {}
         for param in self._params:
             if param not in env:
                 raise ValueError(f"param {param!r} is not bound in the environment")
             frame[param] = int(env[param])
-        for fn in self._body:
-            fn(frame)
+        with np.errstate(all="ignore"):
+            for fn in self._body:
+                fn(frame)
         return env
 
 

@@ -1,9 +1,12 @@
 """The native runtime: built once, cached on disk, loaded once per process.
 
-``_native/`` holds the packed GEMV kernel (``gemv.c``) and the step runtime
-that walks a prepared program's op records (``step.c``, filled by
-:mod:`quantloop.step`).  The C compiler on PATH (``cc``) builds both into one
-shared library, called through :mod:`ctypes`; no package is needed.
+``_native/`` holds the step runtime that walks a prepared program's op
+records (``step.c``) and the packed GEMV kernel its packed gemv records run
+(``gemv.c``).  The C compiler on PATH (``cc``) builds both into one shared
+library, whose one entry point, ``quantloop_step``, is called through
+:mod:`ctypes`; no package is needed.  :mod:`quantloop.step` fills the
+records and makes that call, and it is the only module that hands C a
+pointer: everything else, the interpreter's closures included, runs numpy.
 
 * The flags are :data:`FLAGS`: ``-ffp-contract=off`` keeps every product and
   sum its own float32 rounding, and ``-ffast-math``, which would reorder
@@ -18,8 +21,8 @@ shared library, called through :mod:`ctypes`; no package is needed.
   in a temporary directory of this process.
 * :func:`load` does this on first use, not at import, and never raises:
   without a compiler, or when the build or the load fails, it holds no
-  functions, :func:`status` says why, the packed GEMV runs on numpy and the
-  step runs on the interpreter's closures.
+  step, :func:`status` says why, and programs run on the interpreter's
+  closures.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Addresses", "CHECK", "Counts", "FLAGS", "GemvArgs", "Native", "OP_RECORD", "Op", "TABLE",
+__all__ = ["CHECK", "Counts", "FLAGS", "GemvArgs", "Native", "OP_RECORD", "Op", "TABLE",
            "address", "load", "status"]
 
 _DIR = Path(__file__).with_name("_native")
@@ -50,7 +53,7 @@ CC_TIMEOUT_S = 120
 
 
 class GemvArgs(ctypes.Structure):
-    """``quantloop_qgemv_args`` in ``qgemv.h``: one packed call's operands."""
+    """``quantloop_qgemv_args`` in ``qgemv.h``: one packed gemv record's operands."""
 
     _fields_ = [
         ("codes", ctypes.c_void_p),
@@ -116,39 +119,12 @@ def address(a: np.ndarray) -> int:
         return a.__array_interface__["data"][0]
 
 
-class Addresses:
-    """Data addresses of arrays, each looked up once.
-
-    A lookup costs 0.5 to 2 µs, and one prepared program binds the same
-    activation buffers at many sites.  `arrays` holds every array looked up,
-    so an id the book knows is never reused by another array, and whoever
-    keeps the list keeps alive the memory behind every address.
-    """
-
-    def __init__(self) -> None:
-        self.arrays: list[np.ndarray] = []
-        self._spans: dict[int, tuple[int, int]] = {}
-
-    def span(self, a: np.ndarray) -> tuple[int, int]:
-        """The first and one-past-last byte address of contiguous `a`."""
-        known = self._spans.get(id(a))
-        if known is None:
-            start = address(a)
-            known = self._spans[id(a)] = (start, start + a.nbytes)
-            self.arrays.append(a)
-        return known
-
-    def __call__(self, a: np.ndarray) -> int:
-        return self.span(a)[0]
-
-
 @dataclass(frozen=True)
 class Native:
-    """The loaded functions, or None and the reason there are none."""
+    """The loaded runtime, or None and the reason there is none."""
 
-    kernel: object  # quantloop_qgemv(GemvArgs *), or None
-    reason: str | None = None
     step: object = None  # quantloop_step(quantloop_table bytes) -> status, or None
+    reason: str | None = None
 
 
 class _BuildFailed(Exception):
@@ -180,16 +156,13 @@ def _open(path: Path) -> Native:
         if size() != layout.size:  # pointers wider than 8 bytes
             raise _BuildFailed(f"a C {name} record is {size()} bytes, "
                                f"not the {layout.size} that quantloop.step fills")
-    kernel = lib.quantloop_qgemv
-    kernel.argtypes = [ctypes.POINTER(GemvArgs)]
-    kernel.restype = None
     step = lib.quantloop_step
     # Its one argument is a bytes object holding a quantloop_table, which
     # ctypes passes as a pointer to its data.  No argtypes: a declared one
     # would build a converter object on every call, and a compiled forward
     # allocates nothing.
     step.restype = ctypes.c_int64
-    return Native(kernel, step=step)
+    return Native(step)
 
 
 @functools.cache
@@ -197,7 +170,7 @@ def load() -> Native:
     """Build or open the cached library, once per process."""
     cc = shutil.which("cc")
     if cc is None:
-        return Native(None, "no C compiler (cc) on PATH")
+        return Native(reason="no C compiler (cc) on PATH")
     try:
         version = subprocess.run([cc, "--version"], capture_output=True, check=True,
                                  timeout=CC_TIMEOUT_S).stdout
@@ -218,12 +191,16 @@ def load() -> Native:
                 return _open(_compile(cc, Path(tmp), name))
         return _open(path)
     except _BuildFailed as exc:
-        return Native(None, str(exc))
+        return Native(reason=str(exc))
     except (OSError, subprocess.SubprocessError) as exc:
-        return Native(None, f"{type(exc).__name__}: {exc}")
+        return Native(reason=f"{type(exc).__name__}: {exc}")
 
 
 def status() -> dict:
-    """``{"backend": "native" | "numpy", "reason": ...}`` for the packed GEMV."""
+    """``{"backend": "native" | "numpy", "reason": ...}``: whether the runtime's step loaded.
+
+    Packed gemv calls run compiled only inside a compiled step; without one
+    they run on numpy.
+    """
     native = load()
-    return {"backend": "numpy" if native.kernel is None else "native", "reason": native.reason}
+    return {"backend": "numpy" if native.step is None else "native", "reason": native.reason}

@@ -48,7 +48,8 @@ attached the forward hands it the same observations, in program order,
 from what each check wrote.  ``naive`` mode, whose loop nests have no C
 op, and an engine whose handlers are not quantloop's own (a tracer's
 wrappers, say) run the closures, whose policy is
-:meth:`Engine._gemv_policy`; they stay the oracle.
+:meth:`Engine._gemv_policy`; they run numpy throughout, packed gemv
+calls included, and stay the oracle.
 :meth:`Engine.step_status` says which path the next forward takes and why.
 """
 
@@ -234,13 +235,13 @@ class Engine:
         """
         return self._dual_check
 
-    def _bind_gemv(self, *args, addresses=None) -> GemvCall:
+    def _bind_gemv(self, *args) -> GemvCall:
         """Bind a gemv call site, and its float-shadow call if it has one.
 
         The shadow call writes into its own y scratch, so the policy below
         never re-checks operands or allocates a y per call.
         """
-        call = bind_gemv(*args, addresses=addresses)
+        call = bind_gemv(*args)
         shadow = self._float_shadow.get(id(call.a))
         if shadow is None:
             return call

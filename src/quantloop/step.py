@@ -27,11 +27,15 @@ them against the extents they index before it writes anything, and a
 :class:`Step` call then returns nonzero, for the caller to run the closures
 instead.
 
-A packed gemv's record also has a check: the matrix's epsilon and largest
-centroid magnitude, and, when the caller bound one, the call on its float
-shadow as a dense gemv record.  A checked run uses it to apply the
-engine's per-call policy in C (the bound, the fallback over a threshold,
-the dual check), as :class:`Step` describes.
+A packed gemv's record points at the operands of ``_native/gemv.c``, a
+:class:`~quantloop.native.GemvArgs` built here from the bound call with
+the checks a dense gemv's record gets; this is the only way the packed
+kernel is reached, and the closures run numpy's instead.  The record also
+has a check: the matrix's epsilon and largest centroid magnitude, and,
+when the caller bound one, the call on its float shadow as a dense gemv
+record.  A checked run uses it to apply the engine's per-call policy in C
+(the bound, the fallback over a threshold, the dual check), as
+:class:`Step` describes.
 """
 
 from __future__ import annotations
@@ -96,19 +100,20 @@ class Step:
     program order, and ``observations`` one row per packed one among them:
     what its check measured in the last checked run, ``(bound, gap,
     fallback)``.  Each run adds itself and its gemv records to the
-    counters :meth:`count_into` names.  The packed calls' codebook field
-    tables are built by the first call, as
-    :meth:`~quantloop.kernels.GemvCall.run` builds them, so they are not
-    resident while the program is still being bound.
+    counters :meth:`count_into` names.  `packed` pairs each packed
+    record's :class:`~quantloop.native.GemvArgs` with its codebook, whose
+    field table the first call builds and points the struct at, so the
+    tables are not resident while the program is still being bound.
     """
 
-    def __init__(self, records, values, n_params, scratch, checks, keep, calls):
+    def __init__(self, records, values, n_params, scratch, checks, keep, calls, packed):
         self._values = values
         self.calls = calls
         self.observations = np.zeros((len(checks) // CHECK.size, 3))
         self._n_params = n_params
         self._keep = (records, scratch, checks, keep)
-        self._unbuilt = [call for call in calls if call.view is None]  # packed calls
+        self._packed = packed
+        self._unbuilt = bool(packed)
         self._run = native.load().step
         self._base = (native.address(records), len(records) // OP_RECORD.size,
                       native.address(values), native.address(scratch), native.address(checks))
@@ -140,10 +145,9 @@ class Step:
         handler's error.
         """
         if self._unbuilt:
-            for call in self._unbuilt:
-                if not call.native.table:
-                    call.native.table = native.address(call.a.codebook.field_table)
-            self._unbuilt = ()
+            for args, codebook in self._packed:
+                args.table = native.address(codebook.field_table)
+            self._unbuilt = False
         values, slot = self._values, 0
         while slot < self._n_params:  # no iterator object: the call allocates nothing
             values[slot] = params[slot]
@@ -192,14 +196,31 @@ def _apart(what: str, span: tuple, *others: tuple, same_ok: bool = False) -> Non
 class _Builder:
     """Turns sites into records, one statement at a time."""
 
-    def __init__(self, params: tuple, addresses: native.Addresses) -> None:
+    def __init__(self, params: tuple) -> None:
         self.params = params
-        self.span = addresses.span
         self.literals: list[int] = []
-        self.keep: list = [addresses.arrays]
+        self.arrays: list[np.ndarray] = []  # every array :meth:`span` looked up
+        self._spans: dict[int, tuple[int, int]] = {}
+        self.keep: list = [self.arrays]
         self.calls: list = []  # every gemv record's call
+        self.packed: list = []  # every packed record's (GemvArgs, Codebook)
         self.checks: list = []  # every packed record's check, as CHECK fields
         self.scratch_len = 0  # the longest KV cache an attention record reads
+
+    def span(self, a: np.ndarray) -> tuple[int, int]:
+        """The first and one-past-last byte address of contiguous `a`, looked up once.
+
+        A lookup costs 0.5 to 2 µs, and one program binds the same activation
+        buffers at many sites.  :attr:`arrays` holds every array looked up,
+        so no other array reuses a known id, and the step that keeps the list
+        keeps alive the memory behind every address.
+        """
+        known = self._spans.get(id(a))
+        if known is None:
+            start = native.address(a)
+            known = self._spans[id(a)] = (start, start + a.nbytes)
+            self.arrays.append(a)
+        return known
 
     def slot(self, site: Site, pos: int, what: str) -> int:
         """Index into the runtime's values of argument `pos`: a param or an int literal."""
@@ -212,29 +233,53 @@ class _Builder:
         (call,) = site.args
         self.calls.append(call)
         if call.view is None:
-            if call.native is None:
-                raise NoOp("packed gemv runs on numpy")
-            q = call.a
-            shadow = _record(0, ()) if call.shadow is None else self.dense(call.shadow)
-            self.checks.append((float(q.epsilon), q.codebook.max_abs, *shadow))
-            return _record(Op.QGEMV, (ctypes.addressof(call.native),), (len(self.checks) - 1,))
+            return self.packed_gemv(call)
         if not isinstance(call.a, np.ndarray):
             raise NoOp("gemv matrix was reconstructed for its layout")
         return self.dense(call)
 
-    def dense(self, call) -> tuple:
-        """The record of a gemv call on float storage."""
-        # Written out: this is half the table.  x and y were checked 1-D
-        # float32 at bind; the views start at element 0 of what they view.
-        a, x, y = call.a, call.x, call.y
-        if not (a.flags.aligned and x.flags.aligned and y.flags.aligned and y.flags.writeable):
+    def operands(self, call, storage: np.ndarray) -> tuple:
+        """The addresses of a gemv call's `storage`, x and y, when C can take them.
+
+        x and y were checked 1-D float32 at bind; the call's strided views
+        start at their element 0.
+        """
+        # Written out, not through _vector and _apart: every gemv record, half
+        # the table, comes through here.
+        x, y = call.x, call.y
+        if not (storage.flags.aligned and x.flags.aligned and y.flags.aligned
+                and y.flags.writeable):
             raise NoOp("gemv operands are unaligned or y is read-only")
-        (a0, a1), (x0, x1), (y0, y1) = self.span(a), self.span(x), self.span(y)
+        (a0, a1), (x0, x1), (y0, y1) = self.span(storage), self.span(x), self.span(y)
         if x0 < y1 and y0 < x1 or a0 < y1 and y0 < a1:
             raise NoOp("gemv y overlaps x or the matrix")
+        return a0, x0, y0
+
+    def dense(self, call) -> tuple:
+        """The record of a gemv call on float storage."""
+        a0, x0, y0 = self.operands(call, call.a)
         (rows, cols), (rs, cs), p = call.view.shape, call.view.strides, call.params
         return (Op.GEMV, a0, x0, y0, 0, 0, 0, rows, cols, rs // 4, cs // 4,
                 call.x_eff.strides[0] // 4, call.y_eff.strides[0] // 4, p.alpha32, p.beta32)
+
+    def packed_gemv(self, call) -> tuple:
+        """The record of a gemv call on packed codes, its struct and its check.
+
+        The struct points into the packed bytes, whose length bounds every
+        read of them, and at the two vectors; :class:`Step` fills in its
+        field table on the first run.
+        """
+        q, p = call.a, call.params
+        codes = np.frombuffer(q.indices.data, np.uint8)
+        c0, x0, y0 = self.operands(call, codes)
+        args = native.GemvArgs(codes=c0, x=x0, y=y0, codes_bytes=codes.size, rows=q.rows,
+                               cols=q.cols, incx=call.x_eff.strides[0] // 4,
+                               incy=call.y_eff.strides[0] // 4, bits=q.codebook.bit_width,
+                               alpha=float(p.alpha32), beta=float(p.beta32))
+        self.packed.append((args, q.codebook))
+        shadow = _record(0, ()) if call.shadow is None else self.dense(call.shadow)
+        self.checks.append((float(q.epsilon), q.codebook.max_abs, *shadow))
+        return _record(Op.QGEMV, (ctypes.addressof(args),), (len(self.checks) - 1,))
 
     def embed(self, site: Site) -> tuple:
         dst, table = _vector(site.args[0], "embed dst", writes=True), site.args[1]
@@ -318,8 +363,8 @@ class _Builder:
             "attention": attention}
 
 
-def build(statements, sites: Mapping[int, Site], params: tuple, ops: Mapping[Callable, str],
-          addresses: native.Addresses) -> Step:
+def build(statements, sites: Mapping[int, Site], params: tuple,
+          ops: Mapping[Callable, str]) -> Step:
     """The :class:`Step` for the top-level `statements`; :class:`NoStep` says why there is none.
 
     `sites` maps the id of each statement that bound one to its
@@ -327,7 +372,7 @@ def build(statements, sites: Mapping[int, Site], params: tuple, ops: Mapping[Cal
     """
     if native.load().step is None:
         raise NoStep(f"no native runtime: {native.load().reason}")
-    b = _Builder(params, addresses)
+    b = _Builder(params)
     # Each record is packed into the table as it is built, so no list of
     # them sits beside it.
     table = np.empty(len(statements) * OP_RECORD.size, np.uint8)
@@ -352,4 +397,4 @@ def build(statements, sites: Mapping[int, Site], params: tuple, ops: Mapping[Cal
     checks = np.empty(len(b.checks) * CHECK.size, np.uint8)
     for i, fields in enumerate(b.checks):
         CHECK.pack_into(checks, i * CHECK.size, *fields)
-    return Step(table, values, len(params), scratch, checks, b.keep, tuple(b.calls))
+    return Step(table, values, len(params), scratch, checks, b.keep, tuple(b.calls), b.packed)

@@ -1,4 +1,3 @@
-import contextlib
 import os
 import shutil
 
@@ -7,11 +6,13 @@ import pytest
 
 from quantloop import native
 from quantloop.bitcodec import pack_bits
+from quantloop.loopir import BufferDecl, Function, IntrinsicCall, LoopProgram, Prepared
 from quantloop.quantizer import Codebook, QuantizedMatrix
 from quantloop.runtime import TOY_CONFIG, make_toy_checkpoint, quantize_checkpoint
+from quantloop.step import COMPILED_OPS
 
-#: Skips a test that needs the compiled packed GEMV kernel, only when there is
-#: no compiler to build it with.
+#: Skips a test that needs the native runtime (the compiled step and its packed
+#: GEMV kernel), only when there is no compiler to build it with.
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
 
 
@@ -34,19 +35,28 @@ def native_cache(tmp_path_factory):
         native.load.cache_clear()
 
 
-@contextlib.contextmanager
-def packed_gemv_on_numpy():
-    """Make the kernel's loader report it unavailable: packed binds run on numpy."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(native, "load", lambda: native.Native(None, "unavailable under test"))
-        yield
-
-
 @pytest.fixture
-def numpy_fallback():
-    """The packed GEMV on its numpy fallback for the whole test."""
-    with packed_gemv_on_numpy():
-        yield
+def numpy_fallback(monkeypatch):
+    """No native runtime for the whole test: programs run on the closures, on numpy."""
+    monkeypatch.setattr(native, "load", lambda: native.Native(reason="unavailable under test"))
+
+
+def packed_step(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, alpha=1.0, beta=0.0,
+                incx=1, incy=1) -> Prepared:
+    """``y = alpha * (q @ x) + beta * y`` as a program of one ``gemv``, prepared with its step.
+
+    The compiled step is the only way to run the packed kernel: ``step(())``
+    runs it once on the bound `x` and `y`, whose lengths are the program's
+    buffers, and ``run()`` runs the closures on numpy.
+    """
+    call = IntrinsicCall("gemv", ("RM", "NT", q.rows, q.cols, alpha, "A", q.cols, "x", incx,
+                                  beta, "y", incy))
+    program = LoopProgram(
+        buffers=(BufferDecl("A", (q.rows, q.cols)), BufferDecl("x", (x.size,)),
+                 BufferDecl("y", (y.size,))),
+        functions=(Function("f", (call,)),),
+    )
+    return Prepared(program, {"A": q, "x": x, "y": y}, compiled_ops=COMPILED_OPS)
 
 
 @pytest.fixture(scope="session")

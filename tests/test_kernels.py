@@ -1,10 +1,9 @@
-import contextlib
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantloop import native
@@ -31,22 +30,21 @@ from quantloop.quantizer import (
     dequantize,
     quantize_matrix,
 )
+from quantloop.gemvpass import run_gemv_pass
+from quantloop.loopir import Prepared
+from quantloop.runtime import Engine, read_quantized_checkpoint, synthesize_forward_program
 
 from conftest import (
     assert_elementwise_close,
     gemv_scale,
     needs_cc,
-    packed_gemv_on_numpy,
+    packed_step,
     random_quantized,
 )
 from oracles import gemv_reference, native_order_sums
 
 #: Codes the compiled kernel decodes per step (``CHUNK`` in ``_native/gemv.c``).
 NATIVE_CHUNK = 512
-
-#: Each packed backend, as a context to run the calls under: the compiled
-#: kernel (when it loads), and the numpy fallback.
-PACKED_BACKENDS = (contextlib.nullcontext, packed_gemv_on_numpy)
 
 
 def params(layout="RM", trans="NT", m=2, n=3, alpha=1.0, beta=0.0, lda=None,
@@ -432,21 +430,21 @@ def assert_codes_close_to_sketch(q, x, y0, p):
     return y_codes
 
 
-_codes_property = given(
+@settings(max_examples=40, deadline=None)
+@given(
     bit_width=st.integers(1, 8),
     rows=st.integers(1, 24),
-    # Up to a little over two of the compiled kernel's decode steps per row,
-    # which is also more than a numpy tile.
-    cols=st.integers(1, 2 * NATIVE_CHUNK + 13),
+    # Rows up to a little wider than a numpy tile.
+    cols=st.integers(1, SKETCH_TILE_CODES + 13),
     incx=st.integers(1, 3),
     incy=st.integers(1, 3),
     alpha=st.floats(-4, 4, width=32),
     beta=st.floats(-4, 4, width=32),
     seed=st.integers(0, 2**32 - 1),
 )
-
-
-def _codes_agree_with_sketch(bit_width, rows, cols, incx, incy, alpha, beta, seed):
+def test_codes_agrees_with_sketch_within_rounding_property(
+    bit_width, rows, cols, incx, incy, alpha, beta, seed
+):
     rng = np.random.default_rng(seed)
     q = random_quantized(rng, rows, cols, bit_width)
     x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
@@ -455,73 +453,82 @@ def _codes_agree_with_sketch(bit_width, rows, cols, incx, incy, alpha, beta, see
     assert_codes_close_to_sketch(q, x, y0, p)
 
 
-@settings(max_examples=40, deadline=None)
-@_codes_property
-def test_codes_agrees_with_sketch_within_rounding_property(
-    bit_width, rows, cols, incx, incy, alpha, beta, seed
-):
-    _codes_agree_with_sketch(bit_width, rows, cols, incx, incy, alpha, beta, seed)
-
-
-# The fixture patches the kernel's loader once for the whole test, which is
-# the same for every example.
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@_codes_property
-def test_codes_agrees_with_sketch_within_rounding_on_numpy_property(
-    numpy_fallback, bit_width, rows, cols, incx, incy, alpha, beta, seed
-):
-    assert bind(random_quantized(np.random.default_rng(0), 1, 1, 1), np.ones(1, np.float32),
-                np.zeros(1, np.float32), params(m=1, n=1)).native is None
-    _codes_agree_with_sketch(bit_width, rows, cols, incx, incy, alpha, beta, seed)
-
-
 def test_codes_tile_edges():
-    # m = 1, rows that start mid-group (odd cols), rows around the compiled
-    # kernel's 8-code groups and decode steps, and rows around a numpy tile,
-    # at every bit width and on both backends.
+    # m = 1, rows that start mid-group (odd cols), rows around the decoder's
+    # 8-code groups, and rows around a numpy tile, at every bit width.
     rng = np.random.default_rng(21)
-    for backend in PACKED_BACKENDS:
-        with backend():
-            for bit_width in range(1, 9):
-                for cols in (1, 7, 8, 9, 23, 64, 172, NATIVE_CHUNK - 1, NATIVE_CHUNK + 9,
-                             SKETCH_TILE_CODES + 37):
-                    tile_rows = max(1, SKETCH_TILE_CODES // cols)
-                    for rows in sorted({1, 2, 3, tile_rows, tile_rows + 1}):
-                        q = random_quantized(rng, rows, cols, bit_width)
-                        x = rng.normal(size=cols).astype(np.float32)
-                        y0 = rng.normal(size=rows).astype(np.float32)
-                        p = params(m=rows, n=cols, alpha=0.75, beta=-1.5)
-                        assert_codes_close_to_sketch(q, x, y0, p)
+    for bit_width in range(1, 9):
+        for cols in (1, 7, 8, 9, 23, 64, 172, SKETCH_TILE_CODES + 37):
+            tile_rows = max(1, SKETCH_TILE_CODES // cols)
+            for rows in sorted({1, 2, 3, tile_rows, tile_rows + 1}):
+                q = random_quantized(rng, rows, cols, bit_width)
+                x = rng.normal(size=cols).astype(np.float32)
+                y0 = rng.normal(size=rows).astype(np.float32)
+                p = params(m=rows, n=cols, alpha=0.75, beta=-1.5)
+                assert_codes_close_to_sketch(q, x, y0, p)
+
+
+def test_kernels_never_load_the_native_runtime(monkeypatch, toy_quant_path):
+    # Only the compiled step hands C a pointer.  With the loader refusing,
+    # gemv_opt and a bound call's run still take packed codes, within the
+    # float32 bound of the oracle, and the closures decode a .ditq to the
+    # compiled engine's greedy tokens.
+    expect = Engine(toy_quant_path).generate([1, 2, 3], steps=8).generated_tokens
+
+    def refuse():
+        raise AssertionError("the native runtime was loaded")
+
+    monkeypatch.setattr(native, "load", refuse)
+    rng = np.random.default_rng(35)
+    q = random_quantized(rng, 40, 70, 3)
+    x = rng.normal(size=70).astype(np.float32)
+    y0 = rng.normal(size=40).astype(np.float32)
+    p = params(m=40, n=70, alpha=1.5, beta=-0.5)
+    y_codes = assert_codes_close_to_sketch(q, x, y0, p)
+    np.testing.assert_array_equal(bind(q, x, y0.copy(), p).run(), y_codes)
+
+    config, env = read_quantized_checkpoint(toy_quant_path)
+    program = run_gemv_pass(synthesize_forward_program(config)).program
+    for decl in program.buffers:
+        env.setdefault(decl.name, np.zeros(decl.extents, np.float32))
+    prepared = Prepared(program, env, function="step")
+
+    def forward(token, pos):
+        env.update(token=token, pos=pos)
+        prepared.run()
+        return int(np.argmax(env["logits"]))
+
+    forward(1, 0)
+    forward(2, 1)
+    tokens = [forward(3, 2)]
+    while len(tokens) < len(expect):
+        tokens.append(forward(tokens[-1], 2 + len(tokens)))
+    assert tokens == expect
 
 
 def test_packed_decode_matches_unpack_slice():
     # A one-hot x = e_k with alpha = 1 and beta = 0 makes each y element the
     # weight itself, so the packed path's decode is checked against the
-    # oracle's bit for bit, column by column, at every width and on both
-    # backends.  Odd widths and odd column counts make rows start mid-group,
-    # and the code counts both fill their last group and stop short of it.
-    # pack_bits leaves exactly payload + guard bytes, so a read past them
-    # reads what lies after the buffer (test_native proves none happens).
+    # oracle's bit for bit, column by column, at every width.  Odd widths
+    # and odd column counts make rows start mid-group, and the code counts
+    # both fill their last group and stop short of it.
     rng = np.random.default_rng(26)
-    for backend in PACKED_BACKENDS:
-        with backend():
-            for bit_width in range(1, 9):
-                for cols in (1, 7, 23, 64, 172):
-                    for rows in (1, 2, 3, 5, 9):
-                        q = random_quantized(rng, rows, cols, bit_width)
-                        assert len(q.indices.data) == q.indices.payload_bytes + 1
-                        codes = unpack_slice(q.indices, 0, rows * cols).reshape(rows, cols)
-                        x = np.zeros(cols, np.float32)
-                        y = np.zeros(rows, np.float32)
-                        call = bind(q, x, y, params(m=rows, n=cols))
-                        for k in range(cols):
-                            x[:] = 0.0
-                            x[k] = 1.0
-                            call.run()
-                            np.testing.assert_array_equal(
-                                y, q.codebook.centroids[codes[:, k]],
-                                err_msg=f"b={bit_width} {rows}x{cols} column {k}",
-                            )
+    for bit_width in range(1, 9):
+        for cols in (1, 7, 23, 64, 172):
+            for rows in (1, 2, 3, 5, 9):
+                q = random_quantized(rng, rows, cols, bit_width)
+                codes = unpack_slice(q.indices, 0, rows * cols).reshape(rows, cols)
+                x = np.zeros(cols, np.float32)
+                y = np.zeros(rows, np.float32)
+                call = bind(q, x, y, params(m=rows, n=cols))
+                for k in range(cols):
+                    x[:] = 0.0
+                    x[k] = 1.0
+                    call.run()
+                    np.testing.assert_array_equal(
+                        y, q.codebook.centroids[codes[:, k]],
+                        err_msg=f"b={bit_width} {rows}x{cols} column {k}",
+                    )
 
 
 @needs_cc
@@ -529,34 +536,34 @@ def test_packed_decode_matches_unpack_slice():
 @given(
     bit_width=st.integers(1, 8),
     rows=st.integers(1, 12),
+    # Up to a little over two of the compiled kernel's decode steps per row.
     cols=st.integers(1, 2 * NATIVE_CHUNK + 13),
-    incx=st.sampled_from([1, 2, -1]),
-    incy=st.sampled_from([1, 3, -2]),
+    incx=st.integers(1, 3),
+    incy=st.integers(1, 3),
     alpha=st.sampled_from([1.0, -0.5, 3.0]),
     beta=st.sampled_from([0.0, 1.0, 0.25]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(bit_width=3, rows=2, cols=NATIVE_CHUNK - 1, incx=1, incy=1, alpha=1.0, beta=0.0, seed=0)
+@example(bit_width=5, rows=3, cols=NATIVE_CHUNK + 9, incx=2, incy=3, alpha=-0.5, beta=1.0,
+         seed=1)
 def test_native_kernel_sums_in_its_documented_order_property(
     bit_width, rows, cols, incx, incy, alpha, beta, seed
 ):
-    # The compiled kernel against a numpy emulation of the order gemv.c
-    # documents, bit for bit, on strided and reversed vectors; the elements
-    # between y's strided ones stay as they were.
+    # The compiled kernel, run as a one-gemv compiled step, against a numpy
+    # emulation of the order gemv.c documents, bit for bit, on strided
+    # vectors; the elements between y's strided ones stay as they were.
     rng = np.random.default_rng(seed)
     q = random_quantized(rng, rows, cols, bit_width)
-    sx, sy = np.sign(incx), np.sign(incy)
-    x = rng.normal(size=(cols - 1) * abs(incx) + 1).astype(np.float32)[::sx]
-    y_base = rng.normal(size=(rows - 1) * abs(incy) + 1).astype(np.float32)
-    y = y_base.copy()[::sy]
-    call = bind(q, x, y, params(m=rows, n=cols, alpha=alpha, beta=beta,
-                                incx=abs(incx), incy=abs(incy)))
-    assert call.native is not None
-    assert (call.native.incx, call.native.incy) == (incx, incy)
-    call.run()
-    y0_eff = y_base[::sy][:: abs(incy)]
-    s = native_order_sums(dequantize(q), x[:: abs(incx)])
-    expect = y_base.copy()[::sy]
-    expect[:: abs(incy)] = np.float32(alpha) * s + np.float32(beta) * y0_eff
+    x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
+    y0 = rng.normal(size=(rows - 1) * incy + 1).astype(np.float32)
+    y = y0.copy()
+    prepared = packed_step(q, x, y, alpha, beta, incx, incy)
+    assert prepared.step is not None, prepared.step_reason
+    assert prepared.step(()) == 0
+    s = native_order_sums(dequantize(q), x[::incx])
+    expect = y0.copy()
+    expect[::incy] = np.float32(alpha) * s + np.float32(beta) * y0[::incy]
     np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32))
 
 
@@ -721,19 +728,24 @@ def test_store_matches_the_formula_bit_for_bit(alpha, beta):
     y0[[0, 3, 6, 9]] = [np.nan, np.inf, -np.inf, -0.0]
     p = params(m=m, n=n, alpha=alpha, beta=beta, incx=incx, incy=incy)
     x_eff, y_eff0 = x[::incx], y0[::incy]
-    # The packed call sums in the compiled kernel's documented order; on the
-    # numpy fallback (no compiler) each tile is one matmul.
-    if native.load().kernel is not None:
-        packed = native_order_sums(dense, x_eff)
-    else:
-        step = SKETCH_TILE_CODES // n
-        packed = np.concatenate([dense[r0 : r0 + step] @ x_eff for r0 in range(0, m, step)])
+    # A packed gemv_opt reduces each tile with one matmul; the compiled
+    # step's packed kernel sums in the order gemv.c documents.
+    tile = SKETCH_TILE_CODES // n
+    ordered = np.cumsum(dense * x_eff, axis=1)[:, -1]
+
+    def compiled(a, x, y, p):
+        prepared = packed_step(a, x, y, p.alpha, p.beta, p.incx, p.incy)
+        assert prepared.step(()) == 0, prepared.step_reason
+
     sums = {
         "dense gemv_opt": (gemv_opt, dense.reshape(-1), dense @ x_eff),
-        "packed gemv_opt": (gemv_opt, q, packed),
-        "gemv_naive": (gemv_naive, dense.reshape(-1), np.cumsum(dense * x_eff, axis=1)[:, -1]),
-        "gemv_sketch": (gemv_sketch, q, np.cumsum(dense * x_eff, axis=1)[:, -1]),
+        "packed gemv_opt": (gemv_opt, q, np.concatenate(
+            [dense[r0 : r0 + tile] @ x_eff for r0 in range(0, m, tile)])),
+        "gemv_naive": (gemv_naive, dense.reshape(-1), ordered),
+        "gemv_sketch": (gemv_sketch, q, ordered),
     }
+    if native.load().step is not None:
+        sums["compiled packed step"] = (compiled, q, native_order_sums(dense, x_eff))
     with np.errstate(invalid="ignore"):
         for name, (kernel, a, s) in sums.items():
             expect = y0.copy()

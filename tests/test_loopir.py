@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -446,6 +448,26 @@ def test_elementwise_loop_matches_scalar_reference(op, out, data):
     assert prepared._body[0].__name__ == "run_elementwise"
     for name in env:
         assert got[name].view(np.uint32).tolist() == expect[name].view(np.uint32).tolist(), name
+
+
+@pytest.mark.parametrize("upper", [None, "n"])
+def test_non_finite_results_run_without_a_numpy_warning(upper):
+    # inf + -inf and a sum past float32's range, on the one-ufunc path and on
+    # the scalar path (whose store rounds an overflowing double): both are
+    # as silent as the compiled step and give the IEEE-754 results.
+    env = {
+        "L": np.array([np.inf, 3e38], np.float32),
+        "R": np.array([-np.inf, 3e38], np.float32),
+        "O": np.zeros(2, np.float32),
+        "Z": np.zeros(2, np.float32),
+    }
+    params = {"n": 2} if upper else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prepared, got = _run(_ewise("add", lo=0, hi=2, n=2, upper=upper), env, **params)
+    expect = "run_elementwise" if upper is None else "run_loop"
+    assert prepared._body[0].__name__ == expect
+    assert np.isnan(got["O"][0]) and got["O"][1] == np.inf
 
 
 @pytest.mark.parametrize("out", ["O", "L", "R"])

@@ -1,4 +1,8 @@
-"""The native library and its packed GEMV: the build cache, the fallback, the reads."""
+"""The native library and its packed GEMV: the build cache, the fallback, the reads.
+
+The packed kernel runs only inside a compiled step, so its tests run it as a
+program of one ``gemv`` (``conftest.packed_step``).
+"""
 
 import json
 import os
@@ -15,11 +19,10 @@ import pytest
 
 from quantloop import native
 from quantloop.cli import main
-from quantloop.kernels import GemvParams, bind
 from quantloop.quantizer import dequantize
 from quantloop.runtime import Engine
 
-from conftest import needs_cc, random_quantized
+from conftest import needs_cc, packed_step, random_quantized
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -54,9 +57,11 @@ def test_no_compiler_on_path_reports_the_fallback(fresh_loader, monkeypatch):
     monkeypatch.setenv("PATH", str(fresh_loader))
     assert native.status() == {"backend": "numpy", "reason": "no C compiler (cc) on PATH"}
     q = random_quantized(np.random.default_rng(1), 3, 5, 3)
-    call = bind(q, np.ones(5, np.float32), np.zeros(3, np.float32), GemvParams(m=3, n=5, lda=5))
-    assert call.native is None
-    np.testing.assert_allclose(call.run(), dequantize(q).sum(axis=1), rtol=1e-5)
+    y = np.zeros(3, np.float32)
+    prepared = packed_step(q, np.ones(5, np.float32), y)
+    assert prepared.step_reason == "no native runtime: no C compiler (cc) on PATH"
+    prepared.run()
+    np.testing.assert_allclose(y, dequantize(q).sum(axis=1), rtol=1e-5)
 
 
 def test_failing_compiler_leaves_its_reason(fresh_loader, monkeypatch):
@@ -132,25 +137,26 @@ def test_cli_reports_the_packed_gemv_backend(command, toy_quant_path, capsys):
 
 @needs_cc
 def test_vectors_the_kernel_cannot_take_stay_on_numpy():
+    # A packed gemv the kernel cannot take gets no record, so its program
+    # runs on the closures, where numpy runs or refuses it as before.
     rng = np.random.default_rng(38)
     q = random_quantized(rng, 6, 5, 3)
-    p = GemvParams(m=6, n=5, lda=5)
     x = rng.normal(size=5).astype(np.float32)
     # A read-only y is refused by numpy's store, as on every other path.
     y = np.zeros(6, np.float32)
     y.flags.writeable = False
-    call = bind(q, x, y, p)
-    assert call.native is None
+    prepared = packed_step(q, x, y)
+    assert "y is read-only" in prepared.step_reason
     with pytest.raises(ValueError, match="read-only"):
-        call.run()
+        prepared.run()
     # x and y in one buffer: apart they run compiled, overlapping on numpy.
     buf = rng.normal(size=12).astype(np.float32)
-    assert bind(q, buf[:5], buf[5:11], p).native is not None
-    assert bind(q, buf[:5], buf[4:10], p).native is None
+    assert packed_step(q, buf[:5], buf[5:11]).step is not None
+    assert "y overlaps x" in packed_step(q, buf[:5], buf[4:10]).step_reason
     # A float32 view one byte into its buffer.
     x_odd = np.frombuffer(np.zeros(21, np.uint8).data, np.float32, count=5, offset=1)
     assert not x_odd.flags.aligned
-    assert bind(q, x_odd, np.zeros(6, np.float32), p).native is None
+    assert "unaligned" in packed_step(q, x_odd, np.zeros(6, np.float32)).step_reason
 
 
 # -- the kernel's memory -------------------------------------------------------
@@ -158,15 +164,18 @@ def test_vectors_the_kernel_cannot_take_stay_on_numpy():
 
 @needs_cc
 def test_first_run_builds_the_field_table():
-    # A bind leaves the table unbuilt, so an engine's tables are not resident
-    # while later engines quantize; the call's first run builds it once.
+    # Building the step leaves the table unbuilt, so an engine's tables are
+    # not resident while later engines quantize; the step's first run builds
+    # it once and points the packed record's operands at it.
     q = random_quantized(np.random.default_rng(39), 4, 9, 3)
-    call = bind(q, np.ones(9, np.float32), np.zeros(4, np.float32), GemvParams(m=4, n=9, lda=9))
-    assert "field_table" not in vars(q.codebook) and not call.native.table
-    call.run()
+    step = packed_step(q, np.ones(9, np.float32), np.zeros(4, np.float32)).step
+    ((args, codebook),) = step._packed
+    assert codebook is q.codebook
+    assert "field_table" not in vars(q.codebook) and not args.table
+    assert step(()) == 0
     table = q.codebook.field_table
-    assert call.native.table == table.ctypes.data
-    call.run()
+    assert args.table == table.ctypes.data
+    assert step(()) == 0
     assert q.codebook.field_table is table
 
 
@@ -177,12 +186,11 @@ def test_packed_call_allocates_nothing(bit_width):
     q = random_quantized(rng, 64, 64, bit_width)
     x = rng.normal(size=64).astype(np.float32)
     y = rng.normal(size=64).astype(np.float32)
-    call = bind(q, x, y, GemvParams(m=64, n=64, lda=64, alpha=2.0, beta=0.5))
-    assert call.native is not None
-    call.run()  # warm up outside the measurement
+    step = packed_step(q, x, y, alpha=2.0, beta=0.5).step
+    step(())  # warm up outside the measurement; this builds the field table
     tracemalloc.start()
     try:
-        call.run()
+        step(())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -194,8 +202,8 @@ _FENCED = """
 import ctypes, mmap, sys
 import numpy as np
 from quantloop.bitcodec import PackedBuffer, pack_bits
-from quantloop.kernels import GemvParams, bind
 from quantloop.quantizer import Codebook, QuantizedMatrix
+from conftest import packed_step
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
@@ -217,6 +225,13 @@ def fenced(data):
     return mm, fence, memoryview(mm)[start : start + len(data)]
 
 
+def run_step(q, x, y):
+    prepared = packed_step(q, x, y, alpha=1.5, beta=-0.5)
+    assert prepared.step is not None, prepared.step_reason
+    assert prepared.step(()) == 0
+    return prepared
+
+
 if sys.argv[1] == "control":
     mm, fence, view = fenced(b"x")
     ctypes.string_at(fence - 1, 2)  # one byte past the copy: must fault
@@ -233,13 +248,13 @@ for bits in range(1, 9):
                                 PackedBuffer(view, packed.count, bits), 0.0)
             x = rng.normal(size=cols).astype(np.float32)
             y0 = rng.normal(size=rows).astype(np.float32)
-            p = GemvParams(m=rows, n=cols, lda=cols, alpha=1.5, beta=-0.5)
-            call = bind(q, x, y0.copy(), p)
-            assert call.native is not None
-            plain = bind(QuantizedMatrix(rows, cols, q.codebook, packed, 0.0), x, y0.copy(), p)
-            np.testing.assert_array_equal(call.run(), plain.run())
+            y, y_plain = y0.copy(), y0.copy()
+            prepared = run_step(q, x, y)
+            run_step(QuantizedMatrix(rows, cols, q.codebook, packed, 0.0), x, y_plain)
+            np.testing.assert_array_equal(y, y_plain)
             libc.mprotect(fence, PAGE, mmap.PROT_READ | mmap.PROT_WRITE)
-            del q, call, view
+            # The step keeps the codes array over the mapping alive.
+            del q, prepared, view
             mm.close()
 print("ok")
 """
@@ -251,7 +266,8 @@ def test_kernel_reads_only_inside_the_packed_buffer():
     # read of any byte after it faults.  The control shows that it does; the
     # kernel then runs every width and shape without faulting, and matches
     # the same call on the unfenced bytes.
-    control = run_python(_FENCED.replace("sys.argv[1]", "'control'"))
+    path = os.pathsep.join((SRC, str(Path(__file__).resolve().parent)))  # conftest too
+    control = run_python(_FENCED.replace("sys.argv[1]", "'control'"), PYTHONPATH=path)
     assert control.returncode == -signal.SIGSEGV, control
-    done = run_python(_FENCED.replace("sys.argv[1]", "'kernel'"))
+    done = run_python(_FENCED.replace("sys.argv[1]", "'kernel'"), PYTHONPATH=path)
     assert done.returncode == 0 and done.stdout.strip() == "ok", (done.returncode, done.stderr)

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ LOGIT_RTOL = 1e-5
 
 @contextlib.contextmanager
 def closures_only():
-    """Engines built inside run their step on the closures, with the same packed kernel."""
+    """Engines built inside run every forward on the closures, on numpy."""
     loaded = native.load()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(native, "load", lambda: dataclasses.replace(loaded, step=None))
@@ -381,14 +382,16 @@ def test_checked_gemv_bounds_the_store_of_alpha_and_beta(settings, toy_float_pat
 
 
 @needs_cc
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("settings", [{"dual_check": True}, {"bound_threshold": 1e30}])
 def test_checks_fail_closed_on_non_finite_x(bad, settings, toy_float_path):
+    # Both paths are silent on non-finite data: a numpy warning is an error.
     x = np.random.default_rng(6).normal(size=64).astype(np.float32)
     x[7] = bad
-    for way, (y, stats, (bound, gap, fallback), _) in _axpby_both(
-            toy_float_path, x, **settings).items():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        both = _axpby_both(toy_float_path, x, **settings)
+    for way, (y, stats, (bound, gap, fallback), _) in both.items():
         assert not bound <= 1e30, way
         assert stats.bound_checks == 1 and not stats.max_bound <= 1e30, way
         if "bound_threshold" in settings:  # a bound that is not finite falls back
