@@ -15,10 +15,10 @@ run's speed-up over the reference.  The float kernels do not depend on the
 width and are timed once per shape.  The default shapes are the toy
 model's GEMVs plus 1024x1024.
 
-Without the native runtime (no compiler, or a failed build or load) the
-codes run column times the program's closures, which run the packed gemv
-on numpy; the first line printed names the backend and, for numpy, the
-reason.
+Without a compiled step (no compiler, or a failed build or load) the codes
+run column times the program's closures, which run the packed gemv on
+numpy; the first line printed names the backend a one-gemv program runs
+on and, for numpy, the reason it has no step.
 
     python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 2,3,4,8
 """
@@ -32,7 +32,6 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from quantloop import native
 from quantloop.kernels import (
     GemvParams,
     Layout,
@@ -87,9 +86,11 @@ def main() -> int:
     shapes = [parse_shape(s) for s in args.sizes.split(",")]
     widths = [int(b) for b in args.bits.split(",")]
 
-    status = native.status()
-    print(f"packed gemv backend: {status['backend']}"
-          + (f" ({status['reason']})" if status["reason"] else ""))
+    probe = packed_program(quantize_matrix(rng.standard_normal((2, 8)).astype(np.float32),
+                                           QuantConfig(bit_width=widths[0])),
+                           np.ones(8, np.float32), np.zeros(2, np.float32))
+    print("packed gemv backend: "
+          + ("native" if probe.step is not None else f"numpy ({probe.step_reason})"))
     print(f"{'shape':>10} {'bits':>4} {'naive ms':>10} {'sketch ms':>10} {'opt bind ms':>12} "
           f"{'opt run ms':>11} {'codes bind ms':>14} {'codes run ms':>13} {'opt GFLOP/s':>12} "
           f"{'opt/naive':>10} {'sketch/naive':>13} {'codes/naive':>12}")

@@ -4,9 +4,10 @@
  * operands the interpreter bound and checked; quantloop_step then runs every
  * record in order for one set of param values.  Every pointer and extent in
  * a record comes from a bound, checked numpy array (quantloop.step says which
- * checks each op needs), and the runtime allocates nothing: its only scratch
- * is the table's attention row, one float per position of the longest KV
- * cache, which every attention record reuses for every head.
+ * checks each op needs), and the runtime allocates nothing: its scratch is
+ * the table's attention row, one float per position of the longest KV
+ * cache, which every attention record reuses for every head, and a stack
+ * buffer of decoded codes.
  *
  * Integer arguments that may change per call (embed's token, rope's and
  * attention's pos) are slots into `vals`: the program's params first, then
@@ -14,26 +15,52 @@
  * the extent it indexes, so an out-of-range token or pos writes nothing and
  * returns 1 + the index of the first record that would read out of bounds.
  *
+ * A packed record (a quantized gemv or embed) reads a stream of b-bit codes,
+ * 1 <= b <= 8, packed by quantloop.bitcodec: code e sits at bits
+ * [e*b, (e+1)*b), least-significant bit first, and a rows x cols matrix is
+ * stored row-major, code e = i * cols + k.  Eight consecutive codes starting
+ * at a multiple of 8 fill exactly b whole bytes, so the stream is decoded
+ * one such group at a time, read as a little-endian 64-bit word and split
+ * into fields that are mapped through the codebook's field table
+ * (quantloop.quantizer.Codebook.field_table):
+ *
+ *   b <= 4: a field is 2b bits, a pair of codes lo | hi << b, and the table
+ *           holds 2^(2b) pairs of float32 values (c[lo], c[hi]);
+ *   b > 4:  a field is one b-bit code and the table is the 2^b centroids.
+ *
+ * A field is masked to its width, so every table read is in range.  Reads
+ * stay inside the stream: a group word is read as 8 bytes only when all 8
+ * lie before the record's codes bytes, and otherwise just the bytes that
+ * remain are copied into a zeroed word (the bound tail read).  The stream's
+ * trailing zero guard byte, which quantloop.bitcodec.PackedBuffer
+ * guarantees, is counted in the codes bytes.  Codes past the last one of
+ * the matrix may be decoded from those bytes, but they are never used.
+ * quantloop.step leaves a packed record's field table 0 until the first run,
+ * which points it at the table it builds then.
+ *
  * A packed gemv record may also be checked.  quantloop.step gives each one a
- * check: the matrix's epsilon and largest centroid magnitude, and the same
- * call on its float shadow as a gemv record writing a scratch y (kind 0
- * when there is no shadow).  A table with observations runs every packed
- * record checked: it bounds the call, falls back to the shadow over the
- * threshold or runs both under the dual check, writes (bound, gap,
- * fallback) to the record's row of the observations and adds them to the
- * counters.  Every run adds itself and its gemv records to the counters,
- * whose layout quantloop.runtime.EngineStats shares.
+ * check, in table order: the matrix's epsilon and largest centroid
+ * magnitude, and the same call on its float shadow as a gemv record writing
+ * a scratch y (kind 0 when there is no shadow).  A table with observations
+ * runs every packed gemv record checked: it bounds the call, falls back to
+ * the shadow over the threshold or runs both under the dual check, writes
+ * (bound, gap, fallback) to the record's row of the observations and adds
+ * them to the counters.  Every run adds itself and its gemv records to the
+ * counters, whose layout quantloop.runtime.EngineStats shares.
  *
  * Arithmetic, with each float operation rounded to float32 on its own (build
- * with -ffp-contract=off, never -ffast-math):
+ * with -ffp-contract=off, never -ffast-math, which would fuse or reorder
+ * these operations and break NaN propagation):
  *
- *   dot      products k < n8 = n - n % 8 go to accumulator k % 8 in
- *            increasing k, the accumulators are combined as
+ *   dot      each product w[k] * x[k] is rounded on its own; products
+ *            k < n8 = n - n % 8 go to accumulator k % 8 in increasing k, the
+ *            accumulators are combined as
  *            ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), then the
- *            products n8 <= k < n are added left to right: the order of the
- *            packed kernel in gemv.c;
+ *            products n8 <= k < n are added left to right (accumulate and
+ *            combine); a packed gemv row sums its decoded codes so too;
  *   gemv     y[i] = fl(fl(alpha * s_i) + fl(beta * y[i])), s_i a dot, the
- *            store of every kernel in quantloop.kernels;
+ *            store of every kernel in quantloop.kernels, so beta == 0 still
+ *            propagates a NaN or infinity of the old y;
  *   bound    quantloop.kernels.runtime_bound_check's, operation for operation
  *            in double: a = |alpha|, b = |beta|, u = 2^-24, g = nu / (1 - nu)
  *            for nu = n u < 1 (else inf), L = sum |x[k]| left to right, c the
@@ -71,13 +98,16 @@
 #include <stdint.h>
 #include <string.h>
 
-#include "qgemv.h"
+#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "group words are read as little-endian integers"
+#endif
 
 enum {
     OP_GEMV = 1,  /* p: a, x, y; n: rows, cols, row stride, col stride, incx, incy; f: alpha, beta */
-    OP_QGEMV,     /* p: quantloop_qgemv_args; n: index of its check */
+    OP_QGEMV,     /* p: codes, field table, x, y; n: codes bytes, rows, cols, bits, incx, incy;
+                     f: alpha, beta */
     OP_EMBED,     /* p: dst, table; n: rows, cols, token slot */
-    OP_QEMBED,    /* p: dst, codes, centroids; n: rows, cols, token slot, codes bytes, bits */
+    OP_QEMBED,    /* p: codes, field table, dst; n: codes bytes, rows, cols, bits, token slot */
     OP_RMSNORM,   /* p: dst, src, weight; n: length */
     OP_ROPE,      /* p: q, k, inv_freq (double, length / 2 of them); n: length of q, kv_dim, pos slot */
     OP_ATTENTION, /* p: out, q, k, v, k_cache, v_cache; n: n_heads, n_kv_heads, head_size,
@@ -116,7 +146,7 @@ typedef struct {
 enum { CHECK_THRESHOLD = 1, CHECK_DUAL = 2 };
 
 /* A table: its records, the values their slots index, the attention row,
- * the packed records' checks, the counters and, for a checked run, the
+ * the packed gemv records' checks, the counters and, for a checked run, the
  * observations (bound, gap, fallback per check), the threshold and flags. */
 typedef struct {
     const quantloop_op *ops;
@@ -134,10 +164,14 @@ typedef struct {
 int64_t quantloop_op_size(void) { return (int64_t)sizeof(quantloop_op); }
 int64_t quantloop_check_size(void) { return (int64_t)sizeof(quantloop_check); }
 
-static float dot(const float *a, int64_t inca, const float *b, int64_t incb, int64_t n)
+/* Codes a packed record decodes per step into its stack buffer: a multiple of 8. */
+#define CHUNK 512
+
+/* Add the products a[k] * b[k] for k < n8, a multiple of 8, to acc[k % 8] in
+ * increasing k (strides in elements). */
+static inline void accumulate(float acc[8], const float *a, int64_t inca, const float *b,
+                              int64_t incb, int64_t n8)
 {
-    float acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    const int64_t n8 = n - n % 8;
     if (inca == 1 && incb == 1) {
         for (int64_t k = 0; k < n8; k += 8)
             for (int j = 0; j < 8; j++)
@@ -147,10 +181,24 @@ static float dot(const float *a, int64_t inca, const float *b, int64_t incb, int
             for (int j = 0; j < 8; j++)
                 acc[j] += a[(k + j) * inca] * b[(k + j) * incb];
     }
+}
+
+/* The accumulators' sum, then the `tail` products a[k] * b[k] left to right. */
+static inline float combine(const float acc[8], const float *a, int64_t inca, const float *b,
+                            int64_t incb, int64_t tail)
+{
     float s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for (int64_t k = n8; k < n; k++)
+    for (int64_t k = 0; k < tail; k++)
         s += a[k * inca] * b[k * incb];
     return s;
+}
+
+static float dot(const float *a, int64_t inca, const float *b, int64_t incb, int64_t n)
+{
+    float acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    const int64_t n8 = n - n % 8;
+    accumulate(acc, a, inca, b, incb, n8);
+    return combine(acc, a + n8 * inca, inca, b + n8 * incb, incb, n - n8);
 }
 
 static void gemv(const quantloop_op *o)
@@ -162,6 +210,75 @@ static void gemv(const quantloop_op *o)
     const float alpha = o->f[0], beta = o->f[1];
     for (int64_t i = 0; i < rows; i++) {
         const float s = dot(a + i * rs, cs, x, incx, cols);
+        float *yi = y + i * incy;
+        *yi = alpha * s + beta * *yi;
+    }
+}
+
+/* The group word at byte `at`, reading nothing at or past byte `nbytes`. */
+static inline uint64_t group_word(const uint8_t *codes, int64_t nbytes, int64_t at)
+{
+    uint64_t w = 0;
+    if (at + 8 <= nbytes)
+        memcpy(&w, codes + at, 8);
+    else
+        memcpy(&w, codes + at, (size_t)(nbytes - at));
+    return w;
+}
+
+/* Decode the groups of packed record `o` holding codes e .. e + len - 1 into
+ * `buf`, which holds len + 16 values; returns the position of code e in it. */
+static inline const float *decode(const quantloop_op *o, int64_t e, int64_t len, float *buf)
+{
+    const uint8_t *codes = o->p[0];
+    const int64_t nbytes = o->n[0];
+    const int b = (int)o->n[3];
+    const int64_t g0 = e >> 3, g1 = (e + len - 1) >> 3;
+    float *out = buf;
+    if (b <= 4) {
+        const int f = 2 * b;
+        const uint64_t mask = (UINT64_C(1) << f) - 1;
+        const unsigned char *pairs = o->p[1];
+        for (int64_t g = g0; g <= g1; g++, out += 8) {
+            const uint64_t w = group_word(codes, nbytes, g * b);
+            memcpy(out + 0, pairs + 8 * (w & mask), 8);
+            memcpy(out + 2, pairs + 8 * ((w >> f) & mask), 8);
+            memcpy(out + 4, pairs + 8 * ((w >> 2 * f) & mask), 8);
+            memcpy(out + 6, pairs + 8 * ((w >> 3 * f) & mask), 8);
+        }
+    } else {
+        const uint64_t mask = (UINT64_C(1) << b) - 1;
+        const float *c = o->p[1];
+        for (int64_t g = g0; g <= g1; g++, out += 8) {
+            const uint64_t w = group_word(codes, nbytes, g * b);
+            for (int m = 0; m < 8; m++)
+                out[m] = c[(w >> (b * m)) & mask];
+        }
+    }
+    return buf + (e - 8 * g0);
+}
+
+static void qgemv(const quantloop_op *o)
+{
+    float buf[CHUNK + 16];
+    const float *x = o->p[2];
+    float *y = o->p[3];
+    const int64_t rows = o->n[1], cols = o->n[2], incx = o->n[4], incy = o->n[5];
+    const int64_t n8 = cols - cols % 8;
+    const float alpha = o->f[0], beta = o->f[1];
+    for (int64_t i = 0; i < rows; i++) {
+        float acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+        const float *w = buf;
+        int64_t k = 0;
+        for (; k < cols; k += CHUNK) {
+            const int64_t len = cols - k < CHUNK ? cols - k : CHUNK;
+            const int64_t full = n8 - k < len ? n8 - k : len;
+            w = decode(o, i * cols + k, len, buf);
+            accumulate(acc, w, 1, x + k * incx, incx, full);
+        }
+        /* The tail lies in the last chunk, which `w` still holds. */
+        const int64_t last = k - CHUNK;
+        const float s = combine(acc, w + (n8 - last), 1, x + n8 * incx, incx, cols - n8);
         float *yi = y + i * incy;
         *yi = alpha * s + beta * *yi;
     }
@@ -179,39 +296,40 @@ static void copy(float *dst, const float *src, int64_t n, int64_t inc)
         dst[i * inc] = src[i * inc];
 }
 
-/* runtime_bound_check's float32 bound on the call, before it stores. */
-static double bound(const quantloop_qgemv_args *q, const quantloop_check *c)
+/* runtime_bound_check's float32 bound on packed gemv record `o`, before it stores. */
+static double bound(const quantloop_op *o, const quantloop_check *c)
 {
-    const int64_t n = q->cols;
+    const float *x = o->p[2], *y = o->p[3];
+    const int64_t rows = o->n[1], n = o->n[2], incx = o->n[4], incy = o->n[5];
     const double u = 0x1p-24, nu = (double)n * u, g = nu < 1.0 ? nu / (1.0 - nu) : INFINITY;
-    const double a = fabs((double)q->alpha), b = fabs((double)q->beta);
+    const double a = fabs((double)o->f[0]), b = fabs((double)o->f[1]);
     const double eps = c->epsilon, cm = c->max_abs;
     double l1 = 0.0;
     for (int64_t k = 0; k < n; k++)
-        l1 += fabs((double)q->x[k * q->incx]);
+        l1 += fabs((double)x[k * incx]);
     double r = a * (eps + g * (2.0 * cm + eps)) * l1;
     if (a != 1.0 || b != 0.0) {
         double y_max = 0.0;
         if (b != 0.0)
-            for (int64_t i = 0; i < q->rows; i++)
-                y_max = nanmax(y_max, fabs((double)q->y[i * q->incy]));
+            for (int64_t i = 0; i < rows; i++)
+                y_max = nanmax(y_max, fabs((double)y[i * incy]));
         r += (2 * u + u * u) * a * (1.0 + g) * (2.0 * cm + eps) * l1;
         r += 2 * u * (1.0 + u) * b * y_max;
     }
     return nextafter(r * (1.0 + (double)(n + 16) * 0x1p-52), INFINITY);
 }
 
-static void checked_qgemv(const quantloop_op *o, const quantloop_table *t)
+/* Packed gemv record `o`, the table's `at`-th, run under check `at`. */
+static void checked_qgemv(const quantloop_op *o, const quantloop_table *t, int64_t at)
 {
-    const quantloop_qgemv_args *q = o->p[0];
-    const quantloop_check *c = t->checks + o->n[0];
+    const quantloop_check *c = t->checks + at;
     const quantloop_op *f = &c->shadow;
     quantloop_counts *counts = t->counts;
-    double *obs = t->obs + 3 * o->n[0];
-    float *y = q->y, *s = f->p[2];
-    const int64_t rows = q->rows, inc = q->incy;
+    double *obs = t->obs + 3 * at;
+    float *y = o->p[3], *s = f->p[2];
+    const int64_t rows = o->n[1], inc = o->n[5];
     const int shadowed = f->kind == OP_GEMV;
-    const double b = bound(q, c);
+    const double b = bound(o, c);
     const int fallback = shadowed && (t->flags & CHECK_THRESHOLD) && !(b <= t->threshold);
     double gap = 0.0;
     if (fallback) {
@@ -220,14 +338,14 @@ static void checked_qgemv(const quantloop_op *o, const quantloop_table *t)
         copy(y, s, rows, inc);
     } else if (shadowed && (t->flags & CHECK_DUAL)) {
         copy(s, y, rows, inc);
-        quantloop_qgemv(q);
+        qgemv(o);
         gemv(f);
         for (int64_t i = 0; i < rows; i++)
             gap = nanmax(gap, fabs((double)y[i * inc] - (double)s[i * inc]));
         counts->bound_violations += !(gap <= b);
         counts->max_dual_diff = nanmax(counts->max_dual_diff, gap);
     } else {
-        quantloop_qgemv(q);
+        qgemv(o);
     }
     counts->bound_checks++;
     counts->fallback_calls += fallback;
@@ -239,20 +357,12 @@ static void checked_qgemv(const quantloop_op *o, const quantloop_table *t)
 
 static void qembed(const quantloop_op *o, int64_t token)
 {
-    float *dst = o->p[0];
-    const uint8_t *codes = o->p[1];
-    const float *c = o->p[2];
-    const int64_t cols = o->n[1], nbytes = o->n[3];
-    const int b = (int)o->n[4];
-    const unsigned mask = (1u << b) - 1;
-    /* A code of b <= 8 bits spans at most two bytes; the second is read
-     * only when it lies inside the buffer. */
-    for (int64_t k = 0; k < cols; k++) {
-        const int64_t bit = (token * cols + k) * b, at = bit >> 3;
-        unsigned v = codes[at];
-        if (at + 1 < nbytes)
-            v |= (unsigned)codes[at + 1] << 8;
-        dst[k] = c[(v >> (bit & 7)) & mask];
+    float buf[CHUNK + 16];
+    float *dst = o->p[2];
+    const int64_t cols = o->n[2];
+    for (int64_t k = 0; k < cols; k += CHUNK) {
+        const int64_t len = cols - k < CHUNK ? cols - k : CHUNK;
+        memcpy(dst + k, decode(o, token * cols + k, len, buf), (size_t)len * sizeof(float));
     }
 }
 
@@ -347,8 +457,9 @@ static int out_of_range(const quantloop_op *o, const int64_t *vals)
 {
     switch (o->kind) {
     case OP_EMBED:
-    case OP_QEMBED:
         return vals[o->n[2]] < 0 || vals[o->n[2]] >= o->n[0];
+    case OP_QEMBED:
+        return vals[o->n[4]] < 0 || vals[o->n[4]] >= o->n[1];
     case OP_ATTENTION:
         return vals[o->n[3]] < 0 || vals[o->n[3]] >= o->n[4];
     default:
@@ -360,6 +471,7 @@ int64_t quantloop_step(const quantloop_table *table)
 {
     const quantloop_op *ops = table->ops;
     const int64_t n_ops = table->n_ops, *vals = table->vals;
+    int64_t packed = 0; /* packed gemv records so far: the index of the next one's check */
     for (int64_t i = 0; i < n_ops; i++)
         if (out_of_range(ops + i, vals))
             return i + 1;
@@ -372,9 +484,10 @@ int64_t quantloop_step(const quantloop_table *table)
             break;
         case OP_QGEMV:
             if (table->obs)
-                checked_qgemv(o, table);
+                checked_qgemv(o, table, packed);
             else
-                quantloop_qgemv(o->p[0]);
+                qgemv(o);
+            packed++;
             table->counts->gemv_calls++;
             table->counts->quantized_gemv_calls++;
             break;
@@ -383,7 +496,7 @@ int64_t quantloop_step(const quantloop_table *table)
                    (size_t)o->n[1] * sizeof(float));
             break;
         case OP_QEMBED:
-            qembed(o, vals[o->n[2]]);
+            qembed(o, vals[o->n[4]]);
             break;
         case OP_RMSNORM:
             rmsnorm(o);

@@ -13,9 +13,10 @@ emit it, the ``.ditq`` record size counts it, and :class:`PackedBuffer`
 refuses a buffer too short to hold it (:class:`MalformedBuffer`), so a
 stream cut at the end of its payload is refused when it is made.
 :func:`unpack_slice` reads only the payload bytes that hold the requested
-codes.  The compiled packed GEMV (``quantloop/_native/gemv.c``) reads each
-group of 8 codes, ``bit_width`` whole bytes, as one 8-byte little-endian
-word, so a word can run past its group.  The C side trusts only these
+codes.  The compiled step's packed records, the GEMV and the embed
+(``quantloop/_native/step.c``), read each group of 8 codes, ``bit_width``
+whole bytes, as one 8-byte little-endian word, so a word can run past its
+group.  The C side trusts only these
 guarantees: a word is read whole only when all 8 of its bytes lie inside
 the buffer, and otherwise a bound tail read copies just the bytes left
 before its end, among them the guard byte, into a zeroed word.

@@ -2,13 +2,11 @@
 
 Subcommands: quantize, optimize, run, verify, bench, inspect.  All
 machine-readable output is JSON on stdout; diagnostics go to stderr.
-``bench`` and ``inspect`` on a checkpoint report which backend runs the
-packed GEMV (``"packed_gemv": {"backend": "native" | "numpy", "reason":
-...}``): ``native`` when the runtime's compiled step loaded, the one place
-the compiled kernel runs, and ``numpy`` with the reason it did not.
-``bench`` and ``verify`` also report whether their forwards ran the
-compiled step (``"step": {"backend": "native" | "closures", "reason": ...,
-"native_forwards": n}``).
+``bench`` and ``verify`` report whether their forwards ran the compiled
+step, the one place the compiled kernels run (``"step": {"backend":
+"native" | "closures", "reason": ..., "native_forwards": n}``).
+``inspect`` only reads the file: it never builds or loads the native
+runtime.
 
 Exit codes: 0 success; 1 a check failed (bound violation, regression);
 2 usage, I/O, or format errors.  The subcommands raise; `main` is the one
@@ -24,7 +22,6 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import native
 from .gemvpass import run_gemv_pass
 from .loopir.textio import ParseError, parse_program, print_program
 from .loopir.validate import validate
@@ -179,7 +176,6 @@ def cmd_bench(args) -> int:
         "mode": args.mode,
         "checkpoint": args.checkpoint,
         "steps": args.steps,
-        "packed_gemv": native.status(),
         "step": engine.step_status(),
     })
     return 0
@@ -221,7 +217,6 @@ def cmd_inspect(args) -> int:
         "config": asdict(config),
         "parameters": param_count(config),
         "tensors": tensor_rows,
-        "packed_gemv": native.status(),
     })
     return 0
 

@@ -29,7 +29,7 @@ stores its product.
   below, not bit for bit.
 
 This module is numpy throughout and never loads the native runtime: the
-compiled packed kernel (``_native/gemv.c``) runs only inside a program's
+compiled packed kernel (``_native/step.c``) runs only inside a program's
 compiled step (:mod:`quantloop.step`), and these kernels are its oracle.
 
 The tiled paths keep extra memory at O(tile), :data:`SKETCH_TILE_CODES`

@@ -1,12 +1,12 @@
 """The native runtime: built once, cached on disk, loaded once per process.
 
-``_native/`` holds the step runtime that walks a prepared program's op
-records (``step.c``) and the packed GEMV kernel its packed gemv records run
-(``gemv.c``).  The C compiler on PATH (``cc``) builds both into one shared
-library, whose one entry point, ``quantloop_step``, is called through
-:mod:`ctypes`; no package is needed.  :mod:`quantloop.step` fills the
-records and makes that call, and it is the only module that hands C a
-pointer: everything else, the interpreter's closures included, runs numpy.
+``_native/step.c`` is the step runtime that walks a prepared program's op
+records, the packed GEMV and the quantized embed among them.  The C
+compiler on PATH (``cc``) builds it into a shared library, whose one entry
+point, ``quantloop_step``, is called through :mod:`ctypes`; no package is
+needed.  :mod:`quantloop.step` fills the records and makes that call, and
+it is the only module that hands C a pointer: everything else, the
+interpreter's closures included, runs numpy.
 
 * The flags are :data:`FLAGS`: ``-ffp-contract=off`` keeps every product and
   sum its own float32 rounding, and ``-ffast-math``, which would reorder
@@ -14,15 +14,14 @@ pointer: everything else, the interpreter's closures included, runs numpy.
   ``-march=native``, so a cached library runs on any host of its
   architecture.
 * The library is cached as ``$XDG_CACHE_HOME/quantloop/quantloop-<sha256>.so``
-  (``~/.cache`` by default), named by one hash of every source, the flags and
+  (``~/.cache`` by default), named by one hash of the source, the flags and
   ``cc --version``.  It is written to a temporary file and renamed into
   place, so a reader never sees half a file.  A cached file that does not
   load is rebuilt.  If the cache cannot be written, the library is built
   in a temporary directory of this process.
 * :func:`load` does this on first use, not at import, and never raises:
   without a compiler, or when the build or the load fails, it holds no
-  step, :func:`status` says why, and programs run on the interpreter's
-  closures.
+  step and the reason, and programs run on the interpreter's closures.
 """
 
 from __future__ import annotations
@@ -40,35 +39,15 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CHECK", "Counts", "FLAGS", "GemvArgs", "Native", "OP_RECORD", "Op", "TABLE",
-           "address", "load", "status"]
+__all__ = ["CHECK", "Counts", "FLAGS", "Native", "OP_RECORD", "Op", "TABLE", "address", "load"]
 
 _DIR = Path(__file__).with_name("_native")
-#: Every file the library is built from; the cache key hashes them all.
-SOURCES = (_DIR / "qgemv.h", _DIR / "gemv.c", _DIR / "step.c")
+#: The one file the library is built from; the cache key hashes it.
+SOURCE = _DIR / "step.c"
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 #: Seconds a compiler call may take before it is killed.
 CC_TIMEOUT_S = 120
-
-
-class GemvArgs(ctypes.Structure):
-    """``quantloop_qgemv_args`` in ``qgemv.h``: one packed gemv record's operands."""
-
-    _fields_ = [
-        ("codes", ctypes.c_void_p),
-        ("table", ctypes.c_void_p),
-        ("x", ctypes.c_void_p),
-        ("y", ctypes.c_void_p),
-        ("codes_bytes", ctypes.c_int64),
-        ("rows", ctypes.c_int64),
-        ("cols", ctypes.c_int64),
-        ("incx", ctypes.c_int64),
-        ("incy", ctypes.c_int64),
-        ("bits", ctypes.c_int32),
-        ("alpha", ctypes.c_float),
-        ("beta", ctypes.c_float),
-    ]
 
 
 class Op:
@@ -136,8 +115,7 @@ def _compile(cc: str, directory: Path, name: str) -> Path:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.close(fd)
     try:
-        sources = [str(p) for p in SOURCES if p.suffix == ".c"]
-        done = subprocess.run([cc, *FLAGS, "-o", tmp, *sources, *LIBS], capture_output=True,
+        done = subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE), *LIBS], capture_output=True,
                               text=True, timeout=CC_TIMEOUT_S)
         if done.returncode != 0:
             raise _BuildFailed(f"{cc} exited {done.returncode}: {done.stderr.strip()[-400:]}")
@@ -175,7 +153,7 @@ def load() -> Native:
         version = subprocess.run([cc, "--version"], capture_output=True, check=True,
                                  timeout=CC_TIMEOUT_S).stdout
         key = hashlib.sha256()
-        for part in (*(p.read_bytes() for p in SOURCES), " ".join(FLAGS + LIBS).encode(), version):
+        for part in (SOURCE.read_bytes(), " ".join(FLAGS + LIBS).encode(), version):
             key.update(part)
         name = f"quantloop-{key.hexdigest()}.so"
         cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "quantloop"
@@ -194,13 +172,3 @@ def load() -> Native:
         return Native(reason=str(exc))
     except (OSError, subprocess.SubprocessError) as exc:
         return Native(reason=f"{type(exc).__name__}: {exc}")
-
-
-def status() -> dict:
-    """``{"backend": "native" | "numpy", "reason": ...}``: whether the runtime's step loaded.
-
-    Packed gemv calls run compiled only inside a compiled step; without one
-    they run on numpy.
-    """
-    native = load()
-    return {"backend": "numpy" if native.step is None else "native", "reason": native.reason}

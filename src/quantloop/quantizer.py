@@ -86,12 +86,12 @@ class Codebook:
     def field_table(self) -> np.ndarray:
         """The centroids of each field of the packed codes, built on first use.
 
-        The codes-domain GEMV maps each field through it.  Up to 4 bits a
-        field is a pair of codes ``lo | hi << bit_width`` and its entry is
-        ``(c[lo], c[hi])`` read as one int64 (64 entries, 512 bytes, at 3
-        bits); above 4 bits a field is one code and the table is the
-        centroids.  A codebook that no GEMV reads, such as the embedding
-        table's, never builds one.
+        The codes-domain GEMV and the quantized embed map each field through
+        it.  Up to 4 bits a field is a pair of codes ``lo | hi << bit_width``
+        and its entry is ``(c[lo], c[hi])`` read as one int64 (64 entries,
+        512 bytes, at 3 bits); above 4 bits a field is one code and the
+        table is the centroids.  A codebook whose matrix no compiled step
+        reads never builds one.
         """
         c = self.centroids
         if self.bit_width > 4:

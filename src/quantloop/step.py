@@ -27,20 +27,22 @@ them against the extents they index before it writes anything, and a
 :class:`Step` call then returns nonzero, for the caller to run the closures
 instead.
 
-A packed gemv's record points at the operands of ``_native/gemv.c``, a
-:class:`~quantloop.native.GemvArgs` built here from the bound call with
-the checks a dense gemv's record gets; this is the only way the packed
-kernel is reached, and the closures run numpy's instead.  The record also
-has a check: the matrix's epsilon and largest centroid magnitude, and,
-when the caller bound one, the call on its float shadow as a dense gemv
-record.  A checked run uses it to apply the engine's per-call policy in C
-(the bound, the fallback over a threshold, the dual check), as
-:class:`Step` describes.
+A packed gemv's record holds its operands like every other record: the
+packed bytes, whose length bounds every read of them, the codebook's field
+table, and the two vectors, with the checks a dense gemv's record gets.
+The step is the only way the packed kernel is reached; the closures run
+numpy's instead.  A quantized embed's record reads its row through the same
+decoder.  Each packed gemv record also has a check, in table order: the
+matrix's epsilon and largest centroid magnitude, and, when the caller
+bound one, the call on its float shadow as a dense gemv record.  A checked
+run uses it to apply the engine's per-call policy in C (the bound, the
+fallback over a threshold, the dual check), as :class:`Step` describes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import struct
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -95,25 +97,25 @@ class NoOp(Exception):
 class Step:
     """One prepared program's op table, walked by one native call.
 
-    Holds every array and struct the records point into.  ``calls`` holds
-    the bound :class:`~quantloop.kernels.GemvCall` of each gemv record in
-    program order, and ``observations`` one row per packed one among them:
-    what its check measured in the last checked run, ``(bound, gap,
-    fallback)``.  Each run adds itself and its gemv records to the
-    counters :meth:`count_into` names.  `packed` pairs each packed
-    record's :class:`~quantloop.native.GemvArgs` with its codebook, whose
-    field table the first call builds and points the struct at, so the
-    tables are not resident while the program is still being bound.
+    Holds every array the records point into.  ``calls`` holds the bound
+    :class:`~quantloop.kernels.GemvCall` of each gemv record in program
+    order, and ``observations`` one row per packed one among them: what its
+    check measured in the last checked run, ``(bound, gap, fallback)``.
+    Each run adds itself and its gemv records to the counters
+    :meth:`count_into` names.  `unbuilt` pairs the index of each packed
+    record (gemv or embed) with its codebook, whose field table the first
+    call builds and writes into the record, so the tables are not resident
+    while the program is still being bound.
     """
 
-    def __init__(self, records, values, n_params, scratch, checks, keep, calls, packed):
+    def __init__(self, records, values, n_params, scratch, checks, keep, calls, unbuilt):
         self._values = values
         self.calls = calls
         self.observations = np.zeros((len(checks) // CHECK.size, 3))
         self._n_params = n_params
-        self._keep = (records, scratch, checks, keep)
-        self._packed = packed
-        self._unbuilt = bool(packed)
+        self._records = records
+        self._keep = (scratch, checks, keep)
+        self._unbuilt = unbuilt
         self._run = native.load().step
         self._base = (native.address(records), len(records) // OP_RECORD.size,
                       native.address(values), native.address(scratch), native.address(checks))
@@ -145,9 +147,10 @@ class Step:
         handler's error.
         """
         if self._unbuilt:
-            for args, codebook in self._packed:
-                args.table = native.address(codebook.field_table)
-            self._unbuilt = False
+            for i, codebook in self._unbuilt:
+                _POINTER.pack_into(self._records, i * OP_RECORD.size + FIELD_TABLE,
+                                   native.address(codebook.field_table))
+            self._unbuilt = ()
         values, slot = self._values, 0
         while slot < self._n_params:  # no iterator object: the call allocates nothing
             values[slot] = params[slot]
@@ -156,6 +159,9 @@ class Step:
 
 
 _ZEROS = (0,) * 6
+_POINTER = struct.Struct("<Q")
+#: Where a packed record holds its field table: after the kind and the codes.
+FIELD_TABLE = struct.calcsize("<qQ")
 
 
 def _record(kind: int, p: tuple, n: tuple = (), f: tuple = (0.0, 0.0)) -> tuple:
@@ -202,9 +208,10 @@ class _Builder:
         self.arrays: list[np.ndarray] = []  # every array :meth:`span` looked up
         self._spans: dict[int, tuple[int, int]] = {}
         self.keep: list = [self.arrays]
+        self.index = 0  # the index of the record being built
         self.calls: list = []  # every gemv record's call
-        self.packed: list = []  # every packed record's (GemvArgs, Codebook)
-        self.checks: list = []  # every packed record's check, as CHECK fields
+        self.unbuilt: list = []  # every packed record's (index, Codebook)
+        self.checks: list = []  # every packed gemv record's check, as CHECK fields
         self.scratch_len = 0  # the longest KV cache an attention record reads
 
     def span(self, a: np.ndarray) -> tuple[int, int]:
@@ -262,24 +269,26 @@ class _Builder:
         return (Op.GEMV, a0, x0, y0, 0, 0, 0, rows, cols, rs // 4, cs // 4,
                 call.x_eff.strides[0] // 4, call.y_eff.strides[0] // 4, p.alpha32, p.beta32)
 
-    def packed_gemv(self, call) -> tuple:
-        """The record of a gemv call on packed codes, its struct and its check.
+    def packed(self, q: QuantizedMatrix, codes: np.ndarray) -> tuple:
+        """A packed record's leading fields: `q`'s codes and field table, and
+        the codes' bytes, rows, cols and code width.
 
-        The struct points into the packed bytes, whose length bounds every
-        read of them, and at the two vectors; :class:`Step` fills in its
-        field table on the first run.
+        The field table is 0 until :class:`Step`'s first run writes it.
         """
+        self.unbuilt.append((self.index, q.codebook))
+        return (self.span(codes)[0], 0), (codes.size, q.rows, q.cols, q.codebook.bit_width)
+
+    def packed_gemv(self, call) -> tuple:
+        """The record of a gemv call on packed codes, and its check."""
         q, p = call.a, call.params
         codes = np.frombuffer(q.indices.data, np.uint8)
-        c0, x0, y0 = self.operands(call, codes)
-        args = native.GemvArgs(codes=c0, x=x0, y=y0, codes_bytes=codes.size, rows=q.rows,
-                               cols=q.cols, incx=call.x_eff.strides[0] // 4,
-                               incy=call.y_eff.strides[0] // 4, bits=q.codebook.bit_width,
-                               alpha=float(p.alpha32), beta=float(p.beta32))
-        self.packed.append((args, q.codebook))
+        _, x0, y0 = self.operands(call, codes)
+        lead_p, lead_n = self.packed(q, codes)
         shadow = _record(0, ()) if call.shadow is None else self.dense(call.shadow)
         self.checks.append((float(q.epsilon), q.codebook.max_abs, *shadow))
-        return _record(Op.QGEMV, (ctypes.addressof(args),), (len(self.checks) - 1,))
+        return _record(Op.QGEMV, (*lead_p, x0, y0),
+                       (*lead_n, call.x_eff.strides[0] // 4, call.y_eff.strides[0] // 4),
+                       (p.alpha32, p.beta32))
 
     def embed(self, site: Site) -> tuple:
         dst, table = _vector(site.args[0], "embed dst", writes=True), site.args[1]
@@ -287,12 +296,8 @@ class _Builder:
         if isinstance(table, QuantizedMatrix):
             if table.cols != dst.size:
                 raise NoOp("embed table rows do not fit dst")
-            codes = np.frombuffer(table.indices.data, np.uint8)
-            return _record(
-                Op.QEMBED,
-                (self.span(dst)[0], self.span(codes)[0], self.span(table.codebook.centroids)[0]),
-                (table.rows, table.cols, token, codes.size, table.codebook.bit_width),
-            )
+            lead_p, lead_n = self.packed(table, np.frombuffer(table.indices.data, np.uint8))
+            return _record(Op.QEMBED, (*lead_p, self.span(dst)[0]), (*lead_n, token))
         _vector(table, "embed table", ndim=2)
         if table.shape[1] != dst.size:
             raise NoOp("embed table rows do not fit dst")
@@ -387,6 +392,7 @@ def build(statements, sites: Mapping[int, Site], params: tuple,
             make = _Builder.MAKE.get(op)
         if make is None:
             raise NoStep(f"statement {i} ({stmt.name}) has a handler that is not quantloop's own")
+        b.index = i
         try:
             OP_RECORD.pack_into(table, i * OP_RECORD.size, *make(b, site))
         except NoOp as exc:
@@ -397,4 +403,5 @@ def build(statements, sites: Mapping[int, Site], params: tuple,
     checks = np.empty(len(b.checks) * CHECK.size, np.uint8)
     for i, fields in enumerate(b.checks):
         CHECK.pack_into(checks, i * CHECK.size, *fields)
-    return Step(table, values, len(params), scratch, checks, b.keep, tuple(b.calls), b.packed)
+    return Step(table, values, len(params), scratch, checks, b.keep, tuple(b.calls),
+                tuple(b.unbuilt))

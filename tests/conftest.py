@@ -41,22 +41,38 @@ def numpy_fallback(monkeypatch):
     monkeypatch.setattr(native, "load", lambda: native.Native(reason="unavailable under test"))
 
 
-def packed_step(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, alpha=1.0, beta=0.0,
-                incx=1, incy=1) -> Prepared:
-    """``y = alpha * (q @ x) + beta * y`` as a program of one ``gemv``, prepared with its step.
+def gemv_step(a, x: np.ndarray, y: np.ndarray, alpha=1.0, beta=0.0, incx=1,
+              incy=1) -> Prepared:
+    """``y = alpha * (a @ x) + beta * y`` as a program of one ``gemv``, prepared with its step.
 
-    The compiled step is the only way to run the packed kernel: ``step(())``
-    runs it once on the bound `x` and `y`, whose lengths are the program's
-    buffers, and ``run()`` runs the closures on numpy.
+    `a` is a :class:`QuantizedMatrix` (a packed record) or a 2-D float32
+    array (a dense one).  The compiled step is the only way to run the
+    packed kernel: ``step(())`` runs it once on the bound `x` and `y`, whose
+    lengths are the program's buffers, and ``run()`` runs the closures on
+    numpy.
     """
-    call = IntrinsicCall("gemv", ("RM", "NT", q.rows, q.cols, alpha, "A", q.cols, "x", incx,
+    rows, cols = (a.rows, a.cols) if isinstance(a, QuantizedMatrix) else a.shape
+    call = IntrinsicCall("gemv", ("RM", "NT", rows, cols, alpha, "A", cols, "x", incx,
                                   beta, "y", incy))
     program = LoopProgram(
-        buffers=(BufferDecl("A", (q.rows, q.cols)), BufferDecl("x", (x.size,)),
+        buffers=(BufferDecl("A", (rows, cols)), BufferDecl("x", (x.size,)),
                  BufferDecl("y", (y.size,))),
         functions=(Function("f", (call,)),),
     )
-    return Prepared(program, {"A": q, "x": x, "y": y}, compiled_ops=COMPILED_OPS)
+    return Prepared(program, {"A": a, "x": x, "y": y}, compiled_ops=COMPILED_OPS)
+
+
+def embed_step(table: QuantizedMatrix, dst: np.ndarray) -> Prepared:
+    """``dst = table[token]`` as a program of one ``embed``, prepared with its step.
+
+    ``step((token,))`` runs the quantized embed record for `token`.
+    """
+    program = LoopProgram(
+        buffers=(BufferDecl("T", (table.rows, table.cols)), BufferDecl("dst", (dst.size,))),
+        params=("token",),
+        functions=(Function("f", (IntrinsicCall("embed", ("dst", "T", "token")),)),),
+    )
+    return Prepared(program, {"T": table, "dst": dst, "token": 0}, compiled_ops=COMPILED_OPS)
 
 
 @pytest.fixture(scope="session")

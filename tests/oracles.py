@@ -49,7 +49,8 @@ def unpack_bits_reference(data: bytes, count: int, bit_width: int):
 def native_order_sums(w, x):
     """Row sums of ``w @ x`` in the order of the compiled packed kernel.
 
-    Written from the order ``_native/gemv.c`` documents, in float32 numpy:
+    Written from the order ``_native/step.c`` documents for every dot
+    product, dense or packed, in float32 numpy:
     every product rounded on its own; products ``k < n8 = n - n % 8`` added
     to accumulator ``k % 8`` in increasing k; the accumulators combined as
     ``((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))``; then the

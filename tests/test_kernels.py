@@ -38,12 +38,12 @@ from conftest import (
     assert_elementwise_close,
     gemv_scale,
     needs_cc,
-    packed_step,
+    gemv_step,
     random_quantized,
 )
 from oracles import gemv_reference, native_order_sums
 
-#: Codes the compiled kernel decodes per step (``CHUNK`` in ``_native/gemv.c``).
+#: Codes the compiled kernel decodes per step (``CHUNK`` in ``_native/step.c``).
 NATIVE_CHUNK = 512
 
 
@@ -551,20 +551,57 @@ def test_native_kernel_sums_in_its_documented_order_property(
     bit_width, rows, cols, incx, incy, alpha, beta, seed
 ):
     # The compiled kernel, run as a one-gemv compiled step, against a numpy
-    # emulation of the order gemv.c documents, bit for bit, on strided
+    # emulation of the order step.c documents, bit for bit, on strided
     # vectors; the elements between y's strided ones stay as they were.
     rng = np.random.default_rng(seed)
     q = random_quantized(rng, rows, cols, bit_width)
     x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
     y0 = rng.normal(size=(rows - 1) * incy + 1).astype(np.float32)
     y = y0.copy()
-    prepared = packed_step(q, x, y, alpha, beta, incx, incy)
+    prepared = gemv_step(q, x, y, alpha, beta, incx, incy)
     assert prepared.step is not None, prepared.step_reason
     assert prepared.step(()) == 0
     s = native_order_sums(dequantize(q), x[::incx])
     expect = y0.copy()
     expect[::incy] = np.float32(alpha) * s + np.float32(beta) * y0[::incy]
     np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32))
+
+
+@needs_cc
+@settings(max_examples=40, deadline=None)
+@given(
+    bit_width=st.integers(1, 8),
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 2 * NATIVE_CHUNK + 13),
+    incx=st.integers(1, 3),
+    incy=st.integers(1, 3),
+    alpha=st.sampled_from([1.0, -0.5, 3.0]),
+    beta=st.sampled_from([0.0, 1.0, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(bit_width=3, rows=3, cols=NATIVE_CHUNK + 13, incx=3, incy=2, alpha=-0.5, beta=0.25,
+         seed=2)
+def test_dense_gemv_record_sums_in_the_packed_kernels_order_property(
+    bit_width, rows, cols, incx, incy, alpha, beta, seed
+):
+    # The dense record sums as the packed one does, bit for bit, so a
+    # quantized matrix and its dequantized copy give the same y through the
+    # compiled step.
+    rng = np.random.default_rng(seed)
+    q = random_quantized(rng, rows, cols, bit_width)
+    dense = dequantize(q)
+    x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
+    y0 = rng.normal(size=(rows - 1) * incy + 1).astype(np.float32)
+    expect = y0.copy()
+    s = native_order_sums(dense, x[::incx])
+    expect[::incy] = np.float32(alpha) * s + np.float32(beta) * y0[::incy]
+    for a in (dense, q):
+        y = y0.copy()
+        prepared = gemv_step(a, x, y, alpha, beta, incx, incy)
+        assert prepared.step is not None, prepared.step_reason
+        assert prepared.step(()) == 0
+        np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32),
+                                      err_msg=type(a).__name__)
 
 
 def test_codes_other_layouts_share_the_sketch_fallback():
@@ -729,12 +766,12 @@ def test_store_matches_the_formula_bit_for_bit(alpha, beta):
     p = params(m=m, n=n, alpha=alpha, beta=beta, incx=incx, incy=incy)
     x_eff, y_eff0 = x[::incx], y0[::incy]
     # A packed gemv_opt reduces each tile with one matmul; the compiled
-    # step's packed kernel sums in the order gemv.c documents.
+    # step's packed kernel sums in the order step.c documents.
     tile = SKETCH_TILE_CODES // n
     ordered = np.cumsum(dense * x_eff, axis=1)[:, -1]
 
     def compiled(a, x, y, p):
-        prepared = packed_step(a, x, y, p.alpha, p.beta, p.incx, p.incy)
+        prepared = gemv_step(a, x, y, p.alpha, p.beta, p.incx, p.incy)
         assert prepared.step(()) == 0, prepared.step_reason
 
     sums = {

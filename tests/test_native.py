@@ -1,13 +1,15 @@
-"""The native library and its packed GEMV: the build cache, the fallback, the reads.
+"""The native library and its packed records: the build cache, the fallback, the reads.
 
-The packed kernel runs only inside a compiled step, so its tests run it as a
-program of one ``gemv`` (``conftest.packed_step``).
+The packed GEMV and the quantized embed run only inside a compiled step, so
+their tests run them as a program of one ``gemv`` or ``embed``
+(``conftest.gemv_step``, ``conftest.embed_step``).
 """
 
 import json
 import os
 import signal
 import stat
+import struct
 import subprocess
 import sys
 import textwrap
@@ -18,11 +20,13 @@ import numpy as np
 import pytest
 
 from quantloop import native
+from quantloop.bitcodec import unpack_slice
 from quantloop.cli import main
 from quantloop.quantizer import dequantize
 from quantloop.runtime import Engine
+from quantloop.step import FIELD_TABLE
 
-from conftest import needs_cc, packed_step, random_quantized
+from conftest import embed_step, gemv_step, needs_cc, random_quantized
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -55,10 +59,10 @@ def run_python(code: str, **env) -> subprocess.CompletedProcess:
 
 def test_no_compiler_on_path_reports_the_fallback(fresh_loader, monkeypatch):
     monkeypatch.setenv("PATH", str(fresh_loader))
-    assert native.status() == {"backend": "numpy", "reason": "no C compiler (cc) on PATH"}
+    assert native.load() == native.Native(reason="no C compiler (cc) on PATH")
     q = random_quantized(np.random.default_rng(1), 3, 5, 3)
     y = np.zeros(3, np.float32)
-    prepared = packed_step(q, np.ones(5, np.float32), y)
+    prepared = gemv_step(q, np.ones(5, np.float32), y)
     assert prepared.step_reason == "no native runtime: no C compiler (cc) on PATH"
     prepared.run()
     np.testing.assert_allclose(y, dequantize(q).sum(axis=1), rtol=1e-5)
@@ -68,9 +72,9 @@ def test_failing_compiler_leaves_its_reason(fresh_loader, monkeypatch):
     bin_dir = fresh_loader / "bin"
     fake_cc(bin_dir, 'echo "fake cc cannot build" >&2; exit 3')
     monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
-    status = native.status()
-    assert status["backend"] == "numpy"
-    assert "exited 3" in status["reason"] and "fake cc cannot build" in status["reason"]
+    loaded = native.load()
+    assert loaded.step is None
+    assert "exited 3" in loaded.reason and "fake cc cannot build" in loaded.reason
     # Nothing half-built is left in the cache.
     assert list((fresh_loader / "cache" / "quantloop").iterdir()) == []
 
@@ -80,7 +84,8 @@ def test_unwritable_cache_builds_in_a_temporary_directory(fresh_loader, monkeypa
     blocker = fresh_loader / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    assert native.status() == {"backend": "native", "reason": None}
+    loaded = native.load()
+    assert loaded.step is not None and loaded.reason is None
 
 
 @needs_cc
@@ -91,7 +96,7 @@ def test_fresh_process_reuses_the_cache_and_rebuilds_a_truncated_library(tmp_pat
     fake_cc(tmp_path / "bin", f'echo "$@" >> "{log}"\nexec "{real}" "$@"')
     env = {"PATH": f"{tmp_path / 'bin'}{os.pathsep}{os.environ['PATH']}",
            "XDG_CACHE_HOME": str(tmp_path / "cache")}
-    probe = "from quantloop import native; print(native.status()['backend'])"
+    probe = "from quantloop import native; print('numpy' if native.load().step is None else 'native')"
 
     def compiles():
         return [line for line in log.read_text().splitlines() if "-shared" in line]
@@ -124,15 +129,21 @@ def test_ditq_decode_on_numpy_fallback_gives_the_same_tokens(
     compiled_tokens, toy_quant_path, numpy_fallback
 ):
     fallback = Engine(toy_quant_path, mode="optimized")
-    assert native.status()["backend"] == "numpy"
+    assert native.load().step is None
     assert fallback.generate([1, 2, 3], steps=24).generated_tokens == compiled_tokens
 
 
-@pytest.mark.parametrize("command", ["inspect", "bench"])
-def test_cli_reports_the_packed_gemv_backend(command, toy_quant_path, capsys):
-    argv = [command, toy_quant_path] + (["--steps", "2"] if command == "bench" else [])
-    assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["packed_gemv"] == native.status()
+def test_inspect_never_loads_the_native_runtime(toy_float_path, toy_quant_path, monkeypatch,
+                                                capsys):
+    # Describing a checkpoint reads the file only: no build, no library.
+    def refuse():
+        raise AssertionError("inspect loaded the native runtime")
+
+    monkeypatch.setattr(native, "load", refuse)
+    for path, kind in ((toy_float_path, "float"), (toy_quant_path, "quantized")):
+        assert main(["inspect", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["kind"] == kind and "packed_gemv" not in report
 
 
 @needs_cc
@@ -145,18 +156,18 @@ def test_vectors_the_kernel_cannot_take_stay_on_numpy():
     # A read-only y is refused by numpy's store, as on every other path.
     y = np.zeros(6, np.float32)
     y.flags.writeable = False
-    prepared = packed_step(q, x, y)
+    prepared = gemv_step(q, x, y)
     assert "y is read-only" in prepared.step_reason
     with pytest.raises(ValueError, match="read-only"):
         prepared.run()
     # x and y in one buffer: apart they run compiled, overlapping on numpy.
     buf = rng.normal(size=12).astype(np.float32)
-    assert packed_step(q, buf[:5], buf[5:11]).step is not None
-    assert "y overlaps x" in packed_step(q, buf[:5], buf[4:10]).step_reason
+    assert gemv_step(q, buf[:5], buf[5:11]).step is not None
+    assert "y overlaps x" in gemv_step(q, buf[:5], buf[4:10]).step_reason
     # A float32 view one byte into its buffer.
     x_odd = np.frombuffer(np.zeros(21, np.uint8).data, np.float32, count=5, offset=1)
     assert not x_odd.flags.aligned
-    assert "unaligned" in packed_step(q, x_odd, np.zeros(6, np.float32)).step_reason
+    assert "unaligned" in gemv_step(q, x_odd, np.zeros(6, np.float32)).step_reason
 
 
 # -- the kernel's memory -------------------------------------------------------
@@ -166,17 +177,25 @@ def test_vectors_the_kernel_cannot_take_stay_on_numpy():
 def test_first_run_builds_the_field_table():
     # Building the step leaves the table unbuilt, so an engine's tables are
     # not resident while later engines quantize; the step's first run builds
-    # it once and points the packed record's operands at it.
-    q = random_quantized(np.random.default_rng(39), 4, 9, 3)
-    step = packed_step(q, np.ones(9, np.float32), np.zeros(4, np.float32)).step
-    ((args, codebook),) = step._packed
-    assert codebook is q.codebook
-    assert "field_table" not in vars(q.codebook) and not args.table
-    assert step(()) == 0
-    table = q.codebook.field_table
-    assert args.table == table.ctypes.data
-    assert step(()) == 0
-    assert q.codebook.field_table is table
+    # it once and writes its address into the packed record, a gemv's or a
+    # quantized embed's.
+    rng = np.random.default_rng(39)
+    for op in ("gemv", "embed"):
+        q = random_quantized(rng, 4, 9, 3)
+        if op == "gemv":
+            step, params = gemv_step(q, np.ones(9, np.float32), np.zeros(4, np.float32)).step, ()
+        else:
+            step, params = embed_step(q, np.zeros(9, np.float32)).step, (2,)
+
+        def pointer() -> int:
+            return struct.unpack_from("<Q", step._records, FIELD_TABLE)[0]
+
+        assert "field_table" not in vars(q.codebook) and pointer() == 0, op
+        assert step(params) == 0
+        table = q.codebook.field_table
+        assert table.nbytes == 512 and pointer() == table.ctypes.data, op
+        assert step(params) == 0
+        assert q.codebook.field_table is table and pointer() == table.ctypes.data, op
 
 
 @needs_cc
@@ -186,7 +205,7 @@ def test_packed_call_allocates_nothing(bit_width):
     q = random_quantized(rng, 64, 64, bit_width)
     x = rng.normal(size=64).astype(np.float32)
     y = rng.normal(size=64).astype(np.float32)
-    step = packed_step(q, x, y, alpha=2.0, beta=0.5).step
+    step = gemv_step(q, x, y, alpha=2.0, beta=0.5).step
     step(())  # warm up outside the measurement; this builds the field table
     tracemalloc.start()
     try:
@@ -197,13 +216,31 @@ def test_packed_call_allocates_nothing(bit_width):
     assert peak <= 1024, peak
 
 
+@needs_cc
+@pytest.mark.parametrize("bit_width", range(1, 9))
+def test_quantized_embed_record_matches_the_handler_bit_for_bit(bit_width):
+    # The record decodes its row through the packed gemv's group decoder;
+    # every row of the table equals the handler's centroids[unpack_slice].
+    rng = np.random.default_rng(50 + bit_width)
+    for cols in (1, 7, 64, 1037):
+        q = random_quantized(rng, 9, cols, bit_width)
+        dst = np.zeros(cols, np.float32)
+        step = embed_step(q, dst).step
+        assert step is not None
+        for token in range(q.rows):
+            assert step((token,)) == 0
+            expect = q.codebook.centroids[unpack_slice(q.indices, token * cols, cols)]
+            np.testing.assert_array_equal(dst.view(np.int32), expect.view(np.int32),
+                                          err_msg=f"cols={cols} token={token}")
+
+
 # Runs in a subprocess, so a fault fails the test instead of killing pytest.
 _FENCED = """
 import ctypes, mmap, sys
 import numpy as np
-from quantloop.bitcodec import PackedBuffer, pack_bits
+from quantloop.bitcodec import PackedBuffer, pack_bits, unpack_slice
 from quantloop.quantizer import Codebook, QuantizedMatrix
-from conftest import packed_step
+from conftest import embed_step, gemv_step
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
@@ -226,7 +263,7 @@ def fenced(data):
 
 
 def run_step(q, x, y):
-    prepared = packed_step(q, x, y, alpha=1.5, beta=-0.5)
+    prepared = gemv_step(q, x, y, alpha=1.5, beta=-0.5)
     assert prepared.step is not None, prepared.step_reason
     assert prepared.step(()) == 0
     return prepared
@@ -252,9 +289,16 @@ for bits in range(1, 9):
             prepared = run_step(q, x, y)
             run_step(QuantizedMatrix(rows, cols, q.codebook, packed, 0.0), x, y_plain)
             np.testing.assert_array_equal(y, y_plain)
+            # The last row of the fenced codes, embedded.
+            row = np.zeros(cols, np.float32)
+            embed = embed_step(q, row)
+            assert embed.step is not None, embed.step_reason
+            assert embed.step((rows - 1,)) == 0
+            np.testing.assert_array_equal(
+                row, centroids[unpack_slice(packed, (rows - 1) * cols, cols)])
             libc.mprotect(fence, PAGE, mmap.PROT_READ | mmap.PROT_WRITE)
-            # The step keeps the codes array over the mapping alive.
-            del q, prepared, view
+            # The steps keep the codes array over the mapping alive.
+            del q, prepared, embed, view
             mm.close()
 print("ok")
 """
@@ -265,7 +309,8 @@ def test_kernel_reads_only_inside_the_packed_buffer():
     # Each stream is copied to end exactly where a PROT_NONE page begins, so a
     # read of any byte after it faults.  The control shows that it does; the
     # kernel then runs every width and shape without faulting, and matches
-    # the same call on the unfenced bytes.
+    # the same call on the unfenced bytes, and the embed of the fenced
+    # table's last row matches the handler's decode.
     path = os.pathsep.join((SRC, str(Path(__file__).resolve().parent)))  # conftest too
     control = run_python(_FENCED.replace("sys.argv[1]", "'control'"), PYTHONPATH=path)
     assert control.returncode == -signal.SIGSEGV, control
