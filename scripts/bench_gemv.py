@@ -42,7 +42,7 @@ from quantloop.kernels import (
 )
 from quantloop.loopir import BufferDecl, Function, IntrinsicCall, LoopProgram, Prepared
 from quantloop.quantizer import QuantConfig, quantize_matrix
-from quantloop.step import COMPILED_OPS
+from quantloop.step import NoStep, build
 
 
 def best_of(fn, reps):
@@ -54,8 +54,9 @@ def best_of(fn, reps):
     return min(times)
 
 
-def packed_program(q, x, y) -> Prepared:
-    """``y = q @ x`` as a program of one ``gemv``, prepared with its compiled step."""
+def packed_program(q, x, y):
+    """``y = q @ x`` as a program of one ``gemv``, prepared: a call that runs it
+    once, on its compiled step when it has one, and why it has none (or None)."""
     call = IntrinsicCall("gemv", ("RM", "NT", q.rows, q.cols, 1.0, "A", q.cols, "x", 1, 0.0,
                                   "y", 1))
     program = LoopProgram(
@@ -63,7 +64,12 @@ def packed_program(q, x, y) -> Prepared:
                  BufferDecl("y", (y.size,))),
         functions=(Function("f", (call,)),),
     )
-    return Prepared(program, {"A": q, "x": x, "y": y}, compiled_ops=COMPILED_OPS)
+    prepared = Prepared(program, {"A": q, "x": x, "y": y})
+    try:
+        step = build(prepared)
+    except NoStep as exc:
+        return prepared.run, str(exc)
+    return lambda: step(()), None
 
 
 def parse_shape(text: str) -> tuple[int, int]:
@@ -86,11 +92,10 @@ def main() -> int:
     shapes = [parse_shape(s) for s in args.sizes.split(",")]
     widths = [int(b) for b in args.bits.split(",")]
 
-    probe = packed_program(quantize_matrix(rng.standard_normal((2, 8)).astype(np.float32),
-                                           QuantConfig(bit_width=widths[0])),
-                           np.ones(8, np.float32), np.zeros(2, np.float32))
-    print("packed gemv backend: "
-          + ("native" if probe.step is not None else f"numpy ({probe.step_reason})"))
+    _, reason = packed_program(quantize_matrix(rng.standard_normal((2, 8)).astype(np.float32),
+                                               QuantConfig(bit_width=widths[0])),
+                               np.ones(8, np.float32), np.zeros(2, np.float32))
+    print("packed gemv backend: " + ("native" if reason is None else f"numpy ({reason})"))
     print(f"{'shape':>10} {'bits':>4} {'naive ms':>10} {'sketch ms':>10} {'opt bind ms':>12} "
           f"{'opt run ms':>11} {'codes bind ms':>14} {'codes run ms':>13} {'opt GFLOP/s':>12} "
           f"{'opt/naive':>10} {'sketch/naive':>13} {'codes/naive':>12}")
@@ -111,9 +116,7 @@ def main() -> int:
             q = quantize_matrix(a, QuantConfig(bit_width=bits))
             t_sketch = best_of(lambda: gemv_sketch(q, x, y, p), max(args.reps // 2, 1))
             t_codes_bind = best_of(lambda: packed_program(q, x, y), args.reps)
-            prepared = packed_program(q, x, y)
-            step = prepared.step
-            run = prepared.run if step is None else lambda: step(())
+            run, _ = packed_program(q, x, y)
             run()  # the first run builds the codebook's field table
             t_codes = best_of(run, args.reps)
             print(f"{f'{m}x{n}':>10} {bits:>4} {t_naive * 1e3:>10.3f} {t_sketch * 1e3:>10.3f} "

@@ -36,27 +36,21 @@ Loads from a quantized buffer in an ordinary loop nest see its dense
 reconstruction, built once at bind and read-only.
 
 The closures are the oracle: they run Python and numpy only, packed gemv
-calls included, and never call into C.  A caller that passes
-``compiled_ops`` also gets the program's compiled step
-(:mod:`quantloop.step`), the one path that does: from what binding checked
-and bound, :class:`Prepared` fills a table of op records, one per
-top-level statement, that the native runtime walks in one call.  Every
-top-level statement must be an intrinsic call whose handler `compiled_ops`
-names, or an elementwise loop; otherwise, or without a compiler,
-:attr:`Prepared.step` is None and :attr:`Prepared.step_reason` says why.
-:meth:`Prepared.run` always runs the closures, with numpy's floating-point
-warnings off: like the compiled step, they let NaN, infinities and
-overflow propagate silently.
+calls included, and never call into C.  What binding bound for each
+top-level statement stays in :attr:`Prepared.sites`, from which
+:func:`quantloop.step.build`, and only it, decides whether the program also
+runs as one compiled call.  :meth:`Prepared.run` always runs the closures,
+with numpy's floating-point warnings off: like the compiled step, they let
+NaN, infinities and overflow propagate silently.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .. import step
 from ..intrinsics import bind_gemv, default_registry
 from ..quantizer import QuantizedMatrix, dequantize
 from .nodes import (
@@ -75,7 +69,7 @@ from .nodes import (
     Store,
 )
 
-__all__ = ["Prepared", "TrapError", "interpret"]
+__all__ = ["Prepared", "Site", "TrapError", "interpret"]
 
 
 #: Elementwise binary ops that a depth-1 loop may run as one numpy call.
@@ -84,6 +78,26 @@ _UFUNCS = {"add": (np.add, operator.add), "mul": (np.multiply, operator.mul)}
 
 def _pack(*args) -> tuple:
     return args
+
+
+class Site(NamedTuple):
+    """What :class:`Prepared` bound for one top-level statement.
+
+    For an intrinsic call, `op` is its handler and `args` its arguments with
+    buffers resolved (for ``gemv``, the one bound
+    :class:`~quantloop.kernels.GemvCall`); `params` pairs the position of
+    each argument that reads a param per call with the param's name.  For an
+    elementwise loop, `op` is ``"add"`` or ``"mul"`` and `args` are the flat
+    left, right and output arrays and the loop's ``lo`` and ``hi``.
+    """
+
+    op: Callable | str
+    args: tuple
+    params: tuple = ()
+
+    def param(self, pos: int) -> str | None:
+        """The param argument `pos` reads, or None when it is bound."""
+        return next((name for at, name in self.params if at == pos), None)
 
 
 class TrapError(RuntimeError):
@@ -107,9 +121,6 @@ class Prepared:
     or buffers, and compiles each elementwise depth-1 loop to one numpy
     operation, all once; :meth:`run` then only reads the params from `env`.
     `bind_gemv` builds each gemv site's call from its BLAS-shaped arguments.
-    `compiled_ops`, when given, maps handlers to the C ops that may stand in
-    for them, and the compiled step is built from it (see the module
-    docstring).
     """
 
     def __init__(
@@ -119,7 +130,6 @@ class Prepared:
         function: str | None = None,
         intrinsics: Mapping[str, Callable] | None = None,
         bind_gemv: Callable = bind_gemv,
-        compiled_ops: Mapping[Callable, str] | None = None,
     ) -> None:
         if intrinsics is None:
             intrinsics = default_registry()
@@ -132,20 +142,14 @@ class Prepared:
         self._buffer_names = {d.name for d in program.buffers}
         self._bound: dict[str, object] = {}
         self._flat: dict[str, np.ndarray] = {}
-        # Binding fills this; only the compiled step's build reads it after.
-        self._sites: dict[int, step.Site] = {}
-        self._body = [self._compile_stmt(s) for s in self.function.body]
-        #: The compiled step (:class:`quantloop.step.Step`), or None and why not.
-        self.step: step.Step | None = None
-        self.step_reason: str | None = "no compiled ops were asked for"
-        if compiled_ops is not None:
-            try:
-                self.step = step.build(self.function.body, self._sites, self._params,
-                                       compiled_ops)
-                self.step_reason = None
-            except step.NoStep as exc:
-                self.step_reason = str(exc)
-        del self._sites
+        self._body: list[Callable] = []
+        #: One :class:`Site` per top-level statement, None where binding bound
+        #: nothing a C op can take; :func:`quantloop.step.build` takes them.
+        self.sites: list[Site | None] = []
+        for s in self.function.body:
+            run, site = self._compile_top(s)
+            self._body.append(run)
+            self.sites.append(site)
 
     # -- binding -----------------------------------------------------------
 
@@ -257,9 +261,17 @@ class Prepared:
         value = float(op)
         return lambda frame: value
 
-    def _compile_stmt(self, s: Stmt) -> Callable:
+    def _compile_top(self, s: Stmt) -> tuple[Callable, Site | None]:
+        """The closure of top-level statement `s`, and its site."""
         if isinstance(s, Loop):
             return self._compile_loop(s)
+        if isinstance(s, IntrinsicCall):
+            return self._compile_call(s)
+        return self._compile_stmt(s), None
+
+    def _compile_stmt(self, s: Stmt) -> Callable:
+        if isinstance(s, Loop):
+            return self._compile_loop(s)[0]
         if isinstance(s, Load):
             item = self._flat_view(s.buffer).item
             addr = self._compile_address(self.program.buffer(s.buffer), s.index)
@@ -318,11 +330,11 @@ class Prepared:
 
             return run_update
         if isinstance(s, IntrinsicCall):
-            return self._compile_call(s)
+            return self._compile_call(s)[0]
         raise TypeError(f"cannot compile statement of type {type(s).__name__}")
 
-    def _compile_elementwise(self, s: Loop) -> Callable | None:
-        """One ufunc call for an elementwise loop, or None to run it scalar.
+    def _compile_elementwise(self, s: Loop) -> tuple[Callable, Site] | None:
+        """One ufunc call for an elementwise loop and its site, or None to run it scalar.
 
         The loop must be exactly ``for d in lo..hi { load a = L[d]; load b =
         R[d]; let r = a op b; store O[d] = r }`` with op add or mul, constant
@@ -367,7 +379,7 @@ class Prepared:
             or any(v is not out and np.may_share_memory(v, out) for v in (left, right))
         ):
             return None
-        self._sites[id(s)] = step.Site(binop.op, (left, right, out, lo, hi))
+        site = Site(binop.op, (left, right, out, lo, hi))
         ufunc, scalar_op = _UFUNCS[binop.op]
         left_item, right_item = left.item, right.item
         left, right, out = left[lo:hi], right[lo:hi], out[lo:hi]
@@ -382,9 +394,9 @@ class Prepared:
             frame[b] = last_b
             frame[r] = scalar_op(last_a, last_b)
 
-        return run_elementwise
+        return run_elementwise, site
 
-    def _compile_loop(self, s: Loop) -> Callable:
+    def _compile_loop(self, s: Loop) -> tuple[Callable, Site | None]:
         elementwise = self._compile_elementwise(s)
         if elementwise is not None:
             return elementwise
@@ -408,7 +420,7 @@ class Prepared:
                     b1(frame)
                     b2(frame)
 
-            return run_loop3
+            return run_loop3, None
 
         if const_range is not None:
             rng = const_range
@@ -419,7 +431,7 @@ class Prepared:
                     for fn in body:
                         fn(frame)
 
-            return run_loop_const
+            return run_loop_const, None
 
         def run_loop(frame):
             for v in range(lo_f(frame), hi_f(frame)):
@@ -427,9 +439,9 @@ class Prepared:
                 for fn in body:
                     fn(frame)
 
-        return run_loop
+        return run_loop, None
 
-    def _compile_call(self, s: IntrinsicCall) -> Callable:
+    def _compile_call(self, s: IntrinsicCall) -> tuple[Callable, Site | None]:
         try:
             handler = self._intrinsics[s.name]
         except KeyError:
@@ -449,15 +461,11 @@ class Prepared:
 
         if not from_frame:
             packed = pack(*args)
-            self._sites[id(s)] = step.Site(handler, packed)
 
             def run_call(frame):
                 handler(*packed)
 
-            return run_call
-
-        if s.name != "gemv":
-            self._sites[id(s)] = step.Site(handler, tuple(args), tuple(from_frame))
+            return run_call, Site(handler, packed)
 
         def run_call_params(frame):
             call_args = args.copy()
@@ -465,7 +473,8 @@ class Prepared:
                 call_args[pos] = frame[name]
             handler(*pack(*call_args))
 
-        return run_call_params
+        site = None if s.name == "gemv" else Site(handler, tuple(args), tuple(from_frame))
+        return run_call_params, site
 
     # -- execution ----------------------------------------------------------
 

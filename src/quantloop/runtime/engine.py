@@ -38,9 +38,11 @@ shadow instead, and under the dual check it runs on both and the gap is
 measured.  Each call is described by a :class:`GemvObservation`, which the
 counters and the optional ``gemv_observer`` read.
 
-A forward runs as one call into the compiled step (:mod:`quantloop.step`)
-whenever the program has one: every top-level statement has a C op and a
-compiler built the runtime.  No setting chooses it.  Its packed gemv
+Once the program is prepared, :func:`quantloop.step.build` makes its
+compiled step from the C ops the engine's handlers may stand in for, and a
+forward runs as one call into it whenever there is one: every top-level
+statement has a C op and a compiler built the runtime, which the build
+loads only then.  No setting chooses it.  Its packed gemv
 records run the policy above in C: each has a check with the matrix's
 epsilon and the shadow's call, the counters are laid out as the C
 runtime's so the step adds to them in place, and with an observer
@@ -66,7 +68,7 @@ from ..kernels import GemvCall, bind, runtime_bound_check
 from ..quantizer import QuantConfig, QuantizedMatrix, quantize_matrix
 from ..loopir.interp import Prepared
 from ..intrinsics import bind_gemv, default_registry
-from ..step import COMPILED_OPS
+from ..step import COMPILED_OPS, NoStep, build
 from ..gemvpass import run_gemv_pass
 from .checkpoint import (
     FLOAT_MAGIC,
@@ -210,13 +212,14 @@ class Engine:
         if COMPILED_OPS.get(self._gemv_kernel) == "gemv":
             ops[self._gemv] = "gemv"  # the kernel and the policy, which the step runs in C
         self._prepared = Prepared(
-            program, self._env, function="step", intrinsics=registry,
-            bind_gemv=self._bind_gemv, compiled_ops=ops,
+            program, self._env, function="step", intrinsics=registry, bind_gemv=self._bind_gemv
         )
-        self._step = self._prepared.step
-        self._step_reason = self._prepared.step_reason
-        if self._step is not None:
+        self._step, self._step_reason = None, None
+        try:
+            self._step = build(self._prepared, ops)
             self._step.count_into(self.stats, bound_threshold, dual_check)
+        except NoStep as exc:
+            self._step_reason = str(exc)
         self._closure_forwards = 0
 
     # -- gemv policy ---------------------------------------------------------

@@ -1,10 +1,12 @@
 """The compiled step: a prepared program as a table of op records.
 
 :class:`~quantloop.loopir.interp.Prepared` binds and checks every operand
-of its top-level statements once and keeps what it bound as a
-:class:`Site`.  :func:`build` turns those sites into one record per
+of its top-level statements once and keeps what it bound as its ``sites``.
+:func:`build`, the one place a step is made, turns them into one record per
 statement for ``_native/step.c``, whose ``quantloop_step`` runs the whole
-table in one call; :class:`Step` makes that call.
+table in one call; :class:`Step` makes that call.  :func:`build` reads the
+whole program before it loads the native runtime, so a program that cannot
+run compiled, every ``naive`` one among them, never builds or loads it.
 
 A statement gets a record only when the C op computes what its Python
 closure computes (up to the summation order ``step.c`` documents):
@@ -43,15 +45,16 @@ from __future__ import annotations
 
 import ctypes
 import struct
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import intrinsics, native
+from .loopir.interp import Prepared, Site
 from .native import CHECK, OP_RECORD, TABLE, Op
 from .quantizer import QuantizedMatrix
 
-__all__ = ["COMPILED_OPS", "NoStep", "Site", "Step", "build"]
+__all__ = ["COMPILED_OPS", "NoStep", "Step", "build"]
 
 #: Handler -> op for every intrinsic with a C op, captured when this module is
 #: imported: a tracer that patches ``intrinsics.<op>_handler`` later, or a
@@ -64,26 +67,6 @@ COMPILED_OPS: Mapping[Callable, str] = {
     intrinsics.attention_handler: "attention",
     intrinsics.silu_handler: "silu",
 }
-
-
-class Site(NamedTuple):
-    """What :class:`~quantloop.loopir.interp.Prepared` bound for one statement.
-
-    For an intrinsic call, `op` is its handler and `args` its arguments with
-    buffers resolved (for ``gemv``, the one bound
-    :class:`~quantloop.kernels.GemvCall`); `params` pairs the position of
-    each argument that reads a param per call with the param's name.  For an
-    elementwise loop, `op` is ``"add"`` or ``"mul"`` and `args` are the flat
-    left, right and output arrays and the loop's ``lo`` and ``hi``.
-    """
-
-    op: Callable | str
-    args: tuple
-    params: tuple = ()
-
-    def param(self, pos: int) -> str | None:
-        """The param argument `pos` reads, or None when it is bound."""
-        return next((name for at, name in self.params if at == pos), None)
 
 
 class NoStep(Exception):
@@ -108,7 +91,7 @@ class Step:
     while the program is still being bound.
     """
 
-    def __init__(self, records, values, n_params, scratch, checks, keep, calls, unbuilt):
+    def __init__(self, run, records, values, n_params, scratch, checks, keep, calls, unbuilt):
         self._values = values
         self.calls = calls
         self.observations = np.zeros((len(checks) // CHECK.size, 3))
@@ -116,7 +99,7 @@ class Step:
         self._records = records
         self._keep = (scratch, checks, keep)
         self._unbuilt = unbuilt
-        self._run = native.load().step
+        self._run = run
         self._base = (native.address(records), len(records) // OP_RECORD.size,
                       native.address(values), native.address(scratch), native.address(checks))
         self.count_into(native.Counts())
@@ -368,21 +351,22 @@ class _Builder:
             "attention": attention}
 
 
-def build(statements, sites: Mapping[int, Site], params: tuple,
-          ops: Mapping[Callable, str]) -> Step:
-    """The :class:`Step` for the top-level `statements`; :class:`NoStep` says why there is none.
+def build(prepared: Prepared, ops: Mapping[Callable, str] = COMPILED_OPS) -> Step:
+    """The compiled :class:`Step` of `prepared`; :class:`NoStep` says why there is none.
 
-    `sites` maps the id of each statement that bound one to its
-    :class:`Site`; `ops` maps each handler that has a C op to the op.
+    `ops` maps each handler that has a C op to the op.  Every statement's
+    record is packed before the native runtime is loaded.  The build takes
+    ``prepared.sites``, so that no site outlives it: a program builds one
+    step.
     """
-    if native.load().step is None:
-        raise NoStep(f"no native runtime: {native.load().reason}")
+    statements, params = prepared.function.body, tuple(prepared.program.params)
+    sites, prepared.sites = prepared.sites, None
     b = _Builder(params)
     # Each record is packed into the table as it is built, so no list of
     # them sits beside it.
     table = np.empty(len(statements) * OP_RECORD.size, np.uint8)
     for i, stmt in enumerate(statements):
-        site = sites.get(id(stmt))
+        site = sites[i]
         if site is None:
             raise NoStep(f"statement {i} ({type(stmt).__name__}) has no C op")
         if isinstance(site.op, str):  # an elementwise loop
@@ -397,11 +381,14 @@ def build(statements, sites: Mapping[int, Site], params: tuple,
             OP_RECORD.pack_into(table, i * OP_RECORD.size, *make(b, site))
         except NoOp as exc:
             raise NoStep(f"statement {i} ({op}): {exc}") from None
+    runtime = native.load()
+    if runtime.step is None:
+        raise NoStep(f"no native runtime: {runtime.reason}")
     values = np.zeros(len(params) + len(b.literals), np.int64)
     values[len(params):] = b.literals
     scratch = np.empty(max(b.scratch_len, 1), np.float32)
     checks = np.empty(len(b.checks) * CHECK.size, np.uint8)
     for i, fields in enumerate(b.checks):
         CHECK.pack_into(checks, i * CHECK.size, *fields)
-    return Step(table, values, len(params), scratch, checks, b.keep, tuple(b.calls),
-                tuple(b.unbuilt))
+    return Step(runtime.step, table, values, len(params), scratch, checks, b.keep,
+                tuple(b.calls), tuple(b.unbuilt))

@@ -9,7 +9,7 @@ from quantloop.bitcodec import pack_bits
 from quantloop.loopir import BufferDecl, Function, IntrinsicCall, LoopProgram, Prepared
 from quantloop.quantizer import Codebook, QuantizedMatrix
 from quantloop.runtime import TOY_CONFIG, make_toy_checkpoint, quantize_checkpoint
-from quantloop.step import COMPILED_OPS
+from quantloop.step import Step, build
 
 #: Skips a test that needs the native runtime (the compiled step and its packed
 #: GEMV kernel), only when there is no compiler to build it with.
@@ -41,15 +41,13 @@ def numpy_fallback(monkeypatch):
     monkeypatch.setattr(native, "load", lambda: native.Native(reason="unavailable under test"))
 
 
-def gemv_step(a, x: np.ndarray, y: np.ndarray, alpha=1.0, beta=0.0, incx=1,
-              incy=1) -> Prepared:
-    """``y = alpha * (a @ x) + beta * y`` as a program of one ``gemv``, prepared with its step.
+def gemv_program(a, x: np.ndarray, y: np.ndarray, alpha=1.0, beta=0.0, incx=1,
+                 incy=1) -> Prepared:
+    """``y = alpha * (a @ x) + beta * y`` as a program of one ``gemv``, prepared.
 
     `a` is a :class:`QuantizedMatrix` (a packed record) or a 2-D float32
-    array (a dense one).  The compiled step is the only way to run the
-    packed kernel: ``step(())`` runs it once on the bound `x` and `y`, whose
-    lengths are the program's buffers, and ``run()`` runs the closures on
-    numpy.
+    array (a dense one).  ``run()`` runs the closures on numpy, on the bound
+    `x` and `y`, whose lengths are the program's buffers.
     """
     rows, cols = (a.rows, a.cols) if isinstance(a, QuantizedMatrix) else a.shape
     call = IntrinsicCall("gemv", ("RM", "NT", rows, cols, alpha, "A", cols, "x", incx,
@@ -59,11 +57,20 @@ def gemv_step(a, x: np.ndarray, y: np.ndarray, alpha=1.0, beta=0.0, incx=1,
                  BufferDecl("y", (y.size,))),
         functions=(Function("f", (call,)),),
     )
-    return Prepared(program, {"A": a, "x": x, "y": y}, compiled_ops=COMPILED_OPS)
+    return Prepared(program, {"A": a, "x": x, "y": y})
 
 
-def embed_step(table: QuantizedMatrix, dst: np.ndarray) -> Prepared:
-    """``dst = table[token]`` as a program of one ``embed``, prepared with its step.
+def gemv_step(a, x: np.ndarray, y: np.ndarray, alpha=1.0, beta=0.0, incx=1,
+              incy=1) -> Step:
+    """The compiled step of :func:`gemv_program`; ``NoStep`` says why there is none.
+
+    It is the only way to run the packed kernel: ``step(())`` runs it once.
+    """
+    return build(gemv_program(a, x, y, alpha, beta, incx, incy))
+
+
+def embed_step(table: QuantizedMatrix, dst: np.ndarray) -> Step:
+    """The compiled step of ``dst = table[token]``, a program of one ``embed``.
 
     ``step((token,))`` runs the quantized embed record for `token`.
     """
@@ -72,7 +79,7 @@ def embed_step(table: QuantizedMatrix, dst: np.ndarray) -> Prepared:
         params=("token",),
         functions=(Function("f", (IntrinsicCall("embed", ("dst", "T", "token")),)),),
     )
-    return Prepared(program, {"T": table, "dst": dst, "token": 0}, compiled_ops=COMPILED_OPS)
+    return build(Prepared(program, {"T": table, "dst": dst, "token": 0}))
 
 
 @pytest.fixture(scope="session")

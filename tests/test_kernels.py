@@ -558,9 +558,7 @@ def test_native_kernel_sums_in_its_documented_order_property(
     x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
     y0 = rng.normal(size=(rows - 1) * incy + 1).astype(np.float32)
     y = y0.copy()
-    prepared = gemv_step(q, x, y, alpha, beta, incx, incy)
-    assert prepared.step is not None, prepared.step_reason
-    assert prepared.step(()) == 0
+    assert gemv_step(q, x, y, alpha, beta, incx, incy)(()) == 0
     s = native_order_sums(dequantize(q), x[::incx])
     expect = y0.copy()
     expect[::incy] = np.float32(alpha) * s + np.float32(beta) * y0[::incy]
@@ -597,9 +595,7 @@ def test_dense_gemv_record_sums_in_the_packed_kernels_order_property(
     expect[::incy] = np.float32(alpha) * s + np.float32(beta) * y0[::incy]
     for a in (dense, q):
         y = y0.copy()
-        prepared = gemv_step(a, x, y, alpha, beta, incx, incy)
-        assert prepared.step is not None, prepared.step_reason
-        assert prepared.step(()) == 0
+        assert gemv_step(a, x, y, alpha, beta, incx, incy)(()) == 0
         np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32),
                                       err_msg=type(a).__name__)
 
@@ -771,8 +767,7 @@ def test_store_matches_the_formula_bit_for_bit(alpha, beta):
     ordered = np.cumsum(dense * x_eff, axis=1)[:, -1]
 
     def compiled(a, x, y, p):
-        prepared = gemv_step(a, x, y, p.alpha, p.beta, p.incx, p.incy)
-        assert prepared.step(()) == 0, prepared.step_reason
+        assert gemv_step(a, x, y, p.alpha, p.beta, p.incx, p.incy)(()) == 0
 
     sums = {
         "dense gemv_opt": (gemv_opt, dense.reshape(-1), dense @ x_eff),

@@ -24,9 +24,9 @@ from quantloop.bitcodec import unpack_slice
 from quantloop.cli import main
 from quantloop.quantizer import dequantize
 from quantloop.runtime import Engine
-from quantloop.step import FIELD_TABLE
+from quantloop.step import FIELD_TABLE, NoStep, Step, build
 
-from conftest import embed_step, gemv_step, needs_cc, random_quantized
+from conftest import embed_step, gemv_program, gemv_step, needs_cc, random_quantized
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -62,8 +62,9 @@ def test_no_compiler_on_path_reports_the_fallback(fresh_loader, monkeypatch):
     assert native.load() == native.Native(reason="no C compiler (cc) on PATH")
     q = random_quantized(np.random.default_rng(1), 3, 5, 3)
     y = np.zeros(3, np.float32)
-    prepared = gemv_step(q, np.ones(5, np.float32), y)
-    assert prepared.step_reason == "no native runtime: no C compiler (cc) on PATH"
+    prepared = gemv_program(q, np.ones(5, np.float32), y)
+    with pytest.raises(NoStep, match=r"^no native runtime: no C compiler \(cc\) on PATH$"):
+        build(prepared)
     prepared.run()
     np.testing.assert_allclose(y, dequantize(q).sum(axis=1), rtol=1e-5)
 
@@ -146,6 +147,18 @@ def test_inspect_never_loads_the_native_runtime(toy_float_path, toy_quant_path, 
         assert report["kind"] == kind and "packed_gemv" not in report
 
 
+def test_the_oracle_imports_no_native_code():
+    # The interpreter and the kernels are the numpy-only oracle of the
+    # compiled step: importing them loads neither it nor the runtime.
+    done = run_python("""
+        import sys
+        import quantloop.kernels, quantloop.loopir
+        print(sorted(m for m in ("quantloop.native", "quantloop.step") if m in sys.modules))
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @needs_cc
 def test_vectors_the_kernel_cannot_take_stay_on_numpy():
     # A packed gemv the kernel cannot take gets no record, so its program
@@ -156,18 +169,21 @@ def test_vectors_the_kernel_cannot_take_stay_on_numpy():
     # A read-only y is refused by numpy's store, as on every other path.
     y = np.zeros(6, np.float32)
     y.flags.writeable = False
-    prepared = gemv_step(q, x, y)
-    assert "y is read-only" in prepared.step_reason
+    prepared = gemv_program(q, x, y)
+    with pytest.raises(NoStep, match="y is read-only"):
+        build(prepared)
     with pytest.raises(ValueError, match="read-only"):
         prepared.run()
     # x and y in one buffer: apart they run compiled, overlapping on numpy.
     buf = rng.normal(size=12).astype(np.float32)
-    assert gemv_step(q, buf[:5], buf[5:11]).step is not None
-    assert "y overlaps x" in gemv_step(q, buf[:5], buf[4:10]).step_reason
+    assert isinstance(gemv_step(q, buf[:5], buf[5:11]), Step)
+    with pytest.raises(NoStep, match="y overlaps x"):
+        gemv_step(q, buf[:5], buf[4:10])
     # A float32 view one byte into its buffer.
     x_odd = np.frombuffer(np.zeros(21, np.uint8).data, np.float32, count=5, offset=1)
     assert not x_odd.flags.aligned
-    assert "unaligned" in gemv_step(q, x_odd, np.zeros(6, np.float32)).step_reason
+    with pytest.raises(NoStep, match="unaligned"):
+        gemv_step(q, x_odd, np.zeros(6, np.float32))
 
 
 # -- the kernel's memory -------------------------------------------------------
@@ -183,9 +199,9 @@ def test_first_run_builds_the_field_table():
     for op in ("gemv", "embed"):
         q = random_quantized(rng, 4, 9, 3)
         if op == "gemv":
-            step, params = gemv_step(q, np.ones(9, np.float32), np.zeros(4, np.float32)).step, ()
+            step, params = gemv_step(q, np.ones(9, np.float32), np.zeros(4, np.float32)), ()
         else:
-            step, params = embed_step(q, np.zeros(9, np.float32)).step, (2,)
+            step, params = embed_step(q, np.zeros(9, np.float32)), (2,)
 
         def pointer() -> int:
             return struct.unpack_from("<Q", step._records, FIELD_TABLE)[0]
@@ -205,7 +221,7 @@ def test_packed_call_allocates_nothing(bit_width):
     q = random_quantized(rng, 64, 64, bit_width)
     x = rng.normal(size=64).astype(np.float32)
     y = rng.normal(size=64).astype(np.float32)
-    step = gemv_step(q, x, y, alpha=2.0, beta=0.5).step
+    step = gemv_step(q, x, y, alpha=2.0, beta=0.5)
     step(())  # warm up outside the measurement; this builds the field table
     tracemalloc.start()
     try:
@@ -225,8 +241,7 @@ def test_quantized_embed_record_matches_the_handler_bit_for_bit(bit_width):
     for cols in (1, 7, 64, 1037):
         q = random_quantized(rng, 9, cols, bit_width)
         dst = np.zeros(cols, np.float32)
-        step = embed_step(q, dst).step
-        assert step is not None
+        step = embed_step(q, dst)
         for token in range(q.rows):
             assert step((token,)) == 0
             expect = q.codebook.centroids[unpack_slice(q.indices, token * cols, cols)]
@@ -263,10 +278,9 @@ def fenced(data):
 
 
 def run_step(q, x, y):
-    prepared = gemv_step(q, x, y, alpha=1.5, beta=-0.5)
-    assert prepared.step is not None, prepared.step_reason
-    assert prepared.step(()) == 0
-    return prepared
+    step = gemv_step(q, x, y, alpha=1.5, beta=-0.5)
+    assert step(()) == 0
+    return step
 
 
 if sys.argv[1] == "control":
@@ -286,19 +300,18 @@ for bits in range(1, 9):
             x = rng.normal(size=cols).astype(np.float32)
             y0 = rng.normal(size=rows).astype(np.float32)
             y, y_plain = y0.copy(), y0.copy()
-            prepared = run_step(q, x, y)
+            step = run_step(q, x, y)
             run_step(QuantizedMatrix(rows, cols, q.codebook, packed, 0.0), x, y_plain)
             np.testing.assert_array_equal(y, y_plain)
             # The last row of the fenced codes, embedded.
             row = np.zeros(cols, np.float32)
             embed = embed_step(q, row)
-            assert embed.step is not None, embed.step_reason
-            assert embed.step((rows - 1,)) == 0
+            assert embed((rows - 1,)) == 0
             np.testing.assert_array_equal(
                 row, centroids[unpack_slice(packed, (rows - 1) * cols, cols)])
             libc.mprotect(fence, PAGE, mmap.PROT_READ | mmap.PROT_WRITE)
             # The steps keep the codes array over the mapping alive.
-            del q, prepared, embed, view
+            del q, step, embed, view
             mm.close()
 print("ok")
 """

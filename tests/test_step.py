@@ -16,7 +16,7 @@ from quantloop.kernels import runtime_bound_check
 from quantloop.loopir import Prepared, parse_program
 from quantloop.runtime import (Engine, EngineStats, ModelConfig, make_toy_checkpoint,
                                quantize_checkpoint)
-from quantloop.step import COMPILED_OPS
+from quantloop.step import NoStep, build
 
 from conftest import needs_cc
 
@@ -157,6 +157,18 @@ def test_naive_mode_runs_the_closures(toy_float_path):
     status = Engine(toy_float_path, mode="naive").step_status()
     assert status["backend"] == "closures"
     assert "(Loop) has no C op" in status["reason"]
+
+
+def test_naive_mode_never_loads_the_native_runtime(toy_float_path, monkeypatch):
+    # The build reads every statement before it loads the runtime, and a
+    # naive program's loop nests have no C op.
+    def refuse():
+        raise AssertionError("a naive engine loaded the native runtime")
+
+    monkeypatch.setattr(native, "load", refuse)
+    engine = Engine(toy_float_path, mode="naive")
+    assert engine.step_status()["reason"] == "statement 2 (Loop) has no C op"
+    engine.forward(1, 0)
 
 
 @needs_cc
@@ -342,9 +354,8 @@ def _axpby_both(path: str, x: np.ndarray, **settings) -> dict:
     for way in ("compiled", "closures"):
         env = {"A": engine._env["l0_wq"], "x": x.copy(), "y": y0.copy()}
         prepared = Prepared(program, env, intrinsics={"gemv": engine._gemv},
-                            bind_gemv=engine._bind_gemv, compiled_ops={engine._gemv: "gemv"})
-        step = prepared.step
-        assert step is not None, prepared.step_reason
+                            bind_gemv=engine._bind_gemv)
+        step = build(prepared, {engine._gemv: "gemv"})
         if way == "compiled":
             stats = EngineStats()
             step.count_into(stats, engine.bound_threshold, engine.dual_check)
@@ -432,10 +443,9 @@ def _prepared(calls: str) -> tuple:
     rng = np.random.default_rng(0)
     env = {d.name: rng.normal(size=d.extents).astype(np.float32) for d in program.buffers}
     env.update(token=1, pos=2)
-    return Prepared(program, env, compiled_ops=COMPILED_OPS), env
+    return Prepared(program, env), env
 
 
-@needs_cc
 @pytest.mark.parametrize("call, error", [
     ("call attention(att, q, k, v, k_cache, v_cache, pos, 2, 2, 0)", "do not cover q"),
     ("call attention(att, q, k, v, k_cache, v_cache, pos, 4, 3, 2)", "reshape"),
@@ -448,7 +458,8 @@ def _prepared(calls: str) -> tuple:
 ])
 def test_literals_the_c_op_cannot_take_keep_the_python_error(call, error):
     prepared, _ = _prepared(call)
-    assert prepared.step is None and "statement 0" in prepared.step_reason, prepared.step_reason
+    with pytest.raises(NoStep, match="statement 0"):
+        build(prepared)
     if error is None:  # the handler runs; only the C op refuses
         prepared.run()
     else:
@@ -466,8 +477,7 @@ def test_literals_the_c_op_cannot_take_keep_the_python_error(call, error):
 def test_out_of_range_token_or_pos_writes_nothing(params, error):
     prepared, env = _prepared("call embed(x, table, token)\n"
                               "call attention(att, q, k, v, k_cache, v_cache, pos, 2, 2, 4)")
-    step = prepared.step
-    assert step is not None, prepared.step_reason
+    step = build(prepared)
     assert step((0, 3)) == 0
     before = {name: value.copy() for name, value in env.items() if isinstance(value, np.ndarray)}
     assert step((params["token"], params["pos"])) != 0
