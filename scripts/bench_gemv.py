@@ -18,7 +18,9 @@ model's GEMVs plus 1024x1024.
 Without a compiled step (no compiler, or a failed build or load) the codes
 run column times the program's closures, which run the packed gemv on
 numpy; the first line printed names the backend a one-gemv program runs
-on and, for numpy, the reason it has no step.
+on and, for numpy, the reason it has no step.  A compiled step's second
+line names the packed kernel the native runtime chose at load, ``avx2`` or
+``portable``.
 
     python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 2,3,4,8
 """
@@ -32,6 +34,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from quantloop import native
 from quantloop.kernels import (
     GemvParams,
     Layout,
@@ -96,6 +99,8 @@ def main() -> int:
                                                QuantConfig(bit_width=widths[0])),
                                np.ones(8, np.float32), np.zeros(2, np.float32))
     print("packed gemv backend: " + ("native" if reason is None else f"numpy ({reason})"))
+    if reason is None:
+        print(f"packed gemv kernel: {native.load().packed_kernel}")
     print(f"{'shape':>10} {'bits':>4} {'naive ms':>10} {'sketch ms':>10} {'opt bind ms':>12} "
           f"{'opt run ms':>11} {'codes bind ms':>14} {'codes run ms':>13} {'opt GFLOP/s':>12} "
           f"{'opt/naive':>10} {'sketch/naive':>13} {'codes/naive':>12}")

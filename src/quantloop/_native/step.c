@@ -38,6 +38,33 @@
  * quantloop.step leaves a packed record's field table 0 until the first run,
  * which points it at the table it builds then.
  *
+ * On an x86-64 CPU with AVX2, a packed gemv with b <= 4 and unit incx runs a
+ * vector path instead (qgemv_avx2).  It is compiled with a target attribute
+ * inside this portable library, no -m flag, and chosen once, when the
+ * library is loaded (quantloop_packed_avx2).  It decodes a window of 8 codes
+ * e .. e + 7 that may start at any code, so a row needs no group alignment.
+ * The window's bits start at bit off = (e*b) & 7 of byte (e*b) >> 3.  The 32
+ * bits from there are broadcast to 8 lanes, lane j is shifted right by j*b
+ * and masked to b bits, and one permute over centroids 0-7 maps the lanes
+ * (b = 4 blends in a second over centroids 8-15 on bit 3).  The 32 bits come
+ * from one of two reads:
+ *
+ *   fast     the 4 bytes from the window's first byte, read as one word, with
+ *            off added to every lane's shift; a block of rows reads so when
+ *            all its windows' bytes lie inside the stream and off + 8b <= 32
+ *            for each row (always at b <= 3; at b = 4 when the row starts on
+ *            a byte), and this keeps the shuffle work to one permute;
+ *   bounded  otherwise, and for a row's tail codes: the group word at that
+ *            byte, read with the same bound as above, shifted right by off.
+ *
+ * The centroids are read once per call from the field table, whose entry
+ * m < 2^b is the pair (c[m], c[0]), so centroid m is its float 2m; a
+ * codebook whose table is not laid out so (a pair codebook) must take the
+ * portable path.  Four rows run at once as independent chains, the rest one
+ * at a time, and lane j of a row is its accumulator j, with a multiply then
+ * an add and no fused multiply-add: the summation order below is unchanged,
+ * so both paths give the same bits.
+ *
  * A packed gemv record may also be checked.  quantloop.step gives each one a
  * check, in table order: the matrix's epsilon and largest centroid
  * magnitude, and the same call on its float shadow as a gemv record writing
@@ -97,6 +124,9 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
 #error "group words are read as little-endian integers"
@@ -163,6 +193,11 @@ typedef struct {
 /* The sizes quantloop.step must match before it fills a table. */
 int64_t quantloop_op_size(void) { return (int64_t)sizeof(quantloop_op); }
 int64_t quantloop_check_size(void) { return (int64_t)sizeof(quantloop_check); }
+
+/* 1 when qgemv takes its AVX2 path: set once, when the library is loaded, on
+ * an x86-64 CPU with AVX2, and 0 everywhere else.  Only tests write it, 0 to
+ * run the portable path. */
+int quantloop_packed_avx2 = 0;
 
 /* Codes a packed record decodes per step into its stack buffer: a multiple of 8. */
 #define CHUNK 512
@@ -258,7 +293,7 @@ static inline const float *decode(const quantloop_op *o, int64_t e, int64_t len,
     return buf + (e - 8 * g0);
 }
 
-static void qgemv(const quantloop_op *o)
+static void qgemv_portable(const quantloop_op *o)
 {
     float buf[CHUNK + 16];
     const float *x = o->p[2];
@@ -282,6 +317,139 @@ static void qgemv(const quantloop_op *o)
         float *yi = y + i * incy;
         *yi = alpha * s + beta * *yi;
     }
+}
+
+#if defined(__x86_64__)
+#define AVX2 __attribute__((target("avx2")))
+
+/* What the AVX2 path decodes one call's windows with. */
+typedef struct {
+    const uint8_t *codes;
+    int64_t nbytes;
+    int b;
+    __m256i shifts; /* 0, b, ..., 7b */
+    __m256i mask;   /* 2^b - 1 */
+    __m256 lo, hi;  /* centroids 0-7 and 8-15, zero past the last */
+} windows;
+
+/* The 8 codes whose first bit is bit `off` of byte `at`, as their centroids,
+ * lane j holding the j-th.  `fast`: the 4 bytes from `at` on are read as one
+ * word and lane j is shifted by off + j*b (`sh`), which needs 4 bytes inside
+ * the stream and off + 8b <= 32.  Otherwise the group word at `at` is read
+ * with its bound, shifted by off, and lane j by j*b. */
+static inline AVX2 __m256 window(const windows *d, int64_t at, int off, __m256i sh, int fast)
+{
+    uint32_t w;
+    if (fast)
+        memcpy(&w, d->codes + at, 4);
+    else
+        w = (uint32_t)(group_word(d->codes, d->nbytes, at) >> off);
+    const __m256i idx =
+        _mm256_and_si256(_mm256_srlv_epi32(_mm256_set1_epi32((int32_t)w), sh), d->mask);
+    const __m256 v = _mm256_permutevar8x32_ps(d->lo, idx);
+    if (d->b <= 3)
+        return v;
+    return _mm256_blendv_ps(v, _mm256_permutevar8x32_ps(d->hi, idx),
+                            _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28)));
+}
+
+/* Whether rows i .. i + r - 1 may read every full window fast. */
+static inline int fits(const quantloop_op *o, const windows *d, int64_t i, int r)
+{
+    const int64_t cols = o->n[2], n8 = cols - cols % 8;
+    int ok = n8 == 0 || (((i + r - 1) * cols + n8 - 8) * d->b >> 3) + 4 <= d->nbytes;
+    for (int64_t e = i * cols; e < (i + r) * cols; e += cols)
+        ok &= (int)(e * d->b & 7) + 8 * d->b <= 32;
+    return ok;
+}
+
+/* Rows i .. i + r - 1, r <= 4, as independent chains: row i's lane j is its
+ * accumulator j, combined with its tail codes, so every sum is the portable
+ * kernel's.  Inlined for each constant r and `fast`. */
+static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *o, const windows *d,
+                                                            int64_t i, int r, int fast)
+{
+    const float *x = o->p[2];
+    const int64_t cols = o->n[2], n8 = cols - cols % 8;
+    int64_t at[4];
+    int off[4];
+    __m256i sh[4];
+    __m256 acc[4];
+    for (int j = 0; j < r; j++) {
+        const int64_t bit = (i + j) * cols * d->b;
+        at[j] = bit >> 3;
+        off[j] = (int)(bit & 7);
+        sh[j] = fast ? _mm256_add_epi32(d->shifts, _mm256_set1_epi32(off[j])) : d->shifts;
+        acc[j] = _mm256_setzero_ps();
+    }
+    for (int64_t k = 0, step = 0; k < n8; k += 8, step += d->b) {
+        const __m256 xk = _mm256_loadu_ps(x + k);
+        for (int j = 0; j < r; j++) {
+            const __m256 w = window(d, at[j] + step, off[j], sh[j], fast);
+            acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(w, xk));
+        }
+    }
+    for (int j = 0; j < r; j++) {
+        const int64_t tail = ((i + j) * cols + n8) * d->b;
+        float a[8], t[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+        _mm256_storeu_ps(a, acc[j]);
+        if (n8 < cols)
+            _mm256_storeu_ps(t, window(d, tail >> 3, (int)(tail & 7), d->shifts, 0));
+        const float s = combine(a, t, 1, x + n8, 1, cols - n8);
+        float *yi = (float *)o->p[3] + (i + j) * o->n[5];
+        *yi = o->f[0] * s + o->f[1] * *yi;
+    }
+}
+
+/* qgemv for b <= 4 and unit incx: four rows at a time, the rest one by one. */
+static AVX2 void qgemv_avx2(const quantloop_op *o)
+{
+    const int64_t n_rows = o->n[1];
+    const int b = (int)o->n[3];
+    /* Field table entry m < 2^b is the pair (c[m], c[0]): centroid m is its float 2m. */
+    float c[16] = {0};
+    for (int m = 0; m < 1 << b; m++)
+        memcpy(c + m, (const unsigned char *)o->p[1] + 8 * m, 4);
+    const windows d = {o->p[0],
+                       o->n[0],
+                       b,
+                       _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                                          _mm256_set1_epi32(b)),
+                       _mm256_set1_epi32((1 << b) - 1),
+                       _mm256_loadu_ps(c),
+                       _mm256_loadu_ps(c + 8)};
+    int64_t i = 0;
+    for (; i + 4 <= n_rows; i += 4) {
+        if (fits(o, &d, i, 4))
+            rows(o, &d, i, 4, 1);
+        else
+            rows(o, &d, i, 4, 0);
+    }
+    for (; i < n_rows; i++) {
+        if (fits(o, &d, i, 1))
+            rows(o, &d, i, 1, 1);
+        else
+            rows(o, &d, i, 1, 0);
+    }
+}
+
+/* Choose the packed kernel once, when the library is loaded. */
+__attribute__((constructor)) static void choose_packed_kernel(void)
+{
+    __builtin_cpu_init();
+    quantloop_packed_avx2 = __builtin_cpu_supports("avx2") != 0;
+}
+#endif
+
+static void qgemv(const quantloop_op *o)
+{
+#if defined(__x86_64__)
+    if (quantloop_packed_avx2 && o->n[3] <= 4 && o->n[4] == 1) {
+        qgemv_avx2(o);
+        return;
+    }
+#endif
+    qgemv_portable(o);
 }
 
 /* The larger of m and v; NaN once either is. */

@@ -13,6 +13,11 @@ interpreter's closures included, runs numpy.
   them and break NaN propagation, is never used.  Neither is
   ``-march=native``, so a cached library runs on any host of its
   architecture.
+* The packed GEMV has one vector path, for AVX2, compiled under
+  ``__attribute__((target("avx2")))`` inside the portable library.  The
+  library chooses it once, when it is loaded, from the CPU's features
+  (``__builtin_cpu_supports``); every other host and call runs the
+  portable kernel.  :attr:`Native.packed_kernel` records the choice.
 * The library is cached as ``$XDG_CACHE_HOME/quantloop/quantloop-<sha256>.so``
   (``~/.cache`` by default), named by one hash of the source, the flags and
   ``cc --version``.  It is written to a temporary file and renamed into
@@ -104,6 +109,10 @@ class Native:
 
     step: object = None  # quantloop_step(quantloop_table bytes) -> status, or None
     reason: str | None = None
+    #: The packed gemv kernel the library chose when it was loaded: "avx2" or "portable".
+    packed_kernel: str | None = None
+    #: ``step.c``'s ``quantloop_packed_avx2``, the choice itself; only tests write 0 to it.
+    avx2: ctypes.c_int | None = None
 
 
 class _BuildFailed(Exception):
@@ -140,7 +149,8 @@ def _open(path: Path) -> Native:
     # would build a converter object on every call, and a compiled forward
     # allocates nothing.
     step.restype = ctypes.c_int64
-    return Native(step)
+    avx2 = ctypes.c_int.in_dll(lib, "quantloop_packed_avx2")
+    return Native(step, packed_kernel="avx2" if avx2.value else "portable", avx2=avx2)
 
 
 @functools.cache

@@ -355,11 +355,15 @@ class Engine:
         """Whether the next forward runs the compiled step, and if not, why.
 
         ``{"backend": "native" | "closures", "reason": ..., "native_forwards":
-        n}``, where n counts the forwards that ran compiled so far.
+        n, "packed_kernel": ...}``, where n counts the forwards that ran
+        compiled so far and the packed kernel is the one the native runtime
+        chose when it was loaded, ``"avx2"`` or ``"portable"`` (None on the
+        closures).
         """
         reason = self._step_reason
         return {"backend": "closures" if reason else "native", "reason": reason,
-                "native_forwards": self.stats.forwards - self._closure_forwards}
+                "native_forwards": self.stats.forwards - self._closure_forwards,
+                "packed_kernel": None if reason else native.load().packed_kernel}
 
     def sample(self, logits: np.ndarray, temperature: float) -> int:
         if temperature <= 0.0:

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import shutil
 
@@ -33,6 +34,34 @@ def native_cache(tmp_path_factory):
         else:
             os.environ["XDG_CACHE_HOME"] = saved
         native.load.cache_clear()
+
+
+def packed_kernels() -> tuple:
+    """The packed gemv kernels of the compiled step that this host can run.
+
+    ``"avx2"`` when ``step.c`` chose its AVX2 path at load, then always
+    ``"portable"``; on a host without AVX2 only the portable one runs.
+    """
+    return ("avx2", "portable") if native.load().packed_kernel == "avx2" else ("portable",)
+
+
+@contextlib.contextmanager
+def packed_kernel(kernel: str):
+    """Run the compiled step's packed gemv on `kernel`, one of :func:`packed_kernels`.
+
+    Writes ``step.c``'s ``quantloop_packed_avx2``, which only tests write,
+    and restores it after; a failure inside names the kernel.
+    """
+    switch = native.load().avx2
+    chosen = switch.value
+    switch.value = kernel == "avx2"
+    try:
+        yield
+    except Exception as exc:
+        exc.add_note(f"packed gemv kernel: {kernel}")
+        raise
+    finally:
+        switch.value = chosen
 
 
 @pytest.fixture

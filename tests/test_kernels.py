@@ -39,6 +39,8 @@ from conftest import (
     gemv_scale,
     needs_cc,
     gemv_step,
+    packed_kernel,
+    packed_kernels,
     random_quantized,
 )
 from oracles import gemv_reference, native_order_sums
@@ -547,22 +549,30 @@ def test_packed_decode_matches_unpack_slice():
 @example(bit_width=3, rows=2, cols=NATIVE_CHUNK - 1, incx=1, incy=1, alpha=1.0, beta=0.0, seed=0)
 @example(bit_width=5, rows=3, cols=NATIVE_CHUNK + 9, incx=2, incy=3, alpha=-0.5, beta=1.0,
          seed=1)
+# The AVX2 kernel's cases: 4-row blocks, a leftover row and a tail; 1 and 4 bits.
+@example(bit_width=4, rows=9, cols=NATIVE_CHUNK + 13, incx=1, incy=2, alpha=-0.5, beta=0.25,
+         seed=3)
+@example(bit_width=1, rows=5, cols=23, incx=1, incy=1, alpha=3.0, beta=1.0, seed=4)
 def test_native_kernel_sums_in_its_documented_order_property(
     bit_width, rows, cols, incx, incy, alpha, beta, seed
 ):
     # The compiled kernel, run as a one-gemv compiled step, against a numpy
     # emulation of the order step.c documents, bit for bit, on strided
     # vectors; the elements between y's strided ones stay as they were.
+    # Every packed kernel the host runs is checked: the AVX2 one takes
+    # b <= 4 with unit incx, the portable one every call.
     rng = np.random.default_rng(seed)
     q = random_quantized(rng, rows, cols, bit_width)
     x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)
     y0 = rng.normal(size=(rows - 1) * incy + 1).astype(np.float32)
-    y = y0.copy()
-    assert gemv_step(q, x, y, alpha, beta, incx, incy)(()) == 0
     s = native_order_sums(dequantize(q), x[::incx])
     expect = y0.copy()
     expect[::incy] = np.float32(alpha) * s + np.float32(beta) * y0[::incy]
-    np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32))
+    for kernel in packed_kernels():
+        with packed_kernel(kernel):
+            y = y0.copy()
+            assert gemv_step(q, x, y, alpha, beta, incx, incy)(()) == 0
+            np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32))
 
 
 @needs_cc
@@ -579,12 +589,13 @@ def test_native_kernel_sums_in_its_documented_order_property(
 )
 @example(bit_width=3, rows=3, cols=NATIVE_CHUNK + 13, incx=3, incy=2, alpha=-0.5, beta=0.25,
          seed=2)
+@example(bit_width=4, rows=9, cols=172, incx=1, incy=1, alpha=1.0, beta=0.0, seed=5)
 def test_dense_gemv_record_sums_in_the_packed_kernels_order_property(
     bit_width, rows, cols, incx, incy, alpha, beta, seed
 ):
     # The dense record sums as the packed one does, bit for bit, so a
     # quantized matrix and its dequantized copy give the same y through the
-    # compiled step.
+    # compiled step, on every packed kernel the host runs.
     rng = np.random.default_rng(seed)
     q = random_quantized(rng, rows, cols, bit_width)
     dense = dequantize(q)
@@ -593,11 +604,13 @@ def test_dense_gemv_record_sums_in_the_packed_kernels_order_property(
     expect = y0.copy()
     s = native_order_sums(dense, x[::incx])
     expect[::incy] = np.float32(alpha) * s + np.float32(beta) * y0[::incy]
-    for a in (dense, q):
-        y = y0.copy()
-        assert gemv_step(a, x, y, alpha, beta, incx, incy)(()) == 0
-        np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32),
-                                      err_msg=type(a).__name__)
+    for kernel in packed_kernels():
+        with packed_kernel(kernel):
+            for a in (dense, q):
+                y = y0.copy()
+                assert gemv_step(a, x, y, alpha, beta, incx, incy)(()) == 0
+                np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32),
+                                              err_msg=type(a).__name__)
 
 
 def test_codes_other_layouts_share_the_sketch_fallback():

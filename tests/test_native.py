@@ -7,6 +7,7 @@ their tests run them as a program of one ``gemv`` or ``embed``
 
 import json
 import os
+import platform
 import signal
 import stat
 import struct
@@ -26,7 +27,8 @@ from quantloop.quantizer import dequantize
 from quantloop.runtime import Engine
 from quantloop.step import FIELD_TABLE, NoStep, Step, build
 
-from conftest import embed_step, gemv_program, gemv_step, needs_cc, random_quantized
+from conftest import (embed_step, gemv_program, gemv_step, needs_cc, packed_kernels,
+                      random_quantized)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -190,6 +192,23 @@ def test_vectors_the_kernel_cannot_take_stay_on_numpy():
 
 
 @needs_cc
+@pytest.mark.skipif(not os.path.exists("/proc/cpuinfo"), reason="no /proc/cpuinfo to read")
+def test_the_packed_kernel_is_chosen_from_the_cpu_at_load(toy_quant_path):
+    # step.c takes its AVX2 packed kernel on an x86-64 CPU with AVX2, a choice
+    # it makes once, when it is loaded, not from FLAGS: no -m flag is passed,
+    # so the cached library still runs on any host of its architecture.
+    with open("/proc/cpuinfo") as f:
+        flags = {word for line in f if line.startswith("flags") for word in line.split()}
+    avx2 = platform.machine() == "x86_64" and "avx2" in flags
+    loaded = native.load()
+    assert loaded.packed_kernel == ("avx2" if avx2 else "portable")
+    assert loaded.avx2.value == avx2
+    assert not [flag for flag in native.FLAGS if flag.startswith("-m")]
+    engine = Engine(toy_quant_path)
+    assert engine.step_status()["packed_kernel"] == loaded.packed_kernel
+
+
+@needs_cc
 def test_first_run_builds_the_field_table():
     # Building the step leaves the table unbuilt, so an engine's tables are
     # not resident while later engines quantize; the step's first run builds
@@ -253,6 +272,7 @@ def test_quantized_embed_record_matches_the_handler_bit_for_bit(bit_width):
 _FENCED = """
 import ctypes, mmap, sys
 import numpy as np
+from quantloop import native
 from quantloop.bitcodec import PackedBuffer, pack_bits, unpack_slice
 from quantloop.quantizer import Codebook, QuantizedMatrix
 from conftest import embed_step, gemv_step
@@ -288,6 +308,14 @@ if sys.argv[1] == "control":
     ctypes.string_at(fence - 1, 2)  # one byte past the copy: must fault
     sys.exit(0)
 
+# The packed kernel under test: the AVX2 run checks that the library chose
+# its vector path at load and that it stays chosen, so every width up to 4
+# (incx is 1) runs on it; the portable run selects the portable kernel.
+loaded = native.load()
+if sys.argv[2] == "avx2":
+    assert loaded.packed_kernel == "avx2" and loaded.avx2.value == 1, loaded
+else:
+    loaded.avx2.value = 0
 rng = np.random.default_rng(7)
 for bits in range(1, 9):
     for cols in (1, 7, 23, 64, 172):
@@ -313,6 +341,7 @@ for bits in range(1, 9):
             # The steps keep the codes array over the mapping alive.
             del q, step, embed, view
             mm.close()
+assert loaded.avx2.value == (sys.argv[2] == "avx2")
 print("ok")
 """
 
@@ -320,12 +349,15 @@ print("ok")
 @needs_cc
 def test_kernel_reads_only_inside_the_packed_buffer():
     # Each stream is copied to end exactly where a PROT_NONE page begins, so a
-    # read of any byte after it faults.  The control shows that it does; the
-    # kernel then runs every width and shape without faulting, and matches
-    # the same call on the unfenced bytes, and the embed of the fenced
-    # table's last row matches the handler's decode.
+    # read of any byte after it faults.  The control shows that it does; each
+    # packed kernel the host runs then runs every width and shape without
+    # faulting (the AVX2 one reads a window from any byte, not only at group
+    # starts), and matches the same call on the unfenced bytes, and the embed
+    # of the fenced table's last row matches the handler's decode.
     path = os.pathsep.join((SRC, str(Path(__file__).resolve().parent)))  # conftest too
     control = run_python(_FENCED.replace("sys.argv[1]", "'control'"), PYTHONPATH=path)
     assert control.returncode == -signal.SIGSEGV, control
-    done = run_python(_FENCED.replace("sys.argv[1]", "'kernel'"), PYTHONPATH=path)
-    assert done.returncode == 0 and done.stdout.strip() == "ok", (done.returncode, done.stderr)
+    for kernel in packed_kernels():
+        script = _FENCED.replace("sys.argv[1]", "'kernel'").replace("sys.argv[2]", repr(kernel))
+        done = run_python(script, PYTHONPATH=path)
+        assert done.returncode == 0 and done.stdout.strip() == "ok", (done.returncode, done.stderr)

@@ -18,7 +18,7 @@ from quantloop.runtime import (Engine, EngineStats, ModelConfig, make_toy_checkp
                                quantize_checkpoint)
 from quantloop.step import NoStep, build
 
-from conftest import needs_cc
+from conftest import needs_cc, packed_kernel, packed_kernels
 
 #: 8 query heads of 32 sharing 4 KV heads, at the toy model's context.
 GQA_CONFIG = ModelConfig(dim=256, hidden_dim=688, n_layers=2, n_heads=8, n_kv_heads=4,
@@ -61,23 +61,25 @@ def checkpoint(request, toy_float_path, toy_quant_path, gqa_paths):
 
 @needs_cc
 def test_compiled_step_agrees_with_the_closures_over_the_whole_context(checkpoint):
-    compiled = Engine(checkpoint)
-    with closures_only():
-        closures = Engine(checkpoint)
-    assert compiled.step_status()["backend"] == "native"
-    assert closures.step_status()["backend"] == "closures"
-    # Both decode greedily from token 1; at every position the two paths see
-    # the same history, so equal picks at each step make equal sequences.
-    token = 1
-    for pos in range(compiled.config.max_seq_len):
-        expect = closures.forward(token, pos).copy()
-        got = compiled.forward(token, pos)
-        worst = float(np.abs(got - expect).max())
-        assert worst <= LOGIT_RTOL * float(np.abs(expect).max()), (pos, worst)
-        assert int(np.argmax(got)) == int(np.argmax(expect)), pos
-        token = int(np.argmax(expect))
-    assert compiled.step_status()["native_forwards"] == compiled.config.max_seq_len
-    assert compiled.stats == closures.stats
+    for kernel in packed_kernels():
+        with packed_kernel(kernel):
+            compiled = Engine(checkpoint)
+            with closures_only():
+                closures = Engine(checkpoint)
+            assert compiled.step_status()["backend"] == "native"
+            assert closures.step_status()["backend"] == "closures"
+            # Both decode greedily from token 1; at every position the two paths see
+            # the same history, so equal picks at each step make equal sequences.
+            token = 1
+            for pos in range(compiled.config.max_seq_len):
+                expect = closures.forward(token, pos).copy()
+                got = compiled.forward(token, pos)
+                worst = float(np.abs(got - expect).max())
+                assert worst <= LOGIT_RTOL * float(np.abs(expect).max()), (pos, worst)
+                assert int(np.argmax(got)) == int(np.argmax(expect)), pos
+                token = int(np.argmax(expect))
+            assert compiled.step_status()["native_forwards"] == compiled.config.max_seq_len
+            assert compiled.stats == closures.stats
 
 
 @needs_cc
@@ -122,7 +124,8 @@ def test_without_a_compiler_the_closures_give_the_same_tokens(toy_float_path, tm
 def test_decode_modes_run_compiled(kind, mode, toy_float_path, toy_quant_path):
     engine = Engine(toy_float_path if kind == "ditf" else toy_quant_path, mode=mode)
     engine.generate([1, 2], steps=3)
-    assert engine.step_status() == {"backend": "native", "reason": None, "native_forwards": 5}
+    assert engine.step_status() == {"backend": "native", "reason": None, "native_forwards": 5,
+                                    "packed_kernel": native.load().packed_kernel}
     assert engine.stats.gemv_calls == 5 * 15
     assert engine.stats.quantized_gemv_calls == (0 if (kind, mode) == ("ditf", "optimized") else 75)
 
@@ -132,7 +135,8 @@ def test_decode_modes_run_compiled(kind, mode, toy_float_path, toy_quant_path):
 def test_per_call_policies_run_compiled(settings, toy_float_path):
     engine = Engine(toy_float_path, mode="quantized", **settings)
     engine.generate([1], steps=2)
-    assert engine.step_status() == {"backend": "native", "reason": None, "native_forwards": 3}
+    assert engine.step_status() == {"backend": "native", "reason": None, "native_forwards": 3,
+                                    "packed_kernel": native.load().packed_kernel}
     stats = engine.stats
     assert stats.gemv_calls == stats.quantized_gemv_calls == stats.bound_checks == 3 * 15
     assert stats.bound_violations == 0
@@ -178,7 +182,8 @@ def test_an_observer_keeps_the_forward_compiled(toy_float_path):
     observations = []
     engine.gemv_observer = observations.append
     engine.forward(2, 1)
-    assert engine.step_status() == {"backend": "native", "reason": None, "native_forwards": 2}
+    assert engine.step_status() == {"backend": "native", "reason": None, "native_forwards": 2,
+                                    "packed_kernel": native.load().packed_kernel}
     assert [o.seq for o in observations] == list(range(16, 31))
     assert all(o.epsilon is o.bound is o.diff_inf is None and not o.fallback
                for o in observations)
@@ -209,7 +214,8 @@ def test_a_handler_that_is_not_quantloops_own_runs_the_closures(toy_float_path, 
 def test_bench_reports_that_the_compiled_step_ran(toy_float_path, capsys):
     assert main(["bench", toy_float_path, "--steps", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["step"] == {"backend": "native", "reason": None, "native_forwards": 4}
+    assert report["step"] == {"backend": "native", "reason": None, "native_forwards": 4,
+                              "packed_kernel": native.load().packed_kernel}
 
 
 # -- the checked packed gemv: the engine's policy in C ------------------------------
@@ -269,14 +275,16 @@ def _decode_both(path: str, positions: int, **settings) -> tuple:
 @needs_cc
 @pytest.mark.parametrize("bits", [2, 3, 4, 8])
 def test_dual_check_agrees_with_the_closures_over_the_whole_context(bits, toy_float_path):
-    compiled, closures, got, expect = _decode_both(toy_float_path, 256, bit_width=bits,
-                                                   dual_check=True)
-    for name in COUNTS:
-        assert getattr(compiled.stats, name) == getattr(closures.stats, name), name
-    assert compiled.stats.bound_checks == 256 * 15 and compiled.stats.bound_violations == 0
-    assert 0 < compiled.stats.max_dual_diff <= compiled.stats.max_bound
-    assert compiled.stats.max_bound == pytest.approx(closures.stats.max_bound, rel=1e-5)
-    _assert_same_observations(got, expect)
+    for kernel in packed_kernels():
+        with packed_kernel(kernel):
+            compiled, closures, got, expect = _decode_both(toy_float_path, 256, bit_width=bits,
+                                                           dual_check=True)
+            for name in COUNTS:
+                assert getattr(compiled.stats, name) == getattr(closures.stats, name), name
+            assert compiled.stats.bound_checks == 256 * 15 and compiled.stats.bound_violations == 0
+            assert 0 < compiled.stats.max_dual_diff <= compiled.stats.max_bound
+            assert compiled.stats.max_bound == pytest.approx(closures.stats.max_bound, rel=1e-5)
+            _assert_same_observations(got, expect)
 
 
 @needs_cc
@@ -288,12 +296,14 @@ def test_bound_fallback_agrees_with_the_closures(toy_float_path):
     probe.forward(1, 0)
     bounds = sorted(o.bound for o in observations)
     threshold = (bounds[6] + bounds[7]) / 2
-    compiled, closures, got, expect = _decode_both(
-        toy_float_path, 64, dual_check=True, bound_threshold=threshold)
-    for name in COUNTS:
-        assert getattr(compiled.stats, name) == getattr(closures.stats, name), name
-    assert 0 < compiled.stats.fallback_calls < compiled.stats.bound_checks
-    _assert_same_observations(got, expect)
+    for kernel in packed_kernels():
+        with packed_kernel(kernel):
+            compiled, closures, got, expect = _decode_both(
+                toy_float_path, 64, dual_check=True, bound_threshold=threshold)
+            for name in COUNTS:
+                assert getattr(compiled.stats, name) == getattr(closures.stats, name), name
+            assert 0 < compiled.stats.fallback_calls < compiled.stats.bound_checks
+            _assert_same_observations(got, expect)
 
 
 @needs_cc
@@ -417,7 +427,8 @@ def test_verify_reports_that_the_compiled_step_ran(toy_float_path, capsys):
     assert main(["verify", toy_float_path, "--steps", "3", "--bits", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["violations"] == 0
-    assert report["step"] == {"backend": "native", "reason": None, "native_forwards": 6}
+    assert report["step"] == {"backend": "native", "reason": None, "native_forwards": 6,
+                              "packed_kernel": native.load().packed_kernel}
 
 
 # -- what the C ops refuse ---------------------------------------------------------
