@@ -65,6 +65,25 @@
  * an add and no fused multiply-add: the summation order below is unchanged,
  * so both paths give the same bits.
  *
+ * The dense gemv has an AVX2 path too (gemv_avx2), chosen by the same flag,
+ * for records with unit column stride and unit incx; every other dense record,
+ * and the rows after the last whole block of 8, run the portable kernel.  Rows
+ * run in blocks of 8 against one load of x per 8 columns: lane j of row r's
+ * register is its accumulator j, with a multiply then an add and no fused
+ * multiply-add, and two levels of hadd then the sum of the two 128-bit halves
+ * give ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) for all 8 rows at
+ * once, combine's tree (IEEE addition is commutative, so the order inside each
+ * pair changes no bit).  Each row then adds its tail products left to right
+ * and stores as gemv does, so its sums are the portable kernel's.
+ *
+ * The upper-state rule: an AVX2 function must not run or call code compiled
+ * without AVX (this file's portable functions are SSE code) while the upper
+ * halves of the ymm registers are dirty.  It clears them first
+ * (_mm256_zeroupper) or inlines what it calls: the compiler does not always
+ * clear them before a call.  Otherwise every SSE instruction can pay for the
+ * dirty state: calling dot for the leftover rows from inside gemv_avx2 took
+ * the toy's float step from about 20 to over 80 us.
+ *
  * A packed gemv record may also be checked.  quantloop.step gives each one a
  * check, in table order: the matrix's epsilon and largest centroid
  * magnitude, and the same call on its float shadow as a gemv record writing
@@ -194,9 +213,9 @@ typedef struct {
 int64_t quantloop_op_size(void) { return (int64_t)sizeof(quantloop_op); }
 int64_t quantloop_check_size(void) { return (int64_t)sizeof(quantloop_check); }
 
-/* 1 when qgemv takes its AVX2 path: set once, when the library is loaded, on
- * an x86-64 CPU with AVX2, and 0 everywhere else.  Only tests write it, 0 to
- * run the portable path. */
+/* 1 when gemv and qgemv take their AVX2 paths: set once, when the library is
+ * loaded, on an x86-64 CPU with AVX2, and 0 everywhere else.  Only tests write
+ * it, 0 to run the portable paths. */
 int quantloop_packed_avx2 = 0;
 
 /* Codes a packed record decodes per step into its stack buffer: a multiple of 8. */
@@ -236,6 +255,52 @@ static float dot(const float *a, int64_t inca, const float *b, int64_t incb, int
     return combine(acc, a + n8 * inca, inca, b + n8 * incb, incb, n - n8);
 }
 
+#if defined(__x86_64__)
+#define AVX2 __attribute__((target("avx2")))
+
+/* Dense gemv record `o` with unit column stride and unit incx, rows in blocks
+ * of 8: lane j of acc[r] is row r's accumulator j, and two levels of hadd then
+ * the sum of the 128-bit halves give every row's combine tree at once.  Returns
+ * the rows it stored, rows - rows % 8, with the upper halves cleared. */
+static AVX2 int64_t gemv_avx2(const quantloop_op *o)
+{
+    const float *a = o->p[0], *x = o->p[1];
+    float *y = o->p[2];
+    const int64_t rows = o->n[0] - o->n[0] % 8, cols = o->n[1], rs = o->n[2], incy = o->n[5];
+    const int64_t n8 = cols - cols % 8;
+    for (int64_t i = 0; i < rows; i += 8) {
+        const float *ai = a + i * rs;
+        __m256 acc[8];
+        for (int r = 0; r < 8; r++)
+            acc[r] = _mm256_setzero_ps();
+        for (int64_t k = 0; k < n8; k += 8) {
+            const __m256 xk = _mm256_loadu_ps(x + k);
+            for (int r = 0; r < 8; r++) {
+                const __m256 w = _mm256_loadu_ps(ai + r * rs + k);
+                acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(w, xk));
+            }
+        }
+        /* Lane r of the low half: row r's (a0 + a1) + (a2 + a3), of the high
+         * half its (a4 + a5) + (a6 + a7); rows 4-7 likewise in `hi`. */
+        const __m256 lo =
+            _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]), _mm256_hadd_ps(acc[2], acc[3]));
+        const __m256 hi =
+            _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]), _mm256_hadd_ps(acc[6], acc[7]));
+        float s[8];
+        _mm256_storeu_ps(s, _mm256_add_ps(_mm256_permute2f128_ps(lo, hi, 0x20),
+                                          _mm256_permute2f128_ps(lo, hi, 0x31)));
+        for (int r = 0; r < 8; r++) {
+            for (int64_t k = n8; k < cols; k++)
+                s[r] += ai[r * rs + k] * x[k];
+            float *yi = y + (i + r) * incy;
+            *yi = o->f[0] * s[r] + o->f[1] * *yi;
+        }
+    }
+    _mm256_zeroupper();
+    return rows;
+}
+#endif
+
 static void gemv(const quantloop_op *o)
 {
     const float *a = o->p[0], *x = o->p[1];
@@ -243,7 +308,12 @@ static void gemv(const quantloop_op *o)
     const int64_t rows = o->n[0], cols = o->n[1], rs = o->n[2], cs = o->n[3];
     const int64_t incx = o->n[4], incy = o->n[5];
     const float alpha = o->f[0], beta = o->f[1];
-    for (int64_t i = 0; i < rows; i++) {
+    int64_t i = 0;
+#if defined(__x86_64__)
+    if (quantloop_packed_avx2 && cs == 1 && incx == 1)
+        i = gemv_avx2(o);
+#endif
+    for (; i < rows; i++) {
         const float s = dot(a + i * rs, cs, x, incx, cols);
         float *yi = y + i * incy;
         *yi = alpha * s + beta * *yi;
@@ -320,8 +390,6 @@ static void qgemv_portable(const quantloop_op *o)
 }
 
 #if defined(__x86_64__)
-#define AVX2 __attribute__((target("avx2")))
-
 /* What the AVX2 path decodes one call's windows with. */
 typedef struct {
     const uint8_t *codes;
@@ -433,7 +501,7 @@ static AVX2 void qgemv_avx2(const quantloop_op *o)
     }
 }
 
-/* Choose the packed kernel once, when the library is loaded. */
+/* Choose the gemv kernels once, when the library is loaded. */
 __attribute__((constructor)) static void choose_packed_kernel(void)
 {
     __builtin_cpu_init();

@@ -376,9 +376,12 @@ def gemv_opt(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
 
     ``bind(a, x, y, p).run()``: it agrees with :func:`gemv_naive` (and, on a
     quantized matrix, with :func:`gemv_sketch`) up to sum reassociation,
-    which the float32 term of :func:`runtime_bound_check` covers.
+    which the float32 term of :func:`runtime_bound_check` covers.  It runs
+    under ``np.errstate(all="ignore")``, as a call inside ``Prepared.run``
+    does, so an overflow to inf or a NaN is stored without a warning.
     """
-    return bind(a, x, y, p).run()
+    with np.errstate(all="ignore"):
+        return bind(a, x, y, p).run()
 
 
 def gemv_sketch(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:

@@ -357,8 +357,8 @@ class Engine:
         ``{"backend": "native" | "closures", "reason": ..., "native_forwards":
         n, "packed_kernel": ...}``, where n counts the forwards that ran
         compiled so far and the packed kernel is the one the native runtime
-        chose when it was loaded, ``"avx2"`` or ``"portable"`` (None on the
-        closures).
+        chose when it was loaded, ``"avx2"`` or ``"portable"``, for the packed
+        and the dense gemv alike (None on the closures).
         """
         reason = self._step_reason
         return {"backend": "closures" if reason else "native", "reason": reason,

@@ -37,17 +37,18 @@ def native_cache(tmp_path_factory):
 
 
 def packed_kernels() -> tuple:
-    """The packed gemv kernels of the compiled step that this host can run.
+    """The gemv kernels of the compiled step that this host can run.
 
-    ``"avx2"`` when ``step.c`` chose its AVX2 path at load, then always
-    ``"portable"``; on a host without AVX2 only the portable one runs.
+    ``"avx2"`` when ``step.c`` chose its AVX2 paths at load, then always
+    ``"portable"``; on a host without AVX2 only the portable one runs.  The
+    one choice covers the packed gemv and the dense one.
     """
     return ("avx2", "portable") if native.load().packed_kernel == "avx2" else ("portable",)
 
 
 @contextlib.contextmanager
 def packed_kernel(kernel: str):
-    """Run the compiled step's packed gemv on `kernel`, one of :func:`packed_kernels`.
+    """Run the compiled step's gemv records on `kernel`, one of :func:`packed_kernels`.
 
     Writes ``step.c``'s ``quantloop_packed_avx2``, which only tests write,
     and restores it after; a failure inside names the kernel.

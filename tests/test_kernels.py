@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from quantloop.runtime import Engine, read_quantized_checkpoint, synthesize_forw
 
 from conftest import (
     assert_elementwise_close,
+    gemv_program,
     gemv_scale,
     needs_cc,
     gemv_step,
@@ -127,6 +129,22 @@ def test_opt_matches_naive_sweep():
         assert_elementwise_close(
             y_opt, y_ref, scale, 1e-5, f"case {case} {layout}/{trans} {m}x{n}"
         )
+
+
+def test_opt_overflows_to_inf_without_a_warning():
+    # Finite weights whose row sums overflow float32.  gemv_opt stores the
+    # infinities silently, as the same call inside a program does: both run
+    # under np.errstate(all="ignore"), so numpy's warning is an error here.
+    a = np.array([[3e38, 3e38, 1.0], [-3e38, -3e38, 1.0]], np.float32)
+    x = np.ones(3, np.float32)
+    expect = np.array([np.inf, -np.inf], np.float32)
+    y, y_program = np.zeros(2, np.float32), np.zeros(2, np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gemv_opt(a.reshape(-1), x, y, params(m=2, n=3))
+        gemv_program(a, x, y_program).run()
+    np.testing.assert_array_equal(y.view(np.int32), expect.view(np.int32))
+    np.testing.assert_array_equal(y_program.view(np.int32), expect.view(np.int32))
 
 
 def test_strided_vectors():
@@ -579,7 +597,7 @@ def test_native_kernel_sums_in_its_documented_order_property(
 @settings(max_examples=40, deadline=None)
 @given(
     bit_width=st.integers(1, 8),
-    rows=st.integers(1, 9),
+    rows=st.integers(1, 20),
     cols=st.integers(1, 2 * NATIVE_CHUNK + 13),
     incx=st.integers(1, 3),
     incy=st.integers(1, 3),
@@ -590,6 +608,15 @@ def test_native_kernel_sums_in_its_documented_order_property(
 @example(bit_width=3, rows=3, cols=NATIVE_CHUNK + 13, incx=3, incy=2, alpha=-0.5, beta=0.25,
          seed=2)
 @example(bit_width=4, rows=9, cols=172, incx=1, incy=1, alpha=1.0, beta=0.0, seed=5)
+# The AVX2 dense kernel's cases: one and two 8-row blocks, a leftover row with
+# a tail (the toy's w1 and w3 are 172 rows), a strided y; incx = 2 takes the
+# portable dense kernel.
+@example(bit_width=3, rows=8, cols=64, incx=1, incy=1, alpha=1.0, beta=0.0, seed=6)
+@example(bit_width=2, rows=16, cols=NATIVE_CHUNK + 5, incx=1, incy=1, alpha=3.0, beta=1.0,
+         seed=7)
+@example(bit_width=5, rows=17, cols=172, incx=1, incy=1, alpha=-0.5, beta=0.25, seed=8)
+@example(bit_width=4, rows=16, cols=23, incx=1, incy=2, alpha=1.0, beta=1.0, seed=9)
+@example(bit_width=3, rows=16, cols=64, incx=2, incy=1, alpha=1.0, beta=0.0, seed=10)
 def test_dense_gemv_record_sums_in_the_packed_kernels_order_property(
     bit_width, rows, cols, incx, incy, alpha, beta, seed
 ):

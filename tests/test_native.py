@@ -341,6 +341,22 @@ for bits in range(1, 9):
             # The steps keep the codes array over the mapping alive.
             del q, step, embed, view
             mm.close()
+# Dense records: each float matrix ends where the fence begins.  The AVX2 run
+# takes the vector dense kernel on whole 8-row blocks (unit strides), and the
+# leftover rows and every row's tail columns on the portable one.
+for rows, cols in ((1, 7), (8, 8), (8, 64), (9, 23), (16, 172), (17, 172)):
+    a = rng.normal(size=(rows, cols)).astype(np.float32)
+    mm, fence, view = fenced(a.tobytes())
+    dense = np.frombuffer(view, np.float32).reshape(rows, cols)
+    x = rng.normal(size=cols).astype(np.float32)
+    y0 = rng.normal(size=rows).astype(np.float32)
+    y, y_plain = y0.copy(), y0.copy()
+    step = run_step(dense, x, y)
+    run_step(a, x, y_plain)
+    np.testing.assert_array_equal(y, y_plain)
+    libc.mprotect(fence, PAGE, mmap.PROT_READ | mmap.PROT_WRITE)
+    del dense, step, view
+    mm.close()
 assert loaded.avx2.value == (sys.argv[2] == "avx2")
 print("ok")
 """
@@ -353,7 +369,9 @@ def test_kernel_reads_only_inside_the_packed_buffer():
     # packed kernel the host runs then runs every width and shape without
     # faulting (the AVX2 one reads a window from any byte, not only at group
     # starts), and matches the same call on the unfenced bytes, and the embed
-    # of the fenced table's last row matches the handler's decode.
+    # of the fenced table's last row matches the handler's decode.  Dense
+    # float matrices that end at the fence run the same way, so the AVX2
+    # dense kernel is held to the same bound as the portable one.
     path = os.pathsep.join((SRC, str(Path(__file__).resolve().parent)))  # conftest too
     control = run_python(_FENCED.replace("sys.argv[1]", "'control'"), PYTHONPATH=path)
     assert control.returncode == -signal.SIGSEGV, control
