@@ -18,14 +18,16 @@ overhead of the call at the toy's shapes, not the kernel.  Then come the
 bound float run's effective GFLOP/s and each run's speed-up over the
 reference.  The float kernels do not depend on the width and are timed once
 per shape.  The default shapes are the toy model's GEMVs plus 1024x1024.
+numpy's BLAS is pinned to one thread, like the compiled kernels.
 
 Without a compiled step (no compiler, or a failed build or load) the codes
 and dense run columns time the program's closures, which run on numpy; the
 first line printed names the backend a one-gemv program over a quantized
 matrix runs on and, for numpy, the reason it has no step.  A compiled
 step's second line names the kernel the native runtime chose at load,
-``avx2`` or ``portable``, which covers the packed and the dense gemv.  The
-next line names the backend of a one-gemv program over a float matrix.
+``avx2`` or ``portable``, one choice for the packed gemv, the dense one and
+attention.  The next line names the backend of a one-gemv program over a
+float matrix.
 
     python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 2,3,4,8
 """
@@ -34,6 +36,12 @@ import argparse
 import os
 import sys
 import time
+
+# numpy's BLAS runs on one thread, as the compiled kernels do (and as
+# perfbench/run.py pins it), so the "opt run" column times one core too.  It
+# reads these when numpy is imported.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np
 

@@ -68,13 +68,26 @@
  * The dense gemv has an AVX2 path too (gemv_avx2), chosen by the same flag,
  * for records with unit column stride and unit incx; every other dense record,
  * and the rows after the last whole block of 8, run the portable kernel.  Rows
- * run in blocks of 8 against one load of x per 8 columns: lane j of row r's
- * register is its accumulator j, with a multiply then an add and no fused
+ * run in blocks of 8 against one load of x per 8 columns (dot8): lane j of row
+ * r's register is its accumulator j, with a multiply then an add and no fused
  * multiply-add, and two levels of hadd then the sum of the two 128-bit halves
  * give ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) for all 8 rows at
  * once, combine's tree (IEEE addition is commutative, so the order inside each
  * pair changes no bit).  Each row then adds its tail products left to right
  * and stores as gemv does, so its sums are the portable kernel's.
+ *
+ * Attention takes AVX2 paths under the same flag too.  A head's scores are a
+ * dense gemv over its slice of the K cache (rows are positions, the row stride
+ * is the cache's cols, x is the head's q), so positions run in blocks of 8
+ * through dot8 (scores_avx2), each score then times the scale, and the
+ * positions after the last whole block run dot.  The max, expf and the sum of
+ * the exponentials stay scalar and in position order: a vector expf would
+ * change bits.  weigh_avx2 then divides the exponentials by the sum 8 at a
+ * time (IEEE division is correctly rounded, lane or scalar alike) and adds
+ * weight * value to each output in position order, 8 outputs per register
+ * with a multiply then an add, the last head_size % 8 one at a time.  Each
+ * output sees the same operations in the same order as on the portable path,
+ * so both give the same bits.
  *
  * The upper-state rule: an AVX2 function must not run or call code compiled
  * without AVX (this file's portable functions are SSE code) while the upper
@@ -82,7 +95,10 @@
  * (_mm256_zeroupper) or inlines what it calls: the compiler does not always
  * clear them before a call.  Otherwise every SSE instruction can pay for the
  * dirty state: calling dot for the leftover rows from inside gemv_avx2 took
- * the toy's float step from about 20 to over 80 us.
+ * the toy's float step from about 20 to over 80 us.  So gemv_avx2,
+ * scores_avx2 and weigh_avx2 end with _mm256_zeroupper, and the SSE code that
+ * follows them (dot for the leftover rows and positions, libm's expf) runs
+ * after they return.
  *
  * A packed gemv record may also be checked.  quantloop.step gives each one a
  * check, in table order: the matrix's epsilon and largest centroid
@@ -213,9 +229,9 @@ typedef struct {
 int64_t quantloop_op_size(void) { return (int64_t)sizeof(quantloop_op); }
 int64_t quantloop_check_size(void) { return (int64_t)sizeof(quantloop_check); }
 
-/* 1 when gemv and qgemv take their AVX2 paths: set once, when the library is
- * loaded, on an x86-64 CPU with AVX2, and 0 everywhere else.  Only tests write
- * it, 0 to run the portable paths. */
+/* 1 when gemv, qgemv and attention take their AVX2 paths: set once, when the
+ * library is loaded, on an x86-64 CPU with AVX2, and 0 everywhere else.  Only
+ * tests write it, 0 to run the portable paths. */
 int quantloop_packed_avx2 = 0;
 
 /* Codes a packed record decodes per step into its stack buffer: a multiple of 8. */
@@ -258,46 +274,121 @@ static float dot(const float *a, int64_t inca, const float *b, int64_t incb, int
 #if defined(__x86_64__)
 #define AVX2 __attribute__((target("avx2")))
 
+/* The dots of rows a, a + rs, ..., a + 7 rs with x, n terms each, into s[0..7]:
+ * lane j of acc[r] is row r's accumulator j, and two levels of hadd then the sum
+ * of the 128-bit halves give every row's combine tree at once; each row then adds
+ * its tail products left to right, so every sum is dot's.  Inlined into its
+ * AVX2 callers, which clear the upper halves before they return. */
+static inline __attribute__((always_inline)) AVX2 void dot8(const float *a, int64_t rs,
+                                                            const float *x, int64_t n, float s[8])
+{
+    const int64_t n8 = n - n % 8;
+    __m256 acc[8];
+    for (int r = 0; r < 8; r++)
+        acc[r] = _mm256_setzero_ps();
+    for (int64_t k = 0; k < n8; k += 8) {
+        const __m256 xk = _mm256_loadu_ps(x + k);
+        for (int r = 0; r < 8; r++) {
+            const __m256 w = _mm256_loadu_ps(a + r * rs + k);
+            acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(w, xk));
+        }
+    }
+    /* Lane r of the low half: row r's (a0 + a1) + (a2 + a3), of the high half
+     * its (a4 + a5) + (a6 + a7); rows 4-7 likewise in `hi`. */
+    const __m256 lo =
+        _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]), _mm256_hadd_ps(acc[2], acc[3]));
+    const __m256 hi =
+        _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]), _mm256_hadd_ps(acc[6], acc[7]));
+    _mm256_storeu_ps(s, _mm256_add_ps(_mm256_permute2f128_ps(lo, hi, 0x20),
+                                      _mm256_permute2f128_ps(lo, hi, 0x31)));
+    for (int r = 0; r < 8; r++)
+        for (int64_t k = n8; k < n; k++)
+            s[r] += a[r * rs + k] * x[k];
+}
+
 /* Dense gemv record `o` with unit column stride and unit incx, rows in blocks
- * of 8: lane j of acc[r] is row r's accumulator j, and two levels of hadd then
- * the sum of the 128-bit halves give every row's combine tree at once.  Returns
- * the rows it stored, rows - rows % 8, with the upper halves cleared. */
+ * of 8 (dot8).  Returns the rows it stored, rows - rows % 8, with the upper
+ * halves cleared. */
 static AVX2 int64_t gemv_avx2(const quantloop_op *o)
 {
     const float *a = o->p[0], *x = o->p[1];
     float *y = o->p[2];
     const int64_t rows = o->n[0] - o->n[0] % 8, cols = o->n[1], rs = o->n[2], incy = o->n[5];
-    const int64_t n8 = cols - cols % 8;
     for (int64_t i = 0; i < rows; i += 8) {
-        const float *ai = a + i * rs;
-        __m256 acc[8];
-        for (int r = 0; r < 8; r++)
-            acc[r] = _mm256_setzero_ps();
-        for (int64_t k = 0; k < n8; k += 8) {
-            const __m256 xk = _mm256_loadu_ps(x + k);
-            for (int r = 0; r < 8; r++) {
-                const __m256 w = _mm256_loadu_ps(ai + r * rs + k);
-                acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(w, xk));
-            }
-        }
-        /* Lane r of the low half: row r's (a0 + a1) + (a2 + a3), of the high
-         * half its (a4 + a5) + (a6 + a7); rows 4-7 likewise in `hi`. */
-        const __m256 lo =
-            _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]), _mm256_hadd_ps(acc[2], acc[3]));
-        const __m256 hi =
-            _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]), _mm256_hadd_ps(acc[6], acc[7]));
         float s[8];
-        _mm256_storeu_ps(s, _mm256_add_ps(_mm256_permute2f128_ps(lo, hi, 0x20),
-                                          _mm256_permute2f128_ps(lo, hi, 0x31)));
+        dot8(a + i * rs, rs, x, cols, s);
         for (int r = 0; r < 8; r++) {
-            for (int64_t k = n8; k < cols; k++)
-                s[r] += ai[r * rs + k] * x[k];
             float *yi = y + (i + r) * incy;
             *yi = o->f[0] * s[r] + o->f[1] * *yi;
         }
     }
     _mm256_zeroupper();
     return rows;
+}
+
+/* Attention scores s[t] = dot(q, k + t rs, hs) * scale for positions t in
+ * blocks of 8 (dot8).  Returns the positions it scored, rows - rows % 8, with
+ * the upper halves cleared. */
+static AVX2 int64_t scores_avx2(const float *k, int64_t rs, const float *q, int64_t hs,
+                                int64_t rows, float scale, float *s)
+{
+    const int64_t rows8 = rows - rows % 8;
+    for (int64_t t = 0; t < rows8; t += 8) {
+        dot8(k + t * rs, rs, q, hs, s + t);
+        _mm256_storeu_ps(s + t, _mm256_mul_ps(_mm256_loadu_ps(s + t), _mm256_set1_ps(scale)));
+    }
+    _mm256_zeroupper();
+    return rows8;
+}
+
+/* out[8j + l] = sum over t < rows, in order, of w[t] * v[t rs + 8j + l], for
+ * j < nb: lane l of acc[j] is one output's running sum.  Inlined for each
+ * constant nb <= 4. */
+static inline __attribute__((always_inline)) AVX2 void mix(float *out, const float *v, int64_t rs,
+                                                           const float *w, int64_t rows, int nb)
+{
+    __m256 acc[4];
+    for (int j = 0; j < nb; j++)
+        acc[j] = _mm256_setzero_ps();
+    for (int64_t t = 0; t < rows; t++) {
+        const __m256 wt = _mm256_set1_ps(w[t]);
+        for (int j = 0; j < nb; j++)
+            acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(wt, _mm256_loadu_ps(v + t * rs + 8 * j)));
+    }
+    for (int j = 0; j < nb; j++)
+        _mm256_storeu_ps(out + 8 * j, acc[j]);
+}
+
+/* A head's output from its exponentials s[0 .. rows - 1] and their sum: the
+ * weights s[t] / sum, divided 8 at a time into s, then out[d] = sum over t, in
+ * order, of weight t times v[t rs + d], 8 values of d per register and the
+ * hs % 8 last ones one at a time.  Clears the upper halves before it returns. */
+static AVX2 void weigh_avx2(float *out, const float *v, int64_t rs, int64_t hs, float *s,
+                            int64_t rows, float sum)
+{
+    const int64_t rows8 = rows - rows % 8, hs8 = hs - hs % 8;
+    int64_t t = 0, d = 0;
+    for (; t < rows8; t += 8)
+        _mm256_storeu_ps(s + t, _mm256_div_ps(_mm256_loadu_ps(s + t), _mm256_set1_ps(sum)));
+    for (; t < rows; t++)
+        s[t] = s[t] / sum;
+    for (; d + 32 <= hs8; d += 32)
+        mix(out + d, v + d, rs, s, rows, 4);
+    if (d + 16 <= hs8) {
+        mix(out + d, v + d, rs, s, rows, 2);
+        d += 16;
+    }
+    if (d < hs8) {
+        mix(out + d, v + d, rs, s, rows, 1);
+        d += 8;
+    }
+    for (; d < hs; d++) {
+        float acc = 0;
+        for (t = 0; t < rows; t++)
+            acc += s[t] * v[t * rs + d];
+        out[d] = acc;
+    }
+    _mm256_zeroupper();
 }
 #endif
 
@@ -501,7 +592,7 @@ static AVX2 void qgemv_avx2(const quantloop_op *o)
     }
 }
 
-/* Choose the gemv kernels once, when the library is loaded. */
+/* Choose the kernels once, when the library is loaded. */
 __attribute__((constructor)) static void choose_packed_kernel(void)
 {
     __builtin_cpu_init();
@@ -645,24 +736,35 @@ static void attention(const quantloop_op *o, int64_t pos, float *s)
     memcpy(k_cache + pos * cols, o->p[2], (size_t)cols * sizeof(float));
     memcpy(v_cache + pos * cols, o->p[3], (size_t)cols * sizeof(float));
     for (int64_t h = 0; h < n_heads; h++) {
-        const int64_t col = (h / group) * hs;
-        const float *qh = q + h * hs;
-        for (int64_t t = 0; t < rows; t++)
-            s[t] = dot(qh, 1, k_cache + t * cols + col, 1, hs) * scale;
+        const float *qh = q + h * hs, *kh = k_cache + (h / group) * hs;
+        const float *vh = v_cache + (h / group) * hs;
+        float *oh = out + h * hs;
+        int64_t t = 0;
+#if defined(__x86_64__)
+        if (quantloop_packed_avx2)
+            t = scores_avx2(kh, cols, qh, hs, rows, scale, s);
+#endif
+        for (; t < rows; t++)
+            s[t] = dot(qh, 1, kh + t * cols, 1, hs) * scale;
         float m = s[0];
-        for (int64_t t = 1; t < rows; t++)
+        for (t = 1; t < rows; t++)
             m = s[t] > m ? s[t] : m;
         float sum = 0;
-        for (int64_t t = 0; t < rows; t++) {
+        for (t = 0; t < rows; t++) {
             s[t] = expf(s[t] - m);
             sum += s[t];
         }
-        float *oh = out + h * hs;
+#if defined(__x86_64__)
+        if (quantloop_packed_avx2) {
+            weigh_avx2(oh, vh, cols, hs, s, rows, sum);
+            continue;
+        }
+#endif
         for (int64_t d = 0; d < hs; d++)
             oh[d] = 0;
-        for (int64_t t = 0; t < rows; t++) {
+        for (t = 0; t < rows; t++) {
             const float w = s[t] / sum;
-            const float *vt = v_cache + t * cols + col;
+            const float *vt = vh + t * cols;
             for (int64_t d = 0; d < hs; d++)
                 oh[d] += w * vt[d];
         }

@@ -13,12 +13,13 @@ interpreter's closures included, runs numpy.
   them and break NaN propagation, is never used.  Neither is
   ``-march=native``, so a cached library runs on any host of its
   architecture.
-* The packed and the dense GEMV each have one vector path, for AVX2,
-  compiled under ``__attribute__((target("avx2")))`` inside the portable
-  library.  The library chooses both at once, when it is loaded, from the
-  CPU's features (``__builtin_cpu_supports``); every other host and call
-  runs the portable kernels.  :attr:`Native.packed_kernel` records the
-  choice.
+* The packed GEMV, the dense GEMV and attention each have one vector path,
+  for AVX2, compiled under ``__attribute__((target("avx2")))`` inside the
+  portable library.  The library chooses all three at once, when it is
+  loaded, from the CPU's features (``__builtin_cpu_supports``); every other
+  host and call runs the portable kernels.  :attr:`Native.packed_kernel`
+  records the choice.  Each vector path keeps the portable kernel's order of
+  float32 operations for every output, so both give the same bits.
 * The library is cached as ``$XDG_CACHE_HOME/quantloop/quantloop-<sha256>.so``
   (``~/.cache`` by default), named by one hash of the source, the flags and
   ``cc --version``.  It is written to a temporary file and renamed into
@@ -110,8 +111,8 @@ class Native:
 
     step: object = None  # quantloop_step(quantloop_table bytes) -> status, or None
     reason: str | None = None
-    #: The gemv kernels the library chose when it was loaded, "avx2" or "portable": one
-    #: choice covers the packed gemv and the dense one.
+    #: The kernels the library chose when it was loaded, "avx2" or "portable": one
+    #: choice covers the packed gemv, the dense one and attention.
     packed_kernel: str | None = None
     #: ``step.c``'s ``quantloop_packed_avx2``, the choice itself; only tests write 0 to it.
     avx2: ctypes.c_int | None = None

@@ -37,18 +37,20 @@ def native_cache(tmp_path_factory):
 
 
 def packed_kernels() -> tuple:
-    """The gemv kernels of the compiled step that this host can run.
+    """The kernels of the compiled step that this host can run.
 
     ``"avx2"`` when ``step.c`` chose its AVX2 paths at load, then always
     ``"portable"``; on a host without AVX2 only the portable one runs.  The
-    one choice covers the packed gemv and the dense one.
+    one choice covers the packed gemv, the dense one and attention.
     """
     return ("avx2", "portable") if native.load().packed_kernel == "avx2" else ("portable",)
 
 
 @contextlib.contextmanager
 def packed_kernel(kernel: str):
-    """Run the compiled step's gemv records on `kernel`, one of :func:`packed_kernels`.
+    """Run the compiled step's gemv and attention records on `kernel`.
+
+    `kernel` is one of :func:`packed_kernels`.
 
     Writes ``step.c``'s ``quantloop_packed_avx2``, which only tests write,
     and restores it after; a failure inside names the kernel.
@@ -59,7 +61,7 @@ def packed_kernel(kernel: str):
     try:
         yield
     except Exception as exc:
-        exc.add_note(f"packed gemv kernel: {kernel}")
+        exc.add_note(f"compiled step kernel: {kernel}")
         raise
     finally:
         switch.value = chosen
@@ -110,6 +112,25 @@ def embed_step(table: QuantizedMatrix, dst: np.ndarray) -> Step:
         functions=(Function("f", (IntrinsicCall("embed", ("dst", "T", "token")),)),),
     )
     return build(Prepared(program, {"T": table, "dst": dst, "token": 0}))
+
+
+def attention_program(env: dict, n_heads: int, n_kv_heads: int, head_size: int) -> Prepared:
+    """``attention`` over `env`'s arrays as a program of one statement, prepared.
+
+    `env` maps ``att``, ``q``, ``k``, ``v``, ``k_cache`` and ``v_cache`` to
+    float32 arrays, the caches 2-D; the program's one param, ``pos``, is set
+    to 0 in it.  ``build`` gives its compiled step, and ``step((pos,))`` runs
+    the attention record at `pos`.
+    """
+    names = ("att", "q", "k", "v", "k_cache", "v_cache")
+    call = IntrinsicCall("attention", (*names, "pos", n_heads, n_kv_heads, head_size))
+    program = LoopProgram(
+        buffers=tuple(BufferDecl(name, env[name].shape) for name in names),
+        params=("pos",),
+        functions=(Function("f", (call,)),),
+    )
+    env["pos"] = 0
+    return Prepared(program, env)
 
 
 @pytest.fixture(scope="session")

@@ -275,7 +275,8 @@ import numpy as np
 from quantloop import native
 from quantloop.bitcodec import PackedBuffer, pack_bits, unpack_slice
 from quantloop.quantizer import Codebook, QuantizedMatrix
-from conftest import embed_step, gemv_step
+from conftest import attention_program, embed_step, gemv_step
+from quantloop.step import build
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
@@ -357,6 +358,39 @@ for rows, cols in ((1, 7), (8, 8), (8, 64), (9, 23), (16, 172), (17, 172)):
     libc.mprotect(fence, PAGE, mmap.PROT_READ | mmap.PROT_WRITE)
     del dense, step, view
     mm.close()
+
+
+def attend(caches, head_size, q, k, v):
+    # 4 query heads on 2 KV heads at the caches' last position.
+    env = {"att": np.zeros(q.size, np.float32), "q": q, "k": k, "v": v, **caches}
+    step = build(attention_program(env, 4, 2, head_size))
+    assert step((caches["k_cache"].shape[0] - 1,)) == 0
+    return env["att"]
+
+
+# Attention records whose K and V caches each end where a fence begins, run at
+# their last position, so the last KV head reads the caches' last element.
+# The AVX2 run scores whole blocks of 8 positions and weighs 8 outputs per
+# register (head size 12 leaves a tail of 4); 21 positions leave 5 for dot.
+for head_size in (12, 16):
+    for rows in (16, 21):
+        shape = (rows, 2 * head_size)
+        k_cache, v_cache = (rng.normal(size=shape).astype(np.float32) for _ in range(2))
+        q = rng.normal(size=4 * head_size).astype(np.float32)
+        k, v = (rng.normal(size=shape[1]).astype(np.float32) for _ in range(2))
+        fences = [fenced(cache.tobytes()) for cache in (k_cache, v_cache)]
+        caches = {name: np.frombuffer(view, np.float32).reshape(shape)
+                  for name, (_, _, view) in zip(("k_cache", "v_cache"), fences)}
+        got = attend(caches, head_size, q, k, v)
+        expect = attend({"k_cache": k_cache, "v_cache": v_cache}, head_size, q, k, v)
+        np.testing.assert_array_equal(got.view(np.int32), expect.view(np.int32))
+        np.testing.assert_array_equal(caches["k_cache"], k_cache)
+        np.testing.assert_array_equal(caches["v_cache"], v_cache)
+        del caches
+        for mm, fence, view in fences:
+            libc.mprotect(fence, PAGE, mmap.PROT_READ | mmap.PROT_WRITE)
+            view.release()
+            mm.close()
 assert loaded.avx2.value == (sys.argv[2] == "avx2")
 print("ok")
 """
@@ -371,7 +405,8 @@ def test_kernel_reads_only_inside_the_packed_buffer():
     # starts), and matches the same call on the unfenced bytes, and the embed
     # of the fenced table's last row matches the handler's decode.  Dense
     # float matrices that end at the fence run the same way, so the AVX2
-    # dense kernel is held to the same bound as the portable one.
+    # dense kernel is held to the same bound as the portable one, and so do
+    # attention records whose K and V caches each end at a fence.
     path = os.pathsep.join((SRC, str(Path(__file__).resolve().parent)))  # conftest too
     control = run_python(_FENCED.replace("sys.argv[1]", "'control'"), PYTHONPATH=path)
     assert control.returncode == -signal.SIGSEGV, control

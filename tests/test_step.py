@@ -18,7 +18,7 @@ from quantloop.runtime import (Engine, EngineStats, ModelConfig, make_toy_checkp
                                quantize_checkpoint)
 from quantloop.step import NoStep, build
 
-from conftest import needs_cc, packed_kernel, packed_kernels
+from conftest import attention_program, needs_cc, packed_kernel, packed_kernels
 
 #: 8 query heads of 32 sharing 4 KV heads, at the toy model's context.
 GQA_CONFIG = ModelConfig(dim=256, hidden_dim=688, n_layers=2, n_heads=8, n_kv_heads=4,
@@ -498,3 +498,49 @@ def test_out_of_range_token_or_pos_writes_nothing(params, error):
     env.update(params)
     with pytest.raises(IndexError, match=error):
         prepared.run()
+
+
+@needs_cc
+@pytest.mark.parametrize("head_size", [8, 12, 16, 32])
+@pytest.mark.parametrize("group", [1, 2])
+def test_attention_record_gives_the_same_bits_on_every_kernel(head_size, group):
+    # 21 positions: whole blocks of 8 and leftovers, and positions 7, 8 and 9
+    # score 8, 9 and 10 rows.  Each kernel fills the same cache from the same
+    # q, k and v; every position's output must have the same bits on each,
+    # and stay within float32 rounding of the closures'.
+    rows, n_kv_heads = 21, 2
+    n_heads, cols = n_kv_heads * group, n_kv_heads * head_size
+    rng = np.random.default_rng(head_size + group)
+    inputs = [{"q": rng.normal(size=n_heads * head_size).astype(np.float32) * 3,
+               "k": rng.normal(size=cols).astype(np.float32) * 3,
+               "v": rng.normal(size=cols).astype(np.float32)} for _ in range(rows)]
+
+    def arrays() -> dict:
+        shapes = {"att": n_heads * head_size, "q": n_heads * head_size, "k": cols, "v": cols,
+                  "k_cache": (rows, cols), "v_cache": (rows, cols)}
+        return {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+
+    outputs = {}
+    for kernel in packed_kernels():
+        with packed_kernel(kernel):
+            env = arrays()
+            step = build(attention_program(env, n_heads, n_kv_heads, head_size))
+            outputs[kernel] = []
+            for pos, values in enumerate(inputs):
+                for name, value in values.items():
+                    env[name][...] = value
+                assert step((pos,)) == 0
+                outputs[kernel].append(env["att"].copy())
+    oracle = arrays()
+    closures = attention_program(oracle, n_heads, n_kv_heads, head_size)
+    for pos, values in enumerate(inputs):
+        for name, value in values.items():
+            oracle[name][...] = value
+        oracle["pos"] = pos
+        closures.run()
+        expect = outputs["portable"][pos]
+        np.testing.assert_allclose(expect, oracle["att"], rtol=1e-5, atol=1e-5,
+                                   err_msg=f"pos={pos}")
+        for kernel, got in outputs.items():
+            np.testing.assert_array_equal(got[pos].view(np.int32), expect.view(np.int32),
+                                          err_msg=f"{kernel} pos={pos}")
