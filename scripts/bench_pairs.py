@@ -6,13 +6,16 @@ into a temporary directory, which is removed afterwards.  For each workload,
 pair ``i`` runs ``perfbench/run.py --seed SEED+i`` once on each tree,
 alternating which tree runs first, and reads the contract line (the last
 line of its output).  A pair fails when either contract line says
-``correct: false``.  With ``--trace``, one ``--trace 1`` run per tree and
-workload follows the pairs and its per-layer metrics are kept.
+``correct: false``.  With ``--trace``, each pair also makes one
+``--trace 1`` run per tree, in the pair's order and with its seed, so no
+single traced run decides a per-layer figure.
 
 The JSON written to ``--out`` holds, per workload and gated metric, each
 side's median and quartiles, the pairs the change won (by the metric's
 ``better`` direction in ``BENCHMARK.json``) and the change/parent ratio of
-the medians, followed by every run.
+the medians, followed by every run.  With ``--trace`` it also holds, per
+workload and per-layer metric, each side's median and quartiles over the
+traced runs, followed by every traced run.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 25 \\
         --out BENCH_pairs.json --trace
@@ -79,6 +82,21 @@ def summarize(runs: list) -> dict:
     return summary
 
 
+def summarize_traced(traced: list) -> dict:
+    """Each side's median and quartiles of every per-layer metric both sides report."""
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in traced):
+        mine = [r for r in traced if r["workload"] == workload]
+        entry = summary[workload] = {}
+        for metric in SPEC["per_layer"]:
+            name = metric["name"]
+            side = {s: [r[name] for r in mine if r["side"] == s and r.get(name) is not None]
+                    for s in ("parent", "change")}
+            if all(side.values()):
+                entry[name] = {s: quartiles(v) for s, v in side.items()}
+    return summary
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
@@ -87,14 +105,14 @@ def main() -> int:
     parser.add_argument("--workloads", default=",".join(w["name"] for w in SPEC["workloads"]))
     parser.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
     parser.add_argument("--trace", action="store_true",
-                        help="add one traced run per tree and workload")
+                        help="add one traced run per tree to each pair")
     parser.add_argument("--out", required=True, help="where to write the JSON")
     args = parser.parse_args()
 
     workloads = args.workloads.split(",")
     parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    trees, runs, traced, host = {"change": ROOT}, [], {}, None
+    trees, runs, traced, host = {"change": ROOT}, [], [], None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees["parent"] = Path(tmp)
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent],
@@ -105,22 +123,22 @@ def main() -> int:
             for pair in range(args.pairs):
                 seed = args.seed + pair
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in order:
-                    report, contract = run(trees[side], workload, seed, args.seconds, 0)
-                    host = host or report["metadata"]
-                    runs.append({
-                        "workload": workload, "seed": seed, "pair": pair, "side": side,
-                        "ran_first": side == order[0], "correct": contract["correct"],
-                        "attempted": contract["attempted"], "failed": contract["failed"],
-                        **{k: v["value"] for k, v in contract["metrics"].items()},
-                    })
-                    print(json.dumps(runs[-1]), flush=True)
-            if args.trace:
-                traced[workload] = {
-                    side: {k: v["value"] for k, v in
-                           run(trees[side], workload, args.seed, args.seconds, 1)[0]["metrics"].items()}
-                    for side in ("parent", "change")
-                }
+                for trace in (0, 1) if args.trace else (0,):
+                    for side in order:
+                        report, contract = run(trees[side], workload, seed, args.seconds, trace)
+                        host = host or report["metadata"]
+                        row = {"workload": workload, "seed": seed, "pair": pair, "side": side,
+                               "ran_first": side == order[0], "correct": contract["correct"]}
+                        if trace:
+                            traced.append({**row, **{k: v["value"]
+                                                     for k, v in report["metrics"].items()}})
+                            continue
+                        runs.append({
+                            **row, "attempted": contract["attempted"],
+                            "failed": contract["failed"],
+                            **{k: v["value"] for k, v in contract["metrics"].items()},
+                        })
+                        print(json.dumps(runs[-1]), flush=True)
 
     head = git("rev-parse", "HEAD")
     result = {
@@ -136,7 +154,8 @@ def main() -> int:
         "runs": runs,
     }
     if args.trace:
-        result["trace"] = {"seed": args.seed, "seconds": args.seconds, "workloads": traced}
+        result["trace"] = {"seconds": args.seconds, "summary": summarize_traced(traced),
+                           "runs": traced}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for workload, entry in result["summary"].items():
         for metric in SPEC["end_to_end"]:

@@ -18,7 +18,7 @@ interpreter's closures included, runs numpy.
   portable library.  The library chooses all three at once, when it is
   loaded, from the CPU's features (``__builtin_cpu_supports``); every other
   host and call runs the portable kernels.  :attr:`Native.packed_kernel`
-  records the choice.  Each vector path keeps the portable kernel's order of
+  reads the choice.  Each vector path keeps the portable kernel's order of
   float32 operations for every output, so both give the same bits.
 * The library is cached as ``$XDG_CACHE_HOME/quantloop/quantloop-<sha256>.so``
   (``~/.cache`` by default), named by one hash of the source, the flags and
@@ -111,11 +111,13 @@ class Native:
 
     step: object = None  # quantloop_step(quantloop_table bytes) -> status, or None
     reason: str | None = None
-    #: The kernels the library chose when it was loaded, "avx2" or "portable": one
-    #: choice covers the packed gemv, the dense one and attention.
-    packed_kernel: str | None = None
     #: ``step.c``'s ``quantloop_packed_avx2``, the choice itself; only tests write 0 to it.
     avx2: ctypes.c_int | None = None
+
+    @property
+    def packed_kernel(self) -> str | None:
+        """What :attr:`avx2` selects now, "avx2" or "portable", for every gemv and attention."""
+        return None if self.avx2 is None else "avx2" if self.avx2.value else "portable"
 
 
 class _BuildFailed(Exception):
@@ -152,8 +154,7 @@ def _open(path: Path) -> Native:
     # would build a converter object on every call, and a compiled forward
     # allocates nothing.
     step.restype = ctypes.c_int64
-    avx2 = ctypes.c_int.in_dll(lib, "quantloop_packed_avx2")
-    return Native(step, packed_kernel="avx2" if avx2.value else "portable", avx2=avx2)
+    return Native(step, avx2=ctypes.c_int.in_dll(lib, "quantloop_packed_avx2"))
 
 
 @functools.cache

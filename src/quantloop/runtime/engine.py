@@ -27,36 +27,39 @@ before reading the file, anywhere but on a float checkpoint in
 
 Each ``gemv`` call arrives bound (a :class:`~quantloop.kernels.GemvCall`
 built when the program was prepared; a call on a matrix with a float shadow
-also carries the shadow's call, bound at the same time).  With no
-threshold, no dual check and no observer it runs straight through the
-kernel and only the call counters of :class:`EngineStats` advance.
-Otherwise every call on a quantized matrix is bound-checked with
+also carries the shadow's call, bound at the same time).  Whether calls are
+checked is fixed when the engine is built: only a threshold or the dual
+check turns the checks on.  Without them each call runs straight through
+the kernel and only the call counters of :class:`EngineStats` advance.
+With them every call, each on a quantized matrix, is bound-checked with
 :func:`~quantloop.kernels.runtime_bound_check`'s bound, which covers the
 float32 rounding of both paths, not only exact arithmetic: over the
 threshold (or when the bound is not a number) the call runs on the float
 shadow instead, and under the dual check it runs on both and the gap is
-measured.  Each call is described by a :class:`GemvObservation`, which the
-counters and the optional ``gemv_observer`` read.
+measured.  Each checked call is described by a :class:`GemvObservation`,
+which the counters and the optional ``gemv_observer`` read.  An observer
+only reads: it changes nothing that runs or is counted, and an engine
+without checks never calls it.
 
 Once the program is prepared, :func:`quantloop.step.build` makes its
 compiled step from the C ops the engine's handlers may stand in for, and a
 forward runs as one call into it whenever there is one: every top-level
 statement has a C op and a compiler built the runtime, which the build
-loads only then.  No setting chooses it.  Its packed gemv
+loads only then.  No setting chooses it.  A checked engine's packed gemv
 records run the policy above in C: each has a check with the matrix's
 epsilon and the shadow's call, the counters are laid out as the C
-runtime's so the step adds to them in place, and with an observer
-attached the forward hands it the same observations, in program order,
-from what each check wrote.  ``naive`` mode, whose loop nests have no C
-op, and an engine whose handlers are not quantloop's own (a tracer's
-wrappers, say) run the closures, whose policy is
-:meth:`Engine._gemv_policy`; they run numpy throughout, packed gemv
-calls included, and stay the oracle.
+runtime's so the step adds to them in place, and the forward hands an
+observer the same observations, in program order, from what each check
+wrote.  ``naive`` mode, whose loop nests have no C op, and an engine whose
+handlers are not quantloop's own (a tracer's wrappers, say) run the
+closures, whose policy is :meth:`Engine._gemv_policy`; they run numpy
+throughout, packed gemv calls included, and stay the oracle.
 :meth:`Engine.step_status` says which path the next forward takes and why.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -86,15 +89,15 @@ MODES = ("naive", "optimized", "quantized")
 
 @dataclass
 class GemvObservation:
-    """What one gemv intrinsic execution did; stats and observer read it."""
+    """What one checked gemv call did; stats and observer read it."""
 
     seq: int  # 1-based index among the engine's gemv calls
     m: int
     n: int
     alpha: float
     beta: float
-    epsilon: Optional[float]  # None when the operand was a float matrix
-    bound: Optional[float]  # runtime_bound_check's float32 bound, None for float
+    epsilon: float  # the quantized matrix's
+    bound: float  # runtime_bound_check's float32 bound
     diff_inf: Optional[float]  # dual-path |y_q - y_f|_inf, None unless dual
     fallback: bool
 
@@ -119,14 +122,11 @@ class EngineStats(native.Counts):
         return f"EngineStats({', '.join(f'{k}={v!r}' for k, v in self.to_json().items())})"
 
     def record(self, obs: GemvObservation) -> None:
-        """Count one gemv call from its observation."""
+        """Count one checked gemv call from its observation."""
         self.gemv_calls += 1
-        if obs.epsilon is None:
-            return
         self.quantized_gemv_calls += 1
-        if obs.bound is not None:
-            self.bound_checks += 1
-            self.max_bound = _nanmax(self.max_bound, obs.bound)
+        self.bound_checks += 1
+        self.max_bound = _nanmax(self.max_bound, obs.bound)
         self.fallback_calls += obs.fallback
         if obs.diff_inf is not None:
             self.max_dual_diff = _nanmax(self.max_dual_diff, obs.diff_inf)
@@ -166,6 +166,7 @@ class Engine:
         self.mode = mode
         self._bound_threshold = bound_threshold
         self._dual_check = dual_check
+        self._checked = bound_threshold is not None or dual_check
         self.stats = EngineStats()
         self.gemv_observer: Optional[Callable[[GemvObservation], None]] = None
         self._rng = SplitMix64(seed)
@@ -216,8 +217,8 @@ class Engine:
         )
         self._step, self._step_reason = None, None
         try:
-            self._step = build(self._prepared, ops)
-            self._step.count_into(self.stats, bound_threshold, dual_check)
+            self._step = build(self._prepared, ops, counts=self.stats,
+                               threshold=bound_threshold, dual=dual_check)
         except NoStep as exc:
             self._step_reason = str(exc)
         self._closure_forwards = 0
@@ -234,7 +235,7 @@ class Engine:
         """Whether each gemv call runs on both weights and the gap is measured; fixed at construction.
 
         Read-only, as is :attr:`bound_threshold`: the compiled step packs both
-        into its checked table once.
+        into its one table when it is built.
         """
         return self._dual_check
 
@@ -252,30 +253,26 @@ class Engine:
         return replace(call, shadow=bind(shadow, call.x, scratch, call.params))
 
     def _gemv_policy(self, call: GemvCall) -> GemvObservation:
-        """Run one gemv call as the engine's settings say, and describe it.
+        """Run one gemv call of a checked engine, and describe it.
 
-        A quantized matrix is bound-checked (the policy runs only when a
-        threshold, the dual check or an observer needs the bound).  Over the
-        threshold the call runs on the matrix's float shadow instead; under
-        the dual check it runs on both, and the gap between the two results
-        is measured.  Either way the shadow starts from the same old y.
+        The call, on a quantized matrix with a float shadow (see
+        :meth:`_observe`), is bound-checked.  Over the threshold it runs on
+        the shadow instead; under the dual check it runs on both, and the gap
+        between the two results is measured.  Either way the shadow starts
+        from the same old y.  The counters and an observer read the
+        description; neither changes what runs.
         """
         kernel = self._gemv_kernel
         a, p, shadow = call.a, call.params, call.shadow
-        epsilon = bound = diff_inf = None
-        fallback = False
-        if isinstance(a, QuantizedMatrix):
-            epsilon = a.epsilon
-            report = runtime_bound_check(
-                a, call.x_eff, self.bound_threshold, alpha=p.alpha, beta=p.beta, y=call.y_eff
-            )
-            bound = report.inf_bound
-            fallback = report.threshold_exceeded
+        report = runtime_bound_check(
+            a, call.x_eff, self.bound_threshold, alpha=p.alpha, beta=p.beta, y=call.y_eff
+        )
+        fallback, diff_inf = report.threshold_exceeded, None
         if fallback:
             np.copyto(shadow.y_eff, call.y_eff)
             kernel(shadow)
             np.copyto(call.y_eff, shadow.y_eff)
-        elif self.dual_check and shadow is not None:
+        elif self.dual_check:
             np.copyto(shadow.y_eff, call.y_eff)
             kernel(call)
             kernel(shadow)
@@ -283,24 +280,18 @@ class Engine:
             diff_inf = float(diff.max(initial=0.0))
         else:
             kernel(call)
-        seq = self.stats.gemv_calls + 1
-        return GemvObservation(
-            seq, p.m, p.n, p.alpha, p.beta, epsilon, bound, diff_inf, fallback
-        )
-
-    def _policy(self) -> bool:
-        """Whether each gemv call needs the policy: a threshold, the dual check or an observer."""
-        return self.bound_threshold is not None or self.dual_check or self.gemv_observer is not None
+        return GemvObservation(self.stats.gemv_calls + 1, p.m, p.n, p.alpha, p.beta, a.epsilon,
+                               report.inf_bound, diff_inf, fallback)
 
     def _gemv(self, call: GemvCall) -> None:
         """The ``gemv`` intrinsic.
 
-        Runs the kernel straight away unless a threshold, the dual check or
-        an observer (which may be attached at any time) needs the policy's
-        :class:`GemvObservation`; the counts in :attr:`stats` come out the
-        same either way.
+        A checked engine runs the policy and counts its
+        :class:`GemvObservation`, which the observer then reads; any other
+        runs the kernel straight away and counts the call.  An observer
+        changes nothing that runs.
         """
-        if self._policy():
+        if self._checked:
             obs = self._gemv_policy(call)
             self.stats.record(obs)
             if self.gemv_observer is not None:
@@ -321,8 +312,8 @@ class Engine:
         self._env["token"] = token = int(token)
         self._env["pos"] = pos = int(pos)
         step = self._step
-        if step is not None and step((token, pos), self._policy()) == 0:
-            if self.gemv_observer is not None:
+        if step is not None and step((token, pos)) == 0:
+            if self._checked and self.gemv_observer is not None:
                 self._observe(step)
         else:
             self._prepared.run()
@@ -334,22 +325,17 @@ class Engine:
         """Hand the observer a :class:`GemvObservation` per gemv record of the forward just run.
 
         The same records the closures' policy makes, in program order, from
-        what each packed record's check wrote to ``step.observations``.
+        what each check wrote to ``step.observations``: every gemv call of a
+        checked engine is packed, since a threshold or the dual check needs
+        ``quantized`` mode, which quantizes every 2-D weight.
         """
-        observer = self.gemv_observer
-        rows = iter(step.observations.tolist())
+        observer, rows = self.gemv_observer, step.observations.tolist()
         seq = self.stats.gemv_calls - len(step.calls)
-        for call in step.calls:
+        for call, (bound, gap, fallback) in zip(step.calls, rows, strict=True):
             seq += 1
-            a, p = call.a, call.params
-            if not isinstance(a, QuantizedMatrix):
-                observer(GemvObservation(seq, p.m, p.n, p.alpha, p.beta, None, None, None, False))
-                continue
-            bound, gap, fallback = next(rows)
-            fallback = bool(fallback)
-            dual = self.dual_check and call.shadow is not None and not fallback
-            observer(GemvObservation(seq, p.m, p.n, p.alpha, p.beta, a.epsilon, bound,
-                                     gap if dual else None, fallback))
+            p, fallback = call.params, bool(fallback)
+            observer(GemvObservation(seq, p.m, p.n, p.alpha, p.beta, call.a.epsilon, bound,
+                                     None if fallback or not self.dual_check else gap, fallback))
 
     def step_status(self) -> dict:
         """Whether the next forward runs the compiled step, and if not, why.
@@ -357,8 +343,8 @@ class Engine:
         ``{"backend": "native" | "closures", "reason": ..., "native_forwards":
         n, "packed_kernel": ...}``, where n counts the forwards that ran
         compiled so far and the packed kernel is the one the native runtime
-        chose when it was loaded, ``"avx2"`` or ``"portable"``, for the packed
-        and the dense gemv alike (None on the closures).
+        runs now, ``"avx2"`` or ``"portable"``, for the packed and the dense
+        gemv and attention alike (None on the closures).
         """
         reason = self._step_reason
         return {"backend": "closures" if reason else "native", "reason": reason,
@@ -423,6 +409,13 @@ class Engine:
         )
 
 
+def _ratio(gap: float, bound: float) -> float:
+    """`gap` / `bound`, where 0 / 0 reads 0 and a positive gap over a zero bound inf."""
+    if bound == 0.0:
+        return gap * math.inf if gap else 0.0  # a NaN gap stays NaN
+    return gap / bound
+
+
 def verify_bounds(
     checkpoint_path: str,
     bit_width: int = 3,
@@ -450,7 +443,9 @@ def verify_bounds(
     engine.gemv_observer = observations.append
     result = engine.generate(prompt_tokens, steps)
     checked = [o for o in observations if o.diff_inf is not None]
-    worst = max((o.diff_inf / o.bound if o.bound else 0.0) for o in checked) if checked else 0.0
+    worst = 0.0
+    for o in checked:  # as the counters fold their maxima: a NaN ratio stays
+        worst = _nanmax(worst, _ratio(o.diff_inf, o.bound))
     return {
         "checkpoint": checkpoint_path,
         "bit_width": bit_width,

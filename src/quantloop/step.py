@@ -36,8 +36,9 @@ The step is the only way the packed kernel is reached; the closures run
 numpy's instead.  A quantized embed's record reads its row through the same
 decoder.  Each packed gemv record also has a check, in table order: the
 matrix's epsilon and largest centroid magnitude, and, when the caller
-bound one, the call on its float shadow as a dense gemv record.  A checked
-run uses it to apply the engine's per-call policy in C (the bound, the
+bound one, the call on its float shadow as a dense gemv record.  A step
+built with a threshold or the dual check runs every packed gemv record
+checked, applying the engine's per-call policy in C (the bound, the
 fallback over a threshold, the dual check), as :class:`Step` describes.
 """
 
@@ -80,54 +81,39 @@ class NoOp(Exception):
 class Step:
     """One prepared program's op table, walked by one native call.
 
-    Holds every array the records point into.  ``calls`` holds the bound
+    Holds every array the records point into and the one table, packed
+    when the step is built.  ``calls`` holds the bound
     :class:`~quantloop.kernels.GemvCall` of each gemv record in program
     order, and ``observations`` one row per packed one among them: what its
-    check measured in the last checked run, ``(bound, gap, fallback)``.
-    Each run adds itself and its gemv records to the counters
-    :meth:`count_into` names.  `unbuilt` pairs the index of each packed
-    record (gemv or embed) with its codebook, whose field table the first
-    call builds and writes into the record, so the tables are not resident
-    while the program is still being bound.
+    check measured in the last run of a checked step, ``(bound, gap,
+    fallback)``.  `unbuilt` pairs the index of each packed record (gemv or
+    embed) with its codebook, whose field table the first call builds and
+    writes into the record, so the tables are not resident while the
+    program is still being bound.
     """
 
-    def __init__(self, run, records, values, n_params, scratch, checks, keep, calls, unbuilt):
+    def __init__(self, run, records, values, n_params, scratch, checks, keep, calls, unbuilt,
+                 counts: native.Counts, threshold: float | None, dual: bool):
         self._values = values
         self.calls = calls
         self.observations = np.zeros((len(checks) // CHECK.size, 3))
         self._n_params = n_params
         self._records = records
-        self._keep = (scratch, checks, keep)
+        self._keep = (scratch, checks, keep, counts)
         self._unbuilt = unbuilt
         self._run = run
-        self._base = (native.address(records), len(records) // OP_RECORD.size,
-                      native.address(values), native.address(scratch), native.address(checks))
-        self.count_into(native.Counts())
+        self._table = TABLE.pack(
+            native.address(records), len(records) // OP_RECORD.size, native.address(values),
+            native.address(scratch), native.address(checks), ctypes.addressof(counts),
+            native.address(self.observations) if threshold is not None or dual else 0,
+            0.0 if threshold is None else threshold,
+            (threshold is not None) * native.CHECK_THRESHOLD + dual * native.CHECK_DUAL)
 
-    def count_into(self, counts: native.Counts, threshold: float | None = None,
-                   dual: bool = False) -> None:
-        """Have every run add to `counts`, and set what a checked run checks.
-
-        A checked run bounds every packed gemv record; over `threshold` it
-        runs the call on the matrix's float shadow instead, and with `dual`
-        it runs both and measures the gap.
-        """
-        self._counts = counts
-        base = (*self._base, ctypes.addressof(counts))
-        flags = (threshold is not None) * native.CHECK_THRESHOLD + dual * native.CHECK_DUAL
-        self._tables = (
-            TABLE.pack(*base, 0, 0.0, 0),
-            TABLE.pack(*base, native.address(self.observations),
-                       0.0 if threshold is None else threshold, flags),
-        )
-
-    def __call__(self, params, checked: bool = False) -> int:
+    def __call__(self, params) -> int:
         """Run the table with `params` (in the program's order); 0 when it ran.
 
-        `checked` runs every packed gemv record checked (see
-        :meth:`count_into`).  Nonzero means a token or position indexes past
-        its table or cache: nothing was written, and the closures raise the
-        handler's error.
+        Nonzero means a token or position indexes past its table or cache:
+        nothing was written, and the closures raise the handler's error.
         """
         if self._unbuilt:
             for i, codebook in self._unbuilt:
@@ -138,7 +124,7 @@ class Step:
         while slot < self._n_params:  # no iterator object: the call allocates nothing
             values[slot] = params[slot]
             slot += 1
-        return self._run(self._tables[checked])
+        return self._run(self._table)
 
 
 _ZEROS = (0,) * 6
@@ -351,13 +337,19 @@ class _Builder:
             "attention": attention}
 
 
-def build(prepared: Prepared, ops: Mapping[Callable, str] = COMPILED_OPS) -> Step:
+def build(prepared: Prepared, ops: Mapping[Callable, str] = COMPILED_OPS, *,
+          counts: native.Counts | None = None, threshold: float | None = None,
+          dual: bool = False) -> Step:
     """The compiled :class:`Step` of `prepared`; :class:`NoStep` says why there is none.
 
-    `ops` maps each handler that has a C op to the op.  Every statement's
-    record is packed before the native runtime is loaded.  The build takes
-    ``prepared.sites``, so that no site outlives it: a program builds one
-    step.
+    `ops` maps each handler that has a C op to the op.  Every run adds
+    itself and its gemv records to `counts` (the step's own when None).  A
+    `threshold` or `dual` makes the step checked: each run bounds every
+    packed gemv record, runs the call on its float shadow instead over the
+    threshold, and with `dual` runs both and measures the gap.  Every
+    statement's record is packed before the native runtime is loaded.  The
+    build takes ``prepared.sites``, so that no site outlives it: a program
+    builds one step.
     """
     statements, params = prepared.function.body, tuple(prepared.program.params)
     sites, prepared.sites = prepared.sites, None
@@ -391,4 +383,5 @@ def build(prepared: Prepared, ops: Mapping[Callable, str] = COMPILED_OPS) -> Ste
     for i, fields in enumerate(b.checks):
         CHECK.pack_into(checks, i * CHECK.size, *fields)
     return Step(runtime.step, table, values, len(params), scratch, checks, b.keep,
-                tuple(b.calls), tuple(b.unbuilt))
+                tuple(b.calls), tuple(b.unbuilt), native.Counts() if counts is None else counts,
+                threshold, dual)

@@ -27,8 +27,8 @@ from quantloop.quantizer import dequantize
 from quantloop.runtime import Engine
 from quantloop.step import FIELD_TABLE, NoStep, Step, build
 
-from conftest import (embed_step, gemv_program, gemv_step, needs_cc, packed_kernels,
-                      random_quantized)
+from conftest import (embed_step, gemv_program, gemv_step, needs_cc, packed_kernel,
+                      packed_kernels, random_quantized)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -206,6 +206,17 @@ def test_the_packed_kernel_is_chosen_from_the_cpu_at_load(toy_quant_path):
     assert not [flag for flag in native.FLAGS if flag.startswith("-m")]
     engine = Engine(toy_quant_path)
     assert engine.step_status()["packed_kernel"] == loaded.packed_kernel
+
+
+@needs_cc
+def test_the_packed_kernel_report_follows_the_selector(toy_quant_path):
+    # The report reads the library's switch each time, so it names the
+    # kernels that run, not the ones chosen at load.
+    engine = Engine(toy_quant_path)
+    for kernel in packed_kernels():
+        with packed_kernel(kernel):
+            assert native.load().packed_kernel == kernel
+            assert engine.step_status()["packed_kernel"] == kernel
 
 
 @needs_cc

@@ -612,3 +612,20 @@ def test_verify_bounds_report(toy_float_path):
     assert report["max_measured_error"] > 0.0
     assert report["worst_error_to_bound_ratio"] <= 1.0
     json.dumps(report)
+
+
+def test_verify_bounds_keeps_a_nan_ratio(tmp_path):
+    # A NaN weight makes some gaps and bounds NaN; the worst ratio folds as
+    # the counters do, so a NaN in it stays whatever ratio comes first.
+    make_toy_checkpoint(str(tmp_path / "toy.ditf"), seed=0)
+    config, weights = read_float_checkpoint(str(tmp_path / "toy.ditf"))
+    weights["l1_att_norm"] = weights["l1_att_norm"].copy()
+    weights["l1_att_norm"][3] = np.nan
+    path = str(tmp_path / "nan.ditf")
+    write_float_checkpoint(path, config, weights)
+    report = verify_bounds(path, 3, (1, 2, 5), 2)
+    assert report["violations"] > 0 and report["ok"] is False
+    assert report["max_bound"] != report["max_bound"]
+    assert report["max_measured_error"] != report["max_measured_error"]
+    worst = report["worst_error_to_bound_ratio"]
+    assert worst != worst

@@ -177,7 +177,7 @@ def test_naive_mode_never_loads_the_native_runtime(toy_float_path, monkeypatch):
 
 @needs_cc
 def test_an_observer_keeps_the_forward_compiled(toy_float_path):
-    engine = Engine(toy_float_path)
+    engine = Engine(toy_float_path, mode="quantized", dual_check=True)
     engine.forward(1, 0)
     observations = []
     engine.gemv_observer = observations.append
@@ -185,12 +185,29 @@ def test_an_observer_keeps_the_forward_compiled(toy_float_path):
     assert engine.step_status() == {"backend": "native", "reason": None, "native_forwards": 2,
                                     "packed_kernel": native.load().packed_kernel}
     assert [o.seq for o in observations] == list(range(16, 31))
-    assert all(o.epsilon is o.bound is o.diff_inf is None and not o.fallback
-               for o in observations)
+    assert all(0 <= o.diff_inf <= o.bound and not o.fallback for o in observations)
     engine.gemv_observer = None
     engine.forward(3, 2)
     assert len(observations) == 15 and engine.step_status()["native_forwards"] == 3
-    assert engine.stats.gemv_calls == 3 * 15
+    assert engine.stats.gemv_calls == engine.stats.bound_checks == 3 * 15
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_an_observer_on_an_unchecked_engine_changes_nothing(compiled, toy_quant_path,
+                                                            monkeypatch):
+    # Checks are fixed when the engine is built: only a threshold or the
+    # dual check turns them on, never an observer, on either path.
+    if not compiled:
+        monkeypatch.setattr(native, "load", lambda: native.Native(reason="closures under test"))
+    plain, watched = Engine(toy_quant_path), Engine(toy_quant_path)
+    observations = []
+    watched.gemv_observer = observations.append
+    expect, got = plain.generate([1], steps=3), watched.generate([1], steps=3)
+    assert observations == []
+    assert got.stats == expect.stats and got.stats.bound_checks == 0
+    assert got.generated_tokens == expect.generated_tokens
+    assert watched.step_status() == plain.step_status()
+    np.testing.assert_array_equal(watched._env["logits"], plain._env["logits"])
 
 
 @needs_cc
@@ -365,11 +382,11 @@ def _axpby_both(path: str, x: np.ndarray, **settings) -> dict:
         env = {"A": engine._env["l0_wq"], "x": x.copy(), "y": y0.copy()}
         prepared = Prepared(program, env, intrinsics={"gemv": engine._gemv},
                             bind_gemv=engine._bind_gemv)
-        step = build(prepared, {engine._gemv: "gemv"})
+        stats = EngineStats()
+        step = build(prepared, {engine._gemv: "gemv"}, counts=stats,
+                     threshold=engine.bound_threshold, dual=engine.dual_check)
         if way == "compiled":
-            stats = EngineStats()
-            step.count_into(stats, engine.bound_threshold, engine.dual_check)
-            assert step((), True) == 0
+            assert step(()) == 0
             bound, gap, fallback = step.observations[0].tolist()
             dual = engine.dual_check and not fallback
             out[way] = env["y"], stats, (bound, gap if dual else None, bool(fallback))
