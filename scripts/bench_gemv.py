@@ -156,7 +156,7 @@ def main() -> int:
             t_sketch = best_of(lambda: gemv_sketch(q, x, y, p), max(args.reps // 2, 1))
             t_codes_bind = best_of(lambda: gemv_program(q, x, y), args.reps)
             run, _ = gemv_program(q, x, y)
-            run()  # the first run builds the codebook's field table
+            run()  # warm up
             t_codes = best_of(run, args.reps, calls)
             print(f"{f'{m}x{n}':>10} {bits:>4} {t_naive * 1e3:>10.3f} {t_sketch * 1e3:>10.3f} "
                   f"{t_bind * 1e3:>12.4f} {t_opt * 1e3:>11.4f} {t_codes_bind * 1e3:>14.4f} "

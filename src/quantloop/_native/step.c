@@ -6,8 +6,8 @@
  * a record comes from a bound, checked numpy array (quantloop.step says which
  * checks each op needs), and the runtime allocates nothing: its scratch is
  * the table's attention row, one float per position of the longest KV
- * cache, which every attention record reuses for every head, and a stack
- * buffer of decoded codes.
+ * cache, which every attention record reuses for every head, and, on the
+ * stack, a buffer of decoded codes and a packed record's pair table.
  *
  * Integer arguments that may change per call (embed's token, rope's and
  * attention's pos) are slots into `vals`: the program's params first, then
@@ -21,12 +21,13 @@
  * stored row-major, code e = i * cols + k.  Eight consecutive codes starting
  * at a multiple of 8 fill exactly b whole bytes, so the stream is decoded
  * one such group at a time, read as a little-endian 64-bit word and split
- * into fields that are mapped through the codebook's field table
- * (quantloop.quantizer.Codebook.field_table):
+ * into fields that are mapped through a table made from the record's 2^b
+ * codebook centroids c (quantloop.quantizer.Codebook.centroids) once per
+ * call:
  *
  *   b <= 4: a field is 2b bits, a pair of codes lo | hi << b, and the table
- *           holds 2^(2b) pairs of float32 values (c[lo], c[hi]);
- *   b > 4:  a field is one b-bit code and the table is the 2^b centroids.
+ *           holds 2^(2b) pairs of float32 values (c[lo], c[hi]) on the stack;
+ *   b > 4:  a field is one b-bit code and the table is the centroids.
  *
  * A field is masked to its width, so every table read is in range.  Reads
  * stay inside the stream: a group word is read as 8 bytes only when all 8
@@ -35,8 +36,6 @@
  * trailing zero guard byte, which quantloop.bitcodec.PackedBuffer
  * guarantees, is counted in the codes bytes.  Codes past the last one of
  * the matrix may be decoded from those bytes, but they are never used.
- * quantloop.step leaves a packed record's field table 0 until the first run,
- * which points it at the table it builds then.
  *
  * On an x86-64 CPU with AVX2, a packed gemv with b <= 4 and unit incx runs a
  * vector path instead (qgemv_avx2).  It is compiled with a target attribute
@@ -57,13 +56,11 @@
  *   bounded  otherwise, and for a row's tail codes: the group word at that
  *            byte, read with the same bound as above, shifted right by off.
  *
- * The centroids are read once per call from the field table, whose entry
- * m < 2^b is the pair (c[m], c[0]), so centroid m is its float 2m; a
- * codebook whose table is not laid out so (a pair codebook) must take the
- * portable path.  Four rows run at once as independent chains, the rest one
- * at a time, and lane j of a row is its accumulator j, with a multiply then
- * an add and no fused multiply-add: the summation order below is unchanged,
- * so both paths give the same bits.
+ * The 2^b centroids are copied into two registers once per call.  Four rows
+ * run at once as independent chains, the rest one at a time, and lane j of a
+ * row is its accumulator j, with a multiply then an add and no fused
+ * multiply-add: the summation order below is unchanged, so both paths give
+ * the same bits.
  *
  * The dense gemv has an AVX2 path too (gemv_avx2), chosen by the same flag,
  * for records with unit column stride and unit incx; every other dense record,
@@ -169,10 +166,10 @@
 
 enum {
     OP_GEMV = 1,  /* p: a, x, y; n: rows, cols, row stride, col stride, incx, incy; f: alpha, beta */
-    OP_QGEMV,     /* p: codes, field table, x, y; n: codes bytes, rows, cols, bits, incx, incy;
+    OP_QGEMV,     /* p: codes, centroids, x, y; n: codes bytes, rows, cols, bits, incx, incy;
                      f: alpha, beta */
     OP_EMBED,     /* p: dst, table; n: rows, cols, token slot */
-    OP_QEMBED,    /* p: codes, field table, dst; n: codes bytes, rows, cols, bits, token slot */
+    OP_QEMBED,    /* p: codes, centroids, dst; n: codes bytes, rows, cols, bits, token slot */
     OP_RMSNORM,   /* p: dst, src, weight; n: length */
     OP_ROPE,      /* p: q, k, inv_freq (double, length / 2 of them); n: length of q, kv_dim, pos slot */
     OP_ATTENTION, /* p: out, q, k, v, k_cache, v_cache; n: n_heads, n_kv_heads, head_size,
@@ -422,9 +419,28 @@ static inline uint64_t group_word(const uint8_t *codes, int64_t nbytes, int64_t 
     return w;
 }
 
-/* Decode the groups of packed record `o` holding codes e .. e + len - 1 into
- * `buf`, which holds len + 16 values; returns the position of code e in it. */
-static inline const float *decode(const quantloop_op *o, int64_t e, int64_t len, float *buf)
+/* The table packed record `o` decodes its fields through: at b <= 4 its
+ * centroids' 2^(2b) pairs (c[lo], c[hi]), filled into `pairs`, above that the
+ * centroids themselves. */
+static const float *decode_table(const quantloop_op *o, float pairs[2 * 256])
+{
+    const float *c = o->p[1];
+    const int b = (int)o->n[3];
+    if (b > 4)
+        return c;
+    for (int hi = 0; hi < 1 << b; hi++)
+        for (int lo = 0; lo < 1 << b; lo++) {
+            pairs[2 * (lo | hi << b)] = c[lo];
+            pairs[2 * (lo | hi << b) + 1] = c[hi];
+        }
+    return pairs;
+}
+
+/* Decode the groups of packed record `o` holding codes e .. e + len - 1
+ * through its decode table `t` into `buf`, which holds len + 16 values;
+ * returns the position of code e in it. */
+static inline const float *decode(const quantloop_op *o, const float *t, int64_t e, int64_t len,
+                                  float *buf)
 {
     const uint8_t *codes = o->p[0];
     const int64_t nbytes = o->n[0];
@@ -434,21 +450,19 @@ static inline const float *decode(const quantloop_op *o, int64_t e, int64_t len,
     if (b <= 4) {
         const int f = 2 * b;
         const uint64_t mask = (UINT64_C(1) << f) - 1;
-        const unsigned char *pairs = o->p[1];
         for (int64_t g = g0; g <= g1; g++, out += 8) {
             const uint64_t w = group_word(codes, nbytes, g * b);
-            memcpy(out + 0, pairs + 8 * (w & mask), 8);
-            memcpy(out + 2, pairs + 8 * ((w >> f) & mask), 8);
-            memcpy(out + 4, pairs + 8 * ((w >> 2 * f) & mask), 8);
-            memcpy(out + 6, pairs + 8 * ((w >> 3 * f) & mask), 8);
+            memcpy(out + 0, t + 2 * (w & mask), 8);
+            memcpy(out + 2, t + 2 * ((w >> f) & mask), 8);
+            memcpy(out + 4, t + 2 * ((w >> 2 * f) & mask), 8);
+            memcpy(out + 6, t + 2 * ((w >> 3 * f) & mask), 8);
         }
     } else {
         const uint64_t mask = (UINT64_C(1) << b) - 1;
-        const float *c = o->p[1];
         for (int64_t g = g0; g <= g1; g++, out += 8) {
             const uint64_t w = group_word(codes, nbytes, g * b);
             for (int m = 0; m < 8; m++)
-                out[m] = c[(w >> (b * m)) & mask];
+                out[m] = t[(w >> (b * m)) & mask];
         }
     }
     return buf + (e - 8 * g0);
@@ -456,7 +470,8 @@ static inline const float *decode(const quantloop_op *o, int64_t e, int64_t len,
 
 static void qgemv_portable(const quantloop_op *o)
 {
-    float buf[CHUNK + 16];
+    float buf[CHUNK + 16], pairs[2 * 256];
+    const float *t = decode_table(o, pairs);
     const float *x = o->p[2];
     float *y = o->p[3];
     const int64_t rows = o->n[1], cols = o->n[2], incx = o->n[4], incy = o->n[5];
@@ -469,7 +484,7 @@ static void qgemv_portable(const quantloop_op *o)
         for (; k < cols; k += CHUNK) {
             const int64_t len = cols - k < CHUNK ? cols - k : CHUNK;
             const int64_t full = n8 - k < len ? n8 - k : len;
-            w = decode(o, i * cols + k, len, buf);
+            w = decode(o, t, i * cols + k, len, buf);
             accumulate(acc, w, 1, x + k * incx, incx, full);
         }
         /* The tail lies in the last chunk, which `w` still holds. */
@@ -565,10 +580,8 @@ static AVX2 void qgemv_avx2(const quantloop_op *o)
 {
     const int64_t n_rows = o->n[1];
     const int b = (int)o->n[3];
-    /* Field table entry m < 2^b is the pair (c[m], c[0]): centroid m is its float 2m. */
     float c[16] = {0};
-    for (int m = 0; m < 1 << b; m++)
-        memcpy(c + m, (const unsigned char *)o->p[1] + 8 * m, 4);
+    memcpy(c, o->p[1], sizeof(float) << b);
     const windows d = {o->p[0],
                        o->n[0],
                        b,
@@ -684,12 +697,13 @@ static void checked_qgemv(const quantloop_op *o, const quantloop_table *t, int64
 
 static void qembed(const quantloop_op *o, int64_t token)
 {
-    float buf[CHUNK + 16];
+    float buf[CHUNK + 16], pairs[2 * 256];
+    const float *t = decode_table(o, pairs);
     float *dst = o->p[2];
     const int64_t cols = o->n[2];
     for (int64_t k = 0; k < cols; k += CHUNK) {
         const int64_t len = cols - k < CHUNK ? cols - k : CHUNK;
-        memcpy(dst + k, decode(o, token * cols + k, len, buf), (size_t)len * sizeof(float));
+        memcpy(dst + k, decode(o, t, token * cols + k, len, buf), (size_t)len * sizeof(float));
     }
 }
 

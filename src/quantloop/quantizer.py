@@ -12,7 +12,6 @@ output error of matrix-vector products analytically.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,27 +80,6 @@ class Codebook:
             raise ValueError("codebook centroids must be sorted ascending")
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "max_abs", float(np.abs(c).max()))
-
-    @functools.cached_property
-    def field_table(self) -> np.ndarray:
-        """The centroids of each field of the packed codes, built on first use.
-
-        The codes-domain GEMV and the quantized embed map each field through
-        it.  Up to 4 bits a field is a pair of codes ``lo | hi << bit_width``
-        and its entry is ``(c[lo], c[hi])`` read as one int64 (64 entries,
-        512 bytes, at 3 bits); above 4 bits a field is one code and the
-        table is the centroids.  A codebook whose matrix no compiled step
-        reads never builds one.
-        """
-        c = self.centroids
-        if self.bit_width > 4:
-            return c
-        table = np.empty(c.size * c.size, np.int64)
-        pairs = table.view(np.float32).reshape(c.size, c.size, 2)
-        pairs[..., 0] = c
-        pairs[..., 1] = c[:, None]
-        table.flags.writeable = False
-        return table
 
 
 @dataclass(frozen=True)

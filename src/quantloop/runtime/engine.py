@@ -163,6 +163,9 @@ class Engine:
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        # Every bound is >= 0: a NaN or negative threshold would send every call to the shadow.
+        if bound_threshold is not None and not bound_threshold >= 0:
+            raise ValueError(f"bound_threshold must be >= 0, got {bound_threshold}")
         self.mode = mode
         self._bound_threshold = bound_threshold
         self._dual_check = dual_check
@@ -373,6 +376,8 @@ class Engine:
 
         `on_token(pos, token, ms)` fires per generated token (telemetry).
         """
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
         prompt = [int(t) for t in prompt_tokens] or [0]
         if len(prompt) + steps > self.config.max_seq_len:
             raise ValueError(

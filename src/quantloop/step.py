@@ -30,8 +30,9 @@ them against the extents they index before it writes anything, and a
 instead.
 
 A packed gemv's record holds its operands like every other record: the
-packed bytes, whose length bounds every read of them, the codebook's field
-table, and the two vectors, with the checks a dense gemv's record gets.
+packed bytes, whose length bounds every read of them, the codebook's
+centroids, from which the runtime makes its decode table per call, and the
+two vectors, with the checks a dense gemv's record gets.
 The step is the only way the packed kernel is reached; the closures run
 numpy's instead.  A quantized embed's record reads its row through the same
 decoder.  Each packed gemv record also has a check, in table order: the
@@ -45,7 +46,6 @@ fallback over a threshold, the dual check), as :class:`Step` describes.
 from __future__ import annotations
 
 import ctypes
-import struct
 from typing import Callable, Mapping
 
 import numpy as np
@@ -86,13 +86,10 @@ class Step:
     :class:`~quantloop.kernels.GemvCall` of each gemv record in program
     order, and ``observations`` one row per packed one among them: what its
     check measured in the last run of a checked step, ``(bound, gap,
-    fallback)``.  `unbuilt` pairs the index of each packed record (gemv or
-    embed) with its codebook, whose field table the first call builds and
-    writes into the record, so the tables are not resident while the
-    program is still being bound.
+    fallback)``.
     """
 
-    def __init__(self, run, records, values, n_params, scratch, checks, keep, calls, unbuilt,
+    def __init__(self, run, records, values, n_params, scratch, checks, keep, calls,
                  counts: native.Counts, threshold: float | None, dual: bool):
         self._values = values
         self.calls = calls
@@ -100,7 +97,6 @@ class Step:
         self._n_params = n_params
         self._records = records
         self._keep = (scratch, checks, keep, counts)
-        self._unbuilt = unbuilt
         self._run = run
         self._table = TABLE.pack(
             native.address(records), len(records) // OP_RECORD.size, native.address(values),
@@ -115,11 +111,6 @@ class Step:
         Nonzero means a token or position indexes past its table or cache:
         nothing was written, and the closures raise the handler's error.
         """
-        if self._unbuilt:
-            for i, codebook in self._unbuilt:
-                _POINTER.pack_into(self._records, i * OP_RECORD.size + FIELD_TABLE,
-                                   native.address(codebook.field_table))
-            self._unbuilt = ()
         values, slot = self._values, 0
         while slot < self._n_params:  # no iterator object: the call allocates nothing
             values[slot] = params[slot]
@@ -128,9 +119,6 @@ class Step:
 
 
 _ZEROS = (0,) * 6
-_POINTER = struct.Struct("<Q")
-#: Where a packed record holds its field table: after the kind and the codes.
-FIELD_TABLE = struct.calcsize("<qQ")
 
 
 def _record(kind: int, p: tuple, n: tuple = (), f: tuple = (0.0, 0.0)) -> tuple:
@@ -177,9 +165,7 @@ class _Builder:
         self.arrays: list[np.ndarray] = []  # every array :meth:`span` looked up
         self._spans: dict[int, tuple[int, int]] = {}
         self.keep: list = [self.arrays]
-        self.index = 0  # the index of the record being built
         self.calls: list = []  # every gemv record's call
-        self.unbuilt: list = []  # every packed record's (index, Codebook)
         self.checks: list = []  # every packed gemv record's check, as CHECK fields
         self.scratch_len = 0  # the longest KV cache an attention record reads
 
@@ -239,13 +225,10 @@ class _Builder:
                 call.x_eff.strides[0] // 4, call.y_eff.strides[0] // 4, p.alpha32, p.beta32)
 
     def packed(self, q: QuantizedMatrix, codes: np.ndarray) -> tuple:
-        """A packed record's leading fields: `q`'s codes and field table, and
-        the codes' bytes, rows, cols and code width.
-
-        The field table is 0 until :class:`Step`'s first run writes it.
-        """
-        self.unbuilt.append((self.index, q.codebook))
-        return (self.span(codes)[0], 0), (codes.size, q.rows, q.cols, q.codebook.bit_width)
+        """A packed record's leading fields: `q`'s codes and centroids, and
+        the codes' bytes, rows, cols and code width."""
+        return ((self.span(codes)[0], self.span(q.codebook.centroids)[0]),
+                (codes.size, q.rows, q.cols, q.codebook.bit_width))
 
     def packed_gemv(self, call) -> tuple:
         """The record of a gemv call on packed codes, and its check."""
@@ -368,7 +351,6 @@ def build(prepared: Prepared, ops: Mapping[Callable, str] = COMPILED_OPS, *,
             make = _Builder.MAKE.get(op)
         if make is None:
             raise NoStep(f"statement {i} ({stmt.name}) has a handler that is not quantloop's own")
-        b.index = i
         try:
             OP_RECORD.pack_into(table, i * OP_RECORD.size, *make(b, site))
         except NoOp as exc:
@@ -383,5 +365,5 @@ def build(prepared: Prepared, ops: Mapping[Callable, str] = COMPILED_OPS, *,
     for i, fields in enumerate(b.checks):
         CHECK.pack_into(checks, i * CHECK.size, *fields)
     return Step(runtime.step, table, values, len(params), scratch, checks, b.keep,
-                tuple(b.calls), tuple(b.unbuilt), native.Counts() if counts is None else counts,
+                tuple(b.calls), native.Counts() if counts is None else counts,
                 threshold, dual)

@@ -337,6 +337,23 @@ def test_run_threshold_without_shadow_is_usage_error(toy_quant_path, capsys):
     assert "float weights" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "{float}", "--steps", "-2"),
+        ("bench", "{float}", "--steps", "-2"),
+        ("verify", "{float}", "--steps", "-2"),
+        ("run", "{float}", "--mode", "quantized", "--bound-threshold", "nan", "--steps", "2"),
+        ("run", "{float}", "--mode", "quantized", "--bound-threshold", "-1", "--steps", "2"),
+    ],
+    ids=["run-steps", "bench-steps", "verify-steps", "run-threshold-nan", "run-threshold-negative"],
+)
+def test_a_request_to_decode_nothing_useful_is_usage_error(argv, capsys, toy_float_path):
+    code, stdout, stderr = run_cli(capsys, *(a.format(float=toy_float_path) for a in argv))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and "must be >= 0" in stderr
+
+
 def test_verify_passes_on_float_checkpoint(toy_float_path, capsys):
     code, stdout, _ = run_cli(
         capsys, "verify", toy_float_path, "--steps", "4", "--prompt", "1 2"

@@ -863,22 +863,3 @@ def test_dense_view_is_a_read_only_view_of_storage(storage):
         assert not call.view.flags.writeable
         expect = np.stack([a[r * lda : r * lda + n] for r in range(m)])
         np.testing.assert_array_equal(call.view, expect)
-
-
-def test_field_table_is_built_once_per_codebook():
-    rng = np.random.default_rng(34)
-    for bit_width in (2, 3, 4, 8):
-        q = random_quantized(rng, 3, 8, bit_width)
-        book = q.codebook
-        assert "field_table" not in vars(book)  # built on first use only
-        table = book.field_table
-        assert book.field_table is table
-        c = book.centroids
-        if bit_width <= 4:
-            assert not table.flags.writeable
-            pairs = table.view(np.float32).reshape(c.size, c.size, 2)
-            lo, hi = np.meshgrid(np.arange(c.size), np.arange(c.size))
-            np.testing.assert_array_equal(pairs[..., 0], c[lo])
-            np.testing.assert_array_equal(pairs[..., 1], c[hi])
-        else:
-            assert table is c

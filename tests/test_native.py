@@ -10,7 +10,6 @@ import os
 import platform
 import signal
 import stat
-import struct
 import subprocess
 import sys
 import textwrap
@@ -25,7 +24,8 @@ from quantloop.bitcodec import unpack_slice
 from quantloop.cli import main
 from quantloop.quantizer import dequantize
 from quantloop.runtime import Engine
-from quantloop.step import FIELD_TABLE, NoStep, Step, build
+from quantloop.native import OP_RECORD
+from quantloop.step import NoStep, Step, build
 
 from conftest import (embed_step, gemv_program, gemv_step, needs_cc, packed_kernel,
                       packed_kernels, random_quantized)
@@ -220,28 +220,24 @@ def test_the_packed_kernel_report_follows_the_selector(toy_quant_path):
 
 
 @needs_cc
-def test_first_run_builds_the_field_table():
-    # Building the step leaves the table unbuilt, so an engine's tables are
-    # not resident while later engines quantize; the step's first run builds
-    # it once and writes its address into the packed record, a gemv's or a
-    # quantized embed's.
+def test_a_step_is_complete_when_it_is_built():
+    # Each packed record, a gemv's or a quantized embed's, points at its
+    # codebook's centroids from the build on, and running the step writes
+    # nothing into its records.
     rng = np.random.default_rng(39)
-    for op in ("gemv", "embed"):
-        q = random_quantized(rng, 4, 9, 3)
-        if op == "gemv":
-            step, params = gemv_step(q, np.ones(9, np.float32), np.zeros(4, np.float32)), ()
-        else:
-            step, params = embed_step(q, np.zeros(9, np.float32)), (2,)
-
-        def pointer() -> int:
-            return struct.unpack_from("<Q", step._records, FIELD_TABLE)[0]
-
-        assert "field_table" not in vars(q.codebook) and pointer() == 0, op
-        assert step(params) == 0
-        table = q.codebook.field_table
-        assert table.nbytes == 512 and pointer() == table.ctypes.data, op
-        assert step(params) == 0
-        assert q.codebook.field_table is table and pointer() == table.ctypes.data, op
+    for bit_width in range(1, 9):
+        for op in ("gemv", "embed"):
+            q = random_quantized(rng, 4, 9, bit_width)
+            if op == "gemv":
+                step, params = gemv_step(q, np.ones(9, np.float32), np.zeros(4, np.float32)), ()
+            else:
+                step, params = embed_step(q, np.zeros(9, np.float32)), (2,)
+            built = bytes(step._records)
+            centroids = OP_RECORD.unpack_from(built)[2]
+            assert centroids == q.codebook.centroids.ctypes.data, (op, bit_width)
+            for _ in range(2):
+                assert step(params) == 0
+                assert bytes(step._records) == built, (op, bit_width)
 
 
 @needs_cc
@@ -252,7 +248,7 @@ def test_packed_call_allocates_nothing(bit_width):
     x = rng.normal(size=64).astype(np.float32)
     y = rng.normal(size=64).astype(np.float32)
     step = gemv_step(q, x, y, alpha=2.0, beta=0.5)
-    step(())  # warm up outside the measurement; this builds the field table
+    step(())  # warm up outside the measurement
     tracemalloc.start()
     try:
         step(())
@@ -334,14 +330,19 @@ for bits in range(1, 9):
         for rows in (1, 2, 3, 5, 9):
             centroids = np.sort(rng.normal(size=1 << bits)).astype(np.float32)
             packed = pack_bits(rng.integers(0, 1 << bits, size=rows * cols), bits)
+            # The codes and the centroids each end at a fence; Codebook keeps
+            # the contiguous float32 view without copying it.
             mm, fence, view = fenced(packed.data)
-            q = QuantizedMatrix(rows, cols, Codebook(centroids, bits),
-                                PackedBuffer(view, packed.count, bits), 0.0)
+            c_mm, c_fence, c_view = fenced(centroids.tobytes())
+            book = Codebook(np.frombuffer(c_view, np.float32), bits)
+            assert np.shares_memory(book.centroids, np.frombuffer(c_view, np.float32))
+            q = QuantizedMatrix(rows, cols, book, PackedBuffer(view, packed.count, bits), 0.0)
             x = rng.normal(size=cols).astype(np.float32)
             y0 = rng.normal(size=rows).astype(np.float32)
             y, y_plain = y0.copy(), y0.copy()
             step = run_step(q, x, y)
-            run_step(QuantizedMatrix(rows, cols, q.codebook, packed, 0.0), x, y_plain)
+            run_step(QuantizedMatrix(rows, cols, Codebook(centroids, bits), packed, 0.0), x,
+                     y_plain)
             np.testing.assert_array_equal(y, y_plain)
             # The last row of the fenced codes, embedded.
             row = np.zeros(cols, np.float32)
@@ -349,10 +350,12 @@ for bits in range(1, 9):
             assert embed((rows - 1,)) == 0
             np.testing.assert_array_equal(
                 row, centroids[unpack_slice(packed, (rows - 1) * cols, cols)])
-            libc.mprotect(fence, PAGE, mmap.PROT_READ | mmap.PROT_WRITE)
-            # The steps keep the codes array over the mapping alive.
-            del q, step, embed, view
+            for fence_at in (fence, c_fence):
+                libc.mprotect(fence_at, PAGE, mmap.PROT_READ | mmap.PROT_WRITE)
+            # The steps keep the codes and centroid arrays over the mappings alive.
+            del q, book, step, embed, view, c_view
             mm.close()
+            c_mm.close()
 # Dense records: each float matrix ends where the fence begins.  The AVX2 run
 # takes the vector dense kernel on whole 8-row blocks (unit strides), and the
 # leftover rows and every row's tail columns on the portable one.
@@ -414,7 +417,9 @@ def test_kernel_reads_only_inside_the_packed_buffer():
     # packed kernel the host runs then runs every width and shape without
     # faulting (the AVX2 one reads a window from any byte, not only at group
     # starts), and matches the same call on the unfenced bytes, and the embed
-    # of the fenced table's last row matches the handler's decode.  Dense
+    # of the fenced table's last row matches the handler's decode.  Each
+    # codebook's centroids end at a fence too, so the gemv and the embed read
+    # only their 2^b centroids.  Dense
     # float matrices that end at the fence run the same way, so the AVX2
     # dense kernel is held to the same bound as the portable one, and so do
     # attention records whose K and V caches each end at a fence.

@@ -534,6 +534,25 @@ def test_threshold_without_shadow_is_refused(toy_float_path, toy_quant_path):
             Engine(toy_float_path, mode=mode, bound_threshold=0.1)
 
 
+def test_a_threshold_that_is_no_budget_is_refused(tmp_path, toy_float_path):
+    # Every bound is >= 0, so a NaN or negative threshold would send every
+    # call to the float shadow; it is refused before the file is read.
+    for threshold in (float("nan"), -1.0, -0.5):
+        with pytest.raises(ValueError, match="bound_threshold must be >= 0"):
+            Engine(str(tmp_path / "missing.ditf"), mode="quantized", bound_threshold=threshold)
+    eng = Engine(toy_float_path, mode="quantized", bound_threshold=float("inf"))
+    eng.generate([1], steps=2)
+    assert eng.stats.bound_checks == 15 * 3 and eng.stats.fallback_calls == 0
+
+
+def test_negative_steps_are_refused(toy_float_path):
+    eng = Engine(toy_float_path)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        eng.generate([1], steps=-2)
+    assert eng.stats.forwards == 0
+    assert eng.generate([1], steps=0).generated_tokens == []
+
+
 def test_observations_add_up_to_stats(toy_float_path):
     # A threshold at the median bound of one step makes some calls fall back
     # and leaves the rest on the dual path.
