@@ -37,16 +37,19 @@
  * guarantees, is counted in the codes bytes.  Codes past the last one of
  * the matrix may be decoded from those bytes, but they are never used.
  *
- * On an x86-64 CPU with AVX2, a packed gemv with b <= 4 and unit incx runs a
- * vector path instead (qgemv_avx2).  It is compiled with a target attribute
- * inside this portable library, no -m flag, and chosen once, when the
- * library is loaded (quantloop_packed_avx2).  It decodes a window of 8 codes
- * e .. e + 7 that may start at any code, so a row needs no group alignment.
- * The window's bits start at bit off = (e*b) & 7 of byte (e*b) >> 3.  The 32
- * bits from there are broadcast to 8 lanes, lane j is shifted right by j*b
- * and masked to b bits, and one permute over centroids 0-7 maps the lanes
- * (b = 4 blends in a second over centroids 8-15 on bit 3).  The 32 bits come
- * from one of two reads:
+ * On an x86-64 CPU with AVX2, a packed gemv with unit incx runs a vector path
+ * instead (qgemv_avx2 for b <= 4, qgemv_gather_avx2 for b = 5..8).  Both are
+ * compiled with a target attribute inside this portable library, no -m flag,
+ * and chosen once, when the library is loaded (quantloop_packed_avx2).  They
+ * decode a window of 8 codes e .. e + 7 that may start at any code, so a row
+ * needs no group alignment.  The window's bits start at bit off = (e*b) & 7
+ * of byte (e*b) >> 3.
+ *
+ * At b <= 4 the 32 bits from there are broadcast to 8 lanes, lane j is
+ * shifted right by j*b and masked to b bits, and one permute over centroids
+ * 0-7 maps the lanes (b = 4 blends in a second over centroids 8-15 on bit 3).
+ * The 2^b centroids are copied into two registers once per call.  The 32
+ * bits come from one of two reads:
  *
  *   fast     the 4 bytes from the window's first byte, read as one word, with
  *            off added to every lane's shift; a block of rows reads so when
@@ -56,11 +59,19 @@
  *   bounded  otherwise, and for a row's tail codes: the group word at that
  *            byte, read with the same bound as above, shifted right by off.
  *
- * The 2^b centroids are copied into two registers once per call.  Four rows
- * run at once as independent chains, the rest one at a time, and lane j of a
- * row is its accumulator j, with a multiply then an add and no fused
- * multiply-add: the summation order below is unchanged, so both paths give
- * the same bits.
+ * At b = 5..8 every window is read bounded, and the word's 64 - off bits
+ * hold all 8 codes, since off + 8b <= 64: b = 8 always starts on a byte, and
+ * for b <= 7, 7 + 56 = 63.  The word is broadcast to four 64-bit lanes
+ * shifted right by 0, 2b, 4b, 6b and four shifted by b, 3b, 5b, 7b; the
+ * second four's low halves move up by 32 bits and are blended into the odd
+ * 32-bit lanes, so lane j holds code j in its low bits, which are masked to
+ * b bits and gathered from the record's 2^b centroids.  The mask keeps every
+ * index below 2^b, so the gather reads only the centroids.
+ *
+ * Four rows run at once as independent chains, the rest one at a time, and
+ * lane j of a row is its accumulator j, with a multiply then an add and no
+ * fused multiply-add: the summation order below is unchanged, so both paths
+ * give the same bits.
  *
  * The dense gemv has an AVX2 path too (gemv_avx2), chosen by the same flag,
  * for records with unit column stride and unit incx; every other dense record,
@@ -501,20 +512,36 @@ typedef struct {
     const uint8_t *codes;
     int64_t nbytes;
     int b;
-    __m256i shifts; /* 0, b, ..., 7b */
+    __m256i shifts; /* 0, b, ..., 7b; gathered: 0, 2b, 4b, 6b as 64-bit lanes */
     __m256i mask;   /* 2^b - 1 */
     __m256 lo, hi;  /* centroids 0-7 and 8-15, zero past the last */
+    __m256i odd;    /* gathered: b, 3b, 5b, 7b as 64-bit lanes */
+    const float *c; /* gathered: the record's 2^b centroids */
 } windows;
 
+/* How a window's codes are read: see window. */
+enum { BOUNDED, FAST, GATHER };
+
 /* The 8 codes whose first bit is bit `off` of byte `at`, as their centroids,
- * lane j holding the j-th.  `fast`: the 4 bytes from `at` on are read as one
+ * lane j holding the j-th.  FAST: the 4 bytes from `at` on are read as one
  * word and lane j is shifted by off + j*b (`sh`), which needs 4 bytes inside
- * the stream and off + 8b <= 32.  Otherwise the group word at `at` is read
- * with its bound, shifted by off, and lane j by j*b. */
-static inline AVX2 __m256 window(const windows *d, int64_t at, int off, __m256i sh, int fast)
+ * the stream and off + 8b <= 32.  BOUNDED: the group word at `at` is read
+ * with its bound, shifted by off, and lane j by j*b; b <= 4 for both.
+ * GATHER, for b > 4: the bounded word shifted by off is split into its 8
+ * codes by two 64-bit shifts (see the head of this file), masked, and
+ * gathered from the centroids. */
+static inline AVX2 __m256 window(const windows *d, int64_t at, int off, __m256i sh, int read)
 {
+    if (read == GATHER) {
+        const __m256i w =
+            _mm256_set1_epi64x((long long)(group_word(d->codes, d->nbytes, at) >> off));
+        const __m256i even = _mm256_srlv_epi64(w, d->shifts);
+        const __m256i odd = _mm256_slli_epi64(_mm256_srlv_epi64(w, d->odd), 32);
+        return _mm256_i32gather_ps(
+            d->c, _mm256_and_si256(_mm256_blend_epi32(even, odd, 0xAA), d->mask), 4);
+    }
     uint32_t w;
-    if (fast)
+    if (read == FAST)
         memcpy(&w, d->codes + at, 4);
     else
         w = (uint32_t)(group_word(d->codes, d->nbytes, at) >> off);
@@ -539,9 +566,9 @@ static inline int fits(const quantloop_op *o, const windows *d, int64_t i, int r
 
 /* Rows i .. i + r - 1, r <= 4, as independent chains: row i's lane j is its
  * accumulator j, combined with its tail codes, so every sum is the portable
- * kernel's.  Inlined for each constant r and `fast`. */
+ * kernel's.  Inlined for each constant r and `read`. */
 static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *o, const windows *d,
-                                                            int64_t i, int r, int fast)
+                                                            int64_t i, int r, int read)
 {
     const float *x = o->p[2];
     const int64_t cols = o->n[2], n8 = cols - cols % 8;
@@ -553,13 +580,13 @@ static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *
         const int64_t bit = (i + j) * cols * d->b;
         at[j] = bit >> 3;
         off[j] = (int)(bit & 7);
-        sh[j] = fast ? _mm256_add_epi32(d->shifts, _mm256_set1_epi32(off[j])) : d->shifts;
+        sh[j] = read == FAST ? _mm256_add_epi32(d->shifts, _mm256_set1_epi32(off[j])) : d->shifts;
         acc[j] = _mm256_setzero_ps();
     }
     for (int64_t k = 0, step = 0; k < n8; k += 8, step += d->b) {
         const __m256 xk = _mm256_loadu_ps(x + k);
         for (int j = 0; j < r; j++) {
-            const __m256 w = window(d, at[j] + step, off[j], sh[j], fast);
+            const __m256 w = window(d, at[j] + step, off[j], sh[j], read);
             acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(w, xk));
         }
     }
@@ -568,7 +595,8 @@ static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *
         float a[8], t[8] = {0, 0, 0, 0, 0, 0, 0, 0};
         _mm256_storeu_ps(a, acc[j]);
         if (n8 < cols)
-            _mm256_storeu_ps(t, window(d, tail >> 3, (int)(tail & 7), d->shifts, 0));
+            _mm256_storeu_ps(t, window(d, tail >> 3, (int)(tail & 7), d->shifts,
+                                       read == GATHER ? GATHER : BOUNDED));
         const float s = combine(a, t, 1, x + n8, 1, cols - n8);
         float *yi = (float *)o->p[3] + (i + j) * o->n[5];
         *yi = o->f[0] * s + o->f[1] * *yi;
@@ -582,27 +610,46 @@ static AVX2 void qgemv_avx2(const quantloop_op *o)
     const int b = (int)o->n[3];
     float c[16] = {0};
     memcpy(c, o->p[1], sizeof(float) << b);
-    const windows d = {o->p[0],
-                       o->n[0],
-                       b,
-                       _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                                          _mm256_set1_epi32(b)),
-                       _mm256_set1_epi32((1 << b) - 1),
-                       _mm256_loadu_ps(c),
-                       _mm256_loadu_ps(c + 8)};
+    const windows d = {.codes = o->p[0],
+                       .nbytes = o->n[0],
+                       .b = b,
+                       .shifts = _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                                                    _mm256_set1_epi32(b)),
+                       .mask = _mm256_set1_epi32((1 << b) - 1),
+                       .lo = _mm256_loadu_ps(c),
+                       .hi = _mm256_loadu_ps(c + 8)};
     int64_t i = 0;
     for (; i + 4 <= n_rows; i += 4) {
         if (fits(o, &d, i, 4))
-            rows(o, &d, i, 4, 1);
+            rows(o, &d, i, 4, FAST);
         else
-            rows(o, &d, i, 4, 0);
+            rows(o, &d, i, 4, BOUNDED);
     }
     for (; i < n_rows; i++) {
         if (fits(o, &d, i, 1))
-            rows(o, &d, i, 1, 1);
+            rows(o, &d, i, 1, FAST);
         else
-            rows(o, &d, i, 1, 0);
+            rows(o, &d, i, 1, BOUNDED);
     }
+}
+
+/* qgemv for b > 4 and unit incx, every window gathered: four rows at a time,
+ * the rest one by one. */
+static AVX2 void qgemv_gather_avx2(const quantloop_op *o)
+{
+    const int64_t n_rows = o->n[1], b = o->n[3];
+    const windows d = {.codes = o->p[0],
+                       .nbytes = o->n[0],
+                       .b = (int)b,
+                       .shifts = _mm256_setr_epi64x(0, 2 * b, 4 * b, 6 * b),
+                       .mask = _mm256_set1_epi32((1 << b) - 1),
+                       .odd = _mm256_setr_epi64x(b, 3 * b, 5 * b, 7 * b),
+                       .c = o->p[1]};
+    int64_t i = 0;
+    for (; i + 4 <= n_rows; i += 4)
+        rows(o, &d, i, 4, GATHER);
+    for (; i < n_rows; i++)
+        rows(o, &d, i, 1, GATHER);
 }
 
 /* Choose the kernels once, when the library is loaded. */
@@ -613,11 +660,16 @@ __attribute__((constructor)) static void choose_packed_kernel(void)
 }
 #endif
 
+/* A packed gemv: with AVX2 chosen and unit incx, the vector path for its
+ * width, else the portable kernel. */
 static void qgemv(const quantloop_op *o)
 {
 #if defined(__x86_64__)
-    if (quantloop_packed_avx2 && o->n[3] <= 4 && o->n[4] == 1) {
-        qgemv_avx2(o);
+    if (quantloop_packed_avx2 && o->n[4] == 1) {
+        if (o->n[3] <= 4)
+            qgemv_avx2(o);
+        else
+            qgemv_gather_avx2(o);
         return;
     }
 #endif

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -155,6 +156,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for flag, value in (("--assume-tokens-per-second", args.assume_tokens_per_second),
+                        ("--watts", args.watts), ("--gflops-per-token", args.gflops_per_token)):
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{flag} must be finite and > 0, got {value}")
     engine = _make_engine(args)
     gflops = args.gflops_per_token
     if gflops is None:

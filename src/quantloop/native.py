@@ -13,8 +13,9 @@ interpreter's closures included, runs numpy.
   them and break NaN propagation, is never used.  Neither is
   ``-march=native``, so a cached library runs on any host of its
   architecture.
-* The packed GEMV, the dense GEMV and attention each have one vector path,
-  for AVX2, compiled under ``__attribute__((target("avx2")))`` inside the
+* The packed GEMV (one for b <= 4, one that gathers from the centroids for
+  b = 5..8), the dense GEMV and attention have vector paths for AVX2,
+  compiled under ``__attribute__((target("avx2")))`` inside the
   portable library.  The library chooses all three at once, when it is
   loaded, from the CPU's features (``__builtin_cpu_supports``); every other
   host and call runs the portable kernels.  :attr:`Native.packed_kernel`

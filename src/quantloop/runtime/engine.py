@@ -375,9 +375,12 @@ class Engine:
         """Prefill the prompt, then decode `steps` tokens.
 
         `on_token(pos, token, ms)` fires per generated token (telemetry).
+        A temperature <= 0 decodes greedily; a NaN one is refused.
         """
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
+        if math.isnan(temperature):
+            raise ValueError("temperature must be a number, got nan")
         prompt = [int(t) for t in prompt_tokens] or [0]
         if len(prompt) + steps > self.config.max_seq_len:
             raise ValueError(

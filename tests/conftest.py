@@ -41,7 +41,9 @@ def packed_kernels() -> tuple:
 
     ``"avx2"`` when ``step.c`` chose its AVX2 paths at load, then always
     ``"portable"``; on a host without AVX2 only the portable one runs.  The
-    one choice covers the packed gemv, the dense one and attention.
+    one choice covers the packed gemv at every width (b <= 4 through
+    registers, b = 5..8 through a gather from the centroids), the dense one
+    and attention.
     """
     return ("avx2", "portable") if native.load().packed_kernel == "avx2" else ("portable",)
 

@@ -80,12 +80,14 @@ def test_quantize_writes_file_and_report(tmp_path, toy_float_path, capsys):
         ("run", "{quant}", "--prompt", "9999", "--steps", "1"),
         ("bench", "{float}", "--assume-tokens-per-second", "0"),
         ("bench", "{quant}", "--steps", "0"),
+        ("run", "{float}", "--steps", "6", "--prompt", "1 2", "--temperature", "nan"),
+        ("bench", "{float}", "--steps", "6", "--prompt", "1 2", "--temperature", "nan"),
         ("optimize", "{junk}", "{tmp}/o.dir"),
         ("inspect", "{junk}"),
     ],
     ids=["quantize", "optimize", "optimize-report", "run", "verify", "bench", "inspect",
          "quantize-bits", "run-steps", "run-token", "bench-rate", "bench-steps",
-         "optimize-junk", "inspect-junk"],
+         "run-temperature-nan", "bench-temperature-nan", "optimize-junk", "inspect-junk"],
 )
 def test_missing_path_is_usage_error(argv, tmp_path, capsys, toy_float_path, toy_quant_path):
     program = tmp_path / "matvec.dir"
@@ -352,6 +354,31 @@ def test_a_request_to_decode_nothing_useful_is_usage_error(argv, capsys, toy_flo
     code, stdout, stderr = run_cli(capsys, *(a.format(float=toy_float_path) for a in argv))
     assert code == 2 and stdout == ""
     assert stderr.startswith("error:") and "must be >= 0" in stderr
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [
+        ("--assume-tokens-per-second", "nan"),
+        ("--assume-tokens-per-second", "inf"),
+        ("--assume-tokens-per-second", "-1"),
+        ("--watts", "-5"),
+        ("--watts", "nan"),
+        ("--watts", "0"),
+        ("--gflops-per-token", "-1"),
+        ("--gflops-per-token", "nan"),
+        ("--gflops-per-token", "inf"),
+    ],
+)
+def test_bench_refuses_an_input_that_is_no_rate(flag, value, capsys, toy_float_path):
+    # The message names the input; before, all but a negative rate printed a
+    # negative, infinite or NaN figure (NaN is not even JSON) and exited 0.
+    argv = ["bench", toy_float_path, flag, value]
+    if flag != "--assume-tokens-per-second":
+        argv += ["--assume-tokens-per-second", "3.5"]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and flag in stderr and value in stderr
 
 
 def test_verify_passes_on_float_checkpoint(toy_float_path, capsys):

@@ -571,14 +571,23 @@ def test_packed_decode_matches_unpack_slice():
 @example(bit_width=4, rows=9, cols=NATIVE_CHUNK + 13, incx=1, incy=2, alpha=-0.5, beta=0.25,
          seed=3)
 @example(bit_width=1, rows=5, cols=23, incx=1, incy=1, alpha=3.0, beta=1.0, seed=4)
+# Its gathered windows at 5-8 bits: 4-row blocks, leftover rows and tails.
+# Odd cols at 5 and 7 bits start the 9 rows at every bit offset 0-7; at 7
+# and 8 bits the last window's 8-byte read ends at the stream's guard byte,
+# and at 6 bits its codes end just before it.
+@example(bit_width=5, rows=9, cols=NATIVE_CHUNK + 13, incx=1, incy=1, alpha=1.0, beta=0.0,
+         seed=11)
+@example(bit_width=6, rows=6, cols=22, incx=1, incy=2, alpha=-0.5, beta=0.25, seed=12)
+@example(bit_width=7, rows=9, cols=23, incx=1, incy=1, alpha=3.0, beta=1.0, seed=13)
+@example(bit_width=8, rows=5, cols=71, incx=1, incy=3, alpha=1.0, beta=0.25, seed=14)
 def test_native_kernel_sums_in_its_documented_order_property(
     bit_width, rows, cols, incx, incy, alpha, beta, seed
 ):
     # The compiled kernel, run as a one-gemv compiled step, against a numpy
     # emulation of the order step.c documents, bit for bit, on strided
     # vectors; the elements between y's strided ones stay as they were.
-    # Every packed kernel the host runs is checked: the AVX2 one takes
-    # b <= 4 with unit incx, the portable one every call.
+    # Every packed kernel the host runs is checked: the AVX2 one takes every
+    # width with unit incx, the portable one every call.
     rng = np.random.default_rng(seed)
     q = random_quantized(rng, rows, cols, bit_width)
     x = rng.normal(size=(cols - 1) * incx + 1).astype(np.float32)

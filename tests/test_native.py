@@ -317,8 +317,9 @@ if sys.argv[1] == "control":
     sys.exit(0)
 
 # The packed kernel under test: the AVX2 run checks that the library chose
-# its vector path at load and that it stays chosen, so every width up to 4
-# (incx is 1) runs on it; the portable run selects the portable kernel.
+# its vector paths at load and that they stay chosen, so every width (incx
+# is 1) runs on one: b <= 4 through registers, b = 5..8 through a gather
+# from the fenced centroids; the portable run selects the portable kernel.
 loaded = native.load()
 if sys.argv[2] == "avx2":
     assert loaded.packed_kernel == "avx2" and loaded.avx2.value == 1, loaded

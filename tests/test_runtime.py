@@ -623,6 +623,19 @@ def test_sampling_modes(toy_float_path):
     assert len(drawn) > 1  # high temperature actually explores
 
 
+def test_generate_refuses_a_nan_temperature(toy_float_path):
+    # Every probability at a NaN temperature is NaN, and sampling then draws
+    # token 0 every time; the request is refused before anything decodes.
+    eng = Engine(toy_float_path, seed=3)
+    with pytest.raises(ValueError, match="temperature"):
+        eng.generate([1, 2], steps=6, temperature=float("nan"))
+    assert eng.stats.forwards == 0
+    # A negative temperature stays greedy and an infinite one still samples.
+    greedy = eng.generate([1, 2], steps=6, temperature=-1.0).generated_tokens
+    assert greedy == Engine(toy_float_path).generate([1, 2], steps=6).generated_tokens
+    assert len(eng.generate([1, 2], steps=6, temperature=float("inf")).generated_tokens) == 6
+
+
 def test_verify_bounds_report(toy_float_path):
     report = verify_bounds(toy_float_path, prompt_tokens=(1, 2, 3), steps=8)
     assert report["ok"] is True
