@@ -46,10 +46,14 @@
  * of byte (e*b) >> 3.
  *
  * At b <= 4 the 32 bits from there are broadcast to 8 lanes, lane j is
- * shifted right by j*b and masked to b bits, and one permute over centroids
- * 0-7 maps the lanes (b = 4 blends in a second over centroids 8-15 on bit 3).
- * The 2^b centroids are copied into two registers once per call.  The 32
- * bits come from one of two reads:
+ * shifted right by j*b, and one permute maps the lanes through a register
+ * whose lane m holds c[m mod 2^b] (b = 4 blends in a second over centroids
+ * 8-15 on bit 3).  No lane is masked: vpermps reads only an index's low 3
+ * bits, which at b < 3 are the code plus a multiple of 2^b, so the repeated
+ * centroids map them to the code's own, and the blend reads only bit 3.  The
+ * centroids are copied into the two registers once per call, and each width
+ * has its own inlined body, so b is a constant in the loops.  The 32 bits
+ * come from one of two reads:
  *
  *   fast     the 4 bytes from the window's first byte, read as one word, with
  *            off added to every lane's shift; a block of rows reads so when
@@ -58,6 +62,9 @@
  *            a byte), and this keeps the shuffle work to one permute;
  *   bounded  otherwise, and for a row's tail codes: the group word at that
  *            byte, read with the same bound as above, shifted right by off.
+ *
+ * Row i starts at bit offset i*cols*b & 7, which depends only on i % 8, so
+ * the fast reads' 8 sets of shifts are built once per call.
  *
  * At b = 5..8 every window is read bounded, and the word's 64 - off bits
  * hold all 8 codes, since off + 8b <= 64: b = 8 always starts on a byte, and
@@ -68,9 +75,12 @@
  * b bits and gathered from the record's 2^b centroids.  The mask keeps every
  * index below 2^b, so the gather reads only the centroids.
  *
- * Four rows run at once as independent chains, the rest one at a time, and
- * lane j of a row is its accumulator j, with a multiply then an add and no
- * fused multiply-add: the summation order below is unchanged, so both paths
+ * At b <= 4 rows run in blocks of 8 from a row that is a multiple of 8,
+ * against one load of x per window, and the 8 rows' accumulators are combined
+ * by the dense path's tree (sum8, below); at b = 5..8 four rows run at once.
+ * The rest run one at a time.  Lane j of a row is its accumulator j, with a
+ * multiply then an add and no fused multiply-add, each row adds its tail codes
+ * left to right, and the summation order below is unchanged, so both paths
  * give the same bits.
  *
  * The dense gemv has an AVX2 path too (gemv_avx2), chosen by the same flag,
@@ -79,8 +89,9 @@
  * run in blocks of 8 against one load of x per 8 columns (dot8): lane j of row
  * r's register is its accumulator j, with a multiply then an add and no fused
  * multiply-add, and two levels of hadd then the sum of the two 128-bit halves
- * give ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) for all 8 rows at
- * once, combine's tree (IEEE addition is commutative, so the order inside each
+ * (sum8, which the packed 8-row blocks share) give
+ * ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) for all 8 rows at once,
+ * combine's tree (IEEE addition is commutative, so the order inside each
  * pair changes no bit).  Each row then adds its tail products left to right
  * and stores as gemv does, so its sums are the portable kernel's.
  *
@@ -261,11 +272,17 @@ static inline void accumulate(float acc[8], const float *a, int64_t inca, const 
     }
 }
 
+/* The accumulators' sum. */
+static inline float tree(const float acc[8])
+{
+    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
 /* The accumulators' sum, then the `tail` products a[k] * b[k] left to right. */
 static inline float combine(const float acc[8], const float *a, int64_t inca, const float *b,
                             int64_t incb, int64_t tail)
 {
-    float s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    float s = tree(acc);
     for (int64_t k = 0; k < tail; k++)
         s += a[k * inca] * b[k * incb];
     return s;
@@ -282,11 +299,26 @@ static float dot(const float *a, int64_t inca, const float *b, int64_t incb, int
 #if defined(__x86_64__)
 #define AVX2 __attribute__((target("avx2")))
 
+/* Lane r of the result: ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) over
+ * the lanes a of acc[r], combine's tree for 8 rows at once.  Two levels of hadd
+ * put row r's (a0 + a1) + (a2 + a3) in lane r of the low half of `lo` (rows
+ * 0-3) or `hi` (rows 4-7) and its (a4 + a5) + (a6 + a7) in lane r of the high
+ * half; the sum of the 128-bit halves finishes the tree. */
+static inline __attribute__((always_inline)) AVX2 __m256 sum8(const __m256 acc[8])
+{
+    const __m256 lo =
+        _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]), _mm256_hadd_ps(acc[2], acc[3]));
+    const __m256 hi =
+        _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]), _mm256_hadd_ps(acc[6], acc[7]));
+    return _mm256_add_ps(_mm256_permute2f128_ps(lo, hi, 0x20),
+                         _mm256_permute2f128_ps(lo, hi, 0x31));
+}
+
 /* The dots of rows a, a + rs, ..., a + 7 rs with x, n terms each, into s[0..7]:
- * lane j of acc[r] is row r's accumulator j, and two levels of hadd then the sum
- * of the 128-bit halves give every row's combine tree at once; each row then adds
- * its tail products left to right, so every sum is dot's.  Inlined into its
- * AVX2 callers, which clear the upper halves before they return. */
+ * lane j of acc[r] is row r's accumulator j, sum8 gives every row's combine tree
+ * at once, and each row then adds its tail products left to right, so every sum
+ * is dot's.  Inlined into its AVX2 callers, which clear the upper halves before
+ * they return. */
 static inline __attribute__((always_inline)) AVX2 void dot8(const float *a, int64_t rs,
                                                             const float *x, int64_t n, float s[8])
 {
@@ -301,14 +333,7 @@ static inline __attribute__((always_inline)) AVX2 void dot8(const float *a, int6
             acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(w, xk));
         }
     }
-    /* Lane r of the low half: row r's (a0 + a1) + (a2 + a3), of the high half
-     * its (a4 + a5) + (a6 + a7); rows 4-7 likewise in `hi`. */
-    const __m256 lo =
-        _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]), _mm256_hadd_ps(acc[2], acc[3]));
-    const __m256 hi =
-        _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]), _mm256_hadd_ps(acc[6], acc[7]));
-    _mm256_storeu_ps(s, _mm256_add_ps(_mm256_permute2f128_ps(lo, hi, 0x20),
-                                      _mm256_permute2f128_ps(lo, hi, 0x31)));
+    _mm256_storeu_ps(s, sum8(acc));
     for (int r = 0; r < 8; r++)
         for (int64_t k = n8; k < n; k++)
             s[r] += a[r * rs + k] * x[k];
@@ -511,26 +536,29 @@ static void qgemv_portable(const quantloop_op *o)
 typedef struct {
     const uint8_t *codes;
     int64_t nbytes;
-    int b;
-    __m256i shifts; /* 0, b, ..., 7b; gathered: 0, 2b, 4b, 6b as 64-bit lanes */
-    __m256i mask;   /* 2^b - 1 */
-    __m256 lo, hi;  /* centroids 0-7 and 8-15, zero past the last */
-    __m256i odd;    /* gathered: b, 3b, 5b, 7b as 64-bit lanes */
-    const float *c; /* gathered: the record's 2^b centroids */
+    __m256i shifts;  /* 0, b, ..., 7b; gathered: 0, 2b, 4b, 6b as 64-bit lanes */
+    __m256i fast[8]; /* b <= 4: a fast read's shifts for a row i with i % 8 == m at
+                        index m: (i * cols * b & 7) + j * b in lane j */
+    __m256 lo, hi;   /* b <= 4: c[j mod 2^b] in lane j of lo; c[8 + j] in hi at b = 4 */
+    __m256i mask;    /* gathered: 2^b - 1 */
+    __m256i odd;     /* gathered: b, 3b, 5b, 7b as 64-bit lanes */
+    const float *c;  /* gathered: the record's 2^b centroids */
 } windows;
 
 /* How a window's codes are read: see window. */
 enum { BOUNDED, FAST, GATHER };
 
-/* The 8 codes whose first bit is bit `off` of byte `at`, as their centroids,
- * lane j holding the j-th.  FAST: the 4 bytes from `at` on are read as one
- * word and lane j is shifted by off + j*b (`sh`), which needs 4 bytes inside
- * the stream and off + 8b <= 32.  BOUNDED: the group word at `at` is read
- * with its bound, shifted by off, and lane j by j*b; b <= 4 for both.
- * GATHER, for b > 4: the bounded word shifted by off is split into its 8
- * codes by two 64-bit shifts (see the head of this file), masked, and
- * gathered from the centroids. */
-static inline AVX2 __m256 window(const windows *d, int64_t at, int off, __m256i sh, int read)
+/* The 8 codes of width b whose first bit is bit `off` of byte `at`, as their
+ * centroids, lane j holding the j-th.  FAST: the 4 bytes from `at` on are read
+ * as one word and lane j is shifted by off + j*b (`sh`), which needs 4 bytes
+ * inside the stream and off + 8b <= 32.  BOUNDED: the group word at `at` is
+ * read with its bound, shifted by off, and lane j by j*b; b <= 4 for both, and
+ * no lane is masked (see the head of this file).  GATHER, for b > 4: the
+ * bounded word shifted by off is split into its 8 codes by two 64-bit shifts
+ * (see the head of this file), masked, and gathered from the centroids. */
+static inline __attribute__((always_inline)) AVX2 __m256 window(const windows *d, int64_t at,
+                                                                int off, __m256i sh, int read,
+                                                                int b)
 {
     if (read == GATHER) {
         const __m256i w =
@@ -545,111 +573,145 @@ static inline AVX2 __m256 window(const windows *d, int64_t at, int off, __m256i 
         memcpy(&w, d->codes + at, 4);
     else
         w = (uint32_t)(group_word(d->codes, d->nbytes, at) >> off);
-    const __m256i idx =
-        _mm256_and_si256(_mm256_srlv_epi32(_mm256_set1_epi32((int32_t)w), sh), d->mask);
+    const __m256i idx = _mm256_srlv_epi32(_mm256_set1_epi32((int32_t)w), sh);
     const __m256 v = _mm256_permutevar8x32_ps(d->lo, idx);
-    if (d->b <= 3)
+    if (b <= 3)
         return v;
     return _mm256_blendv_ps(v, _mm256_permutevar8x32_ps(d->hi, idx),
                             _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28)));
 }
 
 /* Whether rows i .. i + r - 1 may read every full window fast. */
-static inline int fits(const quantloop_op *o, const windows *d, int64_t i, int r)
+static inline int fits(const quantloop_op *o, const windows *d, int64_t i, int r, int b)
 {
     const int64_t cols = o->n[2], n8 = cols - cols % 8;
-    int ok = n8 == 0 || (((i + r - 1) * cols + n8 - 8) * d->b >> 3) + 4 <= d->nbytes;
+    int ok = n8 == 0 || (((i + r - 1) * cols + n8 - 8) * b >> 3) + 4 <= d->nbytes;
     for (int64_t e = i * cols; e < (i + r) * cols; e += cols)
-        ok &= (int)(e * d->b & 7) + 8 * d->b <= 32;
+        ok &= (int)(e * b & 7) + 8 * b <= 32;
     return ok;
 }
 
-/* Rows i .. i + r - 1, r <= 4, as independent chains: row i's lane j is its
- * accumulator j, combined with its tail codes, so every sum is the portable
- * kernel's.  Inlined for each constant r and `read`. */
+/* Rows i .. i + r - 1 as independent chains against one load of x: row
+ * i + j's lane l is its accumulator l, combined by sum8 for a block of 8 (which
+ * starts at a row i with i % 8 == 0) and one row at a time by tree for fewer
+ * (sum8 over zero-padded rows made the gather path spill its accumulators),
+ * and each row then adds its tail codes left to right, so every sum is the
+ * portable kernel's.  Inlined for each constant r (1, 4 or 8), `read` and, at
+ * b <= 4, b. */
 static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *o, const windows *d,
-                                                            int64_t i, int r, int read)
+                                                            int64_t i, int r, int read, int b)
 {
     const float *x = o->p[2];
     const int64_t cols = o->n[2], n8 = cols - cols % 8;
-    int64_t at[4];
-    int off[4];
-    __m256i sh[4];
-    __m256 acc[4];
+    int64_t at[8];
+    int off[8];
+    __m256i sh[8];
+    __m256 acc[8];
     for (int j = 0; j < r; j++) {
-        const int64_t bit = (i + j) * cols * d->b;
+        const int64_t bit = (i + j) * cols * b;
         at[j] = bit >> 3;
         off[j] = (int)(bit & 7);
-        sh[j] = read == FAST ? _mm256_add_epi32(d->shifts, _mm256_set1_epi32(off[j])) : d->shifts;
+        sh[j] = read == FAST ? d->fast[(i + j) & 7] : d->shifts;
         acc[j] = _mm256_setzero_ps();
     }
-    for (int64_t k = 0, step = 0; k < n8; k += 8, step += d->b) {
+    for (int64_t k = 0, step = 0; k < n8; k += 8, step += b) {
         const __m256 xk = _mm256_loadu_ps(x + k);
         for (int j = 0; j < r; j++) {
-            const __m256 w = window(d, at[j] + step, off[j], sh[j], read);
+            const __m256 w = window(d, at[j] + step, off[j], sh[j], read, b);
             acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(w, xk));
         }
     }
+    float s[8];
+    if (r == 8)
+        _mm256_storeu_ps(s, sum8(acc));
     for (int j = 0; j < r; j++) {
-        const int64_t tail = ((i + j) * cols + n8) * d->b;
-        float a[8], t[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-        _mm256_storeu_ps(a, acc[j]);
+        const int64_t tail = ((i + j) * cols + n8) * b;
+        float t[8];
+        if (r < 8) {
+            float a[8];
+            _mm256_storeu_ps(a, acc[j]);
+            s[j] = tree(a);
+        }
         if (n8 < cols)
             _mm256_storeu_ps(t, window(d, tail >> 3, (int)(tail & 7), d->shifts,
-                                       read == GATHER ? GATHER : BOUNDED));
-        const float s = combine(a, t, 1, x + n8, 1, cols - n8);
+                                       read == GATHER ? GATHER : BOUNDED, b));
+        for (int64_t k = n8; k < cols; k++)
+            s[j] += t[k - n8] * x[k];
         float *yi = (float *)o->p[3] + (i + j) * o->n[5];
-        *yi = o->f[0] * s + o->f[1] * *yi;
+        *yi = o->f[0] * s[j] + o->f[1] * *yi;
     }
 }
 
-/* qgemv for b <= 4 and unit incx: four rows at a time, the rest one by one. */
-static AVX2 void qgemv_avx2(const quantloop_op *o)
+/* qgemv at one width b <= 4 and unit incx: rows in blocks of 8, the rest one
+ * by one.  Row i starts at bit offset i * cols * b & 7, which depends only on
+ * i % 8, so the fast reads' shift vectors are built once per call.  Inlined
+ * for each b, so no test of b and no variable shift count is left in the
+ * loops. */
+static inline __attribute__((always_inline)) AVX2 void qgemv_width(const quantloop_op *o, int b)
 {
-    const int64_t n_rows = o->n[1];
-    const int b = (int)o->n[3];
-    float c[16] = {0};
-    memcpy(c, o->p[1], sizeof(float) << b);
-    const windows d = {.codes = o->p[0],
-                       .nbytes = o->n[0],
-                       .b = b,
-                       .shifts = _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                                                    _mm256_set1_epi32(b)),
-                       .mask = _mm256_set1_epi32((1 << b) - 1),
-                       .lo = _mm256_loadu_ps(c),
-                       .hi = _mm256_loadu_ps(c + 8)};
+    const float *centroids = o->p[1];
+    const int64_t n_rows = o->n[1], cols = o->n[2];
+    float c[16];
+    for (int j = 0; j < 16; j++)
+        c[j] = centroids[j & ((1 << b) - 1)];
+    windows d = {.codes = o->p[0],
+                 .nbytes = o->n[0],
+                 .shifts = _mm256_setr_epi32(0, b, 2 * b, 3 * b, 4 * b, 5 * b, 6 * b, 7 * b),
+                 .lo = _mm256_loadu_ps(c),
+                 .hi = _mm256_loadu_ps(c + 8)};
+    for (int m = 0; m < 8; m++)
+        d.fast[m] = _mm256_add_epi32(d.shifts, _mm256_set1_epi32((int)(m * cols * b & 7)));
     int64_t i = 0;
-    for (; i + 4 <= n_rows; i += 4) {
-        if (fits(o, &d, i, 4))
-            rows(o, &d, i, 4, FAST);
+    for (; i + 8 <= n_rows; i += 8) {
+        if (fits(o, &d, i, 8, b))
+            rows(o, &d, i, 8, FAST, b);
         else
-            rows(o, &d, i, 4, BOUNDED);
+            rows(o, &d, i, 8, BOUNDED, b);
     }
     for (; i < n_rows; i++) {
-        if (fits(o, &d, i, 1))
-            rows(o, &d, i, 1, FAST);
+        if (fits(o, &d, i, 1, b))
+            rows(o, &d, i, 1, FAST, b);
         else
-            rows(o, &d, i, 1, BOUNDED);
+            rows(o, &d, i, 1, BOUNDED, b);
+    }
+}
+
+/* qgemv for b <= 4 and unit incx: one body per width. */
+static AVX2 void qgemv_avx2(const quantloop_op *o)
+{
+    switch (o->n[3]) {
+    case 1:
+        qgemv_width(o, 1);
+        break;
+    case 2:
+        qgemv_width(o, 2);
+        break;
+    case 3:
+        qgemv_width(o, 3);
+        break;
+    default:
+        qgemv_width(o, 4);
     }
 }
 
 /* qgemv for b > 4 and unit incx, every window gathered: four rows at a time,
- * the rest one by one. */
+ * the rest one by one.  Four, not 8 as at b <= 4: the gathers limit it, and
+ * blocks of 8 rows took 0.97-1.15 times the time of blocks of 4 at 5-8 bits
+ * (the toy's shapes and 1376x512, on a 2-core Xeon VM). */
 static AVX2 void qgemv_gather_avx2(const quantloop_op *o)
 {
     const int64_t n_rows = o->n[1], b = o->n[3];
     const windows d = {.codes = o->p[0],
                        .nbytes = o->n[0],
-                       .b = (int)b,
                        .shifts = _mm256_setr_epi64x(0, 2 * b, 4 * b, 6 * b),
                        .mask = _mm256_set1_epi32((1 << b) - 1),
                        .odd = _mm256_setr_epi64x(b, 3 * b, 5 * b, 7 * b),
                        .c = o->p[1]};
     int64_t i = 0;
     for (; i + 4 <= n_rows; i += 4)
-        rows(o, &d, i, 4, GATHER);
+        rows(o, &d, i, 4, GATHER, (int)b);
     for (; i < n_rows; i++)
-        rows(o, &d, i, 1, GATHER);
+        rows(o, &d, i, 1, GATHER, (int)b);
 }
 
 /* Choose the kernels once, when the library is loaded. */

@@ -3,8 +3,9 @@
 Subcommands: quantize, optimize, run, verify, bench, inspect.  All
 machine-readable output is JSON on stdout; diagnostics go to stderr.
 ``bench`` and ``verify`` report whether their forwards ran the compiled
-step, the one place the compiled kernels run (``"step": {"backend":
-"native" | "closures", "reason": ..., "native_forwards": n}``).
+step, the one place the compiled kernels run, and on which kernels
+(``"step": {"backend": "native" | "closures", "reason": ...,
+"native_forwards": n, "packed_kernel": "avx2" | "portable" | null}``).
 ``inspect`` only reads the file: it never builds or loads the native
 runtime.
 

@@ -555,7 +555,7 @@ def test_packed_decode_matches_unpack_slice():
 @settings(max_examples=60, deadline=None)
 @given(
     bit_width=st.integers(1, 8),
-    rows=st.integers(1, 12),
+    rows=st.integers(1, 20),
     # Up to a little over two of the compiled kernel's decode steps per row.
     cols=st.integers(1, 2 * NATIVE_CHUNK + 13),
     incx=st.integers(1, 3),
@@ -571,6 +571,18 @@ def test_packed_decode_matches_unpack_slice():
 @example(bit_width=4, rows=9, cols=NATIVE_CHUNK + 13, incx=1, incy=2, alpha=-0.5, beta=0.25,
          seed=3)
 @example(bit_width=1, rows=5, cols=23, incx=1, incy=1, alpha=3.0, beta=1.0, seed=4)
+# Its 8-row blocks at 1-4 bits: one block, two, and two plus a leftover row.
+# 23 and 172 cols at 3 bits start rows at nonzero bit offsets (every one of
+# 0-7, and 0 and 4); at 4 bits 23 cols make half the rows start mid-byte, so
+# the block is read bounded.  At 1 bit 16x64 has a last block whose fast reads
+# would pass the guard byte, so that block is read bounded too.
+@example(bit_width=1, rows=16, cols=64, incx=1, incy=2, alpha=3.0, beta=0.25, seed=15)
+@example(bit_width=2, rows=8, cols=NATIVE_CHUNK + 13, incx=1, incy=1, alpha=1.0, beta=0.0,
+         seed=16)
+@example(bit_width=3, rows=17, cols=23, incx=1, incy=3, alpha=-0.5, beta=1.0, seed=17)
+@example(bit_width=3, rows=16, cols=172, incx=1, incy=1, alpha=1.0, beta=0.25, seed=18)
+@example(bit_width=4, rows=17, cols=172, incx=1, incy=1, alpha=3.0, beta=0.0, seed=19)
+@example(bit_width=4, rows=8, cols=23, incx=1, incy=2, alpha=-0.5, beta=0.25, seed=20)
 # Its gathered windows at 5-8 bits: 4-row blocks, leftover rows and tails.
 # Odd cols at 5 and 7 bits start the 9 rows at every bit offset 0-7; at 7
 # and 8 bits the last window's 8-byte read ends at the stream's guard byte,

@@ -320,6 +320,8 @@ if sys.argv[1] == "control":
 # its vector paths at load and that they stay chosen, so every width (incx
 # is 1) runs on one: b <= 4 through registers, b = 5..8 through a gather
 # from the fenced centroids; the portable run selects the portable kernel.
+# At b <= 4 the AVX2 kernel runs rows in blocks of 8, so with 8 and 16 rows a
+# block is the last thing it reads before the fence.
 loaded = native.load()
 if sys.argv[2] == "avx2":
     assert loaded.packed_kernel == "avx2" and loaded.avx2.value == 1, loaded
@@ -328,7 +330,7 @@ else:
 rng = np.random.default_rng(7)
 for bits in range(1, 9):
     for cols in (1, 7, 23, 64, 172):
-        for rows in (1, 2, 3, 5, 9):
+        for rows in (1, 2, 3, 5, 8, 9, 16):
             centroids = np.sort(rng.normal(size=1 << bits)).astype(np.float32)
             packed = pack_bits(rng.integers(0, 1 << bits, size=rows * cols), bits)
             # The codes and the centroids each end at a fence; Codebook keeps
