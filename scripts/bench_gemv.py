@@ -2,10 +2,10 @@
 """Time the GEMV kernels over a sweep of matrix shapes.
 
 Prints one row per ``MxN`` shape and code width with the best-of-N wall
-time of the reference kernel, the ordered codes-domain oracle (sketch), the
-optimized kernel on the float matrix (opt), the packed kernel on the
-quantized matrix (codes) and the compiled dense kernel on the float matrix
-(dense).  The optimized kernel is split as the ``gemv`` intrinsic uses it:
+time, in microseconds, of the reference kernel, the ordered codes-domain
+oracle (sketch), the optimized kernel on the float matrix (opt), the packed
+kernel on the quantized matrix (codes) and the compiled dense kernel on the
+float matrix (dense).  The optimized kernel is split as the ``gemv`` intrinsic uses it:
 ``bind`` checks the operands once, when a program is prepared, and the
 bound call's ``run`` is what every decode step pays, so the two have their
 own columns.  The packed and dense kernels run only inside a compiled step,
@@ -14,9 +14,10 @@ quantized matrix with its step (bind) and running that step (run), and the
 dense run column times the same program over the float matrix.  Each run
 column times a batch of calls per rep, about 2^20 weights' worth, and
 divides by its length: one call per rep would time the Python and ctypes
-overhead of the call at the toy's shapes, not the kernel.  Then come the
-bound float run's effective GFLOP/s and each run's speed-up over the
-reference.  The float kernels do not depend on the width and are timed once
+overhead of the call at the toy's shapes, not the kernel.  The run
+columns carry three decimals, so a toy shape's packed cell (about 1 µs)
+rounds by under 0.1%.  Then come the bound float run's effective GFLOP/s
+and each run's speed-up over the reference.  The float kernels do not depend on the width and are timed once
 per shape.  The default shapes are the toy model's GEMVs plus 1024x1024.
 numpy's BLAS is pinned to one thread, like the compiled kernels.
 
@@ -27,7 +28,10 @@ matrix runs on and, for numpy, the reason it has no step.  A compiled
 step's second line names the kernel the native runtime chose at load,
 ``avx2`` or ``portable``, one choice for the packed gemv, the dense one and
 attention.  The next line names the backend of a one-gemv program over a
-float matrix.
+float matrix.  With a compiled step, one more line gives the per-call time
+of a step with no records, timed as the run columns are (batches of the
+smallest shape's length): the Python and ctypes cost that every codes and
+dense run cell includes.
 
     python3 scripts/bench_gemv.py --sizes 64x64,4096x1024 --bits 2,3,4,8
 """
@@ -76,9 +80,19 @@ def best_of(fn, reps, calls=1):
     return min(times)
 
 
+def prepared_run(program, env):
+    """`program` prepared over `env`: a call that runs it once, on its compiled
+    step when it has one, and why it has none (or None)."""
+    prepared = Prepared(program, env)
+    try:
+        step = build(prepared)
+    except NoStep as exc:
+        return prepared.run, str(exc)
+    return lambda: step(()), None
+
+
 def gemv_program(a, x, y):
-    """``y = a @ x`` as a program of one ``gemv``, prepared: a call that runs it
-    once, on its compiled step when it has one, and why it has none (or None).
+    """``y = a @ x`` as a program of one ``gemv``, prepared as :func:`prepared_run` does.
 
     `a` is a quantized matrix, which the step runs as a packed record, or a
     2-D float32 array, which it runs as a dense one.
@@ -90,12 +104,7 @@ def gemv_program(a, x, y):
                  BufferDecl("y", (y.size,))),
         functions=(Function("f", (call,)),),
     )
-    prepared = Prepared(program, {"A": a, "x": x, "y": y})
-    try:
-        step = build(prepared)
-    except NoStep as exc:
-        return prepared.run, str(exc)
-    return lambda: step(()), None
+    return prepared_run(program, {"A": a, "x": x, "y": y})
 
 
 def backend(reason) -> str:
@@ -130,8 +139,15 @@ def main() -> int:
     if reason is None:
         print(f"packed gemv kernel: {native.load().packed_kernel}")
     print("dense gemv backend: " + backend(dense_reason))
-    print(f"{'shape':>10} {'bits':>4} {'naive ms':>10} {'sketch ms':>10} {'opt bind ms':>12} "
-          f"{'opt run ms':>11} {'codes bind ms':>14} {'codes run ms':>13} {'dense run ms':>13} "
+    empty, empty_reason = prepared_run(LoopProgram(buffers=(), functions=(Function("f", ()),)),
+                                       {})
+    if empty_reason is None:
+        empty()  # warm up
+        calls = max(1, BATCH_WEIGHTS // min(m * n for m, n in shapes))
+        print(f"empty step call: {best_of(empty, args.reps, calls) * 1e6:.3f} us "
+              f"(a compiled step with no records; every codes and dense run cell includes it)")
+    print(f"{'shape':>10} {'bits':>4} {'naive us':>12} {'sketch us':>12} {'opt bind us':>12} "
+          f"{'opt run us':>12} {'codes bind us':>14} {'codes run us':>13} {'dense run us':>13} "
           f"{'opt GFLOP/s':>12} {'opt/naive':>10} {'sketch/naive':>13} {'codes/naive':>12} "
           f"{'dense/naive':>12}")
     for m, n in shapes:
@@ -158,9 +174,9 @@ def main() -> int:
             run, _ = gemv_program(q, x, y)
             run()  # warm up
             t_codes = best_of(run, args.reps, calls)
-            print(f"{f'{m}x{n}':>10} {bits:>4} {t_naive * 1e3:>10.3f} {t_sketch * 1e3:>10.3f} "
-                  f"{t_bind * 1e3:>12.4f} {t_opt * 1e3:>11.4f} {t_codes_bind * 1e3:>14.4f} "
-                  f"{t_codes * 1e3:>13.4f} {t_dense * 1e3:>13.4f} {flops / t_opt / 1e9:>12.2f} "
+            print(f"{f'{m}x{n}':>10} {bits:>4} {t_naive * 1e6:>12.1f} {t_sketch * 1e6:>12.1f} "
+                  f"{t_bind * 1e6:>12.2f} {t_opt * 1e6:>12.3f} {t_codes_bind * 1e6:>14.2f} "
+                  f"{t_codes * 1e6:>13.3f} {t_dense * 1e6:>13.3f} {flops / t_opt / 1e9:>12.2f} "
                   f"{t_naive / t_opt:>9.1f}x {t_naive / t_sketch:>12.1f}x "
                   f"{t_naive / t_codes:>11.1f}x {t_naive / t_dense:>11.1f}x")
     return 0

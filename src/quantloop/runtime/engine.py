@@ -36,10 +36,11 @@ With them every call, each on a quantized matrix, is bound-checked with
 float32 rounding of both paths, not only exact arithmetic: over the
 threshold (or when the bound is not a number) the call runs on the float
 shadow instead, and under the dual check it runs on both and the gap is
-measured.  Each checked call is described by a :class:`GemvObservation`,
-which the counters and the optional ``gemv_observer`` read.  An observer
-only reads: it changes nothing that runs or is counted, and an engine
-without checks never calls it.
+measured.  What each check found is a :class:`GemvObservation`: the
+bound, the gap (None unless it was measured) and whether the call fell
+back, which the counters and the optional ``gemv_observer`` read.  An
+observer only reads: it changes nothing that runs or is counted, and an
+engine without checks never calls it.
 
 Once the program is prepared, :func:`quantloop.step.build` makes its
 compiled step from the C ops the engine's handlers may stand in for, and a
@@ -49,8 +50,8 @@ loads only then.  No setting chooses it.  A checked engine's packed gemv
 records run the policy above in C: each has a check with the matrix's
 epsilon and the shadow's call, the counters are laid out as the C
 runtime's so the step adds to them in place, and the forward hands an
-observer the same observations, in program order, from what each check
-wrote.  ``naive`` mode, whose loop nests have no C op, and an engine whose
+observer each check's row as the same record, in program order.
+``naive`` mode, whose loop nests have no C op, and an engine whose
 handlers are not quantloop's own (a tracer's wrappers, say) run the
 closures, whose policy is :meth:`Engine._gemv_policy`; they run numpy
 throughout, packed gemv calls included, and stay the oracle.
@@ -89,16 +90,14 @@ MODES = ("naive", "optimized", "quantized")
 
 @dataclass
 class GemvObservation:
-    """What one checked gemv call did; stats and observer read it."""
+    """What one checked gemv call's check measured: the row it writes.
 
-    seq: int  # 1-based index among the engine's gemv calls
-    m: int
-    n: int
-    alpha: float
-    beta: float
-    epsilon: float  # the quantized matrix's
+    The call itself is fixed when the program is prepared, so the record
+    holds only what the check found, on the closures and in C alike.
+    """
+
     bound: float  # runtime_bound_check's float32 bound
-    diff_inf: Optional[float]  # dual-path |y_q - y_f|_inf, None unless dual
+    diff_inf: Optional[float]  # dual-path |y_q - y_f|_inf, None unless the gap was measured
     fallback: bool
 
 
@@ -283,8 +282,7 @@ class Engine:
             diff_inf = float(diff.max(initial=0.0))
         else:
             kernel(call)
-        return GemvObservation(self.stats.gemv_calls + 1, p.m, p.n, p.alpha, p.beta, a.epsilon,
-                               report.inf_bound, diff_inf, fallback)
+        return GemvObservation(report.inf_bound, diff_inf, fallback)
 
     def _gemv(self, call: GemvCall) -> None:
         """The ``gemv`` intrinsic.
@@ -327,18 +325,15 @@ class Engine:
     def _observe(self, step) -> None:
         """Hand the observer a :class:`GemvObservation` per gemv record of the forward just run.
 
-        The same records the closures' policy makes, in program order, from
-        what each check wrote to ``step.observations``: every gemv call of a
-        checked engine is packed, since a threshold or the dual check needs
+        Each is the row its check wrote to ``step.observations``, in program
+        order, as the closures' policy makes it: every gemv call of a checked
+        engine is packed, since a threshold or the dual check needs
         ``quantized`` mode, which quantizes every 2-D weight.
         """
-        observer, rows = self.gemv_observer, step.observations.tolist()
-        seq = self.stats.gemv_calls - len(step.calls)
-        for call, (bound, gap, fallback) in zip(step.calls, rows, strict=True):
-            seq += 1
-            p, fallback = call.params, bool(fallback)
-            observer(GemvObservation(seq, p.m, p.n, p.alpha, p.beta, call.a.epsilon, bound,
-                                     None if fallback or not self.dual_check else gap, fallback))
+        observer, dual = self.gemv_observer, self.dual_check
+        for bound, gap, fallback in step.observations.tolist():
+            fallback = bool(fallback)
+            observer(GemvObservation(bound, None if fallback or not dual else gap, fallback))
 
     def step_status(self) -> dict:
         """Whether the next forward runs the compiled step, and if not, why.

@@ -82,17 +82,15 @@ class Step:
     """One prepared program's op table, walked by one native call.
 
     Holds every array the records point into and the one table, packed
-    when the step is built.  ``calls`` holds the bound
-    :class:`~quantloop.kernels.GemvCall` of each gemv record in program
-    order, and ``observations`` one row per packed one among them: what its
-    check measured in the last run of a checked step, ``(bound, gap,
-    fallback)``.
+    when the step is built, so it needs nothing else to stay valid.
+    ``observations`` holds one row per packed gemv record, in program order:
+    what its check measured in the last run of a checked step, ``(bound,
+    gap, fallback)``.
     """
 
-    def __init__(self, run, records, values, n_params, scratch, checks, keep, calls,
+    def __init__(self, run, records, values, n_params, scratch, checks, keep,
                  counts: native.Counts, threshold: float | None, dual: bool):
         self._values = values
-        self.calls = calls
         self.observations = np.zeros((len(checks) // CHECK.size, 3))
         self._n_params = n_params
         self._records = records
@@ -165,7 +163,6 @@ class _Builder:
         self.arrays: list[np.ndarray] = []  # every array :meth:`span` looked up
         self._spans: dict[int, tuple[int, int]] = {}
         self.keep: list = [self.arrays]
-        self.calls: list = []  # every gemv record's call
         self.checks: list = []  # every packed gemv record's check, as CHECK fields
         self.scratch_len = 0  # the longest KV cache an attention record reads
 
@@ -193,7 +190,6 @@ class _Builder:
 
     def gemv(self, site: Site) -> tuple:
         (call,) = site.args
-        self.calls.append(call)
         if call.view is None:
             return self.packed_gemv(call)
         if not isinstance(call.a, np.ndarray):
@@ -365,5 +361,4 @@ def build(prepared: Prepared, ops: Mapping[Callable, str] = COMPILED_OPS, *,
     for i, fields in enumerate(b.checks):
         CHECK.pack_into(checks, i * CHECK.size, *fields)
     return Step(runtime.step, table, values, len(params), scratch, checks, b.keep,
-                tuple(b.calls), native.Counts() if counts is None else counts,
-                threshold, dual)
+                native.Counts() if counts is None else counts, threshold, dual)

@@ -576,9 +576,7 @@ def test_observations_add_up_to_stats(toy_float_path):
     def delta(key):
         return after[key] - before[key]
 
-    assert [o.seq for o in observations] == list(
-        range(before["gemv_calls"] + 1, after["gemv_calls"] + 1)
-    )
+    assert len(observations) == delta("gemv_calls")
     assert delta("bound_checks") == sum(o.bound is not None for o in observations)
     fallbacks = sum(o.fallback for o in observations)
     assert 0 < fallbacks < len(observations)
@@ -594,10 +592,10 @@ def test_observations_add_up_to_stats(toy_float_path):
 def test_a_nan_gap_is_a_violation_and_stays_in_the_maximum():
     stats = EngineStats()
     for gap in (0.5, float("nan"), 0.25):
-        stats.record(GemvObservation(0, 4, 4, 1.0, 0.0, 0.1, 1.0, gap, False))
+        stats.record(GemvObservation(1.0, gap, False))
     assert (stats.bound_checks, stats.bound_violations) == (3, 1)
     assert stats.max_dual_diff != stats.max_dual_diff
-    stats.record(GemvObservation(0, 4, 4, 1.0, 0.0, 0.1, float("nan"), 0.0, False))
+    stats.record(GemvObservation(float("nan"), 0.0, False))
     assert stats.bound_violations == 2 and stats.max_bound != stats.max_bound
 
 
