@@ -24,12 +24,10 @@ from .quantizer import (
     refine,
 )
 from .kernels import (
-    BoundReport,
     GemvParams,
     GemvShapeError,
     Layout,
     Trans,
-    error_bound,
     gemv_naive,
     gemv_opt,
     gemv_sketch,
@@ -37,7 +35,6 @@ from .kernels import (
 )
 
 __all__ = [
-    "BoundReport",
     "Codebook",
     "CodeRangeError",
     "GemvParams",
@@ -51,7 +48,6 @@ __all__ = [
     "__version__",
     "bits_required",
     "dequantize",
-    "error_bound",
     "gemv_naive",
     "gemv_opt",
     "gemv_sketch",

@@ -126,8 +126,9 @@
  * runs every packed gemv record checked: it bounds the call, falls back to
  * the shadow over the threshold or runs both under the dual check, writes
  * (bound, gap, fallback) to the record's row of the observations and adds
- * them to the counters.  Every run adds itself and its gemv records to the
- * counters, whose layout quantloop.runtime.EngineStats shares.
+ * them to the counters, whose maxima include the worst gap / bound of the
+ * dual check.  Every run adds itself and its gemv records to the counters,
+ * whose layout quantloop.runtime.EngineStats shares.
  *
  * Arithmetic, with each float operation rounded to float32 on its own (build
  * with -ffp-contract=off, never -ffast-math, which would fuse or reorder
@@ -156,8 +157,10 @@
  *   gap      under the dual check, y is copied to the scratch, the packed
  *            call runs on y and the shadow's gemv on the scratch, and the gap
  *            is max over i of |(double)y[i] - (double)scratch[i]|, NaN if
- *            any term is; a gap that is not <= the bound is a violation, and
- *            the counters' maxima keep a NaN once they see one;
+ *            any term is; a gap that is not <= the bound is a violation, the
+ *            ratio gap / bound reads 0 for 0 / 0 and inf for a positive gap
+ *            over a zero bound, and the counters' maxima keep a NaN once they
+ *            see one;
  *   rmsnorm  ss = dot(src, src) / n + 1e-5 in double, inv = (float)(1 / sqrt(ss)),
  *            dst[i] = (src[i] * inv) * weight[i];
  *   rope     pair i turns by pos * inv_freq[i] (double), whose cos and sin are
@@ -225,6 +228,7 @@ typedef struct {
     int64_t bound_violations;
     double max_bound;
     double max_dual_diff;
+    double max_dual_ratio; /* the largest gap / bound, by ratio() */
 } quantloop_counts;
 
 enum { CHECK_THRESHOLD = 1, CHECK_DUAL = 2 };
@@ -744,6 +748,14 @@ static double nanmax(double m, double v)
     return m != m || v <= m ? m : v;
 }
 
+/* gap / bound, where 0 / 0 reads 0 and a positive gap over a zero bound inf. */
+static double ratio(double gap, double bound)
+{
+    if (bound == 0.0)
+        return gap != 0.0 ? gap * INFINITY : 0.0; /* a NaN gap stays NaN */
+    return gap / bound;
+}
+
 static void copy(float *dst, const float *src, int64_t n, int64_t inc)
 {
     for (int64_t i = 0; i < n; i++)
@@ -798,6 +810,7 @@ static void checked_qgemv(const quantloop_op *o, const quantloop_table *t, int64
             gap = nanmax(gap, fabs((double)y[i * inc] - (double)s[i * inc]));
         counts->bound_violations += !(gap <= b);
         counts->max_dual_diff = nanmax(counts->max_dual_diff, gap);
+        counts->max_dual_ratio = nanmax(counts->max_dual_ratio, ratio(gap, b));
     } else {
         qgemv(o);
     }

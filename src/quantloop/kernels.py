@@ -17,10 +17,10 @@ stores its product.
 * ``gemv_naive`` is the semantic reference: its tiles are copies of the
   view, reduced strictly left to right in float32, so its result is a
   deterministic, order-fixed baseline the other kernels are judged against.
-* ``gemv_sketch`` is the codes-domain oracle: ``gemv_naive`` on a
-  :class:`~quantloop.quantizer.QuantizedMatrix`, whose tiles are rows
-  decoded from the packed codes through the centroid table, so it matches
-  ``gemv_naive`` on the dequantized matrix bit for bit.
+  On a :class:`~quantloop.quantizer.QuantizedMatrix` it is the
+  codes-domain oracle, also named ``gemv_sketch``: its tiles are rows
+  decoded from the packed codes through the centroid table, so it gives
+  the same bits on the codes as on the dequantized matrix.
 * ``gemv_opt`` is ``bind(...).run()``, what the ``gemv`` intrinsic runs:
   a view times x through numpy's BLAS-backed matmul, or, on packed codes,
   tiles of rows that the oracle's decoder makes, each reduced by one
@@ -44,7 +44,7 @@ element and in the 2-norm:
     l2(y_hat - y)         <= sqrt(M) * epsilon * l1(x)
 
 because each output deviation is a sum of N terms each bounded by
-``epsilon * |x_k|``.  :func:`error_bound` evaluates both.
+``epsilon * |x_k|``.
 
 **Float32 bound.**  The kernels compute in float32, and the two paths a
 caller compares (the quantized product and the float product on the
@@ -97,7 +97,6 @@ from .bitcodec import unpack_slice
 from .quantizer import QuantizedMatrix, dequantize
 
 __all__ = [
-    "BoundReport",
     "GemvCall",
     "GemvParams",
     "GemvShapeError",
@@ -105,7 +104,6 @@ __all__ = [
     "SKETCH_TILE_CODES",
     "Trans",
     "bind",
-    "error_bound",
     "gemv_naive",
     "gemv_opt",
     "gemv_sketch",
@@ -363,12 +361,24 @@ def gemv_naive(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
     step over the tile's sums or over y) and returns it.  Non-finite inputs
     propagate per IEEE-754; in particular ``beta == 0`` still multiplies the
     old y.
+
+    On a :class:`QuantizedMatrix` this is the codes-domain oracle,
+    :data:`gemv_sketch`, which never materializes the matrix: row-major,
+    non-transposed products (the shape the program synthesizer emits) decode
+    each tile's rows with one :func:`~quantloop.bitcodec.unpack_slice` call
+    and map them through the centroid table, so the result is bit-identical
+    to this kernel on the dequantized matrix by construction.  Other layouts
+    run over the one reconstruction :func:`bind` makes, with the same result.
     """
     call = bind(a, x, y, p)
     view = call.view
     rows = _decoded_rows(a) if view is None else lambda r0, r1: view[r0:r1].copy()
     _row_tiles(rows, call.x_eff, call.y_eff, p, _ordered_sums, SKETCH_TILE_CODES)
     return y
+
+
+#: The codes-domain oracle: :func:`gemv_naive` on a :class:`QuantizedMatrix`.
+gemv_sketch = gemv_naive
 
 
 def gemv_opt(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
@@ -384,63 +394,6 @@ def gemv_opt(a, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
         return bind(a, x, y, p).run()
 
 
-def gemv_sketch(q: QuantizedMatrix, x: np.ndarray, y: np.ndarray, p: GemvParams) -> np.ndarray:
-    """Ordered GEMV over a quantized matrix without materializing it: the oracle.
-
-    Row-major, non-transposed products (the shape the program synthesizer
-    emits) run the reference kernel's tile loop, :func:`_row_tiles`, with
-    each tile's rows decoded by one :func:`~quantloop.bitcodec.unpack_slice`
-    call and mapped through the centroid table, so extra memory is O(tile)
-    and the result is bit-identical to :func:`gemv_naive` on the dequantized
-    matrix by construction.  Other layouts run the reference kernel over the
-    one reconstruction :func:`bind` makes, with the same result.
-    """
-    return gemv_naive(q, x, y, p)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Analytic output-error bounds for one quantized GEMV.
-
-    ``inf_bound`` caps the largest per-element deviation and ``l2_bound``
-    the Euclidean norm of the deviation vector; both hold deterministically
-    for any input, not just with high probability.  From
-    :func:`error_bound` they bound exact arithmetic; from
-    :func:`runtime_bound_check` they bound the float32 results.
-    """
-
-    epsilon: float
-    x_l1_norm: float
-    inf_bound: float
-    l2_bound: float
-    threshold: float | None = None
-    threshold_exceeded: bool = False
-
-
-def error_bound(epsilon: float, x: np.ndarray, m: int) -> BoundReport:
-    """Evaluate the exact-arithmetic deviation bounds for reconstruction error `epsilon`.
-
-    :func:`runtime_bound_check` adds the float32 rounding terms to these.
-
-    Args:
-        epsilon: max per-element reconstruction error of the matrix.
-        x: the input vector (any float dtype; the L1 norm is summed in float64).
-        m: number of output elements.
-    """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    if m < 1:
-        raise ValueError(f"output length must be positive, got {m}")
-    x_l1 = float(np.abs(x).sum(dtype=np.float64))
-    inf_bound = epsilon * x_l1
-    return BoundReport(
-        epsilon=float(epsilon),
-        x_l1_norm=x_l1,
-        inf_bound=inf_bound,
-        l2_bound=math.sqrt(m) * inf_bound,
-    )
-
-
 def _gamma(n: int) -> float:
     """``g_n = n*u / (1 - n*u)`` for float32, or inf once ``n*u`` reaches 1."""
     nu = n * F32_UNIT_ROUNDOFF
@@ -450,26 +403,26 @@ def _gamma(n: int) -> float:
 def runtime_bound_check(
     q: QuantizedMatrix,
     x: np.ndarray,
-    threshold: float | None = None,
     *,
     alpha: float = 1.0,
     beta: float = 0.0,
     y: np.ndarray | None = None,
-) -> BoundReport:
-    """Bound one float32 GEMV call on `q` against `x` and compare to a threshold.
+) -> float:
+    """The float32 bound of one GEMV call on `q` against `x`.
 
-    ``inf_bound`` caps ``|y_q - y_f|`` per element, where ``y_q`` is the
-    call's result on `q` (any codes-domain kernel) and ``y_f`` its result on
-    the float matrix `q` was quantized from (any float kernel), both run in
+    The bound caps ``|y_q - y_f|`` per element, where ``y_q`` is the call's
+    result on `q` (any codes-domain kernel) and ``y_f`` its result on the
+    float matrix `q` was quantized from (any float kernel), both run in
     float32 with the same `alpha`, `beta` and old `y`: the exact-arithmetic
     bound scaled by ``|alpha|``, plus the dot-product and alpha/beta store
     rounding terms derived in the module docstring, rounded up.  `x` and `y`
     are the vectors the product reads (the strided views, not the whole
     buffers); `y` is needed only when ``beta != 0``.  The L1 norm of x is
-    computed at call time, so callers may use ``threshold_exceeded`` to fall
-    back to a full-precision product for this call.  ``q.epsilon`` is not
-    checked here: a :class:`~quantloop.quantizer.QuantizedMatrix` holds only
-    a finite, non-negative one.
+    computed at call time, so a caller may compare the bound with a
+    threshold (``not bound <= threshold``, so a NaN bound counts as over)
+    to fall back to a full-precision product for this call.  ``q.epsilon``
+    is not checked here: a :class:`~quantloop.quantizer.QuantizedMatrix`
+    holds only a finite, non-negative one.
     """
     eps = float(q.epsilon)
     n = np.size(x)
@@ -487,12 +440,4 @@ def runtime_bound_check(
             y_max = float(np.abs(y).max(initial=0.0))
         bound += (2 * u + u * u) * a * (1.0 + g) * (2.0 * c + eps) * l1
         bound += 2 * u * (1.0 + u) * b * y_max
-    bound = math.nextafter(bound * (1.0 + (n + 16) * 2.0**-52), math.inf)
-    return BoundReport(
-        epsilon=eps,
-        x_l1_norm=l1,
-        inf_bound=bound,
-        l2_bound=math.sqrt(q.rows) * bound,
-        threshold=None if threshold is None else float(threshold),
-        threshold_exceeded=threshold is not None and not bound <= threshold,
-    )
+    return math.nextafter(bound * (1.0 + (n + 16) * 2.0**-52), math.inf)

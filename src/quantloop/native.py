@@ -89,6 +89,7 @@ class Counts(ctypes.Structure):
         ("bound_violations", ctypes.c_int64),
         ("max_bound", ctypes.c_double),
         ("max_dual_diff", ctypes.c_double),
+        ("max_dual_ratio", ctypes.c_double),
     ]
 
 

@@ -10,17 +10,18 @@ the GEMV nests execute as:
                    calls (vectorized kernels, or codes-domain kernels when
                    the weights are quantized).
 - ``quantized``  — like ``optimized``; additionally, a float checkpoint is
-                   quantized in memory first (the float weights are kept as
-                   a shadow copy, enabling per-call bound fallback and
-                   dual-path verification).
+                   quantized in memory first (with a threshold or the dual
+                   check, the float weights are kept as a shadow copy,
+                   enabling per-call bound fallback and dual-path
+                   verification).
 
 Both checkpoint kinds load through one loop: the reader the file's magic
 picks returns ``{name: float32 array | QuantizedMatrix}``, and ``quantized``
 mode replaces each 2-D float array with its quantization, keeping the array
-as its shadow.  A quantized checkpoint is quantized already, so
-``optimized`` and ``quantized`` coincide on it and no shadow exists;
-``naive`` on it loads from a dequantized copy of each matrix, made when the
-program is prepared (the slow ablation arm).  Bound fallback and the dual
+as its shadow only when the calls are checked.  A quantized checkpoint is
+quantized already, so ``optimized`` and ``quantized`` coincide on it and no
+shadow exists; ``naive`` on it loads from a dequantized copy of each matrix,
+made when the program is prepared (the slow ablation arm).  Bound fallback and the dual
 check need the shadow, so the engine refuses a threshold or the dual check,
 before reading the file, anywhere but on a float checkpoint in
 ``quantized`` mode.
@@ -38,9 +39,11 @@ threshold (or when the bound is not a number) the call runs on the float
 shadow instead, and under the dual check it runs on both and the gap is
 measured.  What each check found is a :class:`GemvObservation`: the
 bound, the gap (None unless it was measured) and whether the call fell
-back, which the counters and the optional ``gemv_observer`` read.  An
-observer only reads: it changes nothing that runs or is counted, and an
-engine without checks never calls it.
+back, which the counters and the optional ``gemv_observer`` read.  The
+counters fold every maximum a report needs, the worst gap-to-bound ratio
+of the dual check among them, so :func:`verify_bounds` reads them alone
+and attaches no observer.  An observer only reads: it changes nothing that
+runs or is counted, and an engine without checks never calls it.
 
 Once the program is prepared, :func:`quantloop.step.build` makes its
 compiled step from the C ops the engine's handlers may stand in for, and a
@@ -106,9 +109,9 @@ class EngineStats(native.Counts):
 
     Laid out as the compiled step's counters (:class:`~quantloop.native.Counts`),
     so a compiled forward adds to them in place; the closures add one
-    :class:`GemvObservation` at a time through :meth:`record`.  A NaN bound
-    or gap stays in its maximum, and a gap that is not within its bound (a
-    NaN one included) is a violation.
+    :class:`GemvObservation` at a time through :meth:`record`.  A NaN bound,
+    gap or ratio stays in its maximum, and a gap that is not within its
+    bound (a NaN one included) is a violation.
     """
 
     def to_json(self) -> dict:
@@ -129,12 +132,20 @@ class EngineStats(native.Counts):
         self.fallback_calls += obs.fallback
         if obs.diff_inf is not None:
             self.max_dual_diff = _nanmax(self.max_dual_diff, obs.diff_inf)
+            self.max_dual_ratio = _nanmax(self.max_dual_ratio, _ratio(obs.diff_inf, obs.bound))
             self.bound_violations += not obs.diff_inf <= obs.bound
 
 
 def _nanmax(m: float, v: float) -> float:
     """The larger of `m` and `v`, NaN once either is (as ``step.c`` keeps its maxima)."""
     return m if m != m or v <= m else v
+
+
+def _ratio(gap: float, bound: float) -> float:
+    """`gap` / `bound`, where 0 / 0 reads 0 and a positive gap over a zero bound inf."""
+    if bound == 0.0:
+        return gap * math.inf if gap else 0.0  # a NaN gap stays NaN
+    return gap / bound
 
 
 @dataclass
@@ -189,13 +200,14 @@ class Engine:
             )
 
         self.config, weights = readers[magic](checkpoint_path)
-        self._float_shadow: dict = {}
+        self._float_shadow: dict = {}  # only a checked engine reads the float weights
         if mode == "quantized":
             qconfig = QuantConfig(bit_width=bit_width)
             for name, t in weights.items():
                 if isinstance(t, np.ndarray) and t.ndim == 2:
                     q = weights[name] = quantize_matrix(t, qconfig)
-                    self._float_shadow[id(q)] = t.reshape(-1)
+                    if self._checked:
+                        self._float_shadow[id(q)] = t.reshape(-1)
 
         program = synthesize_forward_program(self.config)
         self.pass_result = None
@@ -258,18 +270,18 @@ class Engine:
         """Run one gemv call of a checked engine, and describe it.
 
         The call, on a quantized matrix with a float shadow (see
-        :meth:`_observe`), is bound-checked.  Over the threshold it runs on
-        the shadow instead; under the dual check it runs on both, and the gap
-        between the two results is measured.  Either way the shadow starts
-        from the same old y.  The counters and an observer read the
+        :meth:`_observe`), is bound-checked.  Over the threshold (``not
+        bound <= threshold``, as ``step.c`` compares, so a NaN bound too) it
+        runs on the shadow instead; under the dual check it runs on both, and
+        the gap between the two results is measured.  Either way the shadow
+        starts from the same old y.  The counters and an observer read the
         description; neither changes what runs.
         """
         kernel = self._gemv_kernel
         a, p, shadow = call.a, call.params, call.shadow
-        report = runtime_bound_check(
-            a, call.x_eff, self.bound_threshold, alpha=p.alpha, beta=p.beta, y=call.y_eff
-        )
-        fallback, diff_inf = report.threshold_exceeded, None
+        bound = runtime_bound_check(a, call.x_eff, alpha=p.alpha, beta=p.beta, y=call.y_eff)
+        threshold = self.bound_threshold
+        fallback, diff_inf = threshold is not None and not bound <= threshold, None
         if fallback:
             np.copyto(shadow.y_eff, call.y_eff)
             kernel(shadow)
@@ -282,7 +294,7 @@ class Engine:
             diff_inf = float(diff.max(initial=0.0))
         else:
             kernel(call)
-        return GemvObservation(report.inf_bound, diff_inf, fallback)
+        return GemvObservation(bound, diff_inf, fallback)
 
     def _gemv(self, call: GemvCall) -> None:
         """The ``gemv`` intrinsic.
@@ -412,13 +424,6 @@ class Engine:
         )
 
 
-def _ratio(gap: float, bound: float) -> float:
-    """`gap` / `bound`, where 0 / 0 reads 0 and a positive gap over a zero bound inf."""
-    if bound == 0.0:
-        return gap * math.inf if gap else 0.0  # a NaN gap stays NaN
-    return gap / bound
-
-
 def verify_bounds(
     checkpoint_path: str,
     bit_width: int = 3,
@@ -432,8 +437,8 @@ def verify_bounds(
     computes the float-weight result on the *same* input vector and checks
     the measured infinity-norm difference against the float32 bound of
     :func:`~quantloop.kernels.runtime_bound_check`, with zero tolerance.
-    Returns a JSON-able report; `violations` must be 0 for the bound claim
-    to stand.
+    Returns a JSON-able report, read from the engine's counters alone;
+    `violations` must be 0 for the bound claim to stand.
     """
     engine = Engine(
         checkpoint_path,
@@ -442,22 +447,17 @@ def verify_bounds(
         dual_check=True,
         seed=seed,
     )
-    observations: list = []
-    engine.gemv_observer = observations.append
     result = engine.generate(prompt_tokens, steps)
-    checked = [o for o in observations if o.diff_inf is not None]
-    worst = 0.0
-    for o in checked:  # as the counters fold their maxima: a NaN ratio stays
-        worst = _nanmax(worst, _ratio(o.diff_inf, o.bound))
+    stats = engine.stats
     return {
         "checkpoint": checkpoint_path,
         "bit_width": bit_width,
         "tokens_checked": len(result.generated_tokens),
-        "gemv_calls_checked": len(checked),
-        "violations": engine.stats.bound_violations,
-        "max_measured_error": engine.stats.max_dual_diff,
-        "max_bound": engine.stats.max_bound,
-        "worst_error_to_bound_ratio": worst,
-        "ok": engine.stats.bound_violations == 0,
+        "gemv_calls_checked": stats.bound_checks,
+        "violations": stats.bound_violations,
+        "max_measured_error": stats.max_dual_diff,
+        "max_bound": stats.max_bound,
+        "worst_error_to_bound_ratio": stats.max_dual_ratio,
+        "ok": stats.bound_violations == 0,
         "step": engine.step_status(),
     }

@@ -420,15 +420,25 @@ def test_gemv_call_sites_bind_once(toy_float_path, gemv_bind_counts):
 
 
 @pytest.mark.parametrize(
-    "settings", [{"dual_check": True}, {"bound_threshold": 1e-12}], ids=["dual", "fallback"]
+    "settings", [{"dual_check": True}, {"bound_threshold": 1e-12}, {}],
+    ids=["dual", "fallback", "unchecked"],
 )
 def test_shadow_calls_bind_once(toy_float_path, gemv_bind_counts, settings):
     eng = Engine(toy_float_path, mode="quantized", **settings)
-    # Each site's params once; its packed operands and its shadow's once.
-    assert gemv_bind_counts == {"GemvParams": 15, "_operands": 30}
+    # Each site's params once; its packed operands once, and its shadow's
+    # once where the calls are checked: an unchecked engine keeps no shadow.
+    binds = {"GemvParams": 15, "_operands": 30 if settings else 15}
+    assert gemv_bind_counts == binds
     for pos in range(5):
         eng.forward(pos + 1, pos)
-    assert gemv_bind_counts == {"GemvParams": 15, "_operands": 30}
+    assert gemv_bind_counts == binds
+    if not settings:
+        # Its tokens are those of a checked engine whose calls never fall back.
+        shadowed = Engine(toy_float_path, mode="quantized", bound_threshold=float("inf"))
+        assert (eng.generate([1], steps=6).tokens
+                == shadowed.generate([1], steps=6).tokens)
+        assert eng.stats.bound_checks == 0
+        return
     assert eng.stats.bound_checks == 15 * 5
     assert eng.stats.bound_violations == 0
     if "bound_threshold" in settings:
@@ -487,6 +497,30 @@ def test_verify_bounds_holds_with_exact_reconstruction(tmp_path):
     assert report["ok"] is True
     assert report["max_bound"] > 0.0
     assert report["max_measured_error"] <= report["max_bound"]
+
+
+def test_verify_bounds_reads_the_counters_alone(tmp_path, monkeypatch):
+    # The report equals the fold of every checked call's observation under
+    # the counters' rule, though no observer may run while it is made.
+    path = str(tmp_path / "toy.ditf")
+    make_toy_checkpoint(path, seed=0)
+    probe = Engine(path, mode="quantized", dual_check=True)
+    observations = []
+    probe.gemv_observer = observations.append
+    probe.generate((1, 2, 3), 8)
+    worst = max(o.diff_inf / o.bound for o in observations)
+
+    def refuse(self, step):
+        raise AssertionError("an observer ran")
+
+    monkeypatch.setattr(Engine, "_observe", refuse)
+    report = verify_bounds(path)
+    assert report["gemv_calls_checked"] == len(observations) == 165
+    assert report["violations"] == 0 and report["ok"] is True
+    assert report["worst_error_to_bound_ratio"] == worst
+    assert report["max_measured_error"] == max(o.diff_inf for o in observations)
+    if report["step"]["backend"] == "native":
+        assert worst == 0.27327943285922224
 
 
 def test_naive_mode_interprets_loops(toy_float_path):
@@ -595,8 +629,15 @@ def test_a_nan_gap_is_a_violation_and_stays_in_the_maximum():
         stats.record(GemvObservation(1.0, gap, False))
     assert (stats.bound_checks, stats.bound_violations) == (3, 1)
     assert stats.max_dual_diff != stats.max_dual_diff
+    assert stats.max_dual_ratio != stats.max_dual_ratio
     stats.record(GemvObservation(float("nan"), 0.0, False))
     assert stats.bound_violations == 2 and stats.max_bound != stats.max_bound
+    # Over a zero bound, 0 / 0 reads 0 and a positive gap inf.
+    zero = EngineStats()
+    zero.record(GemvObservation(0.0, 0.0, False))
+    assert zero.max_dual_ratio == 0.0 and zero.bound_violations == 0
+    zero.record(GemvObservation(0.0, 0.5, False))
+    assert zero.max_dual_ratio == float("inf") and zero.bound_violations == 1
 
 
 def test_loose_threshold_never_falls_back(toy_float_path):

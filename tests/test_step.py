@@ -264,6 +264,12 @@ def _assert_same_observations(got: list, expect: list) -> None:
             assert abs(g.diff_inf - e.diff_inf) <= 1e-5 * max(1.0, e.bound), (i, g, e)
 
 
+def _assert_same_ratio(got, expect) -> None:
+    """The dual check's worst gap-to-bound ratio: within rounding on both paths, and in (0, 1]."""
+    assert got.max_dual_ratio == pytest.approx(expect.max_dual_ratio, rel=1e-5)
+    assert 0 < got.max_dual_ratio <= 1
+
+
 def _decode_both(path: str, positions: int, **settings) -> tuple:
     """Greedy-decode `positions` tokens compiled and on the closures, checking each pick.
 
@@ -282,7 +288,7 @@ def _decode_both(path: str, positions: int, **settings) -> tuple:
         assert worst <= LOGIT_RTOL * float(np.abs(want).max()), (pos, worst)
         assert int(np.argmax(logits)) == int(np.argmax(want)), pos
         # The classifier's x is still the one its check read.
-        bound = runtime_bound_check(env["classifier"], env["xb"]).inf_bound
+        bound = runtime_bound_check(env["classifier"], env["xb"])
         assert got[-1].bound == pytest.approx(bound, rel=1e-12, abs=0)
         token = int(np.argmax(want))
     assert compiled.step_status()["native_forwards"] == positions
@@ -302,6 +308,7 @@ def test_dual_check_agrees_with_the_closures_over_the_whole_context(bits, toy_fl
             assert compiled.stats.bound_checks == 256 * 15 and compiled.stats.bound_violations == 0
             assert 0 < compiled.stats.max_dual_diff <= compiled.stats.max_bound
             assert compiled.stats.max_bound == pytest.approx(closures.stats.max_bound, rel=1e-5)
+            _assert_same_ratio(compiled.stats, closures.stats)
             _assert_same_observations(got, expect)
 
 
@@ -321,6 +328,7 @@ def test_bound_fallback_agrees_with_the_closures(toy_float_path):
             for name in COUNTS:
                 assert getattr(compiled.stats, name) == getattr(closures.stats, name), name
             assert 0 < compiled.stats.fallback_calls < compiled.stats.bound_checks
+            _assert_same_ratio(compiled.stats, closures.stats)
             _assert_same_observations(got, expect)
 
 
@@ -382,7 +390,7 @@ def _axpby_both(path: str, x: np.ndarray, **settings) -> dict:
     assert (gemv.args[4], gemv.args[9]) == (-1.5, 0.5)  # alpha and beta
     y0 = np.random.default_rng(4).normal(size=64).astype(np.float32)
     a = engine._env["l0_wq"]
-    expect_bound = runtime_bound_check(a, x, alpha=-1.5, beta=0.5, y=y0).inf_bound
+    expect_bound = runtime_bound_check(a, x, alpha=-1.5, beta=0.5, y=y0)
     out = {}
     for way in ("compiled", "closures"):
         env = {"A": a, "x": x.copy(), "y": y0.copy()}
@@ -502,6 +510,7 @@ def test_checks_fail_closed_on_non_finite_x(bad, settings, toy_float_path):
         else:  # the gap is NaN, a violation, and kept
             assert gap != gap and stats.bound_violations == 1, way
             assert stats.max_dual_diff != stats.max_dual_diff, way
+            assert stats.max_dual_ratio != stats.max_dual_ratio, way
 
 
 @needs_cc
