@@ -29,13 +29,13 @@
  *           holds 2^(2b) pairs of float32 values (c[lo], c[hi]) on the stack;
  *   b > 4:  a field is one b-bit code and the table is the centroids.
  *
- * A field is masked to its width, so every table read is in range.  Reads
- * stay inside the stream: a group word is read as 8 bytes only when all 8
- * lie before the record's codes bytes, and otherwise just the bytes that
- * remain are copied into a zeroed word (the bound tail read).  The stream's
- * trailing zero guard byte, which quantloop.bitcodec.PackedBuffer
- * guarantees, is counted in the codes bytes.  Codes past the last one of
- * the matrix may be decoded from those bytes, but they are never used.
+ * A field is masked to its width, so every table read is in range.  Every
+ * read of the stream is one whole word: quantloop.bitcodec.PackedBuffer
+ * guarantees that its trailing zero guard byte is followed in memory by
+ * bitcodec.PADDING = 6 readable bytes, so an 8-byte word read from any byte
+ * of the payload, the last one included, ends inside them, and no read needs
+ * a bound.  Codes past the last one of the matrix may be decoded from the
+ * guard and the padding, but they are never used.
  *
  * On an x86-64 CPU with AVX2, a packed gemv with unit incx runs a vector path
  * instead (qgemv_avx2 for b <= 4, qgemv_gather_avx2 for b = 5..8).  Both are
@@ -55,18 +55,18 @@
  * has its own inlined body, so b is a constant in the loops.  The 32 bits
  * come from one of two reads:
  *
- *   fast     the 4 bytes from the window's first byte, read as one word, with
- *            off added to every lane's shift; a block of rows reads so when
- *            all its windows' bytes lie inside the stream and off + 8b <= 32
- *            for each row (always at b <= 3; at b = 4 when the row starts on
- *            a byte), and this keeps the shuffle work to one permute;
- *   bounded  otherwise, and for a row's tail codes: the group word at that
- *            byte, read with the same bound as above, shifted right by off.
+ *   fast  the 4 bytes from the window's first byte, read as one word, with
+ *         off added to every lane's shift; a call reads so when every row
+ *         starts where off + 8b <= 32 (always at b <= 3; at b = 4 when cols is
+ *         even, so that every row starts on a byte), and this keeps the
+ *         shuffle work to one permute;
+ *   word  otherwise, and for a row's tail codes: the group word at that byte
+ *         shifted right by off.
  *
  * Row i starts at bit offset i*cols*b & 7, which depends only on i % 8, so
  * the fast reads' 8 sets of shifts are built once per call.
  *
- * At b = 5..8 every window is read bounded, and the word's 64 - off bits
+ * At b = 5..8 every window is read as a word, and the word's 64 - off bits
  * hold all 8 codes, since off + 8b <= 64: b = 8 always starts on a byte, and
  * for b <= 7, 7 + 56 = 63.  The word is broadcast to four 64-bit lanes
  * shifted right by 0, 2b, 4b, 6b and four shifted by b, 3b, 5b, 7b; the
@@ -191,10 +191,9 @@
 
 enum {
     OP_GEMV = 1,  /* p: a, x, y; n: rows, cols, row stride, col stride, incx, incy; f: alpha, beta */
-    OP_QGEMV,     /* p: codes, centroids, x, y; n: codes bytes, rows, cols, bits, incx, incy;
-                     f: alpha, beta */
+    OP_QGEMV,     /* p: codes, centroids, x, y; n: rows, cols, bits, incx, incy; f: alpha, beta */
     OP_EMBED,     /* p: dst, table; n: rows, cols, token slot */
-    OP_QEMBED,    /* p: codes, centroids, dst; n: codes bytes, rows, cols, bits, token slot */
+    OP_QEMBED,    /* p: codes, centroids, dst; n: rows, cols, bits, token slot */
     OP_RMSNORM,   /* p: dst, src, weight; n: length */
     OP_ROPE,      /* p: q, k, inv_freq (double, length / 2 of them); n: length of q, kv_dim, pos slot */
     OP_ATTENTION, /* p: out, q, k, v, k_cache, v_cache; n: n_heads, n_kv_heads, head_size,
@@ -448,14 +447,12 @@ static void gemv(const quantloop_op *o)
     }
 }
 
-/* The group word at byte `at`, reading nothing at or past byte `nbytes`. */
-static inline uint64_t group_word(const uint8_t *codes, int64_t nbytes, int64_t at)
+/* The group word at byte `at` of the payload: 8 bytes, the last of them at
+ * most the padding's last. */
+static inline uint64_t group_word(const uint8_t *codes, int64_t at)
 {
-    uint64_t w = 0;
-    if (at + 8 <= nbytes)
-        memcpy(&w, codes + at, 8);
-    else
-        memcpy(&w, codes + at, (size_t)(nbytes - at));
+    uint64_t w;
+    memcpy(&w, codes + at, 8);
     return w;
 }
 
@@ -465,7 +462,7 @@ static inline uint64_t group_word(const uint8_t *codes, int64_t nbytes, int64_t 
 static const float *decode_table(const quantloop_op *o, float pairs[2 * 256])
 {
     const float *c = o->p[1];
-    const int b = (int)o->n[3];
+    const int b = (int)o->n[2];
     if (b > 4)
         return c;
     for (int hi = 0; hi < 1 << b; hi++)
@@ -483,15 +480,14 @@ static inline const float *decode(const quantloop_op *o, const float *t, int64_t
                                   float *buf)
 {
     const uint8_t *codes = o->p[0];
-    const int64_t nbytes = o->n[0];
-    const int b = (int)o->n[3];
+    const int b = (int)o->n[2];
     const int64_t g0 = e >> 3, g1 = (e + len - 1) >> 3;
     float *out = buf;
     if (b <= 4) {
         const int f = 2 * b;
         const uint64_t mask = (UINT64_C(1) << f) - 1;
         for (int64_t g = g0; g <= g1; g++, out += 8) {
-            const uint64_t w = group_word(codes, nbytes, g * b);
+            const uint64_t w = group_word(codes, g * b);
             memcpy(out + 0, t + 2 * (w & mask), 8);
             memcpy(out + 2, t + 2 * ((w >> f) & mask), 8);
             memcpy(out + 4, t + 2 * ((w >> 2 * f) & mask), 8);
@@ -500,7 +496,7 @@ static inline const float *decode(const quantloop_op *o, const float *t, int64_t
     } else {
         const uint64_t mask = (UINT64_C(1) << b) - 1;
         for (int64_t g = g0; g <= g1; g++, out += 8) {
-            const uint64_t w = group_word(codes, nbytes, g * b);
+            const uint64_t w = group_word(codes, g * b);
             for (int m = 0; m < 8; m++)
                 out[m] = t[(w >> (b * m)) & mask];
         }
@@ -514,7 +510,7 @@ static void qgemv_portable(const quantloop_op *o)
     const float *t = decode_table(o, pairs);
     const float *x = o->p[2];
     float *y = o->p[3];
-    const int64_t rows = o->n[1], cols = o->n[2], incx = o->n[4], incy = o->n[5];
+    const int64_t rows = o->n[0], cols = o->n[1], incx = o->n[3], incy = o->n[4];
     const int64_t n8 = cols - cols % 8;
     const float alpha = o->f[0], beta = o->f[1];
     for (int64_t i = 0; i < rows; i++) {
@@ -539,7 +535,6 @@ static void qgemv_portable(const quantloop_op *o)
 /* What the AVX2 path decodes one call's windows with. */
 typedef struct {
     const uint8_t *codes;
-    int64_t nbytes;
     __m256i shifts;  /* 0, b, ..., 7b; gathered: 0, 2b, 4b, 6b as 64-bit lanes */
     __m256i fast[8]; /* b <= 4: a fast read's shifts for a row i with i % 8 == m at
                         index m: (i * cols * b & 7) + j * b in lane j */
@@ -550,23 +545,23 @@ typedef struct {
 } windows;
 
 /* How a window's codes are read: see window. */
-enum { BOUNDED, FAST, GATHER };
+enum { WORD, FAST, GATHER };
 
 /* The 8 codes of width b whose first bit is bit `off` of byte `at`, as their
  * centroids, lane j holding the j-th.  FAST: the 4 bytes from `at` on are read
- * as one word and lane j is shifted by off + j*b (`sh`), which needs 4 bytes
- * inside the stream and off + 8b <= 32.  BOUNDED: the group word at `at` is
- * read with its bound, shifted by off, and lane j by j*b; b <= 4 for both, and
- * no lane is masked (see the head of this file).  GATHER, for b > 4: the
- * bounded word shifted by off is split into its 8 codes by two 64-bit shifts
- * (see the head of this file), masked, and gathered from the centroids. */
+ * as one word and lane j is shifted by off + j*b (`sh`), which needs
+ * off + 8b <= 32.  WORD: the group word at `at` is shifted by off, and lane j
+ * by j*b; b <= 4 for both, and no lane is masked (see the head of this file).
+ * GATHER, for b > 4: the group word shifted by off is split into its 8 codes
+ * by two 64-bit shifts (see the head of this file), masked, and gathered from
+ * the centroids. */
 static inline __attribute__((always_inline)) AVX2 __m256 window(const windows *d, int64_t at,
                                                                 int off, __m256i sh, int read,
                                                                 int b)
 {
     if (read == GATHER) {
         const __m256i w =
-            _mm256_set1_epi64x((long long)(group_word(d->codes, d->nbytes, at) >> off));
+            _mm256_set1_epi64x((long long)(group_word(d->codes, at) >> off));
         const __m256i even = _mm256_srlv_epi64(w, d->shifts);
         const __m256i odd = _mm256_slli_epi64(_mm256_srlv_epi64(w, d->odd), 32);
         return _mm256_i32gather_ps(
@@ -576,7 +571,7 @@ static inline __attribute__((always_inline)) AVX2 __m256 window(const windows *d
     if (read == FAST)
         memcpy(&w, d->codes + at, 4);
     else
-        w = (uint32_t)(group_word(d->codes, d->nbytes, at) >> off);
+        w = (uint32_t)(group_word(d->codes, at) >> off);
     const __m256i idx = _mm256_srlv_epi32(_mm256_set1_epi32((int32_t)w), sh);
     const __m256 v = _mm256_permutevar8x32_ps(d->lo, idx);
     if (b <= 3)
@@ -585,28 +580,18 @@ static inline __attribute__((always_inline)) AVX2 __m256 window(const windows *d
                             _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28)));
 }
 
-/* Whether rows i .. i + r - 1 may read every full window fast. */
-static inline int fits(const quantloop_op *o, const windows *d, int64_t i, int r, int b)
-{
-    const int64_t cols = o->n[2], n8 = cols - cols % 8;
-    int ok = n8 == 0 || (((i + r - 1) * cols + n8 - 8) * b >> 3) + 4 <= d->nbytes;
-    for (int64_t e = i * cols; e < (i + r) * cols; e += cols)
-        ok &= (int)(e * b & 7) + 8 * b <= 32;
-    return ok;
-}
-
 /* Rows i .. i + r - 1 as independent chains against one load of x: row
  * i + j's lane l is its accumulator l, combined by sum8 for a block of 8 (which
  * starts at a row i with i % 8 == 0) and one row at a time by tree for fewer
  * (sum8 over zero-padded rows made the gather path spill its accumulators),
  * and each row then adds its tail codes left to right, so every sum is the
- * portable kernel's.  Inlined for each constant r (1, 4 or 8), `read` and, at
- * b <= 4, b. */
+ * portable kernel's.  Inlined for each constant r (1, 4 or 8) and, at b <= 4,
+ * b, which makes `read` a constant too at b <= 3. */
 static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *o, const windows *d,
                                                             int64_t i, int r, int read, int b)
 {
     const float *x = o->p[2];
-    const int64_t cols = o->n[2], n8 = cols - cols % 8;
+    const int64_t cols = o->n[1], n8 = cols - cols % 8;
     int64_t at[8];
     int off[8];
     __m256i sh[8];
@@ -638,52 +623,45 @@ static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *
         }
         if (n8 < cols)
             _mm256_storeu_ps(t, window(d, tail >> 3, (int)(tail & 7), d->shifts,
-                                       read == GATHER ? GATHER : BOUNDED, b));
+                                       read == GATHER ? GATHER : WORD, b));
         for (int64_t k = n8; k < cols; k++)
             s[j] += t[k - n8] * x[k];
-        float *yi = (float *)o->p[3] + (i + j) * o->n[5];
+        float *yi = (float *)o->p[3] + (i + j) * o->n[4];
         *yi = o->f[0] * s[j] + o->f[1] * *yi;
     }
 }
 
 /* qgemv at one width b <= 4 and unit incx: rows in blocks of 8, the rest one
- * by one.  Row i starts at bit offset i * cols * b & 7, which depends only on
- * i % 8, so the fast reads' shift vectors are built once per call.  Inlined
- * for each b, so no test of b and no variable shift count is left in the
- * loops. */
+ * by one, every full window read fast when every row starts where
+ * off + 8b <= 32, else as a word.  Row i starts at bit offset i * cols * b & 7,
+ * which depends only on i % 8, so the fast reads' shift vectors are built once
+ * per call.  Inlined for each b, so no test of b and no variable shift count
+ * is left in the loops, and at b <= 3 no word-read body is built. */
 static inline __attribute__((always_inline)) AVX2 void qgemv_width(const quantloop_op *o, int b)
 {
     const float *centroids = o->p[1];
-    const int64_t n_rows = o->n[1], cols = o->n[2];
+    const int64_t n_rows = o->n[0], cols = o->n[1];
+    const int read = b <= 3 || cols % 2 == 0 ? FAST : WORD;
     float c[16];
     for (int j = 0; j < 16; j++)
         c[j] = centroids[j & ((1 << b) - 1)];
     windows d = {.codes = o->p[0],
-                 .nbytes = o->n[0],
                  .shifts = _mm256_setr_epi32(0, b, 2 * b, 3 * b, 4 * b, 5 * b, 6 * b, 7 * b),
                  .lo = _mm256_loadu_ps(c),
                  .hi = _mm256_loadu_ps(c + 8)};
     for (int m = 0; m < 8; m++)
         d.fast[m] = _mm256_add_epi32(d.shifts, _mm256_set1_epi32((int)(m * cols * b & 7)));
     int64_t i = 0;
-    for (; i + 8 <= n_rows; i += 8) {
-        if (fits(o, &d, i, 8, b))
-            rows(o, &d, i, 8, FAST, b);
-        else
-            rows(o, &d, i, 8, BOUNDED, b);
-    }
-    for (; i < n_rows; i++) {
-        if (fits(o, &d, i, 1, b))
-            rows(o, &d, i, 1, FAST, b);
-        else
-            rows(o, &d, i, 1, BOUNDED, b);
-    }
+    for (; i + 8 <= n_rows; i += 8)
+        rows(o, &d, i, 8, read, b);
+    for (; i < n_rows; i++)
+        rows(o, &d, i, 1, read, b);
 }
 
 /* qgemv for b <= 4 and unit incx: one body per width. */
 static AVX2 void qgemv_avx2(const quantloop_op *o)
 {
-    switch (o->n[3]) {
+    switch (o->n[2]) {
     case 1:
         qgemv_width(o, 1);
         break;
@@ -704,9 +682,8 @@ static AVX2 void qgemv_avx2(const quantloop_op *o)
  * (the toy's shapes and 1376x512, on a 2-core Xeon VM). */
 static AVX2 void qgemv_gather_avx2(const quantloop_op *o)
 {
-    const int64_t n_rows = o->n[1], b = o->n[3];
+    const int64_t n_rows = o->n[0], b = o->n[2];
     const windows d = {.codes = o->p[0],
-                       .nbytes = o->n[0],
                        .shifts = _mm256_setr_epi64x(0, 2 * b, 4 * b, 6 * b),
                        .mask = _mm256_set1_epi32((1 << b) - 1),
                        .odd = _mm256_setr_epi64x(b, 3 * b, 5 * b, 7 * b),
@@ -731,8 +708,8 @@ __attribute__((constructor)) static void choose_packed_kernel(void)
 static void qgemv(const quantloop_op *o)
 {
 #if defined(__x86_64__)
-    if (quantloop_packed_avx2 && o->n[4] == 1) {
-        if (o->n[3] <= 4)
+    if (quantloop_packed_avx2 && o->n[3] == 1) {
+        if (o->n[2] <= 4)
             qgemv_avx2(o);
         else
             qgemv_gather_avx2(o);
@@ -766,7 +743,7 @@ static void copy(float *dst, const float *src, int64_t n, int64_t inc)
 static double bound(const quantloop_op *o, const quantloop_check *c)
 {
     const float *x = o->p[2], *y = o->p[3];
-    const int64_t rows = o->n[1], n = o->n[2], incx = o->n[4], incy = o->n[5];
+    const int64_t rows = o->n[0], n = o->n[1], incx = o->n[3], incy = o->n[4];
     const double u = 0x1p-24, nu = (double)n * u, g = nu < 1.0 ? nu / (1.0 - nu) : INFINITY;
     const double a = fabs((double)o->f[0]), b = fabs((double)o->f[1]);
     const double eps = c->epsilon, cm = c->max_abs;
@@ -793,7 +770,7 @@ static void checked_qgemv(const quantloop_op *o, const quantloop_table *t, int64
     quantloop_counts *counts = t->counts;
     double *obs = t->obs + 3 * at;
     float *y = o->p[3], *s = f->p[2];
-    const int64_t rows = o->n[1], inc = o->n[5];
+    const int64_t rows = o->n[0], inc = o->n[4];
     const int shadowed = f->kind == OP_GEMV;
     const double b = bound(o, c);
     const int fallback = shadowed && (t->flags & CHECK_THRESHOLD) && !(b <= t->threshold);
@@ -827,7 +804,7 @@ static void qembed(const quantloop_op *o, int64_t token)
     float buf[CHUNK + 16], pairs[2 * 256];
     const float *t = decode_table(o, pairs);
     float *dst = o->p[2];
-    const int64_t cols = o->n[2];
+    const int64_t cols = o->n[1];
     for (int64_t k = 0; k < cols; k += CHUNK) {
         const int64_t len = cols - k < CHUNK ? cols - k : CHUNK;
         memcpy(dst + k, decode(o, t, token * cols + k, len, buf), (size_t)len * sizeof(float));
@@ -938,7 +915,7 @@ static int out_of_range(const quantloop_op *o, const int64_t *vals)
     case OP_EMBED:
         return vals[o->n[2]] < 0 || vals[o->n[2]] >= o->n[0];
     case OP_QEMBED:
-        return vals[o->n[4]] < 0 || vals[o->n[4]] >= o->n[1];
+        return vals[o->n[3]] < 0 || vals[o->n[3]] >= o->n[0];
     case OP_ATTENTION:
         return vals[o->n[3]] < 0 || vals[o->n[3]] >= o->n[4];
     default:
@@ -975,7 +952,7 @@ int64_t quantloop_step(const quantloop_table *table)
                    (size_t)o->n[1] * sizeof(float));
             break;
         case OP_QEMBED:
-            qembed(o, vals[o->n[4]]);
+            qembed(o, vals[o->n[3]]);
             break;
         case OP_RMSNORM:
             rmsnorm(o);

@@ -13,13 +13,14 @@ emit it, the ``.ditq`` record size counts it, and :class:`PackedBuffer`
 refuses a buffer too short to hold it (:class:`MalformedBuffer`), so a
 stream cut at the end of its payload is refused when it is made.
 :func:`unpack_slice` reads only the payload bytes that hold the requested
-codes.  The compiled step's packed records, the GEMV and the embed
-(``quantloop/_native/step.c``), read each group of 8 codes, ``bit_width``
-whole bytes, as one 8-byte little-endian word, so a word can run past its
-group.  The C side trusts only these
-guarantees: a word is read whole only when all 8 of its bytes lie inside
-the buffer, and otherwise a bound tail read copies just the bytes left
-before its end, among them the guard byte, into a zeroed word.
+codes.
+
+In memory, and only there, the guard is followed by :data:`PADDING` more
+readable bytes.  The compiled step's packed records, the GEMV and the embed
+(``quantloop/_native/step.c``), read the codes in 8-byte little-endian
+words from any payload byte on, so a word read from the last one ends at
+the padding's last byte, and no read needs a bound.  That padding is the
+one guarantee the C side takes from this module besides the layout.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "MAX_BIT_WIDTH",
     "CodeRangeError",
     "MalformedBuffer",
+    "PADDING",
     "PackedBuffer",
     "check_bit_width",
     "pack_bits",
@@ -42,6 +44,10 @@ __all__ = [
 ]
 
 MAX_BIT_WIDTH = 8
+
+#: Readable bytes that follow a :class:`PackedBuffer`'s guard byte in memory:
+#: an 8-byte word read from the last payload byte ends at the last of them.
+PADDING = 6
 
 #: Codes decoded per :func:`unpack_slice` call when a whole stream is decoded
 #: (:func:`unpack_bits`, :func:`quantloop.quantizer.dequantize`), which bounds
@@ -77,25 +83,43 @@ class PackedBuffer:
     """A densely packed stream of fixed-width codes.
 
     ``data`` holds the payload plus the trailing zero guard byte, so
-    ``len(data) == payload_size(count, bit_width) + 1``.  A bad bit width, a
-    negative count or a buffer too short for payload and guard is refused
-    here, and the decoders do not check again.
+    ``len(data) == payload_size(count, bit_width) + 1``, whatever buffer the
+    stream was made from.  It is a view of ``padded``, which holds it and
+    then at least :data:`PADDING` more readable bytes, for the compiled
+    step's whole-word reads.  A caller's buffer that is already that long is
+    kept and viewed, not copied, so its codes must not change while this
+    lives; a shorter one's payload and guard are copied once, followed by
+    :data:`PADDING` zero bytes.  A bad bit width, a negative count or a
+    buffer too short for payload and guard is refused here, and the decoders
+    do not check again.
     """
 
-    data: bytes
+    padded: bytes | memoryview
     count: int
     bit_width: int
 
-    def __post_init__(self) -> None:
-        check_bit_width(self.bit_width)
-        if self.count < 0:
-            raise MalformedBuffer(f"negative code count {self.count}")
-        need = self.payload_bytes + 1  # payload + guard
-        if len(self.data) < need:
+    def __init__(self, data, count: int, bit_width: int) -> None:
+        check_bit_width(bit_width)
+        if count < 0:
+            raise MalformedBuffer(f"negative code count {count}")
+        need = payload_size(count, bit_width) + 1  # payload + guard
+        if len(data) < need:
             raise MalformedBuffer(
                 f"packed buffer truncated: need {need} bytes "
-                f"({need - 1} payload + 1 guard), have {len(self.data)}"
+                f"({need - 1} payload + 1 guard), have {len(data)}"
             )
+        if len(data) < need + PADDING:
+            data = b"".join((memoryview(data)[:need], bytes(PADDING)))
+        elif not isinstance(data, bytes):
+            data = memoryview(data)  # holds the caller's buffer at its size while this lives
+        object.__setattr__(self, "padded", data)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "bit_width", bit_width)
+
+    @property
+    def data(self) -> memoryview:
+        """The payload and the guard byte, a view of :attr:`padded`."""
+        return memoryview(self.padded)[: self.payload_bytes + 1]
 
     @property
     def payload_bytes(self) -> int:
@@ -126,7 +150,7 @@ def pack_bits(codes, bit_width: int) -> PackedBuffer:
     # fold the flat bit stream back into bytes (LSB-first within each byte).
     bits = ((arr[:, None] >> np.arange(bit_width, dtype=np.int64)) & 1).astype(np.uint8)
     payload = np.packbits(bits.reshape(-1), bitorder="little").tobytes()
-    return PackedBuffer(data=payload + b"\x00", count=arr.size, bit_width=bit_width)
+    return PackedBuffer(payload + bytes(1 + PADDING), count=arr.size, bit_width=bit_width)
 
 
 def unpack_slice(buf: PackedBuffer, start: int, count: int) -> np.ndarray:
@@ -147,7 +171,7 @@ def unpack_slice(buf: PackedBuffer, start: int, count: int) -> np.ndarray:
     b = buf.bit_width
     first_bit = start * b
     end_bit = first_bit + count * b
-    data = np.frombuffer(buf.data, dtype=np.uint8)
+    data = np.frombuffer(buf.padded, dtype=np.uint8)
     bits = np.unpackbits(data[first_bit >> 3 : (end_bit + 7) >> 3], bitorder="little")
     skip = first_bit & 7
     bits = bits[skip : skip + count * b].reshape(count, b).astype(np.float32)

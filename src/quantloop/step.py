@@ -30,9 +30,10 @@ them against the extents they index before it writes anything, and a
 instead.
 
 A packed gemv's record holds its operands like every other record: the
-packed bytes, whose length bounds every read of them, the codebook's
-centroids, from which the runtime makes its decode table per call, and the
-two vectors, with the checks a dense gemv's record gets.
+packed codes, which the runtime reads in whole 8-byte words, trusting the
+padding :class:`~quantloop.bitcodec.PackedBuffer` keeps after them, the
+codebook's centroids, from which the runtime makes its decode table per
+call, and the two vectors, with the checks a dense gemv's record gets.
 The step is the only way the packed kernel is reached; the closures run
 numpy's instead.  A quantized embed's record reads its row through the same
 decoder.  Each packed gemv record also has a check, in table order: the
@@ -222,14 +223,14 @@ class _Builder:
 
     def packed(self, q: QuantizedMatrix, codes: np.ndarray) -> tuple:
         """A packed record's leading fields: `q`'s codes and centroids, and
-        the codes' bytes, rows, cols and code width."""
+        its rows, cols and code width."""
         return ((self.span(codes)[0], self.span(q.codebook.centroids)[0]),
-                (codes.size, q.rows, q.cols, q.codebook.bit_width))
+                (q.rows, q.cols, q.codebook.bit_width))
 
     def packed_gemv(self, call) -> tuple:
         """The record of a gemv call on packed codes, and its check."""
         q, p = call.a, call.params
-        codes = np.frombuffer(q.indices.data, np.uint8)
+        codes = np.frombuffer(q.indices.padded, np.uint8)
         _, x0, y0 = self.operands(call, codes)
         lead_p, lead_n = self.packed(q, codes)
         shadow = _record(0, ()) if call.shadow is None else self.dense(call.shadow)
@@ -244,7 +245,7 @@ class _Builder:
         if isinstance(table, QuantizedMatrix):
             if table.cols != dst.size:
                 raise NoOp("embed table rows do not fit dst")
-            lead_p, lead_n = self.packed(table, np.frombuffer(table.indices.data, np.uint8))
+            lead_p, lead_n = self.packed(table, np.frombuffer(table.indices.padded, np.uint8))
             return _record(Op.QEMBED, (*lead_p, self.span(dst)[0]), (*lead_n, token))
         _vector(table, "embed table", ndim=2)
         if table.shape[1] != dst.size:

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from quantloop.bitcodec import (
     DECODE_SLICE,
+    PADDING,
     CodeRangeError,
     MalformedBuffer,
     PackedBuffer,
@@ -13,6 +16,8 @@ from quantloop.bitcodec import (
     unpack_bits,
     unpack_slice,
 )
+from quantloop.quantizer import QuantizedMatrix
+from quantloop.runtime import read_quantized_checkpoint
 
 from oracles import pack_bits_reference, unpack_bits_reference
 
@@ -105,6 +110,37 @@ def test_missing_guard_byte_rejected():
     # Payload intact but guard byte missing.
     with pytest.raises(MalformedBuffer):
         PackedBuffer(data=good.data[:-1], count=16, bit_width=2)
+
+
+# -- padding in memory -------------------------------------------------------
+
+
+def _padding(buf: PackedBuffer) -> bytes:
+    """The PADDING bytes that follow ``buf.data`` in memory, read where they lie."""
+    data = np.frombuffer(buf.data, np.uint8)
+    return ctypes.string_at(data.ctypes.data + data.size, PADDING)
+
+
+def test_every_packed_buffer_is_followed_by_its_padding(toy_quant_path):
+    # However a PackedBuffer is made, `data` is payload + guard, and PADDING
+    # readable bytes follow it in memory: zero where PackedBuffer allocated
+    # them, the caller's own where it views a buffer that is long enough.
+    packed = pack_bits(np.arange(61) % 8, 3)
+    payload = bytes(packed.data)
+    _, tensors = read_quantized_checkpoint(toy_quant_path)
+    read = [t.indices for t in tensors.values() if isinstance(t, QuantizedMatrix)]
+    assert read
+    made = [packed, pack_bits([], 5), *read, PackedBuffer(payload, 61, 3),
+            PackedBuffer(payload + b"\xff" * (PADDING - 1), 61, 3)]
+    for buf in made:
+        assert len(buf.data) == buf.payload_bytes + 1
+        assert _padding(buf) == bytes(PADDING)
+    tail = bytes(range(1, PADDING + 3))
+    longer = bytearray(payload + tail)
+    buf = PackedBuffer(longer, 61, 3)
+    assert len(buf.data) == buf.payload_bytes + 1 and buf.data == payload
+    assert np.shares_memory(np.frombuffer(buf.data, np.uint8), np.frombuffer(longer, np.uint8))
+    assert _padding(buf) == tail[:PADDING]
 
 
 # -- properties --------------------------------------------------------------

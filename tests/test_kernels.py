@@ -550,8 +550,8 @@ def test_packed_decode_matches_unpack_slice():
 # Its 8-row blocks at 1-4 bits: one block, two, and two plus a leftover row.
 # 23 and 172 cols at 3 bits start rows at nonzero bit offsets (every one of
 # 0-7, and 0 and 4); at 4 bits 23 cols make half the rows start mid-byte, so
-# the block is read bounded.  At 1 bit 16x64 has a last block whose fast reads
-# would pass the guard byte, so that block is read bounded too.
+# every window is read as a word.  At 1 bit the last block of 16x64 reads
+# fast into the stream's guard byte and the padding after it.
 @example(bit_width=1, rows=16, cols=64, incx=1, incy=2, alpha=3.0, beta=0.25, seed=15)
 @example(bit_width=2, rows=8, cols=NATIVE_CHUNK + 13, incx=1, incy=1, alpha=1.0, beta=0.0,
          seed=16)
@@ -560,9 +560,9 @@ def test_packed_decode_matches_unpack_slice():
 @example(bit_width=4, rows=17, cols=172, incx=1, incy=1, alpha=3.0, beta=0.0, seed=19)
 @example(bit_width=4, rows=8, cols=23, incx=1, incy=2, alpha=-0.5, beta=0.25, seed=20)
 # Its gathered windows at 5-8 bits: 4-row blocks, leftover rows and tails.
-# Odd cols at 5 and 7 bits start the 9 rows at every bit offset 0-7; at 7
-# and 8 bits the last window's 8-byte read ends at the stream's guard byte,
-# and at 6 bits its codes end just before it.
+# Odd cols at 5 and 7 bits start the 9 rows at every bit offset 0-7.  The
+# last window's 8-byte read ends at the stream's guard byte at 7 and 8 bits,
+# and 2 bytes into the padding at 6 bits, whose codes end just before the guard.
 @example(bit_width=5, rows=9, cols=NATIVE_CHUNK + 13, incx=1, incy=1, alpha=1.0, beta=0.0,
          seed=11)
 @example(bit_width=6, rows=6, cols=22, incx=1, incy=2, alpha=-0.5, beta=0.25, seed=12)

@@ -280,7 +280,7 @@ _FENCED = """
 import ctypes, mmap, sys
 import numpy as np
 from quantloop import native
-from quantloop.bitcodec import PackedBuffer, pack_bits, unpack_slice
+from quantloop.bitcodec import PADDING, PackedBuffer, pack_bits, unpack_slice
 from quantloop.quantizer import Codebook, QuantizedMatrix
 from conftest import attention_program, embed_step, gemv_step
 from quantloop.step import build
@@ -333,13 +333,17 @@ for bits in range(1, 9):
         for rows in (1, 2, 3, 5, 8, 9, 16):
             centroids = np.sort(rng.normal(size=1 << bits)).astype(np.float32)
             packed = pack_bits(rng.integers(0, 1 << bits, size=rows * cols), bits)
-            # The codes and the centroids each end at a fence; Codebook keeps
-            # the contiguous float32 view without copying it.
-            mm, fence, view = fenced(packed.data)
+            # The codes and the centroids each end at a fence.  The codes'
+            # stream is its payload, guard byte and the PADDING bytes that
+            # PackedBuffer keeps after them, and PackedBuffer views it without
+            # copying it, as Codebook keeps the contiguous float32 view.
+            mm, fence, view = fenced(bytes(packed.data) + bytes(PADDING))
             c_mm, c_fence, c_view = fenced(centroids.tobytes())
             book = Codebook(np.frombuffer(c_view, np.float32), bits)
             assert np.shares_memory(book.centroids, np.frombuffer(c_view, np.float32))
             q = QuantizedMatrix(rows, cols, book, PackedBuffer(view, packed.count, bits), 0.0)
+            assert np.shares_memory(np.frombuffer(q.indices.data, np.uint8),
+                                    np.frombuffer(view, np.uint8))
             x = rng.normal(size=cols).astype(np.float32)
             y0 = rng.normal(size=rows).astype(np.float32)
             y, y_plain = y0.copy(), y0.copy()
@@ -416,14 +420,14 @@ print("ok")
 @needs_cc
 def test_kernel_reads_only_inside_the_packed_buffer():
     # Each stream is copied to end exactly where a PROT_NONE page begins, so a
-    # read of any byte after it faults.  The control shows that it does; each
-    # packed kernel the host runs then runs every width and shape without
-    # faulting (the AVX2 one reads a window from any byte, not only at group
-    # starts), and matches the same call on the unfenced bytes, and the embed
-    # of the fenced table's last row matches the handler's decode.  Each
-    # codebook's centroids end at a fence too, so the gemv and the embed read
-    # only their 2^b centroids.  Dense
-    # float matrices that end at the fence run the same way, so the AVX2
+    # read of any byte after it faults; a packed stream ends with the padding
+    # that its PackedBuffer keeps after the guard byte.  The control shows
+    # that it does; each packed kernel the host runs then runs every width and
+    # shape without faulting (the AVX2 one reads a window from any byte, not
+    # only at group starts), and matches the same call on the unfenced bytes,
+    # and the embed of the fenced table's last row matches the handler's
+    # decode.  Each codebook's centroids end at a fence too, so the gemv and
+    # the embed read only their 2^b centroids.  Dense float matrices that end at the fence run the same way, so the AVX2
     # dense kernel is held to the same bound as the portable one, and so do
     # attention records whose K and V caches each end at a fence.
     path = os.pathsep.join((SRC, str(Path(__file__).resolve().parent)))  # conftest too

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from quantloop.bitcodec import PackedBuffer
 from quantloop.cli import main
 from quantloop.loopir import Loop, Prepared, parse_program, print_program, validate
 from quantloop.quantizer import QuantizedMatrix, dequantize
@@ -228,6 +230,23 @@ def test_read_write_roundtrip_is_byte_identical(tmp_path, toy_float_path, toy_qu
         config, tensors = read(path)
         write(out, config, tensors)
         assert open(out, "rb").read() == open(path, "rb").read()
+
+
+def test_a_record_made_from_a_longer_buffer_writes_what_the_reader_reads(
+    tmp_path, toy_quant_path
+):
+    # A PackedBuffer made from more bytes than payload + guard, copied or
+    # viewed, keeps just those in `data`, so the writer emits the record size
+    # that the reader expects and the file reads back byte for byte.
+    config, tensors = read_quantized_checkpoint(toy_quant_path)
+    q = tensors["tok_emb"]
+    out = str(tmp_path / "longer.ditq")
+    for extra in (b"\x01\x02\x03", bytes(range(1, 10))):
+        longer = PackedBuffer(bytes(q.indices.data) + extra, q.indices.count, q.indices.bit_width)
+        write_quantized_checkpoint(out, config,
+                                   {**tensors, "tok_emb": dataclasses.replace(q, indices=longer)})
+        read_quantized_checkpoint(out)
+        assert open(out, "rb").read() == open(toy_quant_path, "rb").read()
 
 
 def test_quantize_checkpoint_report_and_roundtrip(tmp_path, toy_float_path):
