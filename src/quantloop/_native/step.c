@@ -38,50 +38,46 @@
  * guard and the padding, but they are never used.
  *
  * On an x86-64 CPU with AVX2, a packed gemv with unit incx runs a vector path
- * instead (qgemv_avx2 for b <= 4, qgemv_gather_avx2 for b = 5..8).  Both are
- * compiled with a target attribute inside this portable library, no -m flag,
- * and chosen once, when the library is loaded (quantloop_packed_avx2).  They
- * decode a window of 8 codes e .. e + 7 that may start at any code, so a row
- * needs no group alignment.  The window's bits start at bit off = (e*b) & 7
- * of byte (e*b) >> 3.
+ * instead, compiled with a target attribute inside this portable library, no
+ * -m flag, and chosen once, when the library is loaded (quantloop_packed_avx2).
+ * It decodes a window of 8 codes e .. e + 7 that may start at any code, so a
+ * row needs no group alignment, and it reads every window the same way: one
+ * load at its first byte, (e*b) >> 3, whose bits start at bit off = (e*b) & 7.
+ * A row's windows start at codes i*cols + k, k a multiple of 8, so they share
+ * the row's off = i*cols*b & 7, which lane shifts fold in; its tail codes are
+ * the window after its last full one, read the same way.  That offset depends
+ * only on i % 8, so the shifts are built once per call, one set per i % 8.
+ * qgemv picks one of two decoders, by one test:
  *
- * At b <= 4 the 32 bits from there are broadcast to 8 lanes, lane j is
- * shifted right by j*b, and one permute maps the lanes through a register
- * whose lane m holds c[m mod 2^b] (b = 4 blends in a second over centroids
- * 8-15 on bit 3).  No lane is masked: vpermps reads only an index's low 3
- * bits, which at b < 3 are the code plus a multiple of 2^b, so the repeated
- * centroids map them to the code's own, and the blend reads only bit 3.  The
- * centroids are copied into the two registers once per call, and each width
- * has its own inlined body, so b is a constant in the loops.  The 32 bits
- * come from one of two reads:
+ *   permute when a 4-byte read holds every row's 8 codes, off + 8b <= 32: at
+ *           b <= 3, and at b = 4 when cols is even, so that every row starts on
+ *           a byte (qgemv_avx2).  The 4 bytes are broadcast to 8 lanes, lane j
+ *           is shifted right by off + j*b, and one permute maps the lanes
+ *           through a register whose lane m holds c[m mod 2^b] (b = 4 blends in
+ *           a second over centroids 8-15 on bit 3).  No lane is masked: vpermps
+ *           reads only an index's low 3 bits, which at b < 3 are the code
+ *           plus a multiple of 2^b, so the repeated centroids map them to the
+ *           code's own, and the blend reads only bit 3.  The centroids are
+ *           copied into the two registers once per call, and each width has
+ *           its own inlined body, so b is a constant in the loops.
+ *   gather  otherwise: at b = 5..8, and at b = 4 when cols is odd
+ *           (qgemv_gather_avx2).  The 8 bytes hold all 8 codes, since
+ *           off + 8b <= 64: b = 8 always starts on a byte, and for b <= 7,
+ *           7 + 56 = 63.  They are broadcast to four 64-bit lanes shifted right
+ *           by off + 0, 2b, 4b, 6b and four shifted by off + b, 3b, 5b, 7b;
+ *           the second four's low halves move up by 32 bits and are blended
+ *           into the odd 32-bit lanes, so lane j holds code j in its low bits,
+ *           which are masked to b bits and gathered from the record's 2^b
+ *           centroids.  The mask keeps every index below 2^b, so the gather
+ *           reads only the centroids.
  *
- *   fast  the 4 bytes from the window's first byte, read as one word, with
- *         off added to every lane's shift; a call reads so when every row
- *         starts where off + 8b <= 32 (always at b <= 3; at b = 4 when cols is
- *         even, so that every row starts on a byte), and this keeps the
- *         shuffle work to one permute;
- *   word  otherwise, and for a row's tail codes: the group word at that byte
- *         shifted right by off.
- *
- * Row i starts at bit offset i*cols*b & 7, which depends only on i % 8, so
- * the fast reads' 8 sets of shifts are built once per call.
- *
- * At b = 5..8 every window is read as a word, and the word's 64 - off bits
- * hold all 8 codes, since off + 8b <= 64: b = 8 always starts on a byte, and
- * for b <= 7, 7 + 56 = 63.  The word is broadcast to four 64-bit lanes
- * shifted right by 0, 2b, 4b, 6b and four shifted by b, 3b, 5b, 7b; the
- * second four's low halves move up by 32 bits and are blended into the odd
- * 32-bit lanes, so lane j holds code j in its low bits, which are masked to
- * b bits and gathered from the record's 2^b centroids.  The mask keeps every
- * index below 2^b, so the gather reads only the centroids.
- *
- * At b <= 4 rows run in blocks of 8 from a row that is a multiple of 8,
- * against one load of x per window, and the 8 rows' accumulators are combined
- * by the dense path's tree (sum8, below); at b = 5..8 four rows run at once.
- * The rest run one at a time.  Lane j of a row is its accumulator j, with a
- * multiply then an add and no fused multiply-add, each row adds its tail codes
- * left to right, and the summation order below is unchanged, so both paths
- * give the same bits.
+ * The permute decoder runs rows in blocks of 8 from a row that is a multiple
+ * of 8, against one load of x per window, and the 8 rows' accumulators are
+ * combined by the dense path's tree (sum8, below); the gather decoder runs four
+ * rows at once.  The rest run one at a time.  Lane j of a row is its
+ * accumulator j, with a multiply then an add and no fused multiply-add, each
+ * row adds its tail codes left to right, and the summation order below is
+ * unchanged, so both paths give the same bits.
  *
  * The dense gemv has an AVX2 path too (gemv_avx2), chosen by the same flag,
  * for records with unit column stride and unit incx; every other dense record,
@@ -532,46 +528,34 @@ static void qgemv_portable(const quantloop_op *o)
 }
 
 #if defined(__x86_64__)
-/* What the AVX2 path decodes one call's windows with. */
+/* What the AVX2 path decodes one call's windows with.  The shifts of a row i
+ * with i % 8 == m sit at index m and fold in its bit offset off = i*cols*b & 7. */
 typedef struct {
     const uint8_t *codes;
-    __m256i shifts;  /* 0, b, ..., 7b; gathered: 0, 2b, 4b, 6b as 64-bit lanes */
-    __m256i fast[8]; /* b <= 4: a fast read's shifts for a row i with i % 8 == m at
-                        index m: (i * cols * b & 7) + j * b in lane j */
-    __m256 lo, hi;   /* b <= 4: c[j mod 2^b] in lane j of lo; c[8 + j] in hi at b = 4 */
-    __m256i mask;    /* gathered: 2^b - 1 */
-    __m256i odd;     /* gathered: b, 3b, 5b, 7b as 64-bit lanes */
-    const float *c;  /* gathered: the record's 2^b centroids */
+    __m256i sh[8];  /* permute: off + j*b in lane j; gather: off + 0, 2b, 4b, 6b as 64-bit lanes */
+    __m256 lo, hi;  /* permute: c[j mod 2^b] in lane j of lo; c[8 + j] in hi at b = 4 */
+    __m256i mask;   /* gather: 2^b - 1 */
+    const float *c; /* gather: the record's 2^b centroids */
 } windows;
 
-/* How a window's codes are read: see window. */
-enum { WORD, FAST, GATHER };
-
-/* The 8 codes of width b whose first bit is bit `off` of byte `at`, as their
- * centroids, lane j holding the j-th.  FAST: the 4 bytes from `at` on are read
- * as one word and lane j is shifted by off + j*b (`sh`), which needs
- * off + 8b <= 32.  WORD: the group word at `at` is shifted by off, and lane j
- * by j*b; b <= 4 for both, and no lane is masked (see the head of this file).
- * GATHER, for b > 4: the group word shifted by off is split into its 8 codes
- * by two 64-bit shifts (see the head of this file), masked, and gathered from
- * the centroids. */
+/* The 8 codes of width b from byte `at` on, as their centroids, lane j holding
+ * the j-th, for a row whose shifts are `sh` and `odd_sh`.  Permute: the 4 bytes
+ * from `at` on, read as one word, lane j shifted by off + j*b, no lane masked.
+ * Gather: the 8 bytes from `at` on, split into the 8 codes by two 64-bit
+ * shifts, masked and gathered from the centroids.  See the head of this file. */
 static inline __attribute__((always_inline)) AVX2 __m256 window(const windows *d, int64_t at,
-                                                                int off, __m256i sh, int read,
-                                                                int b)
+                                                                __m256i sh, __m256i odd_sh,
+                                                                int gather, int b)
 {
-    if (read == GATHER) {
-        const __m256i w =
-            _mm256_set1_epi64x((long long)(group_word(d->codes, at) >> off));
-        const __m256i even = _mm256_srlv_epi64(w, d->shifts);
-        const __m256i odd = _mm256_slli_epi64(_mm256_srlv_epi64(w, d->odd), 32);
+    if (gather) {
+        const __m256i w = _mm256_set1_epi64x((long long)group_word(d->codes, at));
+        const __m256i even = _mm256_srlv_epi64(w, sh);
+        const __m256i odd = _mm256_slli_epi64(_mm256_srlv_epi64(w, odd_sh), 32);
         return _mm256_i32gather_ps(
             d->c, _mm256_and_si256(_mm256_blend_epi32(even, odd, 0xAA), d->mask), 4);
     }
     uint32_t w;
-    if (read == FAST)
-        memcpy(&w, d->codes + at, 4);
-    else
-        w = (uint32_t)(group_word(d->codes, at) >> off);
+    memcpy(&w, d->codes + at, 4);
     const __m256i idx = _mm256_srlv_epi32(_mm256_set1_epi32((int32_t)w), sh);
     const __m256 v = _mm256_permutevar8x32_ps(d->lo, idx);
     if (b <= 3)
@@ -584,29 +568,27 @@ static inline __attribute__((always_inline)) AVX2 __m256 window(const windows *d
  * i + j's lane l is its accumulator l, combined by sum8 for a block of 8 (which
  * starts at a row i with i % 8 == 0) and one row at a time by tree for fewer
  * (sum8 over zero-padded rows made the gather path spill its accumulators),
- * and each row then adds its tail codes left to right, so every sum is the
- * portable kernel's.  Inlined for each constant r (1, 4 or 8) and, at b <= 4,
- * b, which makes `read` a constant too at b <= 3. */
+ * and each row then adds its tail codes, the window after its last full one,
+ * left to right, so every sum is the portable kernel's.  Inlined for each
+ * constant r (1, 4 or 8) and decoder, and for the permute decoder each b. */
 static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *o, const windows *d,
-                                                            int64_t i, int r, int read, int b)
+                                                            int64_t i, int r, int gather, int b)
 {
     const float *x = o->p[2];
     const int64_t cols = o->n[1], n8 = cols - cols % 8;
-    int64_t at[8];
-    int off[8];
-    __m256i sh[8];
+    int64_t at[8], step = 0;
+    __m256i sh[8], odd[8]; /* gather: odd[j] = sh[j] + b, the odd codes' shifts */
     __m256 acc[8];
     for (int j = 0; j < r; j++) {
-        const int64_t bit = (i + j) * cols * b;
-        at[j] = bit >> 3;
-        off[j] = (int)(bit & 7);
-        sh[j] = read == FAST ? d->fast[(i + j) & 7] : d->shifts;
+        at[j] = (i + j) * cols * b >> 3;
+        sh[j] = d->sh[(i + j) & 7];
+        odd[j] = _mm256_add_epi64(sh[j], _mm256_set1_epi64x(b));
         acc[j] = _mm256_setzero_ps();
     }
-    for (int64_t k = 0, step = 0; k < n8; k += 8, step += b) {
+    for (int64_t k = 0; k < n8; k += 8, step += b) {
         const __m256 xk = _mm256_loadu_ps(x + k);
         for (int j = 0; j < r; j++) {
-            const __m256 w = window(d, at[j] + step, off[j], sh[j], read, b);
+            const __m256 w = window(d, at[j] + step, sh[j], odd[j], gather, b);
             acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(w, xk));
         }
     }
@@ -614,7 +596,6 @@ static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *
     if (r == 8)
         _mm256_storeu_ps(s, sum8(acc));
     for (int j = 0; j < r; j++) {
-        const int64_t tail = ((i + j) * cols + n8) * b;
         float t[8];
         if (r < 8) {
             float a[8];
@@ -622,8 +603,7 @@ static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *
             s[j] = tree(a);
         }
         if (n8 < cols)
-            _mm256_storeu_ps(t, window(d, tail >> 3, (int)(tail & 7), d->shifts,
-                                       read == GATHER ? GATHER : WORD, b));
+            _mm256_storeu_ps(t, window(d, at[j] + step, sh[j], odd[j], gather, b));
         for (int64_t k = n8; k < cols; k++)
             s[j] += t[k - n8] * x[k];
         float *yi = (float *)o->p[3] + (i + j) * o->n[4];
@@ -631,34 +611,28 @@ static inline __attribute__((always_inline)) AVX2 void rows(const quantloop_op *
     }
 }
 
-/* qgemv at one width b <= 4 and unit incx: rows in blocks of 8, the rest one
- * by one, every full window read fast when every row starts where
- * off + 8b <= 32, else as a word.  Row i starts at bit offset i * cols * b & 7,
- * which depends only on i % 8, so the fast reads' shift vectors are built once
- * per call.  Inlined for each b, so no test of b and no variable shift count
- * is left in the loops, and at b <= 3 no word-read body is built. */
+/* qgemv's permute decoder at one width b <= 4 and unit incx: rows in blocks of
+ * 8, the rest one by one.  Inlined for each b, so no test of b and no variable
+ * shift count is left in the loops. */
 static inline __attribute__((always_inline)) AVX2 void qgemv_width(const quantloop_op *o, int b)
 {
     const float *centroids = o->p[1];
     const int64_t n_rows = o->n[0], cols = o->n[1];
-    const int read = b <= 3 || cols % 2 == 0 ? FAST : WORD;
     float c[16];
     for (int j = 0; j < 16; j++)
         c[j] = centroids[j & ((1 << b) - 1)];
-    windows d = {.codes = o->p[0],
-                 .shifts = _mm256_setr_epi32(0, b, 2 * b, 3 * b, 4 * b, 5 * b, 6 * b, 7 * b),
-                 .lo = _mm256_loadu_ps(c),
-                 .hi = _mm256_loadu_ps(c + 8)};
+    windows d = {.codes = o->p[0], .lo = _mm256_loadu_ps(c), .hi = _mm256_loadu_ps(c + 8)};
+    const __m256i shifts = _mm256_setr_epi32(0, b, 2 * b, 3 * b, 4 * b, 5 * b, 6 * b, 7 * b);
     for (int m = 0; m < 8; m++)
-        d.fast[m] = _mm256_add_epi32(d.shifts, _mm256_set1_epi32((int)(m * cols * b & 7)));
+        d.sh[m] = _mm256_add_epi32(shifts, _mm256_set1_epi32((int)(m * cols * b & 7)));
     int64_t i = 0;
     for (; i + 8 <= n_rows; i += 8)
-        rows(o, &d, i, 8, read, b);
+        rows(o, &d, i, 8, 0, b);
     for (; i < n_rows; i++)
-        rows(o, &d, i, 1, read, b);
+        rows(o, &d, i, 1, 0, b);
 }
 
-/* qgemv for b <= 4 and unit incx: one body per width. */
+/* qgemv's permute decoder, for b <= 4 and unit incx: one body per width. */
 static AVX2 void qgemv_avx2(const quantloop_op *o)
 {
     switch (o->n[2]) {
@@ -676,23 +650,22 @@ static AVX2 void qgemv_avx2(const quantloop_op *o)
     }
 }
 
-/* qgemv for b > 4 and unit incx, every window gathered: four rows at a time,
- * the rest one by one.  Four, not 8 as at b <= 4: the gathers limit it, and
+/* qgemv's gather decoder, for unit incx: four rows at a time, the rest one by
+ * one.  Four, not 8 as in the permute decoder: the gathers limit it, and
  * blocks of 8 rows took 0.97-1.15 times the time of blocks of 4 at 5-8 bits
  * (the toy's shapes and 1376x512, on a 2-core Xeon VM). */
 static AVX2 void qgemv_gather_avx2(const quantloop_op *o)
 {
-    const int64_t n_rows = o->n[0], b = o->n[2];
-    const windows d = {.codes = o->p[0],
-                       .shifts = _mm256_setr_epi64x(0, 2 * b, 4 * b, 6 * b),
-                       .mask = _mm256_set1_epi32((1 << b) - 1),
-                       .odd = _mm256_setr_epi64x(b, 3 * b, 5 * b, 7 * b),
-                       .c = o->p[1]};
+    const int64_t n_rows = o->n[0], cols = o->n[1], b = o->n[2];
+    windows d = {.codes = o->p[0], .mask = _mm256_set1_epi32((1 << b) - 1), .c = o->p[1]};
+    const __m256i even = _mm256_setr_epi64x(0, 2 * b, 4 * b, 6 * b);
+    for (int m = 0; m < 8; m++)
+        d.sh[m] = _mm256_add_epi64(even, _mm256_set1_epi64x(m * cols * b & 7));
     int64_t i = 0;
     for (; i + 4 <= n_rows; i += 4)
-        rows(o, &d, i, 4, GATHER, (int)b);
+        rows(o, &d, i, 4, 1, (int)b);
     for (; i < n_rows; i++)
-        rows(o, &d, i, 1, GATHER, (int)b);
+        rows(o, &d, i, 1, 1, (int)b);
 }
 
 /* Choose the kernels once, when the library is loaded. */
@@ -703,13 +676,14 @@ __attribute__((constructor)) static void choose_packed_kernel(void)
 }
 #endif
 
-/* A packed gemv: with AVX2 chosen and unit incx, the vector path for its
- * width, else the portable kernel. */
+/* A packed gemv: with AVX2 chosen and unit incx, the permute decoder when a
+ * 4-byte read holds every row's 8 codes (b <= 3, or b = 4 with even cols), else
+ * the gather decoder; the portable kernel otherwise. */
 static void qgemv(const quantloop_op *o)
 {
 #if defined(__x86_64__)
     if (quantloop_packed_avx2 && o->n[3] == 1) {
-        if (o->n[2] <= 4)
+        if (o->n[2] <= 3 || (o->n[2] == 4 && o->n[1] % 2 == 0))
             qgemv_avx2(o);
         else
             qgemv_gather_avx2(o);

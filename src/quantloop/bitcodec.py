@@ -134,18 +134,21 @@ def pack_bits(codes, bit_width: int) -> PackedBuffer:
         bit_width: code width in bits, 1..8.
 
     Raises:
-        CodeRangeError: if any code falls outside the representable range.
+        CodeRangeError: if any code falls outside the representable range or
+            is not a whole number (a NaN, or a float such as 1.5).
     """
     check_bit_width(bit_width)
-    arr = np.ascontiguousarray(codes, dtype=np.int64).reshape(-1)
-    if arr.size:
-        lo = int(arr.min())
-        hi = int(arr.max())
-        if lo < 0 or hi >= (1 << bit_width):
+    values = np.asarray(codes).reshape(-1)
+    if values.size:
+        lo, hi = values.min(), values.max()
+        if not (lo >= 0 and hi < (1 << bit_width)):  # a NaN fails too
             raise CodeRangeError(
                 f"codes must lie in [0, {1 << bit_width}) for bit width "
                 f"{bit_width}; saw range [{lo}, {hi}]"
             )
+        if values.dtype.kind not in "biu" and not np.array_equal(values, np.trunc(values)):
+            raise CodeRangeError(f"codes must be whole numbers; saw {values[values % 1 != 0][0]}")
+    arr = np.ascontiguousarray(values, dtype=np.int64)
     # Explode each code into bit_width little-endian bits, then let numpy
     # fold the flat bit stream back into bytes (LSB-first within each byte).
     bits = ((arr[:, None] >> np.arange(bit_width, dtype=np.int64)) & 1).astype(np.uint8)
@@ -153,6 +156,11 @@ def pack_bits(codes, bit_width: int) -> PackedBuffer:
     return PackedBuffer(payload + bytes(1 + PADDING), count=arr.size, bit_width=bit_width)
 
 
+# Every operand of the fold is a 0/1 bit or a power of two and every sum is
+# below 256, so the product is exact; BLAS still now and then raises the FPU's
+# invalid flag inside it, from lanes the result does not use.  As a decorator,
+# errstate costs about half of what a `with` block does per call.
+@np.errstate(invalid="ignore")
 def unpack_slice(buf: PackedBuffer, start: int, count: int) -> np.ndarray:
     """Decode codes ``start .. start+count`` without touching the rest.
 

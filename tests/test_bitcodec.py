@@ -1,4 +1,5 @@
 import ctypes
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,23 @@ def test_unpack_slice_windows():
             )
 
 
+def test_unpack_slice_tiles_are_exact_and_raise_no_fpu_warning():
+    # The float32 fold may set the FPU's invalid flag inside BLAS; that must
+    # not surface as a RuntimeWarning, and every code must come back exact.
+    rng = np.random.default_rng(32)
+    tile = 1024
+    for b in range(1, 9):
+        codes = rng.integers(0, 1 << b, size=8 * tile + 5)
+        buf = pack_bits(codes, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start in range(0, codes.size, tile - 3):
+                count = min(tile, codes.size - start)
+                np.testing.assert_array_equal(
+                    unpack_slice(buf, start, count), codes[start : start + count], err_msg=f"b={b}"
+                )
+
+
 def test_unpack_slice_bounds_checked():
     buf = pack_bits(np.array([1, 2, 3]), 4)
     with pytest.raises(IndexError):
@@ -91,6 +109,14 @@ def test_out_of_range_code_rejected():
         pack_bits(np.array([0, 4]), 2)
     with pytest.raises(CodeRangeError):
         pack_bits(np.array([-1]), 2)
+
+
+def test_non_integer_code_rejected():
+    # A fractional or NaN code is refused, not truncated; a whole float packs.
+    for bad in ([1.5, 2.9], [0.0, np.nan], np.array([3.0, 0.25], np.float32)):
+        with pytest.raises(CodeRangeError):
+            pack_bits(bad, 3)
+    assert unpack_bits(pack_bits(np.array([1.0, 7.0]), 3)).tolist() == [1, 7]
 
 
 def test_bad_bit_width_rejected():

@@ -543,15 +543,17 @@ def test_packed_decode_matches_unpack_slice():
 @example(bit_width=3, rows=2, cols=NATIVE_CHUNK - 1, incx=1, incy=1, alpha=1.0, beta=0.0, seed=0)
 @example(bit_width=5, rows=3, cols=NATIVE_CHUNK + 9, incx=2, incy=3, alpha=-0.5, beta=1.0,
          seed=1)
-# The AVX2 kernel's cases: 4-row blocks, a leftover row and a tail; 1 and 4 bits.
+# The AVX2 kernel's cases: at 4 bits and odd cols, gathered 4-row blocks, a
+# leftover row and a tail; at 1 bit, rows one at a time.
 @example(bit_width=4, rows=9, cols=NATIVE_CHUNK + 13, incx=1, incy=2, alpha=-0.5, beta=0.25,
          seed=3)
 @example(bit_width=1, rows=5, cols=23, incx=1, incy=1, alpha=3.0, beta=1.0, seed=4)
-# Its 8-row blocks at 1-4 bits: one block, two, and two plus a leftover row.
-# 23 and 172 cols at 3 bits start rows at nonzero bit offsets (every one of
-# 0-7, and 0 and 4); at 4 bits 23 cols make half the rows start mid-byte, so
-# every window is read as a word.  At 1 bit the last block of 16x64 reads
-# fast into the stream's guard byte and the padding after it.
+# Its 8-row permute blocks at 1-4 bits: one block, two, and two plus a
+# leftover row.  23 and 172 cols at 3 bits start rows at nonzero bit offsets
+# (every one of 0-7, and 0 and 4); at 4 bits odd cols make half the rows start
+# mid-byte, so the call takes the gather decoder: two 4-row blocks, and one
+# block with two leftover rows and their tails.  At 1 bit the last block of
+# 16x64 reads into the stream's guard byte and the padding after it.
 @example(bit_width=1, rows=16, cols=64, incx=1, incy=2, alpha=3.0, beta=0.25, seed=15)
 @example(bit_width=2, rows=8, cols=NATIVE_CHUNK + 13, incx=1, incy=1, alpha=1.0, beta=0.0,
          seed=16)
@@ -559,14 +561,18 @@ def test_packed_decode_matches_unpack_slice():
 @example(bit_width=3, rows=16, cols=172, incx=1, incy=1, alpha=1.0, beta=0.25, seed=18)
 @example(bit_width=4, rows=17, cols=172, incx=1, incy=1, alpha=3.0, beta=0.0, seed=19)
 @example(bit_width=4, rows=8, cols=23, incx=1, incy=2, alpha=-0.5, beta=0.25, seed=20)
+@example(bit_width=4, rows=6, cols=23, incx=1, incy=1, alpha=1.0, beta=1.0, seed=21)
 # Its gathered windows at 5-8 bits: 4-row blocks, leftover rows and tails.
-# Odd cols at 5 and 7 bits start the 9 rows at every bit offset 0-7.  The
-# last window's 8-byte read ends at the stream's guard byte at 7 and 8 bits,
-# and 2 bytes into the padding at 6 bits, whose codes end just before the guard.
+# Odd cols at 5 and 7 bits start the 9 rows at every bit offset 0-7, and 23
+# cols at 6 bits at offsets 0, 2, 4 and 6.  The last window's 8-byte read
+# ends at the stream's guard byte at 7 and 8 bits, and 2 bytes into the
+# padding at 6 bits, whose codes end just before the guard.
 @example(bit_width=5, rows=9, cols=NATIVE_CHUNK + 13, incx=1, incy=1, alpha=1.0, beta=0.0,
          seed=11)
 @example(bit_width=6, rows=6, cols=22, incx=1, incy=2, alpha=-0.5, beta=0.25, seed=12)
 @example(bit_width=7, rows=9, cols=23, incx=1, incy=1, alpha=3.0, beta=1.0, seed=13)
+@example(bit_width=5, rows=9, cols=23, incx=1, incy=2, alpha=-0.5, beta=0.0, seed=22)
+@example(bit_width=6, rows=9, cols=23, incx=1, incy=1, alpha=3.0, beta=0.25, seed=23)
 @example(bit_width=8, rows=5, cols=71, incx=1, incy=3, alpha=1.0, beta=0.25, seed=14)
 def test_native_kernel_sums_in_its_documented_order_property(
     bit_width, rows, cols, incx, incy, alpha, beta, seed

@@ -318,10 +318,10 @@ if sys.argv[1] == "control":
 
 # The packed kernel under test: the AVX2 run checks that the library chose
 # its vector paths at load and that they stay chosen, so every width (incx
-# is 1) runs on one: b <= 4 through registers, b = 5..8 through a gather
-# from the fenced centroids; the portable run selects the portable kernel.
-# At b <= 4 the AVX2 kernel runs rows in blocks of 8, so with 8 and 16 rows a
-# block is the last thing it reads before the fence.
+# is 1) runs on one: the permute decoder at b <= 3 and at b = 4 with even
+# cols, a gather from the fenced centroids otherwise; the portable run selects
+# the portable kernel.  The permute decoder runs rows in blocks of 8, so with
+# 8 and 16 rows a block is the last thing it reads before the fence.
 loaded = native.load()
 if sys.argv[2] == "avx2":
     assert loaded.packed_kernel == "avx2" and loaded.avx2.value == 1, loaded
